@@ -3,15 +3,15 @@
 //!
 //! # Why this module exists
 //!
-//! The legacy decode path materializes every read as an owned [`Record`]:
-//! one `Vec<CigarOp>`, one packed-base `Vec<u8>`, one RLE scratch `Vec`,
-//! and one `Vec<Phred>` per record — four heap allocations and a
-//! byte-by-byte Phred construction for data the pileup engine immediately
-//! re-reduces into a quality histogram. On an ultra-deep sample the caller
-//! decodes tens of millions of records, so the allocator traffic (not the
-//! arithmetic) dominates ingest.
+//! Materializing every read as an owned [`Record`] costs one
+//! `Vec<CigarOp>`, one packed-base `Vec<u8>` and one `Vec<Phred>` per
+//! record — heap allocations and a byte-by-byte Phred construction for
+//! data the pileup engine immediately re-reduces into a quality
+//! histogram. On an ultra-deep sample the caller decodes tens of millions
+//! of records, so the allocator traffic (not the arithmetic) would
+//! dominate ingest.
 //!
-//! The batch path decodes a whole block **once, into one arena**:
+//! Instead a whole block decodes **once, into one arena**:
 //!
 //! * [`RecordBatch`] holds three flat arrays — unpacked base codes,
 //!   per-base **quality-bin indices**, and CIGAR ops — plus a small
@@ -19,10 +19,10 @@
 //!   ([`RecordView`]) into the arenas; re-decoding a block into a warmed
 //!   batch performs **zero** allocations.
 //! * [`QualityDict`] is the per-file spectrum of distinct Phred scores,
-//!   sorted descending (= ascending error probability). v2 BAL blocks
-//!   store each base's quality as its dictionary index, so the pileup
-//!   layer can stack bin ids directly and derive its `min_baseq` filter
-//!   from a single index comparison.
+//!   sorted descending (= ascending error probability). BAL blocks store
+//!   each base's quality as its dictionary index, so the pileup layer can
+//!   stack bin ids directly and derive its `min_baseq` filter from a
+//!   single index comparison.
 //! * [`SharedBlockCache`] decodes each block of a file **exactly once per
 //!   run** and hands out shared references, so parallel workers whose
 //!   column chunks straddle a block boundary no longer re-decode the
@@ -31,7 +31,7 @@
 
 use crate::cigar::{Cigar, CigarOp};
 use crate::codec::{decompress_stream_into, get_varint};
-use crate::file::{BalFile, DecodeStats, MAX_STREAM_RAW};
+use crate::file::{BalFile, DecodeStats, MAX_READ_LEN, MAX_STREAM_RAW};
 use crate::record::{Flags, Record};
 use crate::BalError;
 use std::time::{Duration, Instant};
@@ -41,20 +41,20 @@ use ultravc_genome::sequence::Seq;
 use ultravc_sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use ultravc_sync::{Arc, Condvar, Mutex};
 
-/// Number of representable Phred scores; the identity dictionary has one
-/// bin per score.
+/// Number of representable Phred scores; a spilled dictionary has one bin
+/// per score.
 pub const QUAL_SLOTS: usize = MAX_PHRED as usize + 1;
 
 /// Learned-dictionary capacity. Real Illumina spectra fit in a handful of
 /// plateaus and simulated ones in ≤ ~25 values; a file whose spectrum
-/// exceeds this spills to the identity dictionary instead of failing.
+/// exceeds this spills to the identity mapping instead of failing.
 pub const QUALITY_DICT_CAP: usize = 40;
 
 /// A file's quality spectrum: the distinct Phred scores it contains,
 /// sorted descending (so ascending error probability), each addressed by
 /// its **bin index**.
 ///
-/// v2 BAL payloads store per-base qualities as bin indices against this
+/// BAL payloads store per-base qualities as bin indices against this
 /// dictionary. Sorting descending buys two things downstream:
 ///
 /// * a `min_baseq` filter is a single comparison against a precomputed
@@ -75,29 +75,18 @@ pub struct QualityDict {
 
 impl QualityDict {
     /// Build from a per-score occurrence histogram (index = clamped Phred
-    /// score). Spectra wider than [`QUALITY_DICT_CAP`] spill to
-    /// [`QualityDict::identity`].
+    /// score). Spectra wider than [`QUALITY_DICT_CAP`] spill to the
+    /// identity mapping: one bin per representable score, bin `b` holding
+    /// `Phred(MAX_PHRED − b)`.
     pub fn from_histogram(counts: &[u64; QUAL_SLOTS]) -> QualityDict {
         let distinct = counts.iter().filter(|&&n| n > 0).count();
-        if distinct > QUALITY_DICT_CAP {
-            let mut dict = QualityDict::identity();
-            dict.spilled = true;
-            return dict;
-        }
+        let spilled = distinct > QUALITY_DICT_CAP;
         let quals: Vec<Phred> = (0..QUAL_SLOTS)
             .rev()
-            .filter(|&q| counts[q] > 0)
+            .filter(|&q| spilled || counts[q] > 0)
             .map(|q| Phred(q as u8))
             .collect();
-        QualityDict::from_sorted(quals, false)
-    }
-
-    /// The identity dictionary: one bin per representable score, bin `b`
-    /// holding `Phred(MAX_PHRED − b)`. Used for v1 files (whose spectrum
-    /// is unknown until decode) and as the spill target.
-    pub fn identity() -> QualityDict {
-        let quals: Vec<Phred> = (0..QUAL_SLOTS).rev().map(|q| Phred(q as u8)).collect();
-        QualityDict::from_sorted(quals, false)
+        QualityDict::from_sorted(quals, spilled)
     }
 
     fn from_sorted(quals: Vec<Phred>, spilled: bool) -> QualityDict {
@@ -114,7 +103,7 @@ impl QualityDict {
     }
 
     /// Rebuild from serialized score bytes (strictly descending). Used by
-    /// the v2 file parser; rejects malformed dictionaries.
+    /// the file parser; rejects malformed dictionaries.
     pub(crate) fn from_bytes(quals: &[u8], spilled: bool) -> Result<QualityDict, BalError> {
         if quals.len() > QUAL_SLOTS {
             return Err(BalError::Corrupt("quality dict too large"));
@@ -203,13 +192,13 @@ pub struct RecordBatch {
     bins: Vec<u8>,
     /// CIGAR operations, all records back to back.
     ops: Vec<CigarOp>,
-    /// v3 per-stream decompression scratch, kept warmed alongside the
-    /// arenas so re-decoding a v3 block into a used batch also allocates
+    /// Per-stream decompression scratch, kept warmed alongside the
+    /// arenas so re-decoding a block into a used batch also allocates
     /// nothing. Not part of the batch's value (see `PartialEq`).
     scratch: StreamScratch,
 }
 
-/// Decompressed v3 stream buffers (meta, cigar, base). The qual stream
+/// Decompressed stream buffers (meta, cigar, base). The qual stream
 /// needs no scratch: its decoded form *is* the block's concatenated bin
 /// indices, so it decompresses straight into the `bins` arena.
 #[derive(Debug, Clone, Default)]
@@ -220,7 +209,7 @@ struct StreamScratch {
 }
 
 /// Batches compare by decoded content only — the transient decompression
-/// scratch is an implementation detail of the v3 path.
+/// scratch is an implementation detail of the decoder.
 impl PartialEq for RecordBatch {
     fn eq(&self, other: &RecordBatch) -> bool {
         self.recs == other.recs
@@ -361,8 +350,7 @@ impl<'a> RecordView<'a> {
     }
 
     /// Materialize an owned [`Record`], resolving bin indices through the
-    /// dictionary — the compatibility bridge to the legacy path (and the
-    /// field-for-field equivalence oracle the proptests exercise).
+    /// dictionary — what [`crate::BalReader::records`] is built on.
     pub fn to_record(&self, dict: &QualityDict) -> Record {
         let seq = Seq::from_bases(self.bases.iter().map(|&c| Base::from_code(c)));
         let quals: Vec<Phred> = self.bins.iter().map(|&b| dict.phred(b)).collect();
@@ -393,31 +381,15 @@ pub fn decode_block_into(
         .get(i)
         .ok_or(BalError::Corrupt("block index out of range"))?;
     let payload = file.block_payload(&meta)?;
-    let dict = file.quality_dict();
-    if file.version() >= 3 {
-        return decode_block_v3(&payload, &meta, batch, dict);
-    }
-    let v2 = file.version() >= 2;
-    let mut buf = &payload[..];
-    let n = get_varint(&mut buf).ok_or(BalError::Corrupt("truncated block header"))?;
-    if n != meta.n_records as u64 {
-        return Err(BalError::Corrupt("record count mismatch"));
-    }
-    let n = n as usize;
-    batch.recs.reserve(n);
-    let mut prev = 0u32;
-    for _ in 0..n {
-        decode_batch_record(&mut buf, batch, &mut prev, dict, v2)?;
-    }
-    Ok(())
+    decode_block_v3(&payload, &meta, batch, file.quality_dict())
 }
 
-/// Decode one v3 columnar block: parse the stream framing, bulk-decompress
+/// Decode one columnar block: parse the stream framing, bulk-decompress
 /// the four streams into the batch's warmed scratch buffers, then walk
-/// them in lockstep into the arenas. Validation matches the v2 record path
-/// check for check (positions, CIGAR codes and lengths, bin indices,
-/// arena-offset overflow), plus the stream-level invariants: lengths must
-/// tile the payload exactly and every stream must be consumed exactly.
+/// them in lockstep into the arenas. Every record field is validated
+/// (positions, CIGAR codes and lengths, bin indices, arena-offset
+/// overflow), plus the stream-level invariants: lengths must tile the
+/// payload exactly and every stream must be consumed exactly.
 fn decode_block_v3(
     payload: &[u8],
     meta: &crate::file::BlockMeta,
@@ -605,131 +577,6 @@ fn unpack_bases(packed: &[u8], seq_len: usize, bases: &mut Vec<u8>) {
             *out = (byte >> (within * 2)) & 0b11;
         }
     }
-}
-
-/// Upper bound on a single read length accepted by the decoder (mirrors
-/// the legacy decoder's bound).
-const MAX_READ_LEN: usize = 1 << 20;
-
-fn decode_batch_record(
-    buf: &mut &[u8],
-    batch: &mut RecordBatch,
-    prev: &mut u32,
-    dict: &QualityDict,
-    v2: bool,
-) -> Result<(), BalError> {
-    let delta = get_varint(buf).ok_or(BalError::Corrupt("truncated position"))?;
-    let pos = u32::try_from(delta)
-        .ok()
-        .and_then(|d| prev.checked_add(d))
-        .ok_or(BalError::Corrupt("position overflows coordinate space"))?;
-    *prev = pos;
-    let id = get_varint(buf).ok_or(BalError::Corrupt("truncated id"))?;
-    let [mapq, flags_byte] = *buf
-        .get(..2)
-        .ok_or(BalError::Corrupt("truncated mapq/flags"))?
-    else {
-        unreachable!("slice of length 2")
-    };
-    *buf = &buf[2..];
-
-    // CIGAR ops into the shared arena. Arena offsets are stored as u32
-    // spans; a block whose arenas would outgrow that (pathological block
-    // capacity × read length, or corrupt counts) is rejected rather than
-    // silently wrapped.
-    let cig_off = batch.ops.len();
-    if cig_off > (u32::MAX as usize) - MAX_READ_LEN
-        || batch.bases.len() > (u32::MAX as usize) - MAX_READ_LEN
-    {
-        return Err(BalError::Corrupt("block arena exceeds u32 offsets"));
-    }
-    let n_ops = crate::file::checked_len(
-        get_varint(buf).ok_or(BalError::Corrupt("truncated cigar count"))?,
-        "absurd cigar op count",
-    )?;
-    batch.ops.reserve(n_ops);
-    let (mut query_len, mut ref_len) = (0u64, 0u64);
-    for _ in 0..n_ops {
-        let v = get_varint(buf).ok_or(BalError::Corrupt("truncated cigar op"))?;
-        let op_len =
-            u32::try_from(v >> 2).map_err(|_| BalError::Corrupt("cigar op length overflows"))?;
-        let op = CigarOp::from_code((v & 0b11) as u8, op_len)
-            .ok_or(BalError::Corrupt("bad cigar op code"))?;
-        query_len += op.query_len() as u64;
-        ref_len += op.ref_len() as u64;
-        batch.ops.push(op);
-    }
-    let end_pos = u32::try_from(ref_len)
-        .ok()
-        .and_then(|r| pos.checked_add(r))
-        .ok_or(BalError::Corrupt("alignment extends past coordinate space"))?;
-
-    // Bases: unpack the 2-bit codes straight out of the payload slice.
-    let seq_len = crate::file::checked_len(
-        get_varint(buf).ok_or(BalError::Corrupt("truncated seq length"))?,
-        "absurd read length",
-    )?;
-    let packed_len = get_varint(buf).ok_or(BalError::Corrupt("truncated seq bytes"))?;
-    if packed_len != seq_len.div_ceil(4) as u64 {
-        return Err(BalError::Corrupt("seq byte count mismatch"));
-    }
-    let packed_len = packed_len as usize;
-    if buf.len() < packed_len {
-        return Err(BalError::Corrupt("seq byte count mismatch"));
-    }
-    let (packed, rest) = buf.split_at(packed_len);
-    *buf = rest;
-    let seq_off = batch.bases.len();
-    unpack_bases(packed, seq_len, &mut batch.bases);
-
-    // Qualities: decoded run by run, so validation (v2: bin index in
-    // dictionary) and translation (v1: raw score → identity bin) are
-    // per-run, not per-base, and each run expands as one fill.
-    let n_runs = get_varint(buf).ok_or(BalError::Corrupt("truncated qual runs"))?;
-    let n_bins = dict.len() as u8;
-    let mut remaining = seq_len;
-    // `n_runs` stays u64: each iteration consumes at least two payload
-    // bytes or errors out, so a pathological count terminates on
-    // truncation without ever sizing an allocation.
-    for _ in 0..n_runs {
-        let count = get_varint(buf).ok_or(BalError::Corrupt("truncated qual run"))?;
-        if buf.is_empty() || count > remaining as u64 {
-            return Err(BalError::Corrupt("truncated or oversized quals"));
-        }
-        let count = count as usize;
-        let raw = buf[0];
-        *buf = &buf[1..];
-        let bin = if v2 {
-            if raw >= n_bins {
-                return Err(BalError::Corrupt("quality bin index out of dictionary"));
-            }
-            raw
-        } else {
-            // v1 stores raw scores; identity dictionary bin = MAX_PHRED − q.
-            MAX_PHRED - raw.min(MAX_PHRED)
-        };
-        batch.bins.resize(batch.bins.len() + count, bin);
-        remaining -= count;
-    }
-    if remaining != 0 {
-        return Err(BalError::Corrupt("qual length mismatch"));
-    }
-
-    if query_len != seq_len as u64 {
-        return Err(BalError::Corrupt("cigar/sequence length mismatch"));
-    }
-    batch.recs.push(RecMeta {
-        id,
-        pos,
-        end_pos,
-        seq_off: seq_off as u32,
-        seq_len: seq_len as u32,
-        cig_off: cig_off as u32,
-        cig_len: n_ops as u32,
-        mapq,
-        flags: Flags(flags_byte),
-    });
-    Ok(())
 }
 
 /// One cache slot: the decoded arena (or its decode failure) plus the
@@ -1147,7 +994,7 @@ mod tests {
         assert_eq!(dict.bins_at_least(3), 3);
         assert_eq!(dict.bins_at_least(0), 4);
         assert_eq!(dict.bins_at_least(31), 0);
-        // The cutoff is exactly the legacy `q >= min_baseq` predicate.
+        // The cutoff is exactly the per-score `q >= min_baseq` predicate.
         for (bin, q) in dict.quals().iter().enumerate() {
             assert_eq!((bin as u8) < dict.bins_at_least(3), q.0 >= 3);
         }
@@ -1162,16 +1009,11 @@ mod tests {
         let dict = QualityDict::from_histogram(&counts);
         assert!(dict.spilled());
         assert_eq!(dict.len(), QUAL_SLOTS, "spill falls back to identity");
-        // Identity mapping: bin b ↔ Phred(MAX_PHRED − b).
+        // Identity mapping: bin b ↔ Phred(MAX_PHRED − b), and bin_of
+        // inverts it over every representable score.
         for b in 0..QUAL_SLOTS {
             assert_eq!(dict.phred(b as u8), Phred(MAX_PHRED - b as u8));
         }
-    }
-
-    #[test]
-    fn dict_identity_roundtrip() {
-        let dict = QualityDict::identity();
-        assert_eq!(dict.len(), QUAL_SLOTS);
         for q in 0..=MAX_PHRED {
             assert_eq!(dict.phred(dict.bin_of(Phred(q))), Phred(q));
         }
@@ -1193,37 +1035,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_decode_matches_legacy_records() {
-        // Pinned to both dictionary-binned versions explicitly, so the
-        // test keeps its meaning when CI pins ULTRAVC_BAL_FORMAT=1.
+    fn batch_views_materialize_the_written_records() {
         let records = sample_records(100);
-        for version in [
-            crate::file::FormatVersion::V2,
-            crate::file::FormatVersion::V3,
-        ] {
-            let mut w =
-                crate::file::BalWriter::with_options(crate::file::DEFAULT_BLOCK_CAPACITY, version);
-            for rec in records.clone() {
-                w.push(rec).unwrap();
-            }
-            let file = w.finish();
-            assert!(file.version() >= 2, "{version:?} is dictionary-binned");
-            let mut batch = RecordBatch::new();
-            let mut got = Vec::new();
-            for i in 0..file.n_blocks() {
-                decode_block_into(&file, i, &mut batch).unwrap();
-                got.extend(batch.views().map(|v| v.to_record(file.quality_dict())));
-            }
-            assert_eq!(got, records, "{version:?}");
-        }
-    }
-
-    #[test]
-    fn batch_decode_of_v1_file_via_identity_dict() {
-        let records = sample_records(40);
-        let file = BalFile::from_records_legacy(records.clone()).unwrap();
-        assert_eq!(file.version(), 1);
-        assert_eq!(file.quality_dict().len(), QUAL_SLOTS);
+        let file = BalFile::from_records(records.clone()).unwrap();
         let mut batch = RecordBatch::new();
         let mut got = Vec::new();
         for i in 0..file.n_blocks() {
@@ -1445,28 +1259,16 @@ mod tests {
 
     #[test]
     fn degenerate_single_bin_spectrum() {
-        // A one-entry dictionary needs a binned version; pinned explicitly
-        // so a CI-level ULTRAVC_BAL_FORMAT=1 doesn't change the subject.
         let records: Vec<Record> = (0..10)
             .map(|i| mk_record(i, i as u32, b"ACGT", &[37; 4]))
             .collect();
-        for version in [
-            crate::file::FormatVersion::V2,
-            crate::file::FormatVersion::V3,
-        ] {
-            let mut w =
-                crate::file::BalWriter::with_options(crate::file::DEFAULT_BLOCK_CAPACITY, version);
-            for rec in records.clone() {
-                w.push(rec).unwrap();
-            }
-            let file = w.finish();
-            let dict = file.quality_dict();
-            assert_eq!(dict.len(), 1);
-            assert_eq!(dict.phred(0), Phred(37));
-            let mut batch = RecordBatch::new();
-            decode_block_into(&file, 0, &mut batch).unwrap();
-            let got: Vec<Record> = batch.views().map(|v| v.to_record(dict)).collect();
-            assert_eq!(got, records, "{version:?}");
-        }
+        let file = BalFile::from_records(records.clone()).unwrap();
+        let dict = file.quality_dict();
+        assert_eq!(dict.len(), 1);
+        assert_eq!(dict.phred(0), Phred(37));
+        let mut batch = RecordBatch::new();
+        decode_block_into(&file, 0, &mut batch).unwrap();
+        let got: Vec<Record> = batch.views().map(|v| v.to_record(dict)).collect();
+        assert_eq!(got, records);
     }
 }

@@ -1,5 +1,5 @@
 //! Byte-level codecs for the BAL block format: LEB128 varints, zigzag
-//! deltas, run-length encoding for quality strings, and the v3 per-stream
+//! deltas, run-length encoding for quality strings, and the per-stream
 //! compression container (raw / RLE / LZ — smallest wins when it at least
 //! halves the stream, raw otherwise).
 //!
@@ -7,11 +7,11 @@
 //! Illumina) quality data is plateau-heavy, so RLE compresses it well while
 //! keeping a genuine, measurable per-block decode cost — which is the
 //! behaviour the paper's Figure 2 trace attributes to file decompression.
-//! v3's columnar block payloads add an LZ77-style match stage on top:
+//! The columnar block payloads add an LZ77-style match stage on top:
 //! viral reads against one 30 kb reference are massively redundant, so the
 //! concatenated base and qual-bin streams crush under a greedy
-//! hash-chained matcher that would be useless on v2's interleaved
-//! per-record fields.
+//! hash-chained matcher that would be useless on interleaved per-record
+//! fields.
 
 use bytes::{Buf, BufMut};
 
@@ -74,15 +74,8 @@ pub fn rle_encode(out: &mut Vec<u8>, data: &[u8]) {
     }
 }
 
-/// Decode an RLE byte string produced by [`rle_encode`]. `max_len` bounds
-/// the output to protect against corrupt counts.
-pub fn rle_decode(buf: &mut impl Buf, max_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::new();
-    rle_decode_into(buf, max_len, &mut out)?;
-    Some(out)
-}
-
-/// Decode an RLE byte string, **appending** to `out` — the zero-alloc form
+/// Decode an RLE byte string produced by [`rle_encode`], **appending** to
+/// `out` — the zero-alloc form
 /// the arena batch decoder uses (a warmed buffer is never reallocated).
 /// `max_len` bounds the decoded length, not the total buffer length.
 ///
@@ -104,29 +97,6 @@ pub fn rle_decode_into(buf: &mut impl Buf, max_len: usize, out: &mut Vec<u8>) ->
     Some(())
 }
 
-/// Append a length-prefixed raw byte string.
-pub fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
-    put_varint(out, data.len() as u64);
-    out.extend_from_slice(data);
-}
-
-/// Read a length-prefixed raw byte string (bounded by `max_len`). The
-/// length is compared in `u64` before narrowing, so corrupt prefixes
-/// cannot wrap on 32-bit targets.
-pub fn get_bytes(buf: &mut impl Buf, max_len: usize) -> Option<Vec<u8>> {
-    let len = get_varint(buf)?;
-    if len > max_len as u64 {
-        return None;
-    }
-    let len = len as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
-    Some(out)
-}
-
 /// Append a fixed-width little-endian u64 (used by the file trailer, where
 /// self-describing width matters more than compactness).
 pub fn put_u64_le(out: &mut Vec<u8>, v: u64) {
@@ -134,7 +104,7 @@ pub fn put_u64_le(out: &mut Vec<u8>, v: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// v3 stream compression: `scheme · raw_len · payload` containers.
+// Stream compression: `scheme · raw_len · payload` containers.
 // ---------------------------------------------------------------------------
 
 /// Stream stored verbatim (compression would have grown it).
@@ -374,6 +344,12 @@ mod tests {
         assert_eq!(zigzag(1), 2);
     }
 
+    fn rle_decode(mut buf: &[u8], max_len: usize) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        rle_decode_into(&mut buf, max_len, &mut out)?;
+        Some(out)
+    }
+
     #[test]
     fn rle_roundtrip_plateaus() {
         let data: Vec<u8> = [vec![37u8; 50], vec![32u8; 30], vec![2u8; 5]].concat();
@@ -384,7 +360,7 @@ mod tests {
             "plateaus should compress hard: {}",
             out.len()
         );
-        let decoded = rle_decode(&mut &out[..], data.len()).unwrap();
+        let decoded = rle_decode(&out, data.len()).unwrap();
         assert_eq!(decoded, data);
     }
 
@@ -393,7 +369,7 @@ mod tests {
         let data: Vec<u8> = (0..=255u8).collect();
         let mut out = Vec::new();
         rle_encode(&mut out, &data);
-        let decoded = rle_decode(&mut &out[..], 256).unwrap();
+        let decoded = rle_decode(&out, 256).unwrap();
         assert_eq!(decoded, data);
     }
 
@@ -401,7 +377,7 @@ mod tests {
     fn rle_empty() {
         let mut out = Vec::new();
         rle_encode(&mut out, &[]);
-        let decoded = rle_decode(&mut &out[..], 0).unwrap();
+        let decoded = rle_decode(&out, 0).unwrap();
         assert!(decoded.is_empty());
     }
 
@@ -410,7 +386,7 @@ mod tests {
         let mut out = Vec::new();
         rle_encode(&mut out, &[7u8; 100]);
         // max_len smaller than actual: decoder must refuse, not allocate.
-        assert!(rle_decode(&mut &out[..], 10).is_none());
+        assert!(rle_decode(&out, 10).is_none());
     }
 
     fn stream_roundtrip(data: &[u8]) -> usize {
@@ -512,17 +488,5 @@ mod tests {
         let mut out = Vec::new();
         lz_decompress_into(&lz, data.len(), &mut out).unwrap();
         assert_eq!(out, data);
-    }
-
-    #[test]
-    fn bytes_roundtrip_and_bounds() {
-        let mut out = Vec::new();
-        put_bytes(&mut out, b"hello");
-        let mut buf = &out[..];
-        assert_eq!(get_bytes(&mut buf, 100).unwrap(), b"hello");
-        let mut buf2 = &out[..];
-        assert!(get_bytes(&mut buf2, 3).is_none(), "length cap enforced");
-        let mut truncated = &out[..3];
-        assert!(get_bytes(&mut truncated, 100).is_none());
     }
 }

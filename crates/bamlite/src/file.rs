@@ -1,6 +1,6 @@
 //! The BAL container: blocked storage, genomic index, per-thread readers.
 //!
-//! Layout (identical container framing for every version):
+//! Layout:
 //!
 //! ```text
 //! "BAL3" · block₀ · block₁ · … · index · dict · index_offset(u64 LE) · "BEND"
@@ -11,76 +11,63 @@
 //! `[min_pos, max_end)`, so a region query touches only the blocks it must
 //! — this is the `.bai` analogue that lets each worker thread of the
 //! parallel caller jump straight to its partition with its own independent
-//! reader.
+//! reader. Index entries are sorted by `min_pos` — the parser rejects an
+//! index that is not — which is what lets
+//! [`BalFile::blocks_overlapping`] binary-search them.
 //!
-//! **Format versions.** The index and trailer schema never changed; only
-//! the block payload encoding did, so cost estimates and prefetch plans
-//! built from the index are format-independent by construction.
+//! The *dict* section is the per-file [`QualityDict`], built at write time
+//! from the observed quality spectrum; blocks store each base's quality as
+//! its **bin index** into it, so decode hands the pileup layer pre-binned
+//! qualities without a per-base Phred→probability translation.
 //!
-//! * **v1** (`"BAL1"`): interleaved per-record fields, raw Phred RLE
-//!   qualities, no dictionary (decoded through the identity dictionary).
-//! * **v2** (`"BAL2"`): interleaved per-record fields, but qualities are
-//!   **bin indices** against a per-file [`QualityDict`] (built at write
-//!   time from the observed spectrum and serialized after the index), so
-//!   decode hands the pileup layer pre-binned qualities without a per-base
-//!   Phred→probability translation.
-//! * **v3** (`"BAL3"`, the default): **columnar** block payloads. The
-//!   payload is a record count, four varint stream lengths, then four
-//!   independently compressed streams laid back to back:
+//! **Block payloads are columnar.** A payload is a record count, four
+//! varint stream lengths, then four independently compressed streams laid
+//! back to back:
 //!
-//!   ```text
-//!   n_records · len(meta) · len(cigar) · len(base) · len(qual)
-//!     · meta-stream · cigar-stream · base-stream · qual-stream
-//!   ```
+//! ```text
+//! n_records · len(meta) · len(cigar) · len(base) · len(qual)
+//!   · meta-stream · cigar-stream · base-stream · qual-stream
+//! ```
 //!
-//!   The *meta* stream interleaves the small per-record fields (position
-//!   delta, id, mapq, flags, cigar-op count, read length); the *cigar*
-//!   stream concatenates every record's ops; the *base* stream
-//!   concatenates each record's 2-bit packed codes (byte aligned per
-//!   record); the *qual* stream concatenates each record's qual-bin
-//!   indices verbatim. Each stream is wrapped in a
-//!   [`crate::codec::compress_stream`] container (raw / RLE / LZ —
-//!   smallest wins, but only if it at least halves the bytes; marginal
-//!   winners stay raw so decode CPU is never spent on sub-2× savings), so
-//!   the redundant base and qual columns of an
-//!   ultra-deep viral stack crush while the decoder stays a bulk
-//!   decompress plus one linear columnar walk into the same arenas the v2
-//!   path fills.
+//! The *meta* stream interleaves the small per-record fields (position
+//! delta, id, mapq, flags, cigar-op count, read length); the *cigar*
+//! stream concatenates every record's ops; the *base* stream concatenates
+//! each record's 2-bit packed codes (byte aligned per record); the *qual*
+//! stream concatenates each record's qual-bin indices verbatim. Each
+//! stream is wrapped in a [`crate::codec::compress_stream`] container
+//! (raw / RLE / LZ — smallest wins, but only if it at least halves the
+//! bytes; marginal winners stay raw so decode CPU is never spent on
+//! sub-2× savings), so the redundant base and qual columns of an
+//! ultra-deep viral stack crush while the decoder stays a bulk decompress
+//! plus one linear columnar walk into the [`RecordBatch`] arenas.
 //!
-//! Older versions remain fully readable through the same [`BalFile::open`];
-//! all three decode bitwise-identically through every tier and decode
-//! path. Writers default to v3; `ULTRAVC_BAL_FORMAT=1|2|3` pins the
-//! default (CI uses it to keep the legacy write paths exercised) and the
-//! CLI's `simulate --format` overrides per file.
+//! This is the only format the workspace reads or writes. Files carrying
+//! the retired `"BAL1"`/`"BAL2"` magics are refused with
+//! [`BalError::UnsupportedVersion`]; every producer here is the simulator,
+//! so such a file is re-simulated rather than converted.
 
-use crate::batch::{QualityDict, RecordBatch, QUAL_SLOTS};
-use crate::cigar::{Cigar, CigarOp};
-use crate::codec::{
-    compress_stream, get_bytes, get_varint, put_bytes, put_u64_le, put_varint, rle_decode,
-    rle_encode,
-};
+use crate::batch::{QualityDict, RecordBatch, RecordView, QUAL_SLOTS};
+use crate::codec::{compress_stream, get_varint, put_u64_le, put_varint};
 use crate::io::{fault::FaultPlan, ByteSource, IoBudget, SourceTier};
-use crate::record::{Flags, Record};
+use crate::record::Record;
 use crate::BalError;
 use bytes::{Buf, Bytes};
 use std::borrow::Cow;
 use std::path::Path;
-use ultravc_genome::phred::Phred;
-use ultravc_genome::sequence::Seq;
 use ultravc_sync::Arc;
 
-const MAGIC_V1: &[u8; 4] = b"BAL1";
-const MAGIC_V2: &[u8; 4] = b"BAL2";
-const MAGIC_V3: &[u8; 4] = b"BAL3";
+const MAGIC: &[u8; 4] = b"BAL3";
+/// The format version [`MAGIC`] names, as [`BalFile::version`] reports it.
+const FORMAT_VERSION: u8 = 3;
 const INDEX_MAGIC: &[u8; 4] = b"BIDX";
 const DICT_MAGIC: &[u8; 4] = b"BDCT";
 const END_MAGIC: &[u8; 4] = b"BEND";
 
 /// Upper bound on a single read length accepted by the decoder; corrupt
 /// length fields beyond this are rejected instead of allocated.
-const MAX_READ_LEN: usize = 1 << 20;
+pub(crate) const MAX_READ_LEN: usize = 1 << 20;
 
-/// Upper bound on one decompressed v3 stream (per block). The decoder
+/// Upper bound on one decompressed stream (per block). The decoder
 /// refuses anything larger before allocating, and the writer splits blocks
 /// whose estimated raw streams would approach it, so legitimate files
 /// always decode and corrupt headers cannot size absurd allocations.
@@ -141,7 +128,7 @@ impl DecodeStats {
     }
 }
 
-/// Raw-vs-stored accounting for one v3 stream kind across a whole write.
+/// Raw-vs-stored accounting for one stream kind across a whole write.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Uncompressed stream bytes.
@@ -164,7 +151,6 @@ pub struct WriterStats {
     /// Total block payload bytes as stored.
     pub payload_bytes: u64,
     /// Per-stream accounting in payload order (meta, cigar, base, qual).
-    /// All-zero for v1/v2, whose interleaved payloads have no streams.
     pub streams: [StreamStats; 4],
 }
 
@@ -186,89 +172,35 @@ pub struct BalFile {
     source: ByteSource,
     index: Arc<[BlockMeta]>,
     dict: Arc<QualityDict>,
-    version: u8,
     /// Supervision budget payload reads run under (`None` = direct reads,
     /// the pre-supervisor behaviour benches use as the overhead baseline).
     budget: Option<Arc<IoBudget>>,
 }
 
-/// On-disk format version a [`BalWriter`] emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FormatVersion {
-    /// Legacy: interleaved records, raw Phred RLE, no quality dictionary.
-    V1,
-    /// Interleaved records with bin-indexed qualities against a per-file
-    /// [`QualityDict`].
-    V2,
-    /// Columnar, per-stream-compressed block payloads (default); see the
-    /// module docs for the stream layout.
-    V3,
-}
-
-impl FormatVersion {
-    /// The version writers default to: v3, unless `ULTRAVC_BAL_FORMAT`
-    /// pins `1`/`2`/`3` (or `v1`/`v2`/`v3`). CI uses the pin to keep the
-    /// legacy write paths exercised. An unrecognized value panics — a
-    /// typoed pin must not silently write the wrong format.
-    pub fn default_version() -> FormatVersion {
-        match std::env::var("ULTRAVC_BAL_FORMAT") {
-            Err(_) => FormatVersion::V3,
-            Ok(raw) => match raw.trim() {
-                "" | "3" | "v3" => FormatVersion::V3,
-                "2" | "v2" => FormatVersion::V2,
-                "1" | "v1" => FormatVersion::V1,
-                other => panic!("ULTRAVC_BAL_FORMAT must be 1, 2 or 3; got {other:?}"),
-            },
-        }
-    }
-
-    /// The version byte stored in the container.
-    fn as_byte(self) -> u8 {
-        match self {
-            FormatVersion::V1 => 1,
-            FormatVersion::V2 => 2,
-            FormatVersion::V3 => 3,
-        }
-    }
-}
-
 /// Writer: push position-sorted records, receive a [`BalFile`].
 ///
-/// The v2/v3 encoders need the whole quality spectrum before they can
-/// assign bin indices, so records are buffered and blocks are encoded at
+/// The encoder needs the whole quality spectrum before it can assign bin
+/// indices, so records are buffered and blocks are encoded at
 /// [`BalWriter::finish`]. (Every producer in this workspace builds files
 /// in memory anyway — the simulator, the CLI, the benches.)
 #[derive(Debug)]
 pub struct BalWriter {
     block_capacity: usize,
-    version: FormatVersion,
     records: Vec<Record>,
     prev_pos: Option<u32>,
 }
 
 impl BalWriter {
-    /// Default-format writer ([`FormatVersion::default_version`]) with the
-    /// default block capacity.
+    /// Writer with the default block capacity.
     pub fn new() -> BalWriter {
-        BalWriter::with_options(DEFAULT_BLOCK_CAPACITY, FormatVersion::default_version())
+        BalWriter::with_block_capacity(DEFAULT_BLOCK_CAPACITY)
     }
 
-    /// Default-format writer with an explicit records-per-block bound (≥ 1).
+    /// Writer with an explicit records-per-block bound (≥ 1).
     pub fn with_block_capacity(block_capacity: usize) -> BalWriter {
-        BalWriter::with_options(block_capacity, FormatVersion::default_version())
-    }
-
-    /// Legacy v1 writer (compatibility shim; round-trip parity tests).
-    pub fn legacy() -> BalWriter {
-        BalWriter::with_options(DEFAULT_BLOCK_CAPACITY, FormatVersion::V1)
-    }
-
-    /// Writer with explicit block capacity and format version.
-    pub fn with_options(block_capacity: usize, version: FormatVersion) -> BalWriter {
         assert!(block_capacity >= 1, "block capacity must be positive");
         BalWriter {
             block_capacity,
-            version,
             records: Vec::new(),
             prev_pos: None,
         }
@@ -289,41 +221,27 @@ impl BalWriter {
         Ok(())
     }
 
-    /// Finish the file: build the quality dictionary (v2/v3), encode
-    /// blocks, index, dictionary section and trailer.
+    /// Finish the file: build the quality dictionary, encode blocks,
+    /// index, dictionary section and trailer.
     pub fn finish(self) -> BalFile {
         self.finish_with_stats().0
     }
 
     /// [`BalWriter::finish`], also reporting write-side compression
-    /// accounting (per-stream raw-vs-stored bytes for v3; the stream rows
-    /// stay zero for the interleaved v1/v2 formats).
+    /// accounting (per-stream raw-vs-stored bytes).
     pub fn finish_with_stats(self) -> (BalFile, WriterStats) {
-        let version = self.version.as_byte();
-        let dict = match self.version {
-            FormatVersion::V1 => QualityDict::identity(),
-            FormatVersion::V2 | FormatVersion::V3 => {
-                let mut counts = [0u64; QUAL_SLOTS];
-                for rec in &self.records {
-                    for q in &rec.quals {
-                        counts[(q.0 as usize).min(QUAL_SLOTS - 1)] += 1;
-                    }
-                }
-                QualityDict::from_histogram(&counts)
+        let mut counts = [0u64; QUAL_SLOTS];
+        for rec in &self.records {
+            for q in &rec.quals {
+                counts[(q.0 as usize).min(QUAL_SLOTS - 1)] += 1;
             }
-        };
-        let mut out = match self.version {
-            FormatVersion::V1 => MAGIC_V1.to_vec(),
-            FormatVersion::V2 => MAGIC_V2.to_vec(),
-            FormatVersion::V3 => MAGIC_V3.to_vec(),
-        };
-        // Block chunking: the records-per-block cap applies to every
-        // format; v3 adds a raw-byte budget so no block's decompressed
-        // stream can approach the decoder's [`MAX_STREAM_RAW`] cap.
-        // Normal inputs never trip the byte budget, so v3 chunk boundaries
-        // match v1/v2 exactly and index-derived cost estimates stay
-        // format-independent.
-        let v3 = matches!(self.version, FormatVersion::V3);
+        }
+        let dict = QualityDict::from_histogram(&counts);
+        let mut out = MAGIC.to_vec();
+        // Block chunking: a records-per-block cap, plus a raw-byte budget
+        // so no block's decompressed stream can approach the decoder's
+        // [`MAX_STREAM_RAW`] cap. Normal inputs never trip the byte
+        // budget.
         const RAW_BUDGET: u64 = (MAX_STREAM_RAW / 2) as u64;
         let mut bounds: Vec<(usize, usize)> = Vec::new();
         {
@@ -331,9 +249,7 @@ impl BalWriter {
             let mut est = 0u64;
             for (i, rec) in self.records.iter().enumerate() {
                 let rec_est = 2 * rec.seq.len() as u64 + 10 * rec.cigar.ops().len() as u64 + 32;
-                if i - start >= self.block_capacity
-                    || (v3 && i > start && est + rec_est > RAW_BUDGET)
-                {
+                if i - start >= self.block_capacity || (i > start && est + rec_est > RAW_BUDGET) {
                     bounds.push((start, i));
                     start = i;
                     est = 0;
@@ -346,8 +262,7 @@ impl BalWriter {
         }
         let mut stats = WriterStats::default();
         let mut metas = Vec::new();
-        let mut qual_scratch = Vec::new();
-        // v3 columnar stream scratch, reused across blocks.
+        // Columnar stream scratch, reused across blocks.
         let (mut s_meta, mut s_cigar, mut s_base, mut s_qual) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut packed_streams: Vec<u8> = Vec::new();
@@ -360,64 +275,39 @@ impl BalWriter {
             let mut payload = Vec::new();
             put_varint(&mut payload, n_records as u64);
             let mut prev = 0u32;
-            if v3 {
-                s_meta.clear();
-                s_cigar.clear();
-                s_base.clear();
-                s_qual.clear();
-                for rec in block {
-                    put_varint(&mut s_meta, (rec.pos - prev) as u64);
-                    prev = rec.pos;
-                    put_varint(&mut s_meta, rec.id);
-                    s_meta.push(rec.mapq);
-                    s_meta.push(rec.flags.0);
-                    put_varint(&mut s_meta, rec.cigar.ops().len() as u64);
-                    put_varint(&mut s_meta, rec.seq.len() as u64);
-                    for op in rec.cigar.ops() {
-                        put_varint(&mut s_cigar, ((op.len() as u64) << 2) | op.code() as u64);
-                    }
-                    s_base.extend_from_slice(rec.seq.packed_bytes());
-                    s_qual.extend(rec.quals.iter().map(|&q| dict.bin_of(q)));
-                    stats.bases += rec.seq.len() as u64;
+            s_meta.clear();
+            s_cigar.clear();
+            s_base.clear();
+            s_qual.clear();
+            for rec in block {
+                put_varint(&mut s_meta, (rec.pos - prev) as u64);
+                prev = rec.pos;
+                put_varint(&mut s_meta, rec.id);
+                s_meta.push(rec.mapq);
+                s_meta.push(rec.flags.0);
+                put_varint(&mut s_meta, rec.cigar.ops().len() as u64);
+                put_varint(&mut s_meta, rec.seq.len() as u64);
+                for op in rec.cigar.ops() {
+                    put_varint(&mut s_cigar, ((op.len() as u64) << 2) | op.code() as u64);
                 }
-                packed_streams.clear();
-                let mut lens = [0usize; 4];
-                let raws: [&[u8]; 4] = [&s_meta, &s_cigar, &s_base, &s_qual];
-                for (si, raw) in raws.into_iter().enumerate() {
-                    let before = packed_streams.len();
-                    compress_stream(&mut packed_streams, raw);
-                    lens[si] = packed_streams.len() - before;
-                    stats.streams[si].raw += raw.len() as u64;
-                    stats.streams[si].compressed += lens[si] as u64;
-                }
-                for len in lens {
-                    put_varint(&mut payload, len as u64);
-                }
-                payload.extend_from_slice(&packed_streams);
-            } else {
-                for rec in block {
-                    put_varint(&mut payload, (rec.pos - prev) as u64);
-                    prev = rec.pos;
-                    put_varint(&mut payload, rec.id);
-                    payload.push(rec.mapq);
-                    payload.push(rec.flags.0);
-                    put_varint(&mut payload, rec.cigar.ops().len() as u64);
-                    for op in rec.cigar.ops() {
-                        put_varint(&mut payload, ((op.len() as u64) << 2) | op.code() as u64);
-                    }
-                    put_varint(&mut payload, rec.seq.len() as u64);
-                    put_bytes(&mut payload, rec.seq.packed_bytes());
-                    qual_scratch.clear();
-                    match self.version {
-                        FormatVersion::V1 => qual_scratch.extend(rec.quals.iter().map(|q| q.0)),
-                        FormatVersion::V2 | FormatVersion::V3 => {
-                            qual_scratch.extend(rec.quals.iter().map(|&q| dict.bin_of(q)))
-                        }
-                    }
-                    rle_encode(&mut payload, &qual_scratch);
-                    stats.bases += rec.seq.len() as u64;
-                }
+                s_base.extend_from_slice(rec.seq.packed_bytes());
+                s_qual.extend(rec.quals.iter().map(|&q| dict.bin_of(q)));
+                stats.bases += rec.seq.len() as u64;
             }
+            packed_streams.clear();
+            let mut lens = [0usize; 4];
+            let raws: [&[u8]; 4] = [&s_meta, &s_cigar, &s_base, &s_qual];
+            for (si, raw) in raws.into_iter().enumerate() {
+                let before = packed_streams.len();
+                compress_stream(&mut packed_streams, raw);
+                lens[si] = packed_streams.len() - before;
+                stats.streams[si].raw += raw.len() as u64;
+                stats.streams[si].compressed += lens[si] as u64;
+            }
+            for len in lens {
+                put_varint(&mut payload, len as u64);
+            }
+            payload.extend_from_slice(&packed_streams);
             stats.blocks += 1;
             stats.records += n_records as u64;
             stats.payload_bytes += payload.len() as u64;
@@ -441,13 +331,11 @@ impl BalWriter {
             put_varint(&mut out, m.max_end as u64);
             put_varint(&mut out, m.n_records as u64);
         }
-        // Dictionary section (v2 only).
-        if version >= 2 {
-            out.extend_from_slice(DICT_MAGIC);
-            out.push(dict.spilled() as u8);
-            put_varint(&mut out, dict.quals().len() as u64);
-            out.extend(dict.quals().iter().map(|q| q.0));
-        }
+        // Dictionary section.
+        out.extend_from_slice(DICT_MAGIC);
+        out.push(dict.spilled() as u8);
+        put_varint(&mut out, dict.quals().len() as u64);
+        out.extend(dict.quals().iter().map(|q| q.0));
         // Trailer.
         put_u64_le(&mut out, index_offset);
         out.extend_from_slice(END_MAGIC);
@@ -455,7 +343,6 @@ impl BalWriter {
             source: ByteSource::Mem(Bytes::from(out)),
             index: metas.into(),
             dict: Arc::new(dict),
-            version,
             budget: None,
         };
         (file, stats)
@@ -469,20 +356,9 @@ impl Default for BalWriter {
 }
 
 impl BalFile {
-    /// Build a default-format file from an iterator of sorted records.
+    /// Build a file from an iterator of sorted records.
     pub fn from_records<I: IntoIterator<Item = Record>>(records: I) -> Result<BalFile, BalError> {
         let mut w = BalWriter::new();
-        for rec in records {
-            w.push(rec)?;
-        }
-        Ok(w.finish())
-    }
-
-    /// Build a legacy v1 file from an iterator of sorted records.
-    pub fn from_records_legacy<I: IntoIterator<Item = Record>>(
-        records: I,
-    ) -> Result<BalFile, BalError> {
-        let mut w = BalWriter::legacy();
         for rec in records {
             w.push(rec)?;
         }
@@ -521,23 +397,22 @@ impl BalFile {
     ///
     /// Every length and offset in the container — the trailer's
     /// `index_offset`, each index entry's byte range and record count,
-    /// the dictionary size — is bounds- and overflow-checked here, so a
-    /// corrupt or truncated file yields [`BalError::Corrupt`] rather than
-    /// an out-of-bounds panic or an absurd allocation.
+    /// the dictionary size — is bounds- and overflow-checked here, and the
+    /// index must be sorted by `min_pos`, so a corrupt or truncated file
+    /// yields [`BalError::Corrupt`] rather than an out-of-bounds panic or
+    /// an absurd allocation. A retired `BAL1`/`BAL2` magic yields
+    /// [`BalError::UnsupportedVersion`].
     pub fn from_source(source: ByteSource) -> Result<BalFile, BalError> {
         let total = source.len();
         if total < 16 {
             return Err(BalError::Corrupt("missing BAL magic"));
         }
-        let version = {
-            let head = source.slice(0, 4)?;
-            match &head[..] {
-                m if m == MAGIC_V1 => 1u8,
-                m if m == MAGIC_V2 => 2u8,
-                m if m == MAGIC_V3 => 3u8,
-                _ => return Err(BalError::Corrupt("missing BAL1/BAL2/BAL3 magic")),
-            }
-        };
+        match &source.slice(0, 4)?[..] {
+            m if m == MAGIC => {}
+            b"BAL1" => return Err(BalError::UnsupportedVersion(1)),
+            b"BAL2" => return Err(BalError::UnsupportedVersion(2)),
+            _ => return Err(BalError::Corrupt("missing BAL3 magic")),
+        }
         // Trailer: index_offset (u64 LE) then the BEND magic.
         let index_offset = {
             let trailer = source.slice(total - 12, 12)?;
@@ -573,7 +448,7 @@ impl BalFile {
         if n_blocks > buf.len() / 5 {
             return Err(BalError::Corrupt("index entry count exceeds index size"));
         }
-        let mut metas = Vec::with_capacity(n_blocks);
+        let mut metas: Vec<BlockMeta> = Vec::with_capacity(n_blocks);
         for _ in 0..n_blocks {
             let mut field =
                 || get_varint(&mut buf).ok_or(BalError::Corrupt("truncated index entry"));
@@ -593,19 +468,17 @@ impl BalFile {
             if offset < 4 || end > index_offset {
                 return Err(BalError::Corrupt("block range overlaps index"));
             }
-            // v1/v2: a record costs several payload bytes; even one byte
-            // per record bounds the decode-side `with_capacity`. v3 blocks
-            // are compressed, so the record count can legitimately exceed
-            // the stored byte count — the batch decoder instead bounds the
+            // Blocks are compressed, so the record count can legitimately
+            // exceed the stored byte count — the batch decoder bounds the
             // count against the *decompressed* meta stream before
-            // reserving. A non-empty v3 block still needs its count, four
+            // reserving. A non-empty block still needs its count, four
             // stream lengths and four stream headers.
-            if version < 3 {
-                if n_records as usize > len {
-                    return Err(BalError::Corrupt("block record count exceeds block size"));
-                }
-            } else if n_records > 0 && len < 13 {
-                return Err(BalError::Corrupt("block too small for v3 streams"));
+            if n_records > 0 && len < 13 {
+                return Err(BalError::Corrupt("block too small for its streams"));
+            }
+            // `blocks_overlapping` binary-searches on `min_pos`.
+            if metas.last().is_some_and(|prev| prev.min_pos > min_pos) {
+                return Err(BalError::Corrupt("index not sorted by position"));
             }
             metas.push(BlockMeta {
                 offset,
@@ -615,27 +488,22 @@ impl BalFile {
                 n_records,
             });
         }
-        let dict = if version >= 2 {
-            if buf.remaining() < 5 || &buf[..4] != DICT_MAGIC {
-                return Err(BalError::Corrupt("missing BDCT quality dictionary"));
-            }
-            buf = &buf[4..];
-            let spilled = buf.get_u8() != 0;
-            let n_quals = get_varint(&mut buf).ok_or(BalError::Corrupt("truncated dict header"))?;
-            let n_quals = usize::try_from(n_quals)
-                .map_err(|_| BalError::Corrupt("dict entry count overflows"))?;
-            if buf.remaining() < n_quals {
-                return Err(BalError::Corrupt("truncated dict entries"));
-            }
-            QualityDict::from_bytes(&buf[..n_quals], spilled)?
-        } else {
-            QualityDict::identity()
-        };
+        if buf.remaining() < 5 || &buf[..4] != DICT_MAGIC {
+            return Err(BalError::Corrupt("missing BDCT quality dictionary"));
+        }
+        buf = &buf[4..];
+        let spilled = buf.get_u8() != 0;
+        let n_quals = get_varint(&mut buf).ok_or(BalError::Corrupt("truncated dict header"))?;
+        let n_quals = usize::try_from(n_quals)
+            .map_err(|_| BalError::Corrupt("dict entry count overflows"))?;
+        if buf.remaining() < n_quals {
+            return Err(BalError::Corrupt("truncated dict entries"));
+        }
+        let dict = QualityDict::from_bytes(&buf[..n_quals], spilled)?;
         Ok(BalFile {
             source,
             index: metas.into(),
             dict: Arc::new(dict),
-            version,
             budget: None,
         })
     }
@@ -716,13 +584,13 @@ impl BalFile {
         &self.index
     }
 
-    /// On-disk format version (1 = raw Phred RLE, 2 = bin-indexed,
-    /// 3 = columnar compressed streams).
+    /// On-disk format version — always 3, the one format this crate reads
+    /// and writes.
     pub fn version(&self) -> u8 {
-        self.version
+        FORMAT_VERSION
     }
 
-    /// The file's quality dictionary (identity for v1 files).
+    /// The file's quality dictionary.
     pub fn quality_dict(&self) -> &Arc<QualityDict> {
         &self.dict
     }
@@ -744,7 +612,7 @@ impl BalFile {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        mix(self.version as u64);
+        mix(FORMAT_VERSION as u64);
         mix(self.index.len() as u64);
         for m in self.index.iter() {
             mix(m.offset as u64);
@@ -814,61 +682,8 @@ pub struct BalReader {
 }
 
 impl BalReader {
-    /// Decode block `i` into owned records — the **legacy** per-record
-    /// path, kept as a compatibility shim (and the field-for-field oracle
-    /// the batch path is tested against). The hot ingest path is
-    /// [`BalReader::decode_batch`].
-    pub fn decode_block(&mut self, i: usize) -> Result<Vec<Record>, BalError> {
-        let t0 = std::time::Instant::now();
-        if self.file.version >= 3 {
-            // v3 payloads are columnar: there is exactly one decoder (the
-            // batch path), so the legacy shim materializes records from
-            // its arenas — parity with `decode_batch` by construction.
-            let mut batch = RecordBatch::new();
-            crate::batch::decode_block_into(&self.file, i, &mut batch)?;
-            let records: Vec<Record> = batch
-                .views()
-                .map(|v| v.to_record(&self.file.dict))
-                .collect();
-            self.stats.blocks += 1;
-            self.stats.bytes_in += self.file.index[i].len as u64;
-            self.stats.records_out += records.len() as u64;
-            self.stats.decode_time += t0.elapsed();
-            return Ok(records);
-        }
-        let meta = *self
-            .file
-            .index
-            .get(i)
-            .ok_or(BalError::Corrupt("block index out of range"))?;
-        let payload = self.file.block_payload(&meta)?;
-        let mut buf = &payload[..];
-        let n = get_varint(&mut buf).ok_or(BalError::Corrupt("truncated block header"))?;
-        if n != meta.n_records as u64 {
-            return Err(BalError::Corrupt("record count mismatch"));
-        }
-        let dict = if self.file.version >= 2 {
-            Some(&*self.file.dict)
-        } else {
-            None
-        };
-        let mut records = Vec::with_capacity(n as usize);
-        let mut prev = 0u32;
-        for _ in 0..n {
-            let rec = decode_record(&mut buf, &mut prev, dict)?;
-            records.push(rec);
-        }
-        self.stats.blocks += 1;
-        self.stats.bytes_in += meta.len as u64;
-        self.stats.records_out += n;
-        self.stats.decode_time += t0.elapsed();
-        Ok(records)
-    }
-
-    /// Decode block `i` into a reusable arena [`RecordBatch`] — the
-    /// zero-alloc batch path (no per-record heap objects; a warmed batch
-    /// is never reallocated). Decode accounting lands in the same
-    /// [`DecodeStats`] as the legacy path.
+    /// Decode block `i` into a reusable arena [`RecordBatch`] (no
+    /// per-record heap objects; a warmed batch is never reallocated).
     pub fn decode_batch(&mut self, i: usize, batch: &mut RecordBatch) -> Result<(), BalError> {
         let t0 = std::time::Instant::now();
         crate::batch::decode_block_into(&self.file, i, batch)?;
@@ -879,25 +694,33 @@ impl BalReader {
         Ok(())
     }
 
-    /// Iterate all records in the file, block by block.
+    /// All records in the file as owned [`Record`]s, block by block — for
+    /// consumers that want whole reads rather than pileup columns (the
+    /// simulator's round-trip checks, tests).
     pub fn records(&mut self) -> Result<Vec<Record>, BalError> {
-        let mut out = Vec::new();
-        for i in 0..self.file.n_blocks() {
-            out.extend(self.decode_block(i)?);
-        }
-        Ok(out)
+        self.collect_records(0..self.file.n_blocks(), |_| true)
     }
 
     /// All records whose alignment overlaps `[start, end)` — the region
     /// query a parallel worker issues for its column partition.
     pub fn records_overlapping(&mut self, start: u32, end: u32) -> Result<Vec<Record>, BalError> {
+        let blocks = self.file.blocks_overlapping(start, end);
+        self.collect_records(blocks, |v| v.pos() < end && v.end_pos() > start)
+    }
+
+    /// Decode `blocks` through [`BalReader::decode_batch`] and materialize
+    /// the views `keep` accepts.
+    fn collect_records(
+        &mut self,
+        blocks: impl IntoIterator<Item = usize>,
+        keep: impl Fn(&RecordView<'_>) -> bool,
+    ) -> Result<Vec<Record>, BalError> {
+        let dict = Arc::clone(&self.file.dict);
+        let mut batch = RecordBatch::new();
         let mut out = Vec::new();
-        for i in self.file.blocks_overlapping(start, end) {
-            for rec in self.decode_block(i)? {
-                if rec.pos < end && rec.end_pos() > start {
-                    out.push(rec);
-                }
-            }
+        for i in blocks {
+            self.decode_batch(i, &mut batch)?;
+            out.extend(batch.views().filter(&keep).map(|v| v.to_record(&dict)));
         }
         Ok(out)
     }
@@ -908,84 +731,11 @@ impl BalReader {
     }
 }
 
-/// Decode one record. `dict` is `Some` for v2 payloads (qualities are bin
-/// indices to resolve) and `None` for v1 (qualities are raw scores).
-///
-/// Every varint-derived quantity is range-checked before use: deltas and
-/// positions against `u32`, counts and lengths against [`MAX_READ_LEN`],
-/// CIGAR op lengths against their 30 usable bits — corrupt payloads
-/// produce [`BalError::Corrupt`], never a wrapping cast or an absurd
-/// allocation.
-fn decode_record(
-    buf: &mut &[u8],
-    prev: &mut u32,
-    dict: Option<&QualityDict>,
-) -> Result<Record, BalError> {
-    let delta = get_varint(buf).ok_or(BalError::Corrupt("truncated position"))?;
-    let pos = u32::try_from(delta)
-        .ok()
-        .and_then(|d| prev.checked_add(d))
-        .ok_or(BalError::Corrupt("position overflows coordinate space"))?;
-    *prev = pos;
-    let id = get_varint(buf).ok_or(BalError::Corrupt("truncated id"))?;
-    if buf.remaining() < 2 {
-        return Err(BalError::Corrupt("truncated mapq/flags"));
-    }
-    let mapq = buf.get_u8();
-    let flags = Flags(buf.get_u8());
-    let n_ops = checked_len(
-        get_varint(buf).ok_or(BalError::Corrupt("truncated cigar count"))?,
-        "absurd cigar op count",
-    )?;
-    let mut ops = Vec::with_capacity(n_ops);
-    let mut ref_len = 0u64;
-    for _ in 0..n_ops {
-        let v = get_varint(buf).ok_or(BalError::Corrupt("truncated cigar op"))?;
-        let op_len =
-            u32::try_from(v >> 2).map_err(|_| BalError::Corrupt("cigar op length overflows"))?;
-        let op = CigarOp::from_code((v & 0b11) as u8, op_len)
-            .ok_or(BalError::Corrupt("bad cigar op code"))?;
-        ref_len += op.ref_len() as u64;
-        ops.push(op);
-    }
-    if u64::from(pos) + ref_len > u64::from(u32::MAX) {
-        return Err(BalError::Corrupt("alignment extends past coordinate space"));
-    }
-    let seq_len = checked_len(
-        get_varint(buf).ok_or(BalError::Corrupt("truncated seq length"))?,
-        "absurd read length",
-    )?;
-    let packed = get_bytes(buf, seq_len.div_ceil(4)).ok_or(BalError::Corrupt("truncated seq"))?;
-    if packed.len() != seq_len.div_ceil(4) {
-        return Err(BalError::Corrupt("seq byte count mismatch"));
-    }
-    let seq = Seq::from_packed(packed, seq_len);
-    let qual_bytes =
-        rle_decode(buf, seq_len).ok_or(BalError::Corrupt("truncated or oversized quals"))?;
-    if qual_bytes.len() != seq_len {
-        return Err(BalError::Corrupt("qual length mismatch"));
-    }
-    let quals: Vec<Phred> = match dict {
-        None => qual_bytes.into_iter().map(Phred::new).collect(),
-        Some(dict) => {
-            let n_bins = dict.len() as u8;
-            let mut quals = Vec::with_capacity(seq_len);
-            for b in qual_bytes {
-                if b >= n_bins {
-                    return Err(BalError::Corrupt("quality bin index out of dictionary"));
-                }
-                quals.push(dict.phred(b));
-            }
-            quals
-        }
-    };
-    Record::new(id, pos, mapq, flags, seq, quals, Cigar(ops))
-        .map_err(|_| BalError::Corrupt("record failed validation"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Flags;
+    use ultravc_genome::phred::Phred;
     use ultravc_genome::sequence::Seq;
 
     fn mk_record(id: u64, pos: u32, bases: &[u8], q: u8) -> Record {
@@ -1143,7 +893,8 @@ mod tests {
         // Parsing the index still succeeds; decoding the block must fail
         // loudly rather than return garbage silently.
         if let Ok(f) = reparsed {
-            assert!(f.reader().clone().decode_block(0).is_err());
+            let mut batch = RecordBatch::new();
+            assert!(f.reader().decode_batch(0, &mut batch).is_err());
         }
     }
 
@@ -1200,7 +951,7 @@ mod tests {
             assert_eq!(
                 disk.reader().clone().records().unwrap(),
                 records,
-                "{tier:?} legacy decode"
+                "{tier:?} records()"
             );
             let mut mem_batch = RecordBatch::new();
             let mut disk_batch = RecordBatch::new();
@@ -1295,7 +1046,7 @@ mod tests {
     /// A hand-rolled container with valid magics and trailer but a
     /// hostile index section built by `build_index`.
     fn hostile_container(build_index: impl FnOnce(&mut Vec<u8>)) -> Result<BalFile, BalError> {
-        let mut out = MAGIC_V2.to_vec();
+        let mut out = MAGIC.to_vec();
         out.extend_from_slice(&[0u8; 32]); // payload area
         let index_offset = out.len() as u64;
         out.extend_from_slice(INDEX_MAGIC);
@@ -1315,7 +1066,7 @@ mod tests {
         // Regression targets: each of these used to wrap a cast, overflow
         // an add, or feed an absurd Vec::with_capacity.
         type IndexBuilder = fn(&mut Vec<u8>);
-        let cases: [(&str, IndexBuilder); 5] = [
+        let cases: [(&str, IndexBuilder); 7] = [
             ("offset+len overflows usize", |out| {
                 put_varint(out, 1);
                 for v in [u64::MAX, u64::MAX, 0, 0, 0] {
@@ -1334,9 +1085,21 @@ mod tests {
                     put_varint(out, v);
                 }
             }),
-            ("record count exceeds block size", |out| {
+            ("record count exceeds u32", |out| {
                 put_varint(out, 1);
                 for v in [4, 8, 0, 0, u64::MAX >> 1] {
+                    put_varint(out, v);
+                }
+            }),
+            ("non-empty block too small for its streams", |out| {
+                put_varint(out, 1);
+                for v in [4, 12, 0, 0, 1] {
+                    put_varint(out, v);
+                }
+            }),
+            ("min_pos goes backwards", |out| {
+                put_varint(out, 2);
+                for v in [4, 13, 7, 9, 1, 17, 13, 6, 9, 1] {
                     put_varint(out, v);
                 }
             }),
@@ -1351,70 +1114,46 @@ mod tests {
     }
 
     #[test]
-    fn v3_roundtrips_and_outcompresses_v2() {
+    fn roundtrip_with_stream_accounting() {
         let records = sample_records(2000);
-        let enc = |v: FormatVersion| {
-            let mut w = BalWriter::with_options(64, v);
-            for rec in records.clone() {
-                w.push(rec).unwrap();
-            }
-            w.finish_with_stats()
-        };
-        let (v2, s2) = enc(FormatVersion::V2);
-        let (v3, s3) = enc(FormatVersion::V3);
-        assert_eq!(v3.version(), 3);
-        assert_eq!(v3.reader().records().unwrap(), records, "v3 legacy path");
-        let mut batch = RecordBatch::new();
-        let mut got = Vec::new();
-        let mut reader = v3.reader();
-        for i in 0..v3.n_blocks() {
-            reader.decode_batch(i, &mut batch).unwrap();
-            got.extend(batch.views().map(|v| v.to_record(v3.quality_dict())));
+        let mut w = BalWriter::with_block_capacity(64);
+        for rec in records.clone() {
+            w.push(rec).unwrap();
         }
-        assert_eq!(got, records, "v3 batch path");
-        // Same logical blocks: identical index extents and record counts.
-        assert_eq!(v2.n_blocks(), v3.n_blocks());
-        for (m2, m3) in v2.index().iter().zip(v3.index()) {
-            assert_eq!(
-                (m2.min_pos, m2.max_end, m2.n_records),
-                (m3.min_pos, m3.max_end, m3.n_records)
-            );
-        }
-        // Fewer stored bytes, and the per-stream accounting adds up.
-        let (b2, b3) = (
-            v2.as_bytes().expect("in-memory").len(),
-            v3.as_bytes().expect("in-memory").len(),
-        );
-        assert!(b3 < b2, "v3 {b3} bytes vs v2 {b2}");
-        assert_eq!(s3.records, 2000);
-        assert_eq!(s3.bases, s2.bases);
-        let stream_sum: u64 = s3.streams.iter().map(|s| s.compressed).sum();
-        assert!(stream_sum <= s3.payload_bytes && stream_sum > 0);
+        let (file, stats) = w.finish_with_stats();
+        assert_eq!(file.version(), 3);
+        assert_eq!(file.reader().records().unwrap(), records);
+        assert_eq!(stats.records, 2000);
+        assert_eq!(stats.bases, 2000 * 16);
+        assert_eq!(stats.blocks as usize, file.n_blocks());
+        let stream_sum: u64 = stats.streams.iter().map(|s| s.compressed).sum();
+        assert!(stream_sum <= stats.payload_bytes && stream_sum > 0);
         // `compressed` counts one container header (scheme byte + raw-len
         // varint) per block, so a raw-stored stream runs `11 × n_blocks`
         // over its raw bytes at most — never more.
-        let header_budget = 11 * v3.n_blocks() as u64;
+        let header_budget = 11 * file.n_blocks() as u64;
         assert!(
-            s3.streams
+            stats
+                .streams
                 .iter()
                 .all(|s| s.compressed <= s.raw + header_budget),
             "no stream expands past the container headers: {:?}",
-            s3.streams
+            stats.streams
         );
-        assert_eq!(s2.streams, [StreamStats::default(); 4], "v2 has no streams");
     }
 
     #[test]
-    fn v3_corrupt_stream_framing_rejected_not_panicked() {
-        let mut w = BalWriter::with_options(32, FormatVersion::V3);
+    fn corrupt_stream_framing_rejected_not_panicked() {
+        let mut w = BalWriter::with_block_capacity(32);
         for rec in sample_records(100) {
             w.push(rec).unwrap();
         }
         let file = w.finish();
         let pristine = file.as_bytes().expect("in-memory").to_vec();
         let first = file.index()[0];
+        let mut batch = RecordBatch::new();
         // Clobber the stream-length varints right after the record count:
-        // decode must fail loudly, through both paths.
+        // decode must fail loudly.
         for width in 1..=8usize {
             let mut bytes = pristine.clone();
             for b in bytes
@@ -1425,13 +1164,8 @@ mod tests {
                 *b = 0xff;
             }
             let reparsed = BalFile::from_bytes(Bytes::from(bytes)).unwrap();
-            assert!(reparsed.reader().clone().decode_block(0).is_err());
-            let mut batch = RecordBatch::new();
-            assert!(reparsed
-                .reader()
-                .clone()
-                .decode_batch(0, &mut batch)
-                .is_err());
+            assert!(reparsed.reader().decode_batch(0, &mut batch).is_err());
+            assert!(reparsed.reader().records().is_err());
         }
         // Hostile in-block truncation: zero the last bytes of the first
         // block payload (the tail of its qual stream container).
@@ -1440,47 +1174,7 @@ mod tests {
             *b = 0;
         }
         let reparsed = BalFile::from_bytes(Bytes::from(bytes2)).unwrap();
-        assert!(reparsed.reader().clone().decode_block(0).is_err());
-    }
-
-    #[test]
-    fn v2_and_v3_arenas_bitwise_identical() {
-        // Same records, same dictionary, same chunking: the two formats
-        // must fill byte-for-byte identical arenas.
-        let records = sample_records(300);
-        let enc = |v: FormatVersion| {
-            let mut w = BalWriter::with_options(17, v);
-            for rec in records.clone() {
-                w.push(rec).unwrap();
-            }
-            w.finish()
-        };
-        let (v2, v3) = (enc(FormatVersion::V2), enc(FormatVersion::V3));
-        assert_eq!(v2.quality_dict(), v3.quality_dict());
-        let mut b2 = RecordBatch::new();
-        let mut b3 = RecordBatch::new();
-        for i in 0..v2.n_blocks() {
-            crate::batch::decode_block_into(&v2, i, &mut b2).unwrap();
-            crate::batch::decode_block_into(&v3, i, &mut b3).unwrap();
-            assert_eq!(b2, b3, "block {i}");
-        }
-    }
-
-    #[test]
-    fn default_format_respects_env_pin() {
-        // Not set in the test environment → v3.
-        match std::env::var("ULTRAVC_BAL_FORMAT").ok().as_deref() {
-            None => assert_eq!(FormatVersion::default_version(), FormatVersion::V3),
-            Some("1") | Some("v1") => {
-                assert_eq!(FormatVersion::default_version(), FormatVersion::V1)
-            }
-            Some("2") | Some("v2") => {
-                assert_eq!(FormatVersion::default_version(), FormatVersion::V2)
-            }
-            Some(_) => assert_eq!(FormatVersion::default_version(), FormatVersion::V3),
-        }
-        let file = BalFile::from_records(sample_records(4)).unwrap();
-        assert_eq!(file.version(), FormatVersion::default_version().as_byte());
+        assert!(reparsed.reader().decode_batch(0, &mut batch).is_err());
     }
 
     #[test]

@@ -74,46 +74,36 @@
 //! resolves driver-level [`PrefetchMode::Auto`](prefetch::PrefetchMode),
 //! with the same explicit-wins precedence as the tier pin.
 //!
-//! # The v2 payload: decode once, already binned
+//! # The payload: decode once, already binned, columnar
 //!
-//! Since v2, a file carries a
-//! [`QualityDict`] — its spectrum of distinct Phred scores, sorted
-//! descending, at most [`QUALITY_DICT_CAP`](batch::QUALITY_DICT_CAP)
-//! entries before spilling to the identity mapping — and blocks store
-//! per-base qualities as **bin indices** into that dictionary. The hot
-//! ingest path ([`BalReader::decode_batch`]) expands a block into one
-//! reusable [`RecordBatch`] arena (unpacked base codes, bin indices,
-//! CIGAR ops; records as offset+len [`RecordView`]s) with zero per-record
-//! allocations, so the pileup layer stacks bin ids directly instead of
-//! re-deriving them per read. The owned-[`Record`] decoder remains as a
-//! compatibility shim, and v1 files stay readable through the identity
-//! dictionary. [`SharedBlockCache`] layers run-scoped decode-once
-//! semantics on top for parallel callers whose partitions straddle block
-//! boundaries.
-//!
-//! # The v3 payload: columnar streams, per-stream compression
-//!
-//! v3 (the default written format) keeps the container framing and the
-//! v2 quality dictionary but re-arranges each block payload into **four
-//! columnar streams** — per-record metadata (position deltas, ids, mapq,
-//! flags, counts), concatenated CIGAR ops, concatenated 2-bit packed
-//! bases, concatenated qual-bin indices — each independently wrapped in a
+//! A file carries a [`QualityDict`] — its spectrum of distinct Phred
+//! scores, sorted descending, at most
+//! [`QUALITY_DICT_CAP`](batch::QUALITY_DICT_CAP) entries before spilling
+//! to the identity mapping — and blocks store per-base qualities as **bin
+//! indices** into that dictionary. Each block payload is **four columnar
+//! streams** — per-record metadata (position deltas, ids, mapq, flags,
+//! counts), concatenated CIGAR ops, concatenated 2-bit packed bases,
+//! concatenated qual-bin indices — each independently wrapped in a
 //! [`codec::compress_stream`] container that stores whichever of
 //! raw/RLE/LZ encodes it smallest — provided the winner at least halves
 //! the stream, because decode sits on the serving hot path and marginal
-//! byte savings don't pay for their CPU. Ultra-deep viral stacks are massively
-//! redundant column-wise (every read covers the same 30 kb reference, the
-//! qual spectrum is a handful of plateaus), so the base and qual streams
-//! crush and cold ingest moves a fraction of the bytes v2 did — which
-//! multiplies the prefetch layer's win, since [`IoPlan`] byte runs are
-//! computed from the index's (now compressed) block lengths. Decode stays
-//! single-pass: bulk-decompress the four streams into warmed scratch,
-//! then one linear walk fills the same [`RecordBatch`] arenas the v2 path
-//! fills, bitwise identically. The index schema is unchanged across
-//! versions, so region cost estimates (`n_records` sums) are
-//! format-independent by construction. Writers default to v3;
-//! `ULTRAVC_BAL_FORMAT=1|2|3` pins the default and
-//! `simulate --format v1|v2|v3` overrides per file.
+//! byte savings don't pay for their CPU. Ultra-deep viral stacks are
+//! massively redundant column-wise (every read covers the same 30 kb
+//! reference, the qual spectrum is a handful of plateaus), so the base and
+//! qual streams crush and cold ingest moves few bytes — which multiplies
+//! the prefetch layer's win, since [`IoPlan`] byte runs are computed from
+//! the index's (compressed) block lengths.
+//!
+//! There is one decoder. [`BalReader::decode_batch`] bulk-decompresses the
+//! four streams into warmed scratch, then one linear walk fills a reusable
+//! [`RecordBatch`] arena (unpacked base codes, bin indices, CIGAR ops;
+//! records as offset+len [`RecordView`]s) with zero per-record
+//! allocations, so the pileup layer stacks bin ids directly instead of
+//! re-deriving them per read. Owned [`Record`]s, for the few consumers
+//! that want whole reads, are materialized from those views
+//! ([`BalReader::records`]). [`SharedBlockCache`] layers run-scoped
+//! decode-once semantics on top for parallel callers whose partitions
+//! straddle block boundaries. See [`file`] for the byte layout.
 //!
 //! # Failure model
 //!
@@ -127,9 +117,9 @@
 //!   `max_retries`, then escalates the final [`BalError::Io`] unchanged.
 //!   `EINTR` specifically is retried without consuming budget, matching
 //!   the kernel contract the streaming tier's read loop already honours.
-//! * **Fatal** — `Corrupt`, `Unsorted`, `BadRecord`, and non-transient
-//!   `Io` errors. Retrying cannot help (the bytes themselves are wrong),
-//!   so these surface immediately.
+//! * **Fatal** — `Corrupt`, `UnsupportedVersion`, `Unsorted`, `BadRecord`,
+//!   and non-transient `Io` errors. Retrying cannot help (the bytes
+//!   themselves are wrong), so these surface immediately.
 //! * **Interruptions** ([`BalError::Interrupted`]) — not failures at all:
 //!   the run's [`CancelToken`](io::CancelToken) fired or its deadline
 //!   expired. I/O entry points checked against an armed
@@ -160,9 +150,7 @@ pub mod record;
 
 pub use batch::{QualityDict, RecordBatch, RecordView, SharedBlockCache};
 pub use cigar::{Cigar, CigarOp};
-pub use file::{
-    BalFile, BalReader, BalWriter, DecodeStats, FormatVersion, StreamStats, WriterStats,
-};
+pub use file::{BalFile, BalReader, BalWriter, DecodeStats, StreamStats, WriterStats};
 pub use io::fault::{FaultPlan, FaultSource};
 pub use io::{
     Advice, ByteSource, CancelToken, FileFingerprint, Interrupt, IoBudget, SourceTier, StreamFile,
@@ -177,6 +165,10 @@ pub use record::{Flags, Record};
 pub enum BalError {
     /// The byte stream is not a BAL file or is structurally damaged.
     Corrupt(&'static str),
+    /// The file carries the magic of a retired BAL format version (1 or
+    /// 2). Nothing is wrong with its bytes; this build no longer reads
+    /// them.
+    UnsupportedVersion(u8),
     /// Records pushed to a writer out of coordinate order.
     Unsorted {
         /// Position of the previous record.
@@ -219,6 +211,10 @@ impl std::fmt::Display for BalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BalError::Corrupt(what) => write!(f, "corrupt BAL stream: {what}"),
+            BalError::UnsupportedVersion(v) => write!(
+                f,
+                "BAL v{v} files are no longer readable (only v3 is); re-simulate the dataset"
+            ),
             BalError::Unsorted { prev, next } => {
                 write!(f, "records out of order: {next} after {prev}")
             }

@@ -25,9 +25,9 @@
 //! * coalesced **byte runs**: adjacent planned block payloads merged
 //!   into maximal contiguous file ranges, the unit `madvise` hints are
 //!   issued at. Runs are derived from the index's stored block lengths,
-//!   so they are **compressed** extents: on a v3 file the same plan
-//!   covers a fraction of v2's bytes, and every fetch-vs-decode overlap
-//!   win is multiplied by the columnar format's size ratio for free.
+//!   so they are **compressed** extents: the plan covers a fraction of
+//!   the decoded bytes, and every fetch-vs-decode overlap win is
+//!   multiplied by the columnar format's size ratio for free.
 //!
 //! # The two disk tiers
 //!

@@ -3,7 +3,7 @@
 //! never decode silently.
 
 use proptest::prelude::*;
-use ultravc_bamlite::{BalFile, BalWriter, Cigar, Flags, Record};
+use ultravc_bamlite::{BalFile, BalWriter, Cigar, Flags, Record, RecordBatch};
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
 
@@ -77,8 +77,9 @@ proptest! {
         if let Ok(f) = BalFile::from_bytes(truncated) {
             let mut any_err = false;
             let mut reader = f.reader();
+            let mut batch = RecordBatch::new();
             for i in 0..f.n_blocks() {
-                if reader.decode_block(i).is_err() {
+                if reader.decode_batch(i, &mut batch).is_err() {
                     any_err = true;
                 }
             }
@@ -94,10 +95,11 @@ proptest! {
         let records = build_records(raw);
         let file = BalFile::from_records(records).unwrap();
         let mut reader = file.reader();
-        for (i, meta) in file.index().to_vec().into_iter().enumerate() {
-            let block = reader.decode_block(i).unwrap();
-            let min = block.iter().map(|r| r.pos).min().unwrap();
-            let max = block.iter().map(Record::end_pos).max().unwrap();
+        let mut block = RecordBatch::new();
+        for (i, meta) in file.index().iter().enumerate() {
+            reader.decode_batch(i, &mut block).unwrap();
+            let min = block.views().map(|r| r.pos()).min().unwrap();
+            let max = block.views().map(|r| r.end_pos()).max().unwrap();
             prop_assert_eq!(meta.min_pos, min);
             prop_assert_eq!(meta.max_end, max);
             prop_assert_eq!(meta.n_records as usize, block.len());

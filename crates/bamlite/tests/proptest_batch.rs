@@ -1,13 +1,14 @@
-//! Property tests of the v2 ingest path: for arbitrary read sets, the
-//! arena batch decode must agree **field for field** with the legacy
-//! per-record decode — across block boundaries, mixed CIGAR shapes, and
-//! degenerate quality spectra (a single bin; more distinct scores than
-//! the dictionary cap, exercising the spill-to-identity path).
+//! Property tests of the ingest path: for arbitrary read sets, what the
+//! arena batch decode (and [`BalReader::records`], which rides it) hands
+//! back must equal what the writer was given **field for field** — across
+//! block boundaries, mixed CIGAR shapes, and degenerate quality spectra (a
+//! single bin; more distinct scores than the dictionary cap, exercising
+//! the spill-to-identity path).
+//!
+//! [`BalReader::records`]: ultravc_bamlite::BalReader::records
 
 use proptest::prelude::*;
-use ultravc_bamlite::{
-    BalFile, BalWriter, Cigar, Flags, FormatVersion, QualityDict, Record, RecordBatch,
-};
+use ultravc_bamlite::{BalFile, BalWriter, Cigar, Flags, QualityDict, Record, RecordBatch};
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
 
@@ -65,58 +66,29 @@ fn batch_decode_all(file: &BalFile) -> Vec<Record> {
     out
 }
 
-/// Decode the whole file through the legacy per-record shim.
-fn legacy_decode_all(file: &BalFile) -> Vec<Record> {
-    file.reader().records().unwrap()
-}
-
-/// Encode through the dictionary-binned v2 writer explicitly — these
-/// properties are about the learned dictionary, so they must not follow
-/// a CI-level `ULTRAVC_BAL_FORMAT` pin to the identity-dict v1 writer.
-fn encode_v2(records: &[Record]) -> BalFile {
-    let mut w = BalWriter::with_options(
-        ultravc_bamlite::file::DEFAULT_BLOCK_CAPACITY,
-        FormatVersion::V2,
-    );
-    for rec in records.iter().cloned() {
-        w.push(rec).unwrap();
-    }
-    w.finish()
-}
-
-/// Round-trip `records` through a v2 file at `block_capacity` and check
-/// both decode paths reproduce them exactly.
+/// Round-trip `records` through a file at `block_capacity` and check both
+/// read surfaces reproduce them exactly.
 fn check_roundtrip(records: Vec<Record>, block_capacity: usize) {
-    let mut w = BalWriter::with_options(block_capacity, FormatVersion::V2);
+    let mut w = BalWriter::with_block_capacity(block_capacity);
     for rec in records.clone() {
         w.push(rec).unwrap();
     }
     let file = w.finish();
-    assert_eq!(file.version(), 2);
-    assert_eq!(legacy_decode_all(&file), records, "legacy shim round-trip");
+    assert_eq!(file.version(), 3);
+    assert_eq!(file.reader().records().unwrap(), records, "records()");
     assert_eq!(batch_decode_all(&file), records, "batch round-trip");
     // And through serialized bytes (dictionary survives the trailer).
     let reparsed =
         BalFile::from_bytes(file.as_bytes().expect("writer output is in-memory").clone()).unwrap();
     assert_eq!(reparsed.quality_dict().quals(), file.quality_dict().quals());
-    assert_eq!(batch_decode_all(&reparsed), records);
-    // The same records through the v3 columnar encoder must decode
-    // identically on both paths.
-    let mut w3 = BalWriter::with_options(block_capacity, FormatVersion::V3);
-    for rec in records.clone() {
-        w3.push(rec).unwrap();
-    }
-    let file3 = w3.finish();
-    assert_eq!(file3.version(), 3);
-    assert_eq!(legacy_decode_all(&file3), records, "v3 legacy shim");
-    assert_eq!(batch_decode_all(&file3), records, "v3 batch round-trip");
+    assert_eq!(reparsed.reader().records().unwrap(), records);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn v2_roundtrip_small_spectrum(
+    fn records_returns_exactly_what_the_writer_was_given(
         raw in prop::collection::vec(read_strategy(vec![2, 15, 20, 30, 37, 41]), 0..80),
         block_capacity in 1usize..24,
     ) {
@@ -127,25 +99,25 @@ proptest! {
     }
 
     #[test]
-    fn v2_roundtrip_single_bin(
+    fn roundtrip_single_bin(
         raw in prop::collection::vec(read_strategy(vec![33]), 1..40),
         block_capacity in 1usize..10,
     ) {
         let records = build(raw);
-        let file = encode_v2(&records);
+        let file = BalFile::from_records(records.clone()).unwrap();
         prop_assert_eq!(file.quality_dict().len(), 1, "degenerate 1-bin spectrum");
         check_roundtrip(records, block_capacity);
     }
 
     #[test]
-    fn v2_roundtrip_spilled_spectrum(
+    fn roundtrip_spilled_spectrum(
         raw in prop::collection::vec(read_strategy((0..=93u8).collect()), 30..70),
         block_capacity in 4usize..32,
     ) {
         // Scores across the full 0..=93 range: with enough reads the
         // spectrum exceeds QUALITY_DICT_CAP and spills to identity.
         let records = build(raw);
-        let file = encode_v2(&records);
+        let file = BalFile::from_records(records.clone()).unwrap();
         let distinct: std::collections::HashSet<u8> = records
             .iter()
             .flat_map(|r| r.quals.iter().map(|q| q.0))
@@ -162,24 +134,11 @@ proptest! {
     }
 
     #[test]
-    fn v1_and_v2_decode_identically(
-        raw in prop::collection::vec(read_strategy(vec![10, 20, 30, 40]), 0..50),
-    ) {
-        let records = build(raw);
-        let v1 = BalFile::from_records_legacy(records.clone()).unwrap();
-        let v2 = encode_v2(&records);
-        prop_assert_eq!(legacy_decode_all(&v1), records.clone());
-        prop_assert_eq!(legacy_decode_all(&v2), records.clone());
-        prop_assert_eq!(batch_decode_all(&v1), records.clone());
-        prop_assert_eq!(batch_decode_all(&v2), records);
-    }
-
-    #[test]
     fn dictionary_is_sorted_and_minimal(
         raw in prop::collection::vec(read_strategy(vec![5, 17, 23, 30, 41, 60]), 1..60),
     ) {
         let records = build(raw);
-        let file = encode_v2(&records);
+        let file = BalFile::from_records(records.clone()).unwrap();
         let dict: &QualityDict = file.quality_dict();
         // Strictly descending scores.
         prop_assert!(dict.quals().windows(2).all(|w| w[0] > w[1]));

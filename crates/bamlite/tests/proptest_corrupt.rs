@@ -5,21 +5,24 @@
 //! must agree with the in-memory parser about which mutants are
 //! parseable (same bytes, same verdict, any backing).
 //!
-//! Files are generated in all three formats. For v3 the same mutation
-//! kinds land inside compressed stream containers and per-stream length
-//! varints, so this suite is also the fuzz coverage for the
-//! `codec::decompress_stream_into` bounds checks.
+//! The mutations land inside compressed stream containers and per-stream
+//! length varints as often as in the index, so this suite is also the
+//! fuzz coverage for the `codec::decompress_stream_into` bounds checks.
+//! Mutants that still parse are then drained through the pileup engine:
+//! whatever records a damaged-but-decodable block yields (positions that
+//! jump, blocks out of order), the consumer must see columns or a typed
+//! error, never a panic.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ultravc_bamlite::{
-    BalFile, BalWriter, Flags, FormatVersion, IoPlan, Record, RecordBatch, SharedBlockCache,
-    SourceTier,
+    BalError, BalFile, BalWriter, Flags, IoPlan, Record, RecordBatch, SharedBlockCache, SourceTier,
 };
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
+use ultravc_pileup::{pileup_region, PileupParams};
 
 /// Strategy: a plausible aligned read at a bounded position.
 fn record_strategy() -> impl Strategy<Value = (u32, Vec<u8>, u8, bool)> {
@@ -31,18 +34,10 @@ fn record_strategy() -> impl Strategy<Value = (u32, Vec<u8>, u8, bool)> {
     )
 }
 
-fn build_file(raw: Vec<(u32, Vec<u8>, u8, bool)>, block_cap: usize, fmt: u8) -> BalFile {
+fn build_file(raw: Vec<(u32, Vec<u8>, u8, bool)>, block_cap: usize) -> BalFile {
     let mut rows = raw;
     rows.sort_by_key(|(pos, ..)| *pos);
-    let version = match fmt % 3 {
-        0 => FormatVersion::V1,
-        1 => FormatVersion::V2,
-        // v3's compressed streams put the mutants somewhere new: a flip
-        // lands inside an RLE/LZ container or a stream-length varint
-        // instead of an interleaved record.
-        _ => FormatVersion::V3,
-    };
-    let mut w = BalWriter::with_options(block_cap, version);
+    let mut w = BalWriter::with_block_capacity(block_cap);
     for (id, (pos, bases, q, rev)) in rows.into_iter().enumerate() {
         let seq = Seq::from_ascii(&bases).expect("ACGT only");
         let quals = vec![Phred::new(q.min(93)); seq.len()];
@@ -91,11 +86,81 @@ fn exercise(bytes: &[u8]) -> bool {
     let mut reader = file.reader();
     let mut batch = RecordBatch::new();
     for i in 0..file.n_blocks() {
-        let _ = reader.decode_block(i);
         let _ = reader.decode_batch(i, &mut batch);
     }
-    let _ = file.reader().clone().records_overlapping(0, u32::MAX);
+    let _ = file.reader().records_overlapping(0, u32::MAX);
+    // Pileup leg: drain every column the mutant still yields. (The ring
+    // spans a record's reference extent clamped into the region, so the
+    // region is kept to what the generator can cover rather than all of
+    // u32 — a forged extent then costs kilobytes, not gigabytes.)
+    let mut columns = pileup_region(&file, 0, 4096, PileupParams::default());
+    while let Some(col) = columns.next() {
+        columns.recycle(col);
+    }
+    let _ = columns.take_error();
     true
+}
+
+/// A two-block file (one single-base-wide record per block, at `pos_a <
+/// pos_b`) with its two index entries swapped. Every index field of such
+/// a file fits one varint byte, so an entry is exactly five bytes.
+fn swapped_index_file() -> Vec<u8> {
+    let mut w = BalWriter::with_block_capacity(1);
+    for (id, pos) in [(0u64, 10u32), (1, 20)] {
+        let seq = Seq::from_ascii(b"ACGT").unwrap();
+        let quals = vec![Phred::new(30); 4];
+        w.push(Record::full_match(id, pos, 60, Flags::none(), seq, quals).unwrap())
+            .unwrap();
+    }
+    let mut bytes = w.finish().as_bytes().expect("in-memory").to_vec();
+    let n = bytes.len();
+    let index_offset = u64::from_le_bytes(bytes[n - 12..n - 4].try_into().unwrap()) as usize;
+    // "BIDX" · count(=2) · entry₀ · entry₁
+    let entries = index_offset + 5;
+    assert_eq!(bytes[index_offset + 4], 2);
+    assert!(bytes[entries..entries + 10].iter().all(|b| *b < 0x80));
+    let (a, b) = bytes[entries..entries + 10].split_at_mut(5);
+    a.swap_with_slice(b);
+    bytes
+}
+
+/// `bytes` must be refused with an error matching `is_expected` by the
+/// in-memory parser and by every on-disk tier — never parsed, never a
+/// panic.
+fn assert_refused_everywhere(bytes: &[u8], tag: &str, is_expected: fn(&BalError) -> bool) {
+    let err = BalFile::from_bytes(Bytes::from(bytes.to_vec())).unwrap_err();
+    assert!(is_expected(&err), "from_bytes: {err}");
+    let path =
+        std::env::temp_dir().join(format!("ultravc-refused-{}-{tag}.bal", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    for tier in [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream] {
+        let err = BalFile::open_with(&path, tier).unwrap_err();
+        assert!(is_expected(&err), "{tier:?}: {err}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn swapped_index_entries_refused_on_every_tier() {
+    assert_refused_everywhere(&swapped_index_file(), "swapped", |e| {
+        matches!(e, BalError::Corrupt("index not sorted by position"))
+    });
+}
+
+#[test]
+fn retired_format_magics_refused_on_every_tier() {
+    let mut bytes = build_file(vec![(5, b"ACGT".to_vec(), 30, false)], 4)
+        .as_bytes()
+        .expect("in-memory")
+        .to_vec();
+    bytes[..4].copy_from_slice(b"BAL1");
+    assert_refused_everywhere(&bytes, "bal1", |e| {
+        matches!(e, BalError::UnsupportedVersion(1))
+    });
+    bytes[..4].copy_from_slice(b"BAL2");
+    assert_refused_everywhere(&bytes, "bal2", |e| {
+        matches!(e, BalError::UnsupportedVersion(2)) && e.to_string().contains("re-simulate")
+    });
 }
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -107,13 +172,12 @@ proptest! {
     fn mutated_files_never_panic(
         raw in prop::collection::vec(record_strategy(), 1..50),
         block_cap in 1usize..24,
-        fmt in 0u8..3,
         kind in 0u8..4,
         frac in 0.0f64..1.0,
         value in 0u8..=255,
         width in 1usize..12,
     ) {
-        let file = build_file(raw, block_cap, fmt);
+        let file = build_file(raw, block_cap);
         let mut bytes = file.as_bytes().expect("writer output is in-memory").to_vec();
         mutate(&mut bytes, kind, frac, value, width);
         // In-memory: parse + all decode paths, no panic allowed.
@@ -136,7 +200,6 @@ proptest! {
                     // path — the oracle the prefetch path must agree with.
                     let mut plain_ok = Vec::with_capacity(disk.n_blocks());
                     for i in 0..disk.n_blocks() {
-                        let _ = reader.decode_block(i);
                         plain_ok.push(reader.decode_batch(i, &mut batch).is_ok());
                     }
                     // Prefetch path: plan the whole extent, run the
@@ -172,9 +235,8 @@ proptest! {
     fn valid_files_decode_identically_across_tiers(
         raw in prop::collection::vec(record_strategy(), 0..40),
         block_cap in 1usize..16,
-        fmt in 0u8..3,
     ) {
-        let file = build_file(raw, block_cap, fmt);
+        let file = build_file(raw, block_cap);
         let want = file.reader().clone().records().unwrap();
         let path = std::env::temp_dir().join(format!(
             "ultravc-tiers-{}-{}.bal",

@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use ultravc_bamlite::RecordBatch;
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
 use ultravc_pileup::{pileup_region, PileupParams};
 use ultravc_readsim::dataset::DatasetSpec;
@@ -22,9 +23,11 @@ fn bench_storage(c: &mut Criterion) {
     group.bench_function("bal_decode_all", |b| {
         b.iter(|| {
             let mut reader = file.reader();
+            let mut batch = RecordBatch::new();
             let mut n = 0u64;
             for i in 0..file.n_blocks() {
-                n += reader.decode_block(black_box(i)).unwrap().len() as u64;
+                reader.decode_batch(black_box(i), &mut batch).unwrap();
+                n += batch.len() as u64;
             }
             black_box(n)
         })

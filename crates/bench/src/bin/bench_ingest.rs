@@ -1,48 +1,36 @@
-//! Ingest-path throughput: legacy per-record decode vs the arena batch
-//! decode, plus an end-to-end OpenMP identity check.
+//! Ingest-path throughput: arena batch decode across the byte-source
+//! tiers, the supervisor's overhead on it, and the stream-tier prefetch
+//! overlap. (End-to-end BAL→VCF numbers live in the repo benchmark,
+//! `crates/bench/src/bin/benchmark`.)
 //!
-//! Two measurements:
+//! Three measurements:
 //!
 //! 1. **Decode throughput** on a depth-100k read stack (100k × 150 bp
 //!    reads over a ~300-column window, Phred 20–40 plateau mix — the
 //!    same spectrum shape as `bench_binned`'s columns): records/s and
-//!    bases/s for
-//!    * the legacy path (`BalReader::decode_block` → owned `Record`s:
-//!      four heap allocations per record), and
-//!    * the batch path (`BalReader::decode_batch` → one reusable arena:
-//!      zero per-record allocations, qualities already binned).
-//! 2. **End-to-end OpenMP wall clock** on a simulated Table-1-style
-//!    scenario, batch vs legacy ingest, asserting the two runs are
-//!    bitwise identical: same records, same decision-path counters (which
-//!    count every tail completion and early bail).
+//!    bases/s for `BalReader::decode_batch` over the in-memory file and
+//!    over the mmap and streaming tiers, warm and cold, with stored
+//!    bytes/base and per-stream raw→stored ratios recorded alongside.
+//! 2. **Supervisor overhead** on the same decode.
+//! 3. **Cold-open prefetch e2e** on the streaming tier.
 //!
-//! Prints both tables and emits `BENCH_ingest.json` (working directory;
+//! Prints the tables and emits `BENCH_ingest.json` (working directory;
 //! override with `ULTRAVC_BENCH_OUT`); CI uploads the JSON as a workflow
 //! artifact next to `BENCH_binned.json`.
 //!
 //! Acceptance gates this binary enforces:
 //!
-//! * batch decode ≥ 2× legacy records/s at depth 100k (override the
-//!   floor with `ULTRAVC_INGEST_FLOOR`);
-//! * batch-decoded records equal legacy-decoded records field for field;
 //! * disk-backed batch decode (fresh `BalFile::open` per pass, mmap
 //!   tier) within 1.5× of the in-memory batch wall time — i.e. paging
 //!   payloads in on demand must not give back the arena decode win
 //!   (override with `ULTRAVC_DISK_FLOOR`); the streaming tier is
 //!   reported alongside, ungated;
 //! * disk-decoded arenas bitwise equal to in-memory arenas, every tier;
-//! * v3 (columnar, compressed) stores ≤ 0.67× of v2's bytes/base on the
-//!   same Table-1 stack (`ULTRAVC_V3_RATIO_CEIL`), with per-stream
-//!   raw→stored ratios reported and recorded in the JSON;
-//! * v3 cold stream-tier ingest (fresh `open` + full batch decode) stays
-//!   within `ULTRAVC_V3_COLD_CEIL` (default 1.0) of v2 — the byte
-//!   savings must pay for the decompression CPU;
 //! * supervised batch decode (an armed, untripped `RunBudget` attached,
 //!   so every payload read goes through the retry/interrupt wrapper)
 //!   within 3% of the unsupervised wall time
 //!   (`ULTRAVC_SUPERVISOR_CEIL`, default 1.03) — robustness must ride
 //!   along for free on the fault-free path;
-//! * end-to-end OpenMP calls identical between the two ingest paths;
 //! * stream-tier cold e2e (fresh `open` per run, one worker) with
 //!   prefetch on ≥ 1.3× over prefetch off on a decode-bound noisy-qual
 //!   workload (`ULTRAVC_PREFETCH_FLOOR`; enforced only on multi-core
@@ -52,18 +40,14 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use ultravc_bamlite::{
-    BalFile, BalWriter, Flags, FormatVersion, Record, RecordBatch, SourceTier, WriterStats,
-};
+use ultravc_bamlite::{BalFile, BalWriter, Flags, Record, RecordBatch, SourceTier, WriterStats};
 use ultravc_bench::{env_f64, env_usize, fmt_depth, rule};
 use ultravc_core::config::CallerConfig;
 use ultravc_core::driver::{CallDriver, PrefetchMode};
 use ultravc_core::RunBudget;
 use ultravc_genome::phred::Phred;
-use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
+use ultravc_genome::reference::ReferenceGenome;
 use ultravc_genome::sequence::Seq;
-use ultravc_pileup::IngestMode;
-use ultravc_readsim::dataset::DatasetSpec;
 use ultravc_stats::rng::Rng;
 
 /// Median-of-`reps` wall time of `f`, in seconds.
@@ -84,12 +68,7 @@ fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
 /// plateau-shaped Phred 20–40 quality strings real Illumina data has
 /// (runs of 8–48 bases at one score — the shape the RLE codec is built
 /// around).
-fn depth_stack(
-    depth: usize,
-    read_len: usize,
-    seed: u64,
-    version: FormatVersion,
-) -> (BalFile, WriterStats) {
+fn depth_stack(depth: usize, read_len: usize, seed: u64) -> (BalFile, WriterStats) {
     let mut rng = Rng::new(seed);
     let mut rows: Vec<(u32, u64)> = (0..depth as u64)
         .map(|id| (rng.range_u64(0, read_len as u64 + 1) as u32, id))
@@ -97,7 +76,7 @@ fn depth_stack(
     rows.sort();
     let bases: Vec<u8> = (0..read_len).map(|i| b"ACGT"[(i + 1) % 4]).collect();
     let seq = Seq::from_ascii(&bases).unwrap();
-    let mut w = BalWriter::with_options(ultravc_bamlite::file::DEFAULT_BLOCK_CAPACITY, version);
+    let mut w = BalWriter::new();
     for (pos, id) in rows {
         let mut quals: Vec<Phred> = Vec::with_capacity(read_len);
         while quals.len() < read_len {
@@ -179,7 +158,6 @@ fn main() {
     let reps = env_usize("ULTRAVC_BENCH_REPS", 5);
     let depth = env_usize("ULTRAVC_INGEST_DEPTH", 100_000);
     let read_len = env_usize("ULTRAVC_INGEST_READ_LEN", 150);
-    let floor = env_f64("ULTRAVC_INGEST_FLOOR", 2.0);
     let out_path =
         std::env::var("ULTRAVC_BENCH_OUT").unwrap_or_else(|_| "BENCH_ingest.json".to_string());
 
@@ -187,7 +165,7 @@ fn main() {
         "ingest decode throughput at depth {} ({depth} × {read_len} bp reads; median of {reps} runs)\n",
         fmt_depth(depth as f64),
     );
-    let (file, v3_stats) = depth_stack(depth, read_len, 0x1A6E57, FormatVersion::V3);
+    let (file, writer_stats) = depth_stack(depth, read_len, 0x1A6E57);
     let n_records = file.n_records();
     let n_bases = n_records * read_len as u64;
     println!(
@@ -197,26 +175,6 @@ fn main() {
         file.quality_dict().len(),
         file.version()
     );
-
-    // Correctness before speed: the batch path must reproduce the legacy
-    // records field for field.
-    {
-        let mut legacy_reader = file.reader();
-        let mut batch_reader = file.reader();
-        let mut batch = RecordBatch::new();
-        for i in 0..file.n_blocks() {
-            let legacy = legacy_reader.decode_block(i).unwrap();
-            batch_reader.decode_batch(i, &mut batch).unwrap();
-            assert_eq!(batch.len(), legacy.len(), "block {i} record count");
-            for (view, rec) in batch.views().zip(&legacy) {
-                assert_eq!(
-                    &view.to_record(file.quality_dict()),
-                    rec,
-                    "block {i}: batch view diverged from legacy record"
-                );
-            }
-        }
-    }
 
     // Disk-backed correctness before disk speed: every tier's arenas
     // must be bitwise identical to the in-memory decode.
@@ -235,12 +193,6 @@ fn main() {
         }
     }
 
-    let legacy_s = time_median(reps, || {
-        let mut reader = file.reader();
-        for i in 0..file.n_blocks() {
-            std::hint::black_box(reader.decode_block(i).unwrap());
-        }
-    });
     let batch_s = time_median(reps, || {
         let mut reader = file.reader();
         let mut batch = RecordBatch::new();
@@ -281,7 +233,6 @@ fn main() {
     let stream_cold_s = disk_cold(SourceTier::Stream);
     let stream_s = disk_warm(SourceTier::Stream);
     let rows = [
-        DecodeRow::new("legacy", legacy_s, n_records, n_bases),
         DecodeRow::new("batch", batch_s, n_records, n_bases),
         DecodeRow::new("batch-mmap", mmap_s, n_records, n_bases),
         DecodeRow::new("batch-mmap-cold", mmap_cold_s, n_records, n_bases),
@@ -303,20 +254,11 @@ fn main() {
             r.bases_per_s
         );
     }
-    let speedup = legacy_s / batch_s;
-    println!(
-        "\nbatch decode speedup at depth {}: {speedup:.2}× (acceptance floor: {floor}×)",
-        fmt_depth(depth as f64)
-    );
-    assert!(
-        speedup >= floor,
-        "batch decode must be ≥{floor}× over legacy at depth {depth} (got {speedup:.2}×)"
-    );
     let disk_floor = env_f64("ULTRAVC_DISK_FLOOR", 1.5);
     let mmap_slowdown = mmap_s / batch_s;
     let stream_slowdown = stream_s / batch_s;
     println!(
-        "disk-backed batch decode vs in-memory: mmap {mmap_slowdown:.2}× \
+        "\ndisk-backed batch decode vs in-memory: mmap {mmap_slowdown:.2}× \
          (cold {:.2}×), stream {stream_slowdown:.2}× (cold {:.2}×) \
          — mmap acceptance ceiling: {disk_floor}×",
         mmap_cold_s / batch_s,
@@ -328,91 +270,18 @@ fn main() {
          (got {mmap_slowdown:.2}×)"
     );
 
-    // --- Format comparison: v3 columnar vs v2 interleaved ------------
-    // The same Table-1 stack encoded as v2, against the v3 file already
-    // measured above. Two gates:
-    // * stored bytes/base: v3 ≤ ULTRAVC_V3_RATIO_CEIL × v2 (default
-    //   0.67) — the compression claim of the columnar format;
-    // * cold stream-tier ingest (fresh `open` + full batch decode, the
-    //   one-shot run shape): v3 wall ≤ ULTRAVC_V3_COLD_CEIL × v2 —
-    //   moving fewer bytes must pay for the decompression CPU. Measured
-    //   as back-to-back pairs, median of per-pair ratios (same
-    //   discipline as the supervisor gate).
-    let (v2_file, v2_stats) = depth_stack(depth, read_len, 0x1A6E57, FormatVersion::V2);
-    assert_eq!(v2_stats.bases, v3_stats.bases);
-    assert_eq!(v2_file.n_blocks(), file.n_blocks());
-    for (a, b) in v2_file.index().iter().zip(file.index()) {
-        assert_eq!(
-            (a.min_pos, a.max_end, a.n_records),
-            (b.min_pos, b.max_end, b.n_records),
-            "index extents must be format-independent"
-        );
-    }
-    let v2_bytes = v2_file.as_bytes().expect("in-memory").len();
-    let v3_bytes = file.as_bytes().expect("in-memory").len();
-    let v2_bpb = v2_bytes as f64 / n_bases as f64;
-    let v3_bpb = v3_bytes as f64 / n_bases as f64;
-    let bpb_ratio = v3_bpb / v2_bpb;
-    let ratio_ceil = env_f64("ULTRAVC_V3_RATIO_CEIL", 0.67);
-    println!("\nv2 vs v3 stored size on the same stack:");
-    println!(
-        "  v2 {v2_bytes} B ({v2_bpb:.3} B/base), v3 {v3_bytes} B ({v3_bpb:.3} B/base) \
-         → {bpb_ratio:.3}× (acceptance ceiling: {ratio_ceil}×)"
-    );
-    for (name, s) in WriterStats::STREAM_NAMES.iter().zip(&v3_stats.streams) {
+    // --- Stored size -------------------------------------------------
+    let file_bytes = file.as_bytes().expect("in-memory").len();
+    let bytes_per_base = file_bytes as f64 / n_bases as f64;
+    println!("\nstored size: {file_bytes} B ({bytes_per_base:.3} B/base)");
+    for (name, s) in WriterStats::STREAM_NAMES.iter().zip(&writer_stats.streams) {
         println!(
-            "  v3 {name:>5} stream: {:>9} B raw → {:>9} B stored ({:.3}×)",
+            "  {name:>5} stream: {:>9} B raw → {:>9} B stored ({:.3}×)",
             s.raw,
             s.compressed,
             s.compressed as f64 / (s.raw as f64).max(1.0)
         );
     }
-    assert!(
-        bpb_ratio <= ratio_ceil,
-        "v3 must store ≤{ratio_ceil}× of v2's bytes/base on the Table-1 stack (got {bpb_ratio:.3}×)"
-    );
-    let v2_disk_path = std::env::temp_dir().join(format!(
-        "ultravc-bench-ingest-v2-{}.bal",
-        std::process::id()
-    ));
-    v2_file
-        .write_to(&v2_disk_path)
-        .expect("write v2 bench file");
-    let cold_once = |path: &std::path::Path| {
-        let t = Instant::now();
-        let disk = BalFile::open_with(path, SourceTier::Stream).unwrap();
-        let mut reader = disk.reader();
-        let mut batch = RecordBatch::new();
-        for i in 0..disk.n_blocks() {
-            reader.decode_batch(i, &mut batch).unwrap();
-            std::hint::black_box(&batch);
-        }
-        t.elapsed().as_secs_f64()
-    };
-    let (mut v2_cold_s, mut v3_cold_s) = (f64::INFINITY, f64::INFINITY);
-    let mut cold_ratios: Vec<f64> = (0..(3 * reps).max(15))
-        .map(|_| {
-            let a = cold_once(&v2_disk_path);
-            let b = cold_once(&disk_path);
-            v2_cold_s = v2_cold_s.min(a);
-            v3_cold_s = v3_cold_s.min(b);
-            b / a
-        })
-        .collect();
-    cold_ratios.sort_by(f64::total_cmp);
-    let cold_ratio = cold_ratios[cold_ratios.len() / 2];
-    let cold_ceil = env_f64("ULTRAVC_V3_COLD_CEIL", 1.0);
-    println!(
-        "  cold stream-tier ingest: v2 {:.1}ms, v3 {:.1}ms, median paired ratio \
-         {cold_ratio:.3}× (acceptance ceiling: {cold_ceil}×)",
-        v2_cold_s * 1e3,
-        v3_cold_s * 1e3,
-    );
-    assert!(
-        cold_ratio <= cold_ceil,
-        "v3 cold stream ingest must stay within {cold_ceil}× of v2 (got {cold_ratio:.3}×)"
-    );
-    std::fs::remove_file(&v2_disk_path).ok();
 
     // --- Supervisor overhead -----------------------------------------
     // The same in-memory batch decode with an armed (but never tripped)
@@ -469,45 +338,6 @@ fn main() {
          {depth} (got {supervisor_overhead:.3}×)"
     );
 
-    // --- End-to-end OpenMP identity + wall clock ---------------------
-    let e2e_depth = env_f64("ULTRAVC_INGEST_E2E_DEPTH", 1_500.0);
-    let threads = env_usize("ULTRAVC_THREADS", 4);
-    let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::tiny(), 7);
-    let ds = DatasetSpec::new("ingest-e2e", e2e_depth, 7)
-        .with_variants(10, 0.02, 0.1)
-        .simulate(&reference);
-    let run = |ingest: IngestMode| {
-        let mut driver = CallDriver::openmp(threads);
-        driver.config = CallerConfig::improved();
-        driver.config.pileup.ingest = ingest;
-        driver.run(&reference, &ds.alignments).unwrap()
-    };
-    let legacy_out = run(IngestMode::Legacy);
-    let batch_out = run(IngestMode::Batch);
-    assert_eq!(
-        legacy_out.records, batch_out.records,
-        "ingest paths must call identical variants"
-    );
-    assert_eq!(
-        legacy_out.stats, batch_out.stats,
-        "ingest paths must make identical tail/bail decisions"
-    );
-    println!(
-        "\nend-to-end OpenMP ({threads} threads, depth {}): identical calls ({}) and decisions",
-        fmt_depth(e2e_depth),
-        batch_out.records.len()
-    );
-    println!(
-        "  legacy ingest: wall {:?}, {} block decodes",
-        legacy_out.wall, legacy_out.decode.blocks
-    );
-    println!(
-        "  batch ingest:  wall {:?}, {} block decodes (file has {}; boundary blocks decoded once)",
-        batch_out.wall,
-        batch_out.decode.blocks,
-        ds.alignments.n_blocks()
-    );
-
     // --- Cold-open prefetch e2e (stream tier) ------------------------
     // The scheduled-I/O gate: a fresh `open` through the streaming tier
     // per run ("cold": index parse + every payload `pread` inside the
@@ -530,7 +360,7 @@ fn main() {
     let prefetch_json = match noisy_file.write_to(&prefetch_disk) {
         Err(e) => {
             println!("\nprefetch e2e: SKIPPED (no writable disk: {e})");
-            "  \"prefetch\": {\"skipped\": true},".to_string()
+            "  \"prefetch\": {\"skipped\": true}".to_string()
         }
         Ok(()) => {
             let run_cold = |prefetch: PrefetchMode| {
@@ -603,15 +433,15 @@ fn main() {
                 "  \"prefetch\": {{\n    \"stream_cold_off_s\": {off_s:.6},\n    \
                  \"stream_cold_on_s\": {on_s:.6},\n    \"speedup\": {prefetch_speedup:.3},\n    \
                  \"threads\": {prefetch_threads},\n    \"reads\": {prefetch_reads},\n    \
-                 \"cores\": {cores},\n    \"gated\": {gated},\n    \
-                 \"identical_calls\": true,\n    \"decode_blocks_unchanged\": true\n  }},"
+                 \"cores\": {cores},\n    \"floor\": {prefetch_floor},\n    \"gated\": {gated},\n    \
+                 \"identical_calls\": true,\n    \"decode_blocks_unchanged\": true\n  }}"
             )
         }
     };
     std::fs::remove_file(&prefetch_disk).ok();
 
     let json = format!(
-        "{{\n  \"benchmark\": \"ingest_decode\",\n  \"depth\": {depth},\n  \"read_len\": {read_len},\n  \"records\": {n_records},\n  \"rows\": [\n{}\n  ],\n  \"speedup\": {speedup:.3},\n  \"disk\": {{\n    \"mmap_slowdown\": {mmap_slowdown:.3},\n    \"mmap_cold_slowdown\": {:.3},\n    \"stream_slowdown\": {stream_slowdown:.3},\n    \"stream_cold_slowdown\": {:.3},\n    \"identical_arenas\": true\n  }},\n  \"supervisor\": {{\n    \"overhead\": {supervisor_overhead:.4},\n    \"ceiling\": {supervisor_ceil}\n  }},\n  \"format\": {{\n    \"v2_bytes_per_base\": {v2_bpb:.4},\n    \"v3_bytes_per_base\": {v3_bpb:.4},\n    \"ratio\": {bpb_ratio:.4},\n    \"ratio_ceiling\": {ratio_ceil},\n    \"cold_stream_ratio\": {cold_ratio:.4},\n    \"cold_stream_ceiling\": {cold_ceil},\n    \"streams\": [\n{}\n    ]\n  }},\n{prefetch_json}\n  \"e2e\": {{\n    \"threads\": {threads},\n    \"depth\": {e2e_depth},\n    \"identical_calls\": true,\n    \"calls\": {},\n    \"legacy_wall_s\": {:.6},\n    \"batch_wall_s\": {:.6},\n    \"legacy_decoded_blocks\": {},\n    \"batch_decoded_blocks\": {},\n    \"file_blocks\": {}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"ingest_decode\",\n  \"depth\": {depth},\n  \"read_len\": {read_len},\n  \"records\": {n_records},\n  \"rows\": [\n{}\n  ],\n  \"disk\": {{\n    \"mmap_slowdown\": {mmap_slowdown:.3},\n    \"mmap_cold_slowdown\": {:.3},\n    \"stream_slowdown\": {stream_slowdown:.3},\n    \"stream_cold_slowdown\": {:.3},\n    \"identical_arenas\": true\n  }},\n  \"supervisor\": {{\n    \"overhead\": {supervisor_overhead:.4},\n    \"ceiling\": {supervisor_ceil}\n  }},\n  \"format\": {{\n    \"bytes_per_base\": {bytes_per_base:.4},\n    \"streams\": [\n{}\n    ]\n  }},\n{}\n}}\n",
         rows.iter()
             .map(|r| format!(
                 "    {{\"path\": \"{}\", \"decode_ms\": {:.3}, \"records_per_s\": {:.1}, \"bases_per_s\": {:.1}}}",
@@ -626,7 +456,7 @@ fn main() {
         stream_cold_s / batch_s,
         WriterStats::STREAM_NAMES
             .iter()
-            .zip(&v3_stats.streams)
+            .zip(&writer_stats.streams)
             .map(|(name, s)| format!(
                 "      {{\"name\": \"{name}\", \"raw\": {}, \"compressed\": {}, \"ratio\": {:.4}}}",
                 s.raw,
@@ -635,12 +465,7 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(",\n"),
-        batch_out.records.len(),
-        legacy_out.wall.as_secs_f64(),
-        batch_out.wall.as_secs_f64(),
-        legacy_out.decode.blocks,
-        batch_out.decode.blocks,
-        ds.alignments.n_blocks(),
+        prefetch_json,
     );
     std::fs::write(&out_path, json).expect("write benchmark JSON");
     std::fs::remove_file(&disk_path).ok();

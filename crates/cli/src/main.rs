@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 use std::time::Duration;
 
-use ultravc_bamlite::{BalFile, BalWriter, FaultPlan, FormatVersion, SourceTier};
+use ultravc_bamlite::{BalFile, FaultPlan, SourceTier};
 use ultravc_core::analysis::UpsetTable;
 use ultravc_core::config::CallerConfig;
 use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode};
@@ -36,11 +36,10 @@ ultravc — ultra-deep low-frequency variant calling (Kille et al. 2021 reproduc
 
 USAGE:
   ultravc simulate --out BASE [--genome-len N] [--depth D] [--seed S] [--variants N]
-                   [--format v1|v2|v3]
   ultravc call     --input FILE.bal --ref FILE.fa [--out FILE.vcf] [--threads N]
                    [--mode seq|openmp|script] [--source mmap|stream|mem]
                    [--prefetch on|off|N] [--no-shortcut] [--no-filter]
-                   [--legacy-decode] [--deadline-ms N] [--max-retries N]
+                   [--deadline-ms N] [--max-retries N]
                    [--region CHROM[:START-END]] [--min-af F]
   ultravc filter   --vcf FILE [--out FILE]
   ultravc upset    FILE.vcf FILE.vcf [FILE.vcf ...]
@@ -56,11 +55,7 @@ USAGE:
                    [--no-filter]
 
 `simulate` writes BASE.bal (alignments), BASE.fa (reference) and
-BASE.truth.tsv (planted variants). `--format` pins the BAL version the
-.bal file is written in (default v3, the columnar compressed format;
-the ULTRAVC_BAL_FORMAT environment variable sets the default when the
-flag is absent). All versions decode identically — v1/v2 exist for
-compatibility fixtures and older readers.
+BASE.truth.tsv (planted variants).
 
 `--input` opens the BAL file through an on-disk byte source — mmap by
 default (block payloads page in on demand; an ultra-deep file is never
@@ -131,7 +126,7 @@ fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>)
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
             // Boolean flags take no value.
-            if matches!(key, "no-shortcut" | "no-filter" | "legacy-decode") {
+            if matches!(key, "no-shortcut" | "no-filter") {
                 flags.insert(key.to_string(), "true".to_string());
             } else {
                 let v = it
@@ -175,32 +170,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         .with_variants(n_variants, 0.005, 0.05)
         .simulate(&reference);
 
-    // An explicit `--format` wins over the ULTRAVC_BAL_FORMAT default the
-    // simulator's writer used: re-encode the same records (same block
-    // capacity, so the index layout is unchanged) into the named version.
-    let alignments = match flags.get("format").map(String::as_str) {
-        None => ds.alignments.clone(),
-        Some(spec) => {
-            let version = match spec {
-                "1" | "v1" => FormatVersion::V1,
-                "2" | "v2" => FormatVersion::V2,
-                "3" | "v3" => FormatVersion::V3,
-                other => return Err(format!("--format: expected v1|v2|v3, got {other:?}")),
-            };
-            let records = ds
-                .alignments
-                .reader()
-                .records()
-                .map_err(|e| e.to_string())?;
-            let mut w =
-                BalWriter::with_options(ultravc_bamlite::file::DEFAULT_BLOCK_CAPACITY, version);
-            for rec in records {
-                w.push(rec).map_err(|e| e.to_string())?;
-            }
-            w.finish()
-        }
-    };
-    alignments
+    ds.alignments
         .write_to(format!("{out}.bal"))
         .map_err(|e| e.to_string())?;
     let mut fa = Vec::new();
@@ -227,8 +197,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     fs::write(format!("{out}.truth.tsv"), tsv).map_err(|e| e.to_string())?;
     println!(
         "wrote {out}.bal (v{}, {} reads), {out}.fa ({} bp), {out}.truth.tsv ({} variants)",
-        alignments.version(),
-        alignments.n_records(),
+        ds.alignments.version(),
+        ds.alignments.n_records(),
         reference.len(),
         ds.truth.len()
     );
@@ -312,11 +282,6 @@ fn build_driver(flags: &HashMap<String, String>) -> Result<CallDriver, String> {
         CallerConfig::improved()
     };
     config.pileup.max_depth = get_parsed(flags, "max-depth", 1_000_000usize)?;
-    // The per-record decode shim (also selectable process-wide with
-    // ULTRAVC_LEGACY_DECODE=1); default is the arena batch path.
-    if flags.contains_key("legacy-decode") {
-        config.pileup.ingest = ultravc_pileup::IngestMode::Legacy;
-    }
     let filter = if flags.contains_key("no-filter") {
         None
     } else {

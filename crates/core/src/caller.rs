@@ -89,8 +89,7 @@ pub struct CallSet {
     pub stats: CallStats,
     /// Decode work this region's pileup actually performed. With the
     /// shared block cache, per-partition values sum to the true whole-run
-    /// decode cost (each block counted once); the legacy per-worker
-    /// readers multiply-count boundary blocks.
+    /// decode cost (each block counted once).
     pub decode: DecodeStats,
 }
 

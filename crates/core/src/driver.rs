@@ -13,11 +13,11 @@
 //! * [`ParallelMode::OpenMp`] — the paper's replacement: a dynamic
 //!   parallel-for over column chunks, one independent BAL reader per
 //!   worker, results merged in coordinate order, and the filter applied
-//!   exactly once. With batch ingest (the default) the workers share a
-//!   run-scoped [`SharedBlockCache`], so a block straddling a chunk
-//!   boundary is decoded exactly once per run instead of once per
-//!   overlapping worker — and the [`Category::Decompress`] spans of the
-//!   trace sum to the true decode work instead of multiply counting it.
+//!   exactly once. The workers share a run-scoped [`SharedBlockCache`],
+//!   so a block straddling a chunk boundary is decoded exactly once per
+//!   run instead of once per overlapping worker — and the
+//!   [`Category::Decompress`] spans of the trace sum to the true decode
+//!   work instead of multiply counting it.
 //!
 //! All modes share one [`ColumnTest`] built from the whole region, so the
 //! *calling* decisions are identical; only filtering differs. Workers
@@ -32,8 +32,7 @@ use std::time::{Duration, Instant};
 use ultravc_bamlite::{BalError, BalFile, DecodeStats, IoPlan, ReadaheadHandle, SharedBlockCache};
 use ultravc_genome::reference::ReferenceGenome;
 use ultravc_parfor::{parallel_for, parallel_for_supervised, ItemOutcome, Schedule, TeamReport};
-use ultravc_pileup::{chunk_ranges, pileup_region, pileup_region_windowed, ResolvedIngest};
-use ultravc_pileup::{split_ranges, PileupIter};
+use ultravc_pileup::{chunk_ranges, pileup_region_windowed, split_ranges};
 use ultravc_sync::{Arc, Mutex};
 use ultravc_trace::{Category, Timeline, TraceRecorder};
 use ultravc_vcf::{DynamicFilter, FilterParams, FilterReport, VcfRecord};
@@ -64,7 +63,7 @@ pub enum ParallelMode {
     },
 }
 
-/// One run's scheduled-I/O state (batch ingest only): the plan, the
+/// One run's scheduled-I/O state: the plan, the
 /// decode-once cache scoped to it, the optional stream-tier read-ahead,
 /// and the effective prefetch mode to report. Built by
 /// `CallDriver::schedule_io`.
@@ -95,7 +94,7 @@ pub struct CallDriver {
     /// shared block cache on the streaming tier. `Auto` resolves against
     /// `ULTRAVC_PREFETCH`; an explicit mode wins over the environment.
     /// Ignored by script emulation (which models the original
-    /// per-process pipeline) and by legacy ingest (no shared cache).
+    /// per-process pipeline).
     pub prefetch: PrefetchMode,
     /// Supervision policy: deadline, retry/backoff, cancellation. The
     /// default ([`RunBudget::unbounded`]) arms retries but nothing that
@@ -281,15 +280,14 @@ impl CallDriver {
         Ok(outcome)
     }
 
-    /// Build the run's scheduled-I/O state for a batch-ingest region
-    /// partition: the I/O plan, the decode-once cache scoped to it, the
-    /// optional stream-tier read-ahead thread, and the **effective**
-    /// prefetch mode — off whenever nothing actually engaged (legacy
-    /// ingest handled by the caller, a backing with nothing to hint or
-    /// read ahead, hints that are platform no-ops), so I/O numbers are
-    /// never attributed to a scheduling mode that never ran. Hints are
-    /// advisory: a refused `madvise` downgrades the report instead of
-    /// failing a run that would succeed without it.
+    /// Build the run's scheduled-I/O state for a region partition: the
+    /// I/O plan, the decode-once cache scoped to it, the optional
+    /// stream-tier read-ahead thread, and the **effective** prefetch mode
+    /// — off whenever nothing actually engaged (a backing with nothing to
+    /// hint or read ahead, hints that are platform no-ops), so I/O
+    /// numbers are never attributed to a scheduling mode that never ran.
+    /// Hints are advisory: a refused `madvise` downgrades the report
+    /// instead of failing a run that would succeed without it.
     fn schedule_io(
         &self,
         alignments: &BalFile,
@@ -347,22 +345,8 @@ impl CallDriver {
         region: std::ops::Range<u32>,
         pre_advised: bool,
     ) -> Result<CallOutcome, BalError> {
-        // Legacy ingest has no shared cache to warm: plain region drain,
-        // prefetch reported off.
-        if self.config.pileup.ingest.resolved() == ResolvedIngest::Legacy {
-            let call_set = crate::caller::call_region(
-                reference,
-                alignments,
-                region.start,
-                region.end,
-                &self.config,
-                tester,
-            )?;
-            return Ok(self.finish_single_filter(call_set, None, None, ResolvedPrefetch::Off));
-        }
-        // Batch ingest: one region through the scheduled-I/O stack —
-        // hints on the mmap tier, read+decode overlapped with calling on
-        // the streaming tier.
+        // One region through the scheduled-I/O stack — hints on the mmap
+        // tier, read+decode overlapped with calling on the streaming tier.
         let io = self.schedule_io(alignments, std::slice::from_ref(&region), pre_advised)?;
         let mut scratch = Scratch::new();
         let result = crate::caller::call_region_cached(
@@ -411,14 +395,12 @@ impl CallDriver {
         // same backing — a disk-backed ultra-deep run opens the file once
         // and pages blocks in on demand, never copying it whole.
         //
-        // Decode-once block sharing: with batch ingest every worker pulls
-        // decoded arenas from one run-scoped cache, so chunk boundaries
-        // cost nothing extra. Scoping the cache to the chunk list lets it
-        // release each block's arena once every overlapping chunk has
-        // consumed it, bounding residency by in-flight chunks rather than
-        // the whole file. The legacy shim keeps the paper's original
-        // one-reader-per-worker behaviour (each worker re-decodes its
-        // boundary blocks), which is what `ULTRAVC_LEGACY_DECODE=1` pins.
+        // Decode-once block sharing: every worker pulls decoded arenas
+        // from one run-scoped cache, so chunk boundaries cost nothing
+        // extra. Scoping the cache to the chunk list lets it release each
+        // block's arena once every overlapping chunk has consumed it,
+        // bounding residency by in-flight chunks rather than the whole
+        // file.
         //
         // Scheduled I/O sits on top: the run-level plan gives every chunk
         // its block window (so workers iterate precomputed windows
@@ -429,16 +411,7 @@ impl CallDriver {
         // read-ahead preserves decode-once (a slot decodes at most once,
         // whoever gets there first) and its decode stats are folded into
         // the run total below, so accounting stays exact.
-        // The plan (and everything scheduled off it) exists only under
-        // batch ingest; the legacy shim neither shares a cache nor
-        // iterates windows, and its effective prefetch mode is reported
-        // as off so I/O numbers are never attributed to a scheduling
-        // mode that never ran.
-        let mut io = match self.config.pileup.ingest.resolved() {
-            ResolvedIngest::Batch => Some(self.schedule_io(alignments, &chunks, pre_advised)?),
-            ResolvedIngest::Legacy => None,
-        };
-        let effective = io.as_ref().map_or(ResolvedPrefetch::Off, |io| io.effective);
+        let mut io = self.schedule_io(alignments, &chunks, pre_advised)?;
         // One Scratch per worker, reused across all its chunks and
         // columns: the binned test path allocates nothing per column. The
         // mutex is uncontended (each worker locks only its own slot, once
@@ -446,7 +419,7 @@ impl CallDriver {
         let scratches: Vec<Mutex<Scratch>> =
             (0..n_threads).map(|_| Mutex::new(Scratch::new())).collect();
         let region_start = Instant::now();
-        let worker = |ctx: ultravc_parfor::WorkerCtx, idx: usize, range: &std::ops::Range<u32>| {
+        let worker = |ctx: ultravc_parfor::WorkerCtx, idx: usize, _: &std::ops::Range<u32>| {
             // Contained worker panics make a poisoned scratch lock
             // recoverable: Scratch holds no cross-column invariants
             // (every test refills it before reading).
@@ -455,10 +428,8 @@ impl CallDriver {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             call_chunk_traced(
                 reference,
-                alignments,
-                io.as_ref().map(|io| (&io.cache, io.plan.window(idx))),
-                range.start,
-                range.end,
+                &io.cache,
+                io.plan.window(idx),
                 &self.config,
                 tester,
                 &mut scratch,
@@ -490,11 +461,8 @@ impl CallDriver {
         // owns its stats, so the sum stays the true per-run decode work.
         // A panicked prefetch thread is a degradation (workers demand-read
         // instead), not a failure.
-        let prefetched = io
-            .as_mut()
-            .and_then(|io| io.readahead.take())
-            .map(ReadaheadHandle::finish);
-        let mut degraded = io.as_ref().is_some_and(|io| io.degraded);
+        let prefetched = io.readahead.take().map(ReadaheadHandle::finish);
+        let mut degraded = io.degraded;
         // Merge in chunk order; every chunk's records precede the next's.
         // Under supervision a failed chunk becomes a RegionError and its
         // neighbours' calls survive; unsupervised, the first error aborts.
@@ -543,7 +511,7 @@ impl CallDriver {
             }
             Timeline::from_spans(rec.finish())
         });
-        let mut outcome = self.finish_single_filter(merged, Some(report), timeline, effective);
+        let mut outcome = self.finish_single_filter(merged, Some(report), timeline, io.effective);
         outcome.partial = partial;
         outcome.prefetch_degraded = degraded;
         Ok(outcome)
@@ -657,8 +625,7 @@ pub struct CallOutcome {
     pub stats: CallStats,
     /// Block-decode accounting summed over workers. Each worker reports
     /// only decodes it performed itself, so with the shared cache this is
-    /// the true whole-run decode work (boundary blocks counted once); in
-    /// legacy mode it includes the per-worker re-decodes.
+    /// the true whole-run decode work (boundary blocks counted once).
     pub decode: DecodeStats,
     /// One report per filter application (script mode: per partition plus
     /// the merged pass; others: one).
@@ -674,10 +641,10 @@ pub struct CallOutcome {
     /// perf numbers are attributable to a code path.
     pub kernel: &'static str,
     /// The prefetch mode that actually engaged (`Auto` settled against
-    /// `ULTRAVC_PREFETCH`; always off for script mode, legacy ingest,
-    /// and backings with nothing to hint or read ahead — e.g. an
-    /// in-memory source). Reported so I/O numbers are attributable to a
-    /// scheduling mode, like `kernel` is for compute.
+    /// `ULTRAVC_PREFETCH`; always off for script mode and backings with
+    /// nothing to hint or read ahead — e.g. an in-memory source).
+    /// Reported so I/O numbers are attributable to a scheduling mode,
+    /// like `kernel` is for compute.
     pub prefetch: ResolvedPrefetch,
     /// Regions that produced **no calls** because their chunk failed,
     /// panicked or was skipped after an interruption — supervised OpenMP
@@ -713,33 +680,24 @@ pub struct CallOutcome {
 #[allow(clippy::too_many_arguments)]
 fn call_chunk_traced(
     reference: &ReferenceGenome,
-    alignments: &BalFile,
-    cached: Option<(&Arc<SharedBlockCache>, &ultravc_bamlite::BlockWindow)>,
-    start: u32,
-    end: u32,
+    cache: &Arc<SharedBlockCache>,
+    window: &ultravc_bamlite::BlockWindow,
     config: &CallerConfig,
     tester: &ColumnTest,
     scratch: &mut Scratch,
     recorder: Option<&TraceRecorder>,
     thread_id: usize,
 ) -> Result<CallSet, BalError> {
-    let make_iter = || -> PileupIter {
-        match cached {
-            Some((cache, window)) => pileup_region_windowed(cache, window, config.pileup),
-            None => pileup_region(alignments, start, end, config.pileup),
-        }
+    let mut iter = pileup_region_windowed(cache, window, config.pileup);
+    let Some(recorder) = recorder else {
+        return crate::caller::drain_pileup(reference, iter, tester, scratch);
     };
-    if recorder.is_none() {
-        return crate::caller::drain_pileup(reference, make_iter(), tester, scratch);
-    }
-    let recorder = recorder.expect("checked");
     let chunk_start = Instant::now();
     let mut d_decode = Duration::ZERO;
     let mut d_iter = Duration::ZERO;
     let mut d_approx = Duration::ZERO;
     let mut d_prob = Duration::ZERO;
     let mut out = CallSet::default();
-    let mut iter = make_iter();
     loop {
         let t0 = Instant::now();
         let decode_before = iter.decode_stats().decode_time;
@@ -910,7 +868,6 @@ mod tests {
 
     #[test]
     fn shared_cache_decodes_each_block_once() {
-        use ultravc_pileup::IngestMode;
         let (reference, alignments) = setup(300.0, 61);
         let n_blocks = alignments.n_blocks() as u64;
         assert!(n_blocks > 1, "need multiple blocks for the boundary case");
@@ -921,26 +878,18 @@ mod tests {
             schedule: Schedule::Dynamic { chunk: 1 },
             chunk_columns: 16,
         };
-        driver.config.pileup.ingest = IngestMode::Batch;
-        let batch = driver.run(&reference, &alignments).unwrap();
+        let chunked = driver.run(&reference, &alignments).unwrap();
         assert_eq!(
-            batch.decode.blocks, n_blocks,
+            chunked.decode.blocks, n_blocks,
             "cache must decode every block exactly once"
         );
-        // The legacy shim re-decodes boundary blocks once per overlapping
-        // chunk — the duplicated accounting this PR fixes.
-        driver.config.pileup.ingest = IngestMode::Legacy;
-        let legacy = driver.run(&reference, &alignments).unwrap();
-        assert!(
-            legacy.decode.blocks > n_blocks,
-            "legacy per-worker readers duplicate boundary decodes \
-             ({} blocks decoded for a {}-block file)",
-            legacy.decode.blocks,
-            n_blocks
-        );
-        // Same calls either way — the cache must not change results.
-        assert_eq!(batch.records, legacy.records);
-        assert_eq!(batch.stats, legacy.stats);
+        // Same calls as one reader walking the file front to back — the
+        // cache must not change results.
+        let seq = CallDriver::sequential()
+            .run(&reference, &alignments)
+            .unwrap();
+        assert_eq!(chunked.records, seq.records);
+        assert_eq!(chunked.stats, seq.stats);
     }
 
     #[test]
@@ -956,10 +905,6 @@ mod tests {
             schedule: Schedule::Dynamic { chunk: 1 },
             chunk_columns: 32,
         };
-        // Pinned: the blocks == n_blocks assertion below is the
-        // decode-once property of the shared cache, which only the batch
-        // path has (the legacy CI leg would otherwise flip Auto).
-        driver.config.pileup.ingest = ultravc_pileup::IngestMode::Batch;
         driver.trace = true;
         let out = driver.run(&reference, &alignments).unwrap();
         let timeline = out.timeline.expect("trace requested");
@@ -1032,13 +977,7 @@ mod tests {
             std::process::id()
         ));
         alignments.write_to(&path).unwrap();
-        // Batch ingest pinned: the effective-mode assertion below expects
-        // prefetch to engage, and it reports off under the legacy shim
-        // (which the legacy CI leg would otherwise flip Auto to).
-        let mut drivers = [CallDriver::sequential(), CallDriver::openmp(4)];
-        for d in &mut drivers {
-            d.config.pileup.ingest = ultravc_pileup::IngestMode::Batch;
-        }
+        let drivers = [CallDriver::sequential(), CallDriver::openmp(4)];
         // Baselines: explicit prefetch OFF on the in-memory file, immune
         // to the ULTRAVC_PREFETCH CI pins.
         let baselines: Vec<_> = drivers
@@ -1088,15 +1027,6 @@ mod tests {
                 }
             }
         }
-        // Legacy ingest has no cache to warm: a prefetch request must be
-        // reported as (and behave as) off, not claim a mode that never
-        // ran.
-        let mut legacy = CallDriver::sequential();
-        legacy.config.pileup.ingest = ultravc_pileup::IngestMode::Legacy;
-        legacy.prefetch = PrefetchMode::On;
-        let out = legacy.run(&reference, &alignments).unwrap();
-        assert_eq!(out.prefetch, ultravc_bamlite::ResolvedPrefetch::Off);
-        assert_eq!(out.records, baselines[0].records);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1118,10 +1048,6 @@ mod tests {
         alignments.write_to(&path).unwrap();
         let disk = ultravc_bamlite::BalFile::open_with(&path, SourceTier::Stream).unwrap();
         let mut driver = CallDriver::openmp(2);
-        // Pinned: read-ahead engages only with the shared cache, which
-        // only batch ingest has (the legacy CI leg would otherwise flip
-        // Auto and the decode-once count below would not hold).
-        driver.config.pileup.ingest = ultravc_pileup::IngestMode::Batch;
         driver.prefetch = PrefetchMode::On;
         let out = driver.run(&reference, &disk).unwrap();
         assert!(out.prefetch.is_on());

@@ -8,19 +8,15 @@
 //!
 //! # Ingest paths
 //!
-//! Three sources can feed the ring, all producing **bitwise-identical**
+//! Two sources can feed the ring, both producing **bitwise-identical**
 //! columns (same entries, same push order, same depth-cap decisions):
 //!
-//! * **Batch** (default) — blocks decode into a reusable [`RecordBatch`]
-//!   arena via [`BalReader::decode_batch`]; bases are stacked straight
-//!   from bin indices ([`PileupColumn::push_slot_capped`]), the
-//!   `min_baseq` filter is one bin-index comparison, and a batch freelist
-//!   mirrors the column freelist so steady state performs zero
-//!   allocations.
-//! * **Legacy** — the per-record [`Record`] shim
-//!   ([`BalReader::decode_block`]); selectable per call or globally with
-//!   `ULTRAVC_LEGACY_DECODE=1`, which is what CI's ingest-parity leg
-//!   pins.
+//! * **Batch** ([`pileup_region`]) — blocks decode into a reusable
+//!   [`RecordBatch`] arena via [`BalReader::decode_batch`]; bases are
+//!   stacked straight from bin indices
+//!   ([`PileupColumn::push_slot_capped`]), the `min_baseq` filter is one
+//!   bin-index comparison, and a batch freelist mirrors the column
+//!   freelist so steady state performs zero allocations.
 //! * **Shared** ([`pileup_region_cached`]) — batches come from a
 //!   run-scoped [`SharedBlockCache`], so parallel workers whose chunks
 //!   straddle a block boundary decode that block exactly once per run.
@@ -28,6 +24,14 @@
 //!   walks a precomputed region-scoped [`BlockWindow`] from the run's
 //!   [`ultravc_bamlite::IoPlan`] instead of re-deriving the overlap —
 //!   the same windows the driver's prefetch layer schedules I/O around.
+//!
+//! # Hostile input
+//!
+//! Within a block, positions are delta-coded and cannot go backwards;
+//! across blocks nothing in the container guarantees it. The iterator
+//! checks each record against its predecessor and stops with a typed
+//! [`BalError::Corrupt`] (see [`PileupIter::take_error`]) rather than
+//! let an out-of-order record reach behind the ring's emission front.
 
 use crate::column::PileupColumn;
 #[cfg(test)]
@@ -35,49 +39,9 @@ use crate::column::PileupEntry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use ultravc_bamlite::{
-    BalError, BalFile, BalReader, BlockWindow, DecodeStats, QualityDict, Record, RecordBatch,
-    RecordView, SharedBlockCache,
+    BalError, BalFile, BalReader, BlockWindow, DecodeStats, QualityDict, RecordBatch, RecordView,
+    SharedBlockCache,
 };
-
-/// Which decode path feeds the pileup ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum IngestMode {
-    /// Batch unless `ULTRAVC_LEGACY_DECODE=1` is set in the environment.
-    #[default]
-    Auto,
-    /// Arena batch decode (the zero-alloc path).
-    Batch,
-    /// Per-record `Record` decode (the compatibility shim).
-    Legacy,
-}
-
-impl IngestMode {
-    /// Resolve `Auto` against the `ULTRAVC_LEGACY_DECODE` environment
-    /// override. Explicit modes always win (parity tests pin both paths
-    /// even under CI's legacy leg).
-    pub fn resolved(self) -> ResolvedIngest {
-        match self {
-            IngestMode::Batch => ResolvedIngest::Batch,
-            IngestMode::Legacy => ResolvedIngest::Legacy,
-            IngestMode::Auto => {
-                if std::env::var("ULTRAVC_LEGACY_DECODE").is_ok_and(|v| v == "1") {
-                    ResolvedIngest::Legacy
-                } else {
-                    ResolvedIngest::Batch
-                }
-            }
-        }
-    }
-}
-
-/// An [`IngestMode`] with `Auto` resolved away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolvedIngest {
-    /// Arena batch decode.
-    Batch,
-    /// Per-record decode.
-    Legacy,
-}
 
 /// Pileup configuration, mirroring LoFreq's relevant defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,8 +55,6 @@ pub struct PileupParams {
     pub min_baseq: u8,
     /// Skip reads flagged secondary/duplicate/QC-fail.
     pub skip_flagged: bool,
-    /// Decode path selection.
-    pub ingest: IngestMode,
 }
 
 impl Default for PileupParams {
@@ -102,7 +64,6 @@ impl Default for PileupParams {
             min_mapq: 13,
             min_baseq: 3,
             skip_flagged: true,
-            ingest: IngestMode::Auto,
         }
     }
 }
@@ -113,15 +74,10 @@ impl Default for PileupParams {
 /// file bytes but decode independently. (For decode-once sharing across
 /// workers, see [`pileup_region_cached`].)
 pub fn pileup_region(file: &BalFile, start: u32, end: u32, params: PileupParams) -> PileupIter {
-    let source = match params.ingest.resolved() {
-        ResolvedIngest::Legacy => Source::Legacy {
-            buffered: VecDeque::new(),
-        },
-        ResolvedIngest::Batch => Source::Batch {
-            cur: None,
-            cursor: 0,
-            spare: Vec::new(),
-        },
+    let source = Source::Batch {
+        cur: None,
+        cursor: 0,
+        spare: Vec::new(),
     };
     PileupIter::new(file, start, end, params, source)
 }
@@ -129,8 +85,7 @@ pub fn pileup_region(file: &BalFile, start: u32, end: u32, params: PileupParams)
 /// Stream pileup columns for `[start, end)` of the cache's file, pulling
 /// decoded blocks from the shared cache: each block of the run is decoded
 /// by exactly one of the iterators sharing the cache, no matter how many
-/// of their regions overlap it. Always batch-ingest (the cache stores
-/// arenas).
+/// of their regions overlap it.
 pub fn pileup_region_cached(
     cache: &Arc<SharedBlockCache>,
     start: u32,
@@ -191,8 +146,6 @@ const BATCH_FREELIST_CAP: usize = 4;
 
 /// Where decoded records come from.
 enum Source {
-    /// Owned-`Record` decode (compatibility shim).
-    Legacy { buffered: VecDeque<Record> },
     /// Arena batches decoded by this iterator, recycled through a
     /// freelist.
     Batch {
@@ -215,7 +168,7 @@ pub struct PileupIter {
     blocks: Arc<[usize]>,
     next_block: usize,
     source: Source,
-    /// The file's quality dictionary (identity for v1 files).
+    /// The file's quality dictionary.
     dict: Arc<QualityDict>,
     /// Bins `>= bin_cutoff` fail the `min_baseq` filter (the dictionary
     /// is sorted descending, so too-low qualities are a suffix).
@@ -230,6 +183,9 @@ pub struct PileupIter {
     free: Vec<PileupColumn>,
     start: u32,
     end: u32,
+    /// Start position of the last absorbed record; the next one must not
+    /// start before it.
+    last_pos: u32,
     params: PileupParams,
     done: bool,
     error: Option<BalError>,
@@ -270,6 +226,7 @@ impl PileupIter {
             free: Vec::new(),
             start,
             end,
+            last_pos: 0,
             params,
             done: false,
             error: None,
@@ -278,12 +235,13 @@ impl PileupIter {
         }
     }
 
-    /// The first decode error, if the iterator stopped on one.
+    /// The first error, if the iterator stopped on one: a block that failed
+    /// to decode, or records out of position order.
     pub fn error(&self) -> Option<&BalError> {
         self.error.as_ref()
     }
 
-    /// Take ownership of the stored decode error, leaving `None`. The
+    /// Take ownership of the stored error, leaving `None`. The
     /// supervised driver uses this to propagate the *typed* error (an
     /// interruption must stay an interruption, a transient-exhausted `Io`
     /// must stay `Io`) instead of flattening everything to `Corrupt`.
@@ -323,11 +281,6 @@ impl PileupIter {
     fn ensure_record(&mut self) -> Option<u32> {
         loop {
             match &self.source {
-                Source::Legacy { buffered } => {
-                    if let Some(rec) = buffered.front() {
-                        return Some(rec.pos);
-                    }
-                }
                 Source::Batch { cur, cursor, .. } => {
                     if let Some(batch) = cur {
                         if *cursor < batch.len() {
@@ -366,9 +319,6 @@ impl PileupIter {
             ..
         } = self;
         match source {
-            Source::Legacy { buffered } => {
-                buffered.extend(reader.decode_block(block_id)?);
-            }
             Source::Batch { cur, cursor, spare } => {
                 // Retire the exhausted batch to the freelist, then decode
                 // into a spare arena (or a fresh one on cold start).
@@ -410,10 +360,6 @@ impl PileupIter {
             ..
         } = self;
         match source {
-            Source::Legacy { buffered } => {
-                let rec = buffered.pop_front().expect("ensured record");
-                absorb_record(ring, free, params, *start, *end, &rec);
-            }
             Source::Batch { cur, cursor, .. } => {
                 let view = cur.as_ref().expect("ensured batch").view(*cursor);
                 *cursor += 1;
@@ -439,67 +385,35 @@ fn fresh_column(free: &mut Vec<PileupColumn>, pos: u32) -> PileupColumn {
     }
 }
 
-/// Grow the ring (preserving contiguity) to contain `pos`.
-fn ensure_column(ring: &mut VecDeque<PileupColumn>, free: &mut Vec<PileupColumn>, pos: u32) {
-    match ring.front() {
-        None => {
-            let col = fresh_column(free, pos);
-            ring.push_back(col);
-        }
-        Some(front) => {
-            let front_pos = front.pos;
-            debug_assert!(
-                pos >= front_pos,
-                "records must not reach behind the emission front"
-            );
-            let mut next = front_pos + ring.len() as u32;
-            while next <= pos {
-                let col = fresh_column(free, next);
-                ring.push_back(col);
-                next += 1;
-            }
-        }
-    }
-}
-
-/// Legacy-path absorb: fold an owned record's aligned bases into the ring.
-fn absorb_record(
+/// Grow the ring (preserving contiguity) to cover columns `[first, last)`.
+/// `first` only matters to an empty ring, which it seeds; a non-empty ring
+/// must already start at or before it.
+fn ensure_span(
     ring: &mut VecDeque<PileupColumn>,
     free: &mut Vec<PileupColumn>,
-    params: &PileupParams,
-    start: u32,
-    end: u32,
-    rec: &Record,
+    first: u32,
+    last: u32,
 ) {
-    if params.skip_flagged && rec.flags.is_filtered() {
-        return;
-    }
-    if rec.mapq < params.min_mapq {
-        return;
-    }
-    let reverse = rec.flags.is_reverse();
-    for (ref_pos, base, qual) in rec.aligned_bases() {
-        if ref_pos < start || ref_pos >= end {
-            continue;
+    let mut next = match ring.front() {
+        None => first,
+        Some(front) => {
+            debug_assert!(
+                first >= front.pos,
+                "records must not reach behind the emission front"
+            );
+            front.pos + ring.len() as u32
         }
-        if qual.0 < params.min_baseq {
-            continue;
-        }
-        ensure_column(ring, free, ref_pos);
-        let front_pos = ring.front().expect("ensured non-empty").pos;
-        let idx = (ref_pos - front_pos) as usize;
-        ring[idx].push_slot_capped(
-            base.code(),
-            reverse,
-            qual.0.min(ultravc_genome::phred::MAX_PHRED),
-            params.max_depth,
-        );
+    };
+    while next < last {
+        let col = fresh_column(free, next);
+        ring.push_back(col);
+        next += 1;
     }
 }
 
-/// Batch-path absorb: stack bin indices straight from the arena view. The
-/// quality filter is a single comparison against the dictionary cutoff and
-/// the push resolves each bin to its histogram slot through the (L1-sized)
+/// Stack a record's bin indices straight from the arena view. The quality
+/// filter is a single comparison against the dictionary cutoff and the
+/// push resolves each bin to its histogram slot through the (L1-sized)
 /// dictionary — no per-base Phred construction, no clamping.
 #[allow(clippy::too_many_arguments)]
 fn absorb_view(
@@ -518,6 +432,19 @@ fn absorb_view(
     if view.mapq() < params.min_mapq {
         return;
     }
+    // The ring covers the record's whole reference span clamped into the
+    // region, from its start position — not from its first surviving
+    // base: a leading base below `min_baseq` (or a CIGAR opening with a
+    // deletion) must not leave the front past a column that the next
+    // record, starting at the same position, still stacks into. Columns
+    // covered but never filled are skipped on emission.
+    let first = view.pos().max(start);
+    let last = view.end_pos().min(end);
+    if first >= last {
+        return;
+    }
+    ensure_span(ring, free, first, last);
+    let front_pos = ring.front().expect("span is non-empty").pos;
     let reverse = view.flags().is_reverse();
     let slots = dict.quals();
     for (ref_pos, base_code, bin) in view.aligned() {
@@ -527,8 +454,6 @@ fn absorb_view(
         if bin >= bin_cutoff {
             continue;
         }
-        ensure_column(ring, free, ref_pos);
-        let front_pos = ring.front().expect("ensured non-empty").pos;
         let idx = (ref_pos - front_pos) as usize;
         ring[idx].push_slot_capped(base_code, reverse, slots[bin as usize].0, params.max_depth);
     }
@@ -555,6 +480,13 @@ impl Iterator for PileupIter {
                         // seed it; otherwise only records at or before the
                         // front column still affect it.
                         if front_pos.is_none() || p <= front_pos.expect("checked") {
+                            if p < self.last_pos {
+                                self.error =
+                                    Some(BalError::Corrupt("records out of position order"));
+                                self.done = true;
+                                break;
+                            }
+                            self.last_pos = p;
                             self.absorb_current();
                         } else {
                             break;
@@ -825,63 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_legacy_ingest_are_bitwise_identical() {
-        let f = file(varied_records());
-        for params in [
-            PileupParams::default(),
-            PileupParams {
-                max_depth: 7,
-                min_baseq: 20,
-                ..PileupParams::default()
-            },
-            PileupParams {
-                min_mapq: 0,
-                min_baseq: 0,
-                skip_flagged: false,
-                ..PileupParams::default()
-            },
-        ] {
-            let batch: Vec<_> = pileup_region(
-                &f,
-                0,
-                200,
-                PileupParams {
-                    ingest: IngestMode::Batch,
-                    ..params
-                },
-            )
-            .collect();
-            let legacy: Vec<_> = pileup_region(
-                &f,
-                0,
-                200,
-                PileupParams {
-                    ingest: IngestMode::Legacy,
-                    ..params
-                },
-            )
-            .collect();
-            assert_eq!(batch, legacy, "{params:?}");
-        }
-    }
-
-    #[test]
-    fn v1_and_v2_files_pile_identically() {
-        let records = varied_records();
-        let v2 = BalFile::from_records(records.clone()).unwrap();
-        let v1 = BalFile::from_records_legacy(records).unwrap();
-        for ingest in [IngestMode::Batch, IngestMode::Legacy] {
-            let params = PileupParams {
-                ingest,
-                ..PileupParams::default()
-            };
-            let a: Vec<_> = pileup_region(&v2, 0, 200, params).collect();
-            let b: Vec<_> = pileup_region(&v1, 0, 200, params).collect();
-            assert_eq!(a, b, "{ingest:?}");
-        }
-    }
-
-    #[test]
     fn cached_pileup_matches_uncached() {
         let f = file(varied_records());
         let cache = Arc::new(SharedBlockCache::new(f.clone()));
@@ -985,17 +860,5 @@ mod tests {
         }
         assert_eq!(a, b);
         assert!(b.truncated());
-    }
-
-    #[test]
-    fn ingest_mode_resolution() {
-        assert_eq!(IngestMode::Batch.resolved(), ResolvedIngest::Batch);
-        assert_eq!(IngestMode::Legacy.resolved(), ResolvedIngest::Legacy);
-        // Auto resolves to one of the two (depending on the environment).
-        let auto = IngestMode::Auto.resolved();
-        assert!(matches!(
-            auto,
-            ResolvedIngest::Batch | ResolvedIngest::Legacy
-        ));
     }
 }

@@ -27,7 +27,6 @@ pub mod partition;
 
 pub use column::{PileupColumn, PileupEntry, QualityBins};
 pub use engine::{
-    pileup_region, pileup_region_cached, pileup_region_windowed, IngestMode, PileupIter,
-    PileupParams, ResolvedIngest,
+    pileup_region, pileup_region_cached, pileup_region_windowed, PileupIter, PileupParams,
 };
 pub use partition::{chunk_ranges, split_ranges};

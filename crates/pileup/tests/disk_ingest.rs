@@ -1,14 +1,14 @@
 //! On-disk ingest parity: a BAL file written to disk and reopened
 //! through every [`SourceTier`] must pile up bitwise identically to the
-//! in-memory original, in every ingest mode (batch, legacy, shared
-//! cache). This is the tempfile-roundtrip suite CI's on-disk legs run
-//! under each `ULTRAVC_BAL_SOURCE` pin.
+//! in-memory original, through a private reader and through the shared
+//! decode-once cache. This is the tempfile-roundtrip suite CI's on-disk
+//! legs run under each `ULTRAVC_BAL_SOURCE` pin.
 
 use std::sync::Arc;
 use ultravc_bamlite::{BalFile, Cigar, Flags, Record, SharedBlockCache, SourceTier};
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
-use ultravc_pileup::{pileup_region, pileup_region_cached, IngestMode, PileupParams};
+use ultravc_pileup::{pileup_region, pileup_region_cached, PileupParams};
 
 fn mk(id: u64, pos: u32, bases: &[u8], q: u8, flags: Flags) -> Record {
     let seq = Seq::from_ascii(bases).unwrap();
@@ -65,41 +65,31 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
 const TIERS: [SourceTier; 3] = [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream];
 
 #[test]
-fn disk_tiers_pile_identically_in_every_ingest_mode() {
-    for (tag, file) in [
-        ("v2", BalFile::from_records(varied_records()).unwrap()),
-        (
-            "v1",
-            BalFile::from_records_legacy(varied_records()).unwrap(),
-        ),
+fn disk_tiers_pile_identically() {
+    let file = BalFile::from_records(varied_records()).unwrap();
+    let path = temp_path("tiers");
+    file.write_to(&path).unwrap();
+    for params in [
+        PileupParams::default(),
+        PileupParams {
+            max_depth: 7,
+            min_baseq: 20,
+            ..PileupParams::default()
+        },
     ] {
-        let path = temp_path(tag);
-        file.write_to(&path).unwrap();
-        for params in [
-            PileupParams::default(),
-            PileupParams {
-                max_depth: 7,
-                min_baseq: 20,
-                ..PileupParams::default()
-            },
-        ] {
-            let baseline: Vec<_> = pileup_region(&file, 0, 600, params).collect();
-            assert!(!baseline.is_empty(), "workload must cover columns");
-            for tier in TIERS {
-                let disk = BalFile::open_with(&path, tier).unwrap();
-                for ingest in [IngestMode::Batch, IngestMode::Legacy] {
-                    let got: Vec<_> =
-                        pileup_region(&disk, 0, 600, PileupParams { ingest, ..params }).collect();
-                    assert_eq!(got, baseline, "{tag} {tier:?} {ingest:?}");
-                }
-                // Shared-cache (decode-once) mode over the disk-backed file.
-                let cache = Arc::new(SharedBlockCache::new(disk.clone()));
-                let cached: Vec<_> = pileup_region_cached(&cache, 0, 600, params).collect();
-                assert_eq!(cached, baseline, "{tag} {tier:?} shared cache");
-            }
+        let baseline: Vec<_> = pileup_region(&file, 0, 600, params).collect();
+        assert!(!baseline.is_empty(), "workload must cover columns");
+        for tier in TIERS {
+            let disk = BalFile::open_with(&path, tier).unwrap();
+            let got: Vec<_> = pileup_region(&disk, 0, 600, params).collect();
+            assert_eq!(got, baseline, "{tier:?}");
+            // Shared-cache (decode-once) mode over the disk-backed file.
+            let cache = Arc::new(SharedBlockCache::new(disk.clone()));
+            let cached: Vec<_> = pileup_region_cached(&cache, 0, 600, params).collect();
+            assert_eq!(cached, baseline, "{tier:?} shared cache");
         }
-        std::fs::remove_file(&path).ok();
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -1,77 +1,258 @@
 //! Property tests of the pileup engine against a brute-force oracle: for
-//! arbitrary read sets, the streaming column iterator must agree exactly
-//! with a naive per-column scan, and region splits must compose.
+//! arbitrary read sets — per-base qualities on both sides of `min_baseq`,
+//! CIGARs that open with a soft clip or a deletion, filtered reads, depth
+//! caps — every way of streaming a region must produce exactly the
+//! columns a naive per-column stacker over the owned records produces,
+//! and region splits must compose.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use ultravc_bamlite::{BalFile, Flags, Record, SharedBlockCache};
+use ultravc_bamlite::{
+    BalError, BalFile, BalWriter, Cigar, CigarOp, Flags, IoPlan, Record, SharedBlockCache,
+};
 use ultravc_genome::alphabet::Base;
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
-use ultravc_pileup::{pileup_region, pileup_region_cached, IngestMode, PileupParams};
+use ultravc_pileup::{
+    pileup_region, pileup_region_cached, pileup_region_windowed, PileupColumn, PileupEntry,
+    PileupParams,
+};
 
-fn record_strategy() -> impl Strategy<Value = (u32, Vec<u8>, u8, bool)> {
+/// One raw read: start, per-base `(base, quality)`, reverse strand, CIGAR
+/// shape selector, mapq, flag bits.
+type RawRead = (u32, Vec<(u8, u8)>, bool, u8, u8, u8);
+
+/// Qualities straddle the default `min_baseq` of 3 (0 and 2 are filtered),
+/// so a read's first surviving base is often not its first base.
+const QUALS: [u8; 8] = [0, 2, 2, 11, 20, 30, 37, 41];
+
+fn record_strategy() -> impl Strategy<Value = RawRead> {
     (
         0u32..300,
-        prop::collection::vec(prop::sample::select(vec![b'A', b'C', b'G', b'T']), 1..40),
-        2u8..=41,
+        prop::collection::vec(
+            (
+                prop::sample::select(vec![b'A', b'C', b'G', b'T']),
+                prop::sample::select(QUALS.to_vec()),
+            ),
+            1..40,
+        ),
         any::<bool>(),
+        0u8..4,
+        prop::sample::select(vec![5u8, 60, 60, 60]),
+        prop::sample::select(vec![0u8, 0, 0, Flags::DUPLICATE.0]),
     )
 }
 
-fn build(raw: Vec<(u32, Vec<u8>, u8, bool)>) -> Vec<Record> {
+fn build(raw: Vec<RawRead>) -> Vec<Record> {
     let mut rows = raw;
     rows.sort_by_key(|(pos, ..)| *pos);
     rows.into_iter()
         .enumerate()
-        .map(|(id, (pos, bases, q, rev))| {
-            let seq = Seq::from_ascii(&bases).unwrap();
-            let quals = vec![Phred::new(q); seq.len()];
-            let flags = if rev { Flags::REVERSE } else { Flags::none() };
-            Record::full_match(id as u64, pos, 60, flags, seq, quals).unwrap()
+        .map(|(id, (pos, pairs, rev, shape, mapq, flag_bits))| {
+            let n = pairs.len() as u32;
+            let bases: Vec<u8> = pairs.iter().map(|&(b, _)| b).collect();
+            let quals: Vec<Phred> = pairs.iter().map(|&(_, q)| Phred::new(q)).collect();
+            let cigar = match shape {
+                // Leading soft clip: the first aligned base is query base 2.
+                1 if n >= 3 => Cigar(vec![CigarOp::SoftClip(2), CigarOp::Match(n - 2)]),
+                // Leading deletion: nothing lands on the start column.
+                2 => Cigar(vec![CigarOp::Del(3), CigarOp::Match(n)]),
+                // Clip, interior deletion, short tail.
+                3 if n >= 4 => Cigar(vec![
+                    CigarOp::SoftClip(1),
+                    CigarOp::Match(n - 3),
+                    CigarOp::Del(2),
+                    CigarOp::Match(2),
+                ]),
+                _ => Cigar::full_match(n),
+            };
+            let strand = if rev { Flags::REVERSE } else { Flags::none() };
+            Record::new(
+                id as u64,
+                pos,
+                mapq,
+                strand | Flags(flag_bits),
+                Seq::from_ascii(&bases).unwrap(),
+                quals,
+                cigar,
+            )
+            .unwrap()
         })
         .collect()
 }
 
-/// Naive oracle: per column, scan every record.
-fn oracle_depths(records: &[Record], start: u32, end: u32, min_baseq: u8) -> Vec<(u32, usize)> {
+/// Naive oracle: per column, scan every record in file order and stack
+/// what survives the filters, honouring the depth cap.
+fn oracle_columns(
+    records: &[Record],
+    start: u32,
+    end: u32,
+    params: PileupParams,
+) -> Vec<PileupColumn> {
     let mut out = Vec::new();
     for pos in start..end {
-        let mut depth = 0usize;
+        let mut col = PileupColumn::new(pos);
         for r in records {
-            for (rp, _base, q) in r.aligned_bases() {
-                if rp == pos && q.0 >= min_baseq {
-                    depth += 1;
+            if (params.skip_flagged && r.flags.is_filtered()) || r.mapq < params.min_mapq {
+                continue;
+            }
+            for (rp, base, qual) in r.aligned_bases() {
+                if rp == pos && qual.0 >= params.min_baseq {
+                    let reverse = r.flags.is_reverse();
+                    col.push_capped(
+                        PileupEntry {
+                            base,
+                            qual,
+                            reverse,
+                        },
+                        params.max_depth,
+                    );
                 }
             }
         }
-        if depth > 0 {
-            out.push((pos, depth));
+        if !col.is_empty() {
+            out.push(col);
         }
     }
     out
+}
+
+/// A file over `records` with small blocks, so most read sets span
+/// several and region splits land on block boundaries.
+fn small_block_file(records: &[Record], block_capacity: usize) -> BalFile {
+    let mut w = BalWriter::with_block_capacity(block_capacity);
+    for rec in records.iter().cloned() {
+        w.push(rec).unwrap();
+    }
+    w.finish()
+}
+
+fn full_match(id: u64, pos: u32, bases: &[u8], quals: &[u8]) -> Record {
+    Record::full_match(
+        id,
+        pos,
+        60,
+        Flags::none(),
+        Seq::from_ascii(bases).unwrap(),
+        quals.iter().map(|&q| Phred::new(q)).collect(),
+    )
+    .unwrap()
+}
+
+/// Regression: a read whose leading base falls below `min_baseq` used to
+/// seed the ring one column late, and the next read at the same position
+/// then reached behind the emission front (debug: assertion; release:
+/// out-of-bounds ring index). Same for a CIGAR that opens with a deletion.
+#[test]
+fn filtered_leading_base_does_not_strand_the_ring_front() {
+    let params = PileupParams::default();
+    let low_first = full_match(0, 10, b"ACGT", &[2, 30, 30, 30]);
+    let clean = full_match(1, 10, b"ACGT", &[30; 4]);
+    let records = vec![low_first, clean];
+    let f = BalFile::from_records(records.clone()).unwrap();
+    let got: Vec<_> = pileup_region(&f, 0, 100, params).collect();
+    assert_eq!(got, oracle_columns(&records, 0, 100, params));
+    assert_eq!(got[0].pos, 10);
+    assert_eq!(got[0].depth(), 1, "only the clean read stacks on column 10");
+
+    let mut leading_del = full_match(0, 10, b"ACGT", &[30; 4]);
+    leading_del.cigar = Cigar(vec![CigarOp::Del(2), CigarOp::Match(4)]);
+    let records = vec![leading_del, full_match(1, 10, b"ACGT", &[30; 4])];
+    let f = BalFile::from_records(records.clone()).unwrap();
+    let got: Vec<_> = pileup_region(&f, 0, 100, params).collect();
+    assert_eq!(got, oracle_columns(&records, 0, 100, params));
+}
+
+/// Regression: nothing used to check that positions never go backwards
+/// across blocks. A two-block file with its index entries swapped parsed
+/// fine and panicked in the ring; now the parser refuses it, and a file
+/// whose index *looks* sorted but whose second block starts before the
+/// first stops the iterator with a typed error.
+#[test]
+fn blocks_out_of_position_order_error_instead_of_panicking() {
+    let mut w = BalWriter::with_block_capacity(1);
+    w.push(full_match(0, 10, b"ACGT", &[30; 4])).unwrap();
+    w.push(full_match(1, 20, b"ACGT", &[30; 4])).unwrap();
+    let mut bytes = w.finish().as_bytes().expect("in-memory").to_vec();
+    let n = bytes.len();
+    let index_offset = u64::from_le_bytes(bytes[n - 12..n - 4].try_into().unwrap()) as usize;
+    // "BIDX" · count(=2) · two five-byte entries (every field < 128).
+    let entries = index_offset + 5;
+    assert!(bytes[entries..entries + 10].iter().all(|b| *b < 0x80));
+    let (a, b) = bytes[entries..entries + 10].split_at_mut(5);
+    a.swap_with_slice(b);
+    assert!(matches!(
+        BalFile::from_bytes(bytes.clone().into()),
+        Err(BalError::Corrupt(_))
+    ));
+    // Forge the second entry's `min_pos` (third field) up to the first's:
+    // the index is now sorted, the records behind it are not.
+    bytes[entries + 5 + 2] = bytes[entries + 2];
+    let forged = BalFile::from_bytes(bytes.into()).unwrap();
+    let cache = Arc::new(SharedBlockCache::new(forged.clone()));
+    for mut columns in [
+        pileup_region(&forged, 0, 100, PileupParams::default()),
+        pileup_region_cached(&cache, 0, 100, PileupParams::default()),
+    ] {
+        let positions: Vec<u32> = columns.by_ref().map(|c| c.pos).collect();
+        assert_eq!(positions, vec![20, 21, 22, 23], "columns before the break");
+        assert!(matches!(
+            columns.take_error(),
+            Some(BalError::Corrupt("records out of position order"))
+        ));
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn streaming_matches_oracle(raw in prop::collection::vec(record_strategy(), 0..60)) {
+    fn every_streaming_path_matches_the_oracle(
+        raw in prop::collection::vec(record_strategy(), 0..80),
+        block_capacity in 1usize..24,
+        cap in prop::sample::select(vec![1usize, 3, 8, 1_000_000]),
+        min_baseq in prop::sample::select(vec![0u8, 3, 12, 31]),
+        keep_filtered_reads in any::<bool>(),
+        split_at in 1u32..399,
+    ) {
+        // Whole histograms, not just depths: same entries, same strand
+        // split, same depth-cap truncation decisions, same `truncated`
+        // flag — through a private reader, through the shared decode-once
+        // cache, and through the planned block windows the parallel
+        // driver uses (split in two, so boundary blocks are shared).
         let records = build(raw);
-        let file = BalFile::from_records(records.clone()).unwrap();
-        let params = PileupParams::default();
-        let got: Vec<(u32, usize)> = pileup_region(&file, 0, 400, params)
-            .map(|c| (c.pos, c.depth()))
-            .collect();
-        let want = oracle_depths(&records, 0, 400, params.min_baseq);
-        prop_assert_eq!(got, want);
+        let file = small_block_file(&records, block_capacity);
+        let mut params = PileupParams {
+            max_depth: cap,
+            min_baseq,
+            ..PileupParams::default()
+        };
+        if keep_filtered_reads {
+            params.min_mapq = 0;
+            params.skip_flagged = false;
+        }
+        let want = oracle_columns(&records, 0, 400, params);
+        let plain: Vec<_> = pileup_region(&file, 0, 400, params).collect();
+        prop_assert_eq!(&plain, &want, "pileup_region");
+        let cache = Arc::new(SharedBlockCache::new(file.clone()));
+        let cached: Vec<_> = pileup_region_cached(&cache, 0, 400, params).collect();
+        prop_assert_eq!(&cached, &want, "pileup_region_cached");
+        let plan = IoPlan::for_regions(&file, &[0..split_at, split_at..400]);
+        let cache = Arc::new(SharedBlockCache::for_plan(file.clone(), &plan));
+        let mut windowed = Vec::new();
+        for w in plan.windows() {
+            let mut iter = pileup_region_windowed(&cache, w, params);
+            windowed.extend(iter.by_ref());
+            prop_assert!(iter.take_error().is_none());
+        }
+        prop_assert_eq!(&windowed, &want, "pileup_region_windowed");
     }
 
     #[test]
     fn base_counts_match_oracle(raw in prop::collection::vec(record_strategy(), 1..50)) {
         let records = build(raw);
         let file = BalFile::from_records(records.clone()).unwrap();
-        let params = PileupParams::default();
+        let params = PileupParams { min_mapq: 0, skip_flagged: false, ..PileupParams::default() };
         for col in pileup_region(&file, 0, 400, params) {
             let counts = col.base_counts();
             for base in Base::ALL {
@@ -101,59 +282,12 @@ proptest! {
     }
 
     #[test]
-    fn depth_cap_is_exact(raw in prop::collection::vec(record_strategy(), 1..80),
-                          cap in 1usize..20) {
-        let records = build(raw);
-        let file = BalFile::from_records(records).unwrap();
-        let params = PileupParams { max_depth: cap, ..PileupParams::default() };
-        for col in pileup_region(&file, 0, 400, params) {
-            prop_assert!(col.depth() <= cap);
-        }
-    }
-
-    #[test]
     fn lambda_equals_sum_of_error_probs(raw in prop::collection::vec(record_strategy(), 1..40)) {
         let records = build(raw);
         let file = BalFile::from_records(records).unwrap();
         for col in pileup_region(&file, 0, 400, PileupParams::default()) {
             let direct: f64 = col.error_probs().iter().sum();
             prop_assert!((col.lambda() - direct).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn ingest_paths_agree_with_depth_caps(
-        raw in prop::collection::vec(record_strategy(), 0..80),
-        cap in 1usize..25,
-        min_baseq in 0u8..30,
-    ) {
-        // Batch ingest (bin-indexed, arena decode) must be bitwise
-        // identical to the legacy per-record path on arbitrary read sets,
-        // including depth-cap truncation order and the base-quality
-        // filter — over both v1 and v2 files, and through the shared
-        // decode-once cache.
-        let records = build(raw);
-        let params = PileupParams {
-            max_depth: cap,
-            min_baseq,
-            ..PileupParams::default()
-        };
-        for file in [
-            BalFile::from_records(records.clone()).unwrap(),
-            BalFile::from_records_legacy(records.clone()).unwrap(),
-        ] {
-            let legacy: Vec<_> = pileup_region(&file, 0, 400, PileupParams {
-                ingest: IngestMode::Legacy,
-                ..params
-            }).collect();
-            let batch: Vec<_> = pileup_region(&file, 0, 400, PileupParams {
-                ingest: IngestMode::Batch,
-                ..params
-            }).collect();
-            prop_assert_eq!(&legacy, &batch, "v{} file", file.version());
-            let cache = Arc::new(SharedBlockCache::new(file.clone()));
-            let cached: Vec<_> = pileup_region_cached(&cache, 0, 400, params).collect();
-            prop_assert_eq!(&legacy, &cached, "cached, v{} file", file.version());
         }
     }
 
