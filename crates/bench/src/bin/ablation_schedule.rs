@@ -6,12 +6,13 @@
 //! the end" (= guided scheduling) as the refinement. This ablation
 //! measures all of them on the same hotspot dataset.
 
-use ultravc_bench::{env_f64, env_usize, fmt_duration, rule};
+use std::time::Duration;
+use ultravc_bench::{env_f64, env_usize, fmt_duration, rule, script_emulation};
 use ultravc_core::config::CallerConfig;
 use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
 use ultravc_genome::variant::TruthSet;
-use ultravc_parfor::Schedule;
+use ultravc_parfor::{Schedule, TeamReport};
 use ultravc_readsim::dataset::DatasetSpec;
 use ultravc_readsim::QualityPreset;
 use ultravc_stats::rng::Rng;
@@ -80,51 +81,49 @@ fn main() {
                 chunk_columns: chunk,
             },
         ),
-        (
-            "script (1 part/job)".to_string(),
-            ParallelMode::ScriptEmulation { n_jobs: n_threads },
-        ),
     ];
 
+    let config = CallerConfig::improved();
     let mut reference_records: Option<usize> = None;
-    for (name, mode) in candidates {
-        let driver = CallDriver {
-            config: CallerConfig::improved(),
-            filter: None,
-            mode,
-            trace: false,
-            prefetch: PrefetchMode::Auto,
-            budget: Some(ultravc_core::RunBudget::unbounded()),
-        };
+    let mut row = |name: &str, run: &dyn Fn() -> (Duration, TeamReport, usize)| {
         // Best-of-3 to tame scheduler noise.
-        let mut best: Option<(std::time::Duration, f64, std::time::Duration, usize)> = None;
-        for _ in 0..3 {
-            let out = driver.run(&reference, &ds.alignments).unwrap();
-            let team = out.team.expect("parallel mode");
-            let entry = (
-                out.wall,
-                team.imbalance(),
-                team.barrier_waste(),
-                out.records.len(),
-            );
-            if best.map(|b| entry.0 < b.0).unwrap_or(true) {
-                best = Some(entry);
-            }
-        }
-        let (wall, imbalance, waste, n_records) = best.expect("ran three times");
+        let (wall, team, n_records) = (0..3)
+            .map(|_| run())
+            .min_by_key(|(wall, _, _)| *wall)
+            .expect("ran three times");
         println!(
             "{:>22} {:>10} {:>11.2} {:>14} {:>10}",
             name,
             fmt_duration(wall),
-            imbalance,
-            fmt_duration(waste),
+            team.imbalance(),
+            fmt_duration(team.barrier_waste()),
             n_records
         );
         match reference_records {
             None => reference_records = Some(n_records),
             Some(n) => assert_eq!(n, n_records, "schedules must not change the calls"),
         }
+    };
+    for (name, mode) in candidates {
+        let driver = CallDriver {
+            config: config.clone(),
+            filter: None,
+            mode,
+            trace: false,
+            prefetch: PrefetchMode::Auto,
+            budget: ultravc_core::RunBudget::unbounded(),
+        };
+        row(&name, &|| {
+            let out = driver.run(&reference, &ds.alignments).unwrap();
+            let team = out.team.expect("every run has a team");
+            (out.wall, team, out.records.len())
+        });
     }
+    // The partition script is no driver mode: one static partition per job.
+    row("script (1 part/job)", &|| {
+        let out = script_emulation(&reference, &ds.alignments, &config, None, n_threads).unwrap();
+        (out.team.wall, out.team, out.records.len())
+    });
     println!(
         "\nexpected shape: static (≈ the script's partitioning) suffers the \
          worst imbalance because one contiguous block holds the hotspot; \

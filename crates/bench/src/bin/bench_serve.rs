@@ -38,7 +38,7 @@ use std::time::Instant;
 use ultravc_bamlite::{BalFile, SourceTier};
 use ultravc_bench::{env_f64, env_usize, rule};
 use ultravc_core::config::CallerConfig;
-use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode};
+use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode, CHUNK_COLUMNS};
 use ultravc_core::RunBudget;
 use ultravc_genome::fasta::{write_fasta, FastaRecord};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
@@ -155,11 +155,11 @@ fn main() {
                 mode: ParallelMode::OpenMp {
                     n_threads: 1,
                     schedule: Schedule::Dynamic { chunk: 1 },
-                    chunk_columns: 256,
+                    chunk_columns: CHUNK_COLUMNS,
                 },
                 trace: false,
                 prefetch: PrefetchMode::Auto,
-                budget: Some(RunBudget::unbounded()),
+                budget: RunBudget::unbounded(),
             };
             let bal = BalFile::open_with(&bal_path, SourceTier::Auto).expect("reopen fixture");
             let outcome = driver

@@ -12,13 +12,13 @@
 //! (ground truth: one filter pass), the OpenMP driver, and the script
 //! emulation at several job counts, and reports the divergences.
 
-use ultravc_bench::{env_f64, env_usize, rule};
+use ultravc_bench::{env_f64, env_usize, rule, script_emulation};
 use ultravc_core::config::{Bonferroni, CallerConfig};
 use ultravc_core::driver::CallDriver;
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
 use ultravc_readsim::dataset::DatasetSpec;
 use ultravc_readsim::QualityPreset;
-use ultravc_vcf::VcfRecord;
+use ultravc_vcf::{FilterParams, VcfRecord};
 
 fn main() {
     let genome_len = env_usize("ULTRAVC_GENOME", 2_000);
@@ -79,9 +79,8 @@ fn main() {
     rule(header.len());
     let mut any_divergence = false;
     for n_jobs in [1usize, 2, 4, 8, 16] {
-        let script = with_config(CallDriver::script(n_jobs))
-            .run(&reference, &ds.alignments)
-            .unwrap();
+        let filter = Some(FilterParams::default());
+        let script = script_emulation(&reference, &ds.alignments, &config, filter, n_jobs).unwrap();
         let delta = diff_count(&script.records, &seq.records);
         any_divergence |= delta > 0;
         let stage1: Vec<String> = script.filter_reports[..script.filter_reports.len() - 1]

@@ -63,7 +63,7 @@ fn main() {
         },
         trace: true,
         prefetch: PrefetchMode::Auto,
-        budget: Some(ultravc_core::RunBudget::unbounded()),
+        budget: ultravc_core::RunBudget::unbounded(),
     };
     let out = driver.run(&reference, &ds.alignments).unwrap();
     let timeline = out.timeline.expect("trace was requested");

@@ -12,7 +12,7 @@
 //! | `fig3`             | Figure 3 — SNV-sharing upset table                 |
 //! | `cache_miss`       | discussion claim D-1 — miss rates                  |
 //! | `approx_accuracy`  | D-2 — approximation error vs depth                 |
-//! | `double_filter`    | D-3 — script-mode filtering inconsistency          |
+//! | `double_filter`    | D-3 — script-mode filtering inconsistency ([`script_emulation`]) |
 //! | `ablation_delta`   | A-1 — δ margin sweep                               |
 //! | `ablation_depth_gate` | A-2 — min-depth gate sweep                      |
 //! | `ablation_schedule`   | A-3 — loop-schedule comparison                  |
@@ -28,6 +28,80 @@
 #![warn(missing_docs)]
 
 use std::time::Duration;
+
+use ultravc_bamlite::{BalError, BalFile};
+use ultravc_core::caller::{call_region, CallSet, CallStats};
+use ultravc_core::{CallerConfig, ColumnTest};
+use ultravc_genome::reference::ReferenceGenome;
+use ultravc_parfor::{parallel_for, Schedule, TeamReport};
+use ultravc_pileup::split_ranges;
+use ultravc_vcf::{DynamicFilter, FilterParams, FilterReport, VcfRecord};
+
+/// What [`script_emulation`] produced.
+#[derive(Debug)]
+pub struct ScriptRun {
+    /// Records that survived both filter stages.
+    pub records: Vec<VcfRecord>,
+    /// Decision-path counters (pre-filter), summed over partitions.
+    pub stats: CallStats,
+    /// One report per partition (stage 1), then the merged pass (stage 2).
+    pub filter_reports: Vec<FilterReport>,
+    /// Team accounting of the emulated processes.
+    pub team: TeamReport,
+}
+
+/// The *original* LoFreq parallel wrapper, emulated: partition the genome
+/// into `n_jobs` equal contiguous pieces, run an independent caller per
+/// piece (static: one partition per job, like the script's
+/// one-process-per-partition), **filter each piece's output**, merge, then
+/// **filter the merged set again**. Both filter applications use
+/// data-dependent thresholds — the inconsistency the review article (\[8\]
+/// in the paper) flagged and the paper's single-process parallel-for fixes.
+/// It exists to be compared against [`ultravc_core::CallDriver`], which
+/// filters once; every piece shares one whole-genome [`ColumnTest`], so the
+/// raw calls are the driver's and only the filtering differs.
+pub fn script_emulation(
+    reference: &ReferenceGenome,
+    alignments: &BalFile,
+    config: &CallerConfig,
+    filter: Option<FilterParams>,
+    n_jobs: usize,
+) -> Result<ScriptRun, BalError> {
+    let tester = ColumnTest::new(config, reference.len());
+    let partitions = split_ranges(0, reference.len() as u32, n_jobs);
+    let n_workers = n_jobs.min(partitions.len()).max(1);
+    let (partials, team) = parallel_for(n_workers, &partitions, Schedule::Static, |_, _, range| {
+        call_region(
+            reference,
+            alignments,
+            range.start,
+            range.end,
+            config,
+            &tester,
+        )
+    });
+    let mut filter_reports = Vec::new();
+    let mut merged = CallSet::default();
+    for partial in partials {
+        let mut call_set = partial?;
+        // Stage 1: each "process" filters its own output with a threshold
+        // derived from *its* record count.
+        if let Some(params) = filter {
+            filter_reports.push(DynamicFilter::new(params).apply(&mut call_set.records));
+        }
+        merged.append(call_set);
+    }
+    // Stage 2: the wrapper filters the combined output again — the bug.
+    if let Some(params) = filter {
+        filter_reports.push(DynamicFilter::new(params).apply(&mut merged.records));
+    }
+    Ok(ScriptRun {
+        records: merged.records,
+        stats: merged.stats,
+        filter_reports,
+        team,
+    })
+}
 
 /// A simulated depth-`d` pileup column at mixed Phred 20-40, as sorted
 /// `(error probability, multiplicity)` quality bins — the shared workload
@@ -119,6 +193,81 @@ pub fn rule(width: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ultravc_core::CallDriver;
+    use ultravc_genome::reference::GenomeParams;
+    use ultravc_readsim::dataset::DatasetSpec;
+
+    fn setup(depth: f64, seed: u64) -> (ReferenceGenome, BalFile) {
+        let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::tiny(), seed);
+        let ds = DatasetSpec::new("t", depth, seed)
+            .with_variants(10, 0.02, 0.1)
+            .simulate(&reference);
+        (reference, ds.alignments)
+    }
+
+    fn emulate(reference: &ReferenceGenome, alignments: &BalFile, n_jobs: usize) -> ScriptRun {
+        let filter = Some(FilterParams::default());
+        script_emulation(
+            reference,
+            alignments,
+            &CallerConfig::default(),
+            filter,
+            n_jobs,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn script_mode_double_filters() {
+        let (reference, alignments) = setup(300.0, 41);
+        let script = emulate(&reference, &alignments, 4);
+        // 4 partition reports + 1 merged report.
+        assert_eq!(script.filter_reports.len(), 5);
+        let merged_report = script.filter_reports.last().unwrap();
+        // The merged pass examined what survived the partition passes.
+        let survivors: usize = script.filter_reports[..4].iter().map(|r| r.passed).sum();
+        assert_eq!(merged_report.examined, survivors);
+    }
+
+    #[test]
+    fn script_mode_can_disagree_with_single_pass() {
+        // The bug: thresholds derived from partition-local counts differ
+        // from the single-pass threshold. With records spread across
+        // partitions, the per-partition thresholds are *looser* (smaller
+        // n), so borderline records that a single pass would drop can
+        // survive stage 1 — and stage 2's threshold, computed from the
+        // already-thinned set, is looser than the single-pass one too.
+        let (reference, alignments) = setup(150.0, 43);
+        let single = CallDriver::sequential()
+            .run(&reference, &alignments)
+            .unwrap();
+        let script = emulate(&reference, &alignments, 6);
+        // Raw call sets are identical (same tester)...
+        assert_eq!(single.stats.calls, script.stats.calls);
+        // ...but the thresholds the two pipelines applied differ whenever
+        // the partitioning split the records at all.
+        let single_thr = single.filter_reports[0].qual_threshold;
+        let stage1_thrs: Vec<f64> = script.filter_reports[..script.filter_reports.len() - 1]
+            .iter()
+            .map(|r| r.qual_threshold)
+            .collect();
+        assert!(
+            stage1_thrs.iter().any(|t| (t - single_thr).abs() > 1e-9),
+            "partition thresholds {stage1_thrs:?} all equal single-pass {single_thr}"
+        );
+    }
+
+    #[test]
+    fn single_job_script_still_double_filters() {
+        // Even with one partition the script pipeline filters twice; the
+        // second pass sees fewer records (those that survived), so its
+        // threshold is looser and idempotent-drops nothing — matching the
+        // real-world observation that the bug surfaces only with >1 job OR
+        // borderline records.
+        let (reference, alignments) = setup(200.0, 59);
+        let script = emulate(&reference, &alignments, 1);
+        assert_eq!(script.filter_reports.len(), 2);
+    }
 
     #[test]
     fn duration_formatting() {

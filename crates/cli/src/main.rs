@@ -3,8 +3,8 @@
 //! Subcommands:
 //!
 //! * `simulate` — generate a synthetic reference + ultra-deep read set.
-//! * `call`     — call low-frequency SNVs from a BAL file (sequential,
-//!   OpenMP-style parallel, or script-emulation mode).
+//! * `call`     — call low-frequency SNVs from a BAL file (sequential or
+//!   OpenMP-style parallel).
 //! * `filter`   — apply the dynamic filter to a VCF.
 //! * `upset`    — SNV-sharing analysis across several VCFs (Figure 3).
 //! * `trace`    — parallel call with a per-thread timeline (Figure 2).
@@ -23,7 +23,7 @@ use std::time::Duration;
 use ultravc_bamlite::{BalFile, FaultPlan, SourceTier};
 use ultravc_core::analysis::UpsetTable;
 use ultravc_core::config::CallerConfig;
-use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode};
+use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode, CHUNK_COLUMNS};
 use ultravc_core::RunBudget;
 use ultravc_genome::fasta::{read_fasta, write_fasta, FastaRecord};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
@@ -37,7 +37,7 @@ ultravc — ultra-deep low-frequency variant calling (Kille et al. 2021 reproduc
 USAGE:
   ultravc simulate --out BASE [--genome-len N] [--depth D] [--seed S] [--variants N]
   ultravc call     --input FILE.bal --ref FILE.fa [--out FILE.vcf] [--threads N]
-                   [--mode seq|openmp|script] [--source mmap|stream|mem]
+                   [--mode seq|openmp] [--source mmap|stream|mem]
                    [--prefetch on|off|N] [--no-shortcut] [--no-filter]
                    [--deadline-ms N] [--max-retries N]
                    [--region CHROM[:START-END]] [--min-af F]
@@ -76,9 +76,11 @@ exponential backoff (--max-retries, default 4), and --deadline-ms
 bounds the run's wall clock (it must be positive — a zero deadline
 would expire before the run starts) — an expired deadline drains the
 workers and reports the completed regions instead of hanging. In
-openmp mode a failed or panicked chunk is contained as a partial
-result (its region itemized on stderr) rather than aborting the whole
-run.
+every mode a failed or panicked chunk is contained as a partial result
+(its region itemized on stderr; `--mode seq` runs the whole span as one
+chunk) rather than aborting the whole run. `call` still writes the
+completed regions' VCF, then exits non-zero whenever the result is
+partial or the run was interrupted.
 
 `call --region CHROM:START-END` (1-based inclusive, samtools style)
 calls only that column span; the output is exactly the corresponding
@@ -269,12 +271,9 @@ fn build_driver(flags: &HashMap<String, String>) -> Result<CallDriver, String> {
         "openmp" => ParallelMode::OpenMp {
             n_threads: threads.max(1),
             schedule: Schedule::Dynamic { chunk: 1 },
-            chunk_columns: 256,
+            chunk_columns: CHUNK_COLUMNS,
         },
-        "script" => ParallelMode::ScriptEmulation {
-            n_jobs: threads.max(1),
-        },
-        other => return Err(format!("--mode must be seq|openmp|script, got {other}")),
+        other => return Err(format!("--mode must be seq|openmp, got {other}")),
     };
     let mut config = if flags.contains_key("no-shortcut") {
         CallerConfig::original()
@@ -293,7 +292,7 @@ fn build_driver(flags: &HashMap<String, String>) -> Result<CallDriver, String> {
         mode,
         trace: false,
         prefetch: prefetch_mode(flags)?,
-        budget: Some(run_budget(flags)?),
+        budget: run_budget(flags)?,
     })
 }
 
@@ -413,6 +412,14 @@ fn cmd_call(args: &[String]) -> Result<(), String> {
         }
         None => print!("{vcf}"),
     }
+    // The VCF above holds the completed regions only; a caller checking
+    // nothing but the exit status must not mistake it for the whole answer.
+    if !outcome.partial.is_empty() || outcome.interrupt.is_some() {
+        return Err(format!(
+            "incomplete result: {} region(s) produced no calls",
+            outcome.partial.len()
+        ));
+    }
     Ok(())
 }
 
@@ -473,16 +480,16 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         mode: ParallelMode::OpenMp {
             n_threads: threads.max(2),
             schedule: Schedule::Dynamic { chunk: 1 },
-            chunk_columns: 128,
+            chunk_columns: CHUNK_COLUMNS,
         },
         trace: true,
         prefetch: prefetch_mode(&flags)?,
-        budget: Some(run_budget(&flags)?),
+        budget: run_budget(&flags)?,
     };
     let outcome = driver.run(&reference, &bal).map_err(|e| e.to_string())?;
     let timeline = outcome.timeline.expect("trace enabled");
     print!("{}", timeline.render_ascii(100));
-    let team = outcome.team.expect("parallel mode");
+    let team = outcome.team.expect("every run reports its team");
     println!(
         "calls: {}   wall: {:?}   source: {}   prefetch: {}   kernel: {}   \
          imbalance: {:.2}   straggler: T{:02}   decode: {} blocks in {:?}",

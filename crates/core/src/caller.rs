@@ -3,12 +3,11 @@
 use crate::config::CallerConfig;
 use crate::pvalue::{ColumnDecision, ColumnTest, Scratch};
 use serde::{Deserialize, Serialize};
-use ultravc_bamlite::{BalError, BalFile, DecodeStats, SharedBlockCache};
+use ultravc_bamlite::{BalError, BalFile, DecodeStats};
 use ultravc_genome::phred::phred_scale_pvalue;
 use ultravc_genome::reference::ReferenceGenome;
-use ultravc_pileup::{pileup_region, pileup_region_cached, PileupColumn, PileupIter};
+use ultravc_pileup::{pileup_region, PileupColumn, PileupIter};
 use ultravc_stats::binomial::fisher_exact;
-use ultravc_sync::Arc;
 use ultravc_vcf::{FilterStatus, Info, VcfRecord};
 
 /// Decision-path counters — the raw numbers behind the Figure 1b workflow
@@ -126,50 +125,8 @@ pub fn call_region(
     config: &CallerConfig,
     tester: &ColumnTest,
 ) -> Result<CallSet, BalError> {
-    let mut scratch = Scratch::new();
-    call_region_with_scratch(
-        reference,
-        alignments,
-        start,
-        end,
-        config,
-        tester,
-        &mut scratch,
-    )
-}
-
-/// [`call_region`] with caller-supplied scratch buffers — the form the
-/// parallel driver uses so each worker reuses one [`Scratch`] across every
-/// chunk (and column) it processes.
-#[allow(clippy::too_many_arguments)]
-pub fn call_region_with_scratch(
-    reference: &ReferenceGenome,
-    alignments: &BalFile,
-    start: u32,
-    end: u32,
-    config: &CallerConfig,
-    tester: &ColumnTest,
-    scratch: &mut Scratch,
-) -> Result<CallSet, BalError> {
     let iter = pileup_region(alignments, start, end, config.pileup);
-    drain_pileup(reference, iter, tester, scratch)
-}
-
-/// [`call_region_with_scratch`] pulling decoded blocks from a run-scoped
-/// [`SharedBlockCache`]: blocks straddling region boundaries are decoded
-/// exactly once per run, no matter how many workers' regions overlap them.
-#[allow(clippy::too_many_arguments)]
-pub fn call_region_cached(
-    reference: &ReferenceGenome,
-    cache: &Arc<SharedBlockCache>,
-    start: u32,
-    end: u32,
-    config: &CallerConfig,
-    tester: &ColumnTest,
-    scratch: &mut Scratch,
-) -> Result<CallSet, BalError> {
-    let iter = pileup_region_cached(cache, start, end, config.pileup);
-    drain_pileup(reference, iter, tester, scratch)
+    drain_pileup(reference, iter, tester, &mut Scratch::new())
 }
 
 /// Shared drain loop: test every column of an already-configured pileup

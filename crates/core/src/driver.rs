@@ -1,38 +1,41 @@
-//! Execution drivers: sequential, script-emulation, and OpenMP-style
-//! shared-memory parallel calling.
+//! The execution driver: one shared-memory parallel-for, one filter pass.
 //!
-//! The three modes reproduce the paper's §II.B comparison:
+//! The paper's §II.B replaces LoFreq's parallel wrapper script — partition
+//! the genome, run an independent caller per piece, **filter each piece**,
+//! merge, **filter the merged set again** with data-dependent thresholds —
+//! by a dynamic parallel-for inside one process. That is the only run path
+//! here: cut the region into column chunks, plan the run's I/O around them,
+//! call the chunks under [`parallel_for_supervised`], merge in coordinate
+//! order, filter exactly once. The workers share a run-scoped
+//! [`SharedBlockCache`], so a block straddling a chunk boundary is decoded
+//! exactly once per run instead of once per overlapping worker — and the
+//! [`Category::Decompress`] spans of the trace sum to the true decode work
+//! instead of multiply counting it.
 //!
-//! * [`ParallelMode::Sequential`] — one thread, one pass, one filter.
-//! * [`ParallelMode::ScriptEmulation`] — the *original* LoFreq parallel
-//!   wrapper: partition the genome into equal contiguous pieces, run an
-//!   independent caller per piece, **filter each piece's output**, merge,
-//!   then **filter the merged set again**. Both filter applications use
-//!   data-dependent thresholds, which is precisely the inconsistency the
-//!   review article (\[8\] in the paper) flagged and the paper fixes.
-//! * [`ParallelMode::OpenMp`] — the paper's replacement: a dynamic
-//!   parallel-for over column chunks, one independent BAL reader per
-//!   worker, results merged in coordinate order, and the filter applied
-//!   exactly once. The workers share a run-scoped [`SharedBlockCache`],
-//!   so a block straddling a chunk boundary is decoded exactly once per
-//!   run instead of once per overlapping worker — and the
-//!   [`Category::Decompress`] spans of the trace sum to the true decode
-//!   work instead of multiply counting it.
+//! [`ParallelMode`] only chooses the loop's shape:
 //!
-//! All modes share one [`ColumnTest`] built from the whole region, so the
-//! *calling* decisions are identical; only filtering differs. Workers
-//! attribute their time to [`Category`] spans, so an OpenMP run can be
-//! rendered as the paper's Figure 2 timeline.
+//! * [`ParallelMode::Sequential`] — one worker, one chunk spanning the
+//!   region. The parallel-for runs a one-thread team inline on the calling
+//!   thread, so no thread is spawned.
+//! * [`ParallelMode::OpenMp`] — `n_threads` workers over `chunk_columns`-wide
+//!   chunks under a loop [`Schedule`] (the paper uses dynamic).
+//!
+//! Every shape shares one [`ColumnTest`] built from the whole reference, so
+//! the calling decisions — and, filtering once, the records — are identical.
+//! Workers attribute their time to [`Category`] spans, so a traced run can
+//! be rendered as the paper's Figure 2 timeline. (The script's double
+//! filtering survives as a demonstration beside the `double_filter` bench,
+//! composed from this crate's public pieces.)
 
 use crate::caller::{examine_column, CallSet, CallStats};
 use crate::config::CallerConfig;
 use crate::pvalue::{ColumnTest, Scratch};
-use crate::supervisor::{Interrupt, IoBudget, RegionError, RegionFailure, RunBudget};
+use crate::supervisor::{Interrupt, RegionError, RegionFailure, RunBudget};
 use std::time::{Duration, Instant};
 use ultravc_bamlite::{BalError, BalFile, DecodeStats, IoPlan, ReadaheadHandle, SharedBlockCache};
 use ultravc_genome::reference::ReferenceGenome;
-use ultravc_parfor::{parallel_for, parallel_for_supervised, ItemOutcome, Schedule, TeamReport};
-use ultravc_pileup::{chunk_ranges, pileup_region_windowed, split_ranges};
+use ultravc_parfor::{parallel_for_supervised, ItemOutcome, Schedule, TeamReport};
+use ultravc_pileup::{chunk_ranges, pileup_region_windowed};
 use ultravc_sync::{Arc, Mutex};
 use ultravc_trace::{Category, Timeline, TraceRecorder};
 use ultravc_vcf::{DynamicFilter, FilterParams, FilterReport, VcfRecord};
@@ -41,10 +44,19 @@ use ultravc_vcf::{DynamicFilter, FilterParams, FilterReport, VcfRecord};
 // prefetch knobs without depending on `ultravc_bamlite` directly.
 pub use ultravc_bamlite::{PrefetchMode, ResolvedPrefetch};
 
-/// How the genome's columns are executed.
+/// Columns per chunk wherever a caller has no reason to compute its own
+/// width. Every chunk re-scans the records of the blocks it overlaps, so
+/// narrow chunks pay for themselves in repeated scans: on the benchmark's
+/// wide workloads one thread measured +8…+22 % over a single chunk at 256
+/// columns and +42…+75 % at 64, and two threads ran 1.30–1.46× slower at 64
+/// than at 256.
+pub const CHUNK_COLUMNS: u32 = 256;
+
+/// The shape of the run's parallel-for.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParallelMode {
-    /// One thread, front to back.
+    /// One worker, one chunk spanning the region — the loop's one-thread
+    /// case, run inline on the calling thread.
     Sequential,
     /// The paper's OpenMP port: chunked parallel-for, single filter pass.
     OpenMp {
@@ -55,12 +67,23 @@ pub enum ParallelMode {
         /// Columns per chunk.
         chunk_columns: u32,
     },
-    /// The original partition-script behaviour, including its
-    /// double-filtering bug.
-    ScriptEmulation {
-        /// Number of emulated worker processes.
-        n_jobs: usize,
-    },
+}
+
+impl ParallelMode {
+    /// The loop shape as `(n_threads, schedule, chunk_columns)`.
+    /// Sequential is one chunk however wide the region, not
+    /// [`CHUNK_COLUMNS`]: a single reader has nothing to balance, and
+    /// chunking it would only add the per-chunk re-scan.
+    fn shape(self) -> (usize, Schedule, u32) {
+        match self {
+            ParallelMode::Sequential => (1, Schedule::Static, u32::MAX),
+            ParallelMode::OpenMp {
+                n_threads,
+                schedule,
+                chunk_columns,
+            } => (n_threads, schedule, chunk_columns),
+        }
+    }
 }
 
 /// One run's scheduled-I/O state: the plan, the
@@ -87,21 +110,21 @@ pub struct CallDriver {
     pub filter: Option<FilterParams>,
     /// Execution mode.
     pub mode: ParallelMode,
-    /// Record a per-thread trace (OpenMP mode only).
+    /// Record a per-thread trace.
     pub trace: bool,
     /// Scheduled-I/O prefetch for disk-backed alignments: `madvise`
     /// hints on the mmap tier, bounded background read-ahead into the
     /// shared block cache on the streaming tier. `Auto` resolves against
     /// `ULTRAVC_PREFETCH`; an explicit mode wins over the environment.
-    /// Ignored by script emulation (which models the original
-    /// per-process pipeline).
     pub prefetch: PrefetchMode,
-    /// Supervision policy: deadline, retry/backoff, cancellation. The
-    /// default ([`RunBudget::unbounded`]) arms retries but nothing that
-    /// can trip; `None` disables supervision entirely — no retry wrapper,
-    /// no stop polling, no panic containment — the pre-supervisor hot
-    /// path benches measure overhead against.
-    pub budget: Option<RunBudget>,
+    /// Supervision policy: deadline, retry/backoff, cancellation. Every
+    /// run is supervised; the default ([`RunBudget::unbounded`]) arms
+    /// retries and containment with nothing that can trip.
+    pub budget: RunBudget,
+}
+
+fn invalid_input(msg: String) -> BalError {
+    BalError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
 }
 
 impl CallDriver {
@@ -113,50 +136,33 @@ impl CallDriver {
             mode: ParallelMode::Sequential,
             trace: false,
             prefetch: PrefetchMode::Auto,
-            budget: Some(RunBudget::unbounded()),
+            budget: RunBudget::unbounded(),
         }
     }
 
     /// OpenMP-style driver with the paper's dynamic schedule.
     pub fn openmp(n_threads: usize) -> CallDriver {
         CallDriver {
-            config: CallerConfig::default(),
-            filter: Some(FilterParams::default()),
             mode: ParallelMode::OpenMp {
                 n_threads,
                 schedule: Schedule::Dynamic { chunk: 1 },
-                chunk_columns: 64,
+                chunk_columns: CHUNK_COLUMNS,
             },
-            trace: false,
-            prefetch: PrefetchMode::Auto,
-            budget: Some(RunBudget::unbounded()),
-        }
-    }
-
-    /// Script-emulation driver (reproduces the double-filtering bug).
-    pub fn script(n_jobs: usize) -> CallDriver {
-        CallDriver {
-            config: CallerConfig::default(),
-            filter: Some(FilterParams::default()),
-            mode: ParallelMode::ScriptEmulation { n_jobs },
-            trace: false,
-            prefetch: PrefetchMode::Auto,
-            budget: Some(RunBudget::unbounded()),
+            ..CallDriver::sequential()
         }
     }
 
     /// Run over the whole reference.
     ///
-    /// With a [`RunBudget`] set (the default), the run is supervised:
-    /// the budget is armed at entry (deadline anchored to now) and
-    /// attached to this run's [`BalFile`] clone, so every payload read —
-    /// workers, prefetcher, sequential drain — retries transients and
-    /// observes cancellation. In OpenMP mode, failures that survive the
-    /// retry layer are contained per chunk: the run returns `Ok` with
-    /// the failed regions itemized in [`CallOutcome::partial`] and the
-    /// completed regions' calls intact. Sequential and script modes
-    /// propagate the first error as `Err` (typed — an interruption stays
-    /// [`BalError::Interrupted`]).
+    /// Every run is supervised: the [`RunBudget`] is armed at entry
+    /// (deadline anchored to now) and attached to this run's [`BalFile`]
+    /// clone, so every payload read — workers and prefetcher alike —
+    /// retries transients and observes cancellation. Failures that survive
+    /// the retry layer are contained per chunk, in every mode: the run
+    /// returns `Ok` with the failed regions itemized in
+    /// [`CallOutcome::partial`] (a sequential run's one chunk is the whole
+    /// region) and the completed regions' calls intact. `Err` is left for
+    /// requests that cannot start — see [`run_region`](CallDriver::run_region).
     pub fn run(
         &self,
         reference: &ReferenceGenome,
@@ -192,10 +198,12 @@ impl CallDriver {
     /// run's records are bitwise identical to the same columns of a
     /// whole-genome run before filtering — the property that lets a
     /// region server answer from the same statistics as the batch CLI.
-    /// The region must satisfy `start ≤ end ≤ reference.len()`; anything
-    /// else is an `InvalidInput` I/O error, as is a zero-duration
-    /// deadline in the budget (which would expire before the run
-    /// started and make every outcome trivially partial).
+    ///
+    /// A request that cannot start is an `InvalidInput` I/O error: a
+    /// region outside `start ≤ end ≤ reference.len()`, a zero thread count
+    /// or chunk width, or a zero-duration deadline in the budget (which
+    /// would expire before the run started and make every outcome
+    /// trivially partial). So is an unparsable `ULTRAVC_PREFETCH`.
     pub fn run_region(
         &self,
         reference: &ReferenceGenome,
@@ -221,63 +229,146 @@ impl CallDriver {
         pre_advised: bool,
     ) -> Result<CallOutcome, BalError> {
         let t0 = Instant::now();
+        let (n_threads, schedule, chunk_columns) = self.mode.shape();
         if region.start > region.end || region.end > reference.len() as u32 {
-            return Err(BalError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "region [{}, {}) out of bounds for reference of length {}",
-                    region.start,
-                    region.end,
-                    reference.len()
-                ),
+            return Err(invalid_input(format!(
+                "region [{}, {}) out of bounds for reference of length {}",
+                region.start,
+                region.end,
+                reference.len()
             )));
         }
-        if let Some(budget) = &self.budget {
-            budget.validate().map_err(|msg| {
-                BalError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
-            })?;
+        if n_threads == 0 || chunk_columns == 0 {
+            return Err(invalid_input(format!(
+                "thread count and chunk width must be positive, \
+                 got {n_threads} thread(s) over {chunk_columns}-column chunks"
+            )));
         }
-        let io_budget = self.budget.as_ref().map(|b| Arc::new(b.arm()));
-        let supervised;
-        let alignments = match &io_budget {
-            Some(b) => {
-                supervised = alignments.clone().with_budget(Arc::clone(b));
-                &supervised
-            }
-            None => alignments,
-        };
-        let mut outcome = match self.mode {
-            ParallelMode::Sequential => {
-                self.run_sequential(reference, alignments, tester, region, pre_advised)?
-            }
-            ParallelMode::OpenMp {
-                n_threads,
-                schedule,
-                chunk_columns,
-            } => self.run_openmp(
-                reference,
-                alignments,
-                tester,
-                region,
-                n_threads,
-                schedule,
-                chunk_columns,
-                io_budget.as_deref(),
-                pre_advised,
-            )?,
-            ParallelMode::ScriptEmulation { n_jobs } => {
-                self.run_script(reference, alignments, tester, region, n_jobs)?
-            }
-        };
-        outcome.wall = t0.elapsed();
-        outcome.source_tier = alignments.source().tier_name();
-        if let Some(b) = &io_budget {
-            outcome.io_retries = b.retries();
-            if outcome.interrupt.is_none() {
-                outcome.interrupt = b.interrupt();
-            }
+        self.budget.validate().map_err(invalid_input)?;
+        let budget = Arc::new(self.budget.arm());
+        // One shared byte source per run: `BalFile` handles are clones
+        // over one reference-counted `ByteSource`, so whether the file is
+        // in-memory, mmap'd or streamed from disk, every worker reads the
+        // same backing — a disk-backed ultra-deep run opens the file once
+        // and pages blocks in on demand, never copying it whole.
+        let alignments = alignments.clone().with_budget(Arc::clone(&budget));
+        let chunks = chunk_ranges(region.start, region.end, chunk_columns);
+        let recorder = self.trace.then(|| TraceRecorder::new(n_threads));
+        // Decode-once block sharing: every worker pulls decoded arenas
+        // from one run-scoped cache, so chunk boundaries cost nothing
+        // extra. Scoping the cache to the chunk list lets it release each
+        // block's arena once every overlapping chunk has consumed it,
+        // bounding residency by in-flight chunks rather than the whole
+        // file.
+        //
+        // Scheduled I/O sits on top: the run-level plan gives every chunk
+        // its block window (so workers iterate precomputed windows
+        // instead of each re-walking the index), feeds the cache's
+        // release expectations, and — when prefetch is on — drives
+        // `madvise` hints (mmap tier) or a bounded read-ahead thread that
+        // warms the cache ahead of the workers (streaming tier). The
+        // read-ahead preserves decode-once (a slot decodes at most once,
+        // whoever gets there first) and its decode stats are folded into
+        // the run total below, so accounting stays exact.
+        let mut io = self.schedule_io(&alignments, &chunks, pre_advised)?;
+        // One Scratch per worker, reused across all its chunks and
+        // columns: the binned test path allocates nothing per column. The
+        // mutex is uncontended (each worker locks only its own slot, once
+        // per chunk).
+        let scratches: Vec<Mutex<Scratch>> =
+            (0..n_threads).map(|_| Mutex::new(Scratch::new())).collect();
+        let region_start = Instant::now();
+        // Per-chunk failures are contained and the interrupt signal is
+        // polled between chunks.
+        let (outcomes, report) = parallel_for_supervised(
+            n_threads,
+            &chunks,
+            schedule,
+            || budget.interrupt().is_some(),
+            |ctx, idx, _| {
+                // Contained worker panics make a poisoned scratch lock
+                // recoverable: Scratch holds no cross-column invariants
+                // (every test refills it before reading).
+                let mut scratch = scratches[ctx.thread_id]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                call_chunk_traced(
+                    reference,
+                    &io.cache,
+                    io.plan.window(idx),
+                    &self.config,
+                    tester,
+                    &mut scratch,
+                    recorder.as_ref(),
+                    ctx.thread_id,
+                )
+            },
+        );
+        // Stop the read-ahead (if any) and fold the decodes it performed
+        // into the run's accounting — whichever party decoded a block
+        // owns its stats, so the sum stays the true per-run decode work.
+        // A panicked prefetch thread is a degradation (workers demand-read
+        // instead), not a failure.
+        let prefetched = io.readahead.take().map(ReadaheadHandle::finish);
+        let mut degraded = io.degraded;
+        // Merge in chunk order; every chunk's records precede the next's.
+        // A failed chunk becomes a RegionError and its neighbours' calls
+        // survive.
+        let mut merged = CallSet::default();
+        let mut partial: Vec<RegionError> = Vec::new();
+        for (region, outcome) in chunks.into_iter().zip(outcomes) {
+            let failure = match outcome {
+                ItemOutcome::Done(Ok(set)) => {
+                    merged.append(set);
+                    continue;
+                }
+                ItemOutcome::Done(Err(BalError::Interrupted(why))) => RegionFailure::Cancelled(why),
+                ItemOutcome::Done(Err(e)) => RegionFailure::Error(e.to_string()),
+                ItemOutcome::Panicked(msg) => RegionFailure::Panic(msg),
+                ItemOutcome::Skipped => {
+                    RegionFailure::Cancelled(budget.interrupt().unwrap_or(Interrupt::Cancelled))
+                }
+            };
+            partial.push(RegionError { region, failure });
         }
-        Ok(outcome)
+        if let Some(ra) = prefetched {
+            merged.decode.merge(&ra.stats);
+            degraded |= ra.panicked;
+        }
+        // Synthesize barrier spans from the team report, as HPC-Toolkit
+        // displays the join idle time (dark green in the paper's Figure 2).
+        let timeline = recorder.map(|rec| {
+            for (t, done) in report.finished_at.iter().enumerate() {
+                let start = region_start + *done;
+                let end_instant = region_start + report.wall;
+                if end_instant > start {
+                    rec.record(t, Category::Barrier, start, end_instant);
+                }
+            }
+            Timeline::from_spans(rec.finish())
+        });
+        // The single filter pass, over the merged set.
+        let filter_reports = self
+            .filter
+            .map(|params| DynamicFilter::new(params).apply(&mut merged.records))
+            .into_iter()
+            .collect();
+        Ok(CallOutcome {
+            records: merged.records,
+            stats: merged.stats,
+            decode: merged.decode,
+            filter_reports,
+            team: Some(report),
+            timeline,
+            wall: t0.elapsed(),
+            kernel: ultravc_simd::kernels().name,
+            prefetch: io.effective,
+            partial,
+            interrupt: budget.interrupt(),
+            io_retries: budget.retries(),
+            prefetch_degraded: degraded,
+            source_tier: alignments.source().tier_name(),
+        })
     }
 
     /// Build the run's scheduled-I/O state for a region partition: the
@@ -336,284 +427,6 @@ impl CallDriver {
             degraded,
         })
     }
-
-    fn run_sequential(
-        &self,
-        reference: &ReferenceGenome,
-        alignments: &BalFile,
-        tester: &ColumnTest,
-        region: std::ops::Range<u32>,
-        pre_advised: bool,
-    ) -> Result<CallOutcome, BalError> {
-        // One region through the scheduled-I/O stack — hints on the mmap
-        // tier, read+decode overlapped with calling on the streaming tier.
-        let io = self.schedule_io(alignments, std::slice::from_ref(&region), pre_advised)?;
-        let mut scratch = Scratch::new();
-        let result = crate::caller::call_region_cached(
-            reference,
-            &io.cache,
-            region.start,
-            region.end,
-            &self.config,
-            tester,
-            &mut scratch,
-        );
-        let prefetched = io.readahead.map(ReadaheadHandle::finish);
-        let mut call_set = result?;
-        let mut degraded = io.degraded;
-        if let Some(report) = prefetched {
-            call_set.decode.merge(&report.stats);
-            degraded |= report.panicked;
-        }
-        let mut outcome = self.finish_single_filter(call_set, None, None, io.effective);
-        outcome.prefetch_degraded = degraded;
-        Ok(outcome)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_openmp(
-        &self,
-        reference: &ReferenceGenome,
-        alignments: &BalFile,
-        tester: &ColumnTest,
-        region: std::ops::Range<u32>,
-        n_threads: usize,
-        schedule: Schedule,
-        chunk_columns: u32,
-        io_budget: Option<&IoBudget>,
-        pre_advised: bool,
-    ) -> Result<CallOutcome, BalError> {
-        let chunks = chunk_ranges(region.start, region.end, chunk_columns);
-        let recorder = if self.trace {
-            Some(TraceRecorder::new(n_threads))
-        } else {
-            None
-        };
-        // One shared byte source per run: `BalFile` handles are clones
-        // over one reference-counted `ByteSource`, so whether the file is
-        // in-memory, mmap'd or streamed from disk, every worker reads the
-        // same backing — a disk-backed ultra-deep run opens the file once
-        // and pages blocks in on demand, never copying it whole.
-        //
-        // Decode-once block sharing: every worker pulls decoded arenas
-        // from one run-scoped cache, so chunk boundaries cost nothing
-        // extra. Scoping the cache to the chunk list lets it release each
-        // block's arena once every overlapping chunk has consumed it,
-        // bounding residency by in-flight chunks rather than the whole
-        // file.
-        //
-        // Scheduled I/O sits on top: the run-level plan gives every chunk
-        // its block window (so workers iterate precomputed windows
-        // instead of each re-walking the index), feeds the cache's
-        // release expectations, and — when prefetch is on — drives
-        // `madvise` hints (mmap tier) or a bounded read-ahead thread that
-        // warms the cache ahead of the workers (streaming tier). The
-        // read-ahead preserves decode-once (a slot decodes at most once,
-        // whoever gets there first) and its decode stats are folded into
-        // the run total below, so accounting stays exact.
-        let mut io = self.schedule_io(alignments, &chunks, pre_advised)?;
-        // One Scratch per worker, reused across all its chunks and
-        // columns: the binned test path allocates nothing per column. The
-        // mutex is uncontended (each worker locks only its own slot, once
-        // per chunk).
-        let scratches: Vec<Mutex<Scratch>> =
-            (0..n_threads).map(|_| Mutex::new(Scratch::new())).collect();
-        let region_start = Instant::now();
-        let worker = |ctx: ultravc_parfor::WorkerCtx, idx: usize, _: &std::ops::Range<u32>| {
-            // Contained worker panics make a poisoned scratch lock
-            // recoverable: Scratch holds no cross-column invariants
-            // (every test refills it before reading).
-            let mut scratch = scratches[ctx.thread_id]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            call_chunk_traced(
-                reference,
-                &io.cache,
-                io.plan.window(idx),
-                &self.config,
-                tester,
-                &mut scratch,
-                recorder.as_ref(),
-                ctx.thread_id,
-            )
-        };
-        // Supervised (budgeted) runs contain per-chunk failures and poll
-        // the interrupt signal between items; unsupervised runs keep the
-        // legacy all-or-nothing semantics (and its zero polling cost).
-        let (outcomes, report) = match io_budget {
-            None => {
-                let (partials, report) = parallel_for(n_threads, &chunks, schedule, worker);
-                (
-                    partials.into_iter().map(ItemOutcome::Done).collect(),
-                    report,
-                )
-            }
-            Some(budget) => parallel_for_supervised(
-                n_threads,
-                &chunks,
-                schedule,
-                || budget.interrupt().is_some(),
-                worker,
-            ),
-        };
-        // Stop the read-ahead (if any) and fold the decodes it performed
-        // into the run's accounting — whichever party decoded a block
-        // owns its stats, so the sum stays the true per-run decode work.
-        // A panicked prefetch thread is a degradation (workers demand-read
-        // instead), not a failure.
-        let prefetched = io.readahead.take().map(ReadaheadHandle::finish);
-        let mut degraded = io.degraded;
-        // Merge in chunk order; every chunk's records precede the next's.
-        // Under supervision a failed chunk becomes a RegionError and its
-        // neighbours' calls survive; unsupervised, the first error aborts.
-        let mut merged = CallSet::default();
-        let mut partial: Vec<RegionError> = Vec::new();
-        for (idx, outcome) in outcomes.into_iter().enumerate() {
-            let region = chunks[idx].clone();
-            match outcome {
-                ItemOutcome::Done(Ok(set)) => merged.append(set),
-                ItemOutcome::Done(Err(e)) if io_budget.is_none() => return Err(e),
-                ItemOutcome::Done(Err(BalError::Interrupted(why))) => partial.push(RegionError {
-                    region,
-                    failure: RegionFailure::Cancelled(why),
-                }),
-                ItemOutcome::Done(Err(e)) => partial.push(RegionError {
-                    region,
-                    failure: RegionFailure::Error(e.to_string()),
-                }),
-                ItemOutcome::Panicked(msg) => partial.push(RegionError {
-                    region,
-                    failure: RegionFailure::Panic(msg),
-                }),
-                ItemOutcome::Skipped => partial.push(RegionError {
-                    region,
-                    failure: RegionFailure::Cancelled(
-                        io_budget
-                            .and_then(IoBudget::interrupt)
-                            .unwrap_or(Interrupt::Cancelled),
-                    ),
-                }),
-            }
-        }
-        if let Some(ra) = prefetched {
-            merged.decode.merge(&ra.stats);
-            degraded |= ra.panicked;
-        }
-        // Synthesize barrier spans from the team report, as HPC-Toolkit
-        // displays the join idle time (dark green in the paper's Figure 2).
-        let timeline = recorder.map(|rec| {
-            for (t, done) in report.finished_at.iter().enumerate() {
-                let start = region_start + *done;
-                let end_instant = region_start + report.wall;
-                if end_instant > start {
-                    rec.record(t, Category::Barrier, start, end_instant);
-                }
-            }
-            Timeline::from_spans(rec.finish())
-        });
-        let mut outcome = self.finish_single_filter(merged, Some(report), timeline, io.effective);
-        outcome.partial = partial;
-        outcome.prefetch_degraded = degraded;
-        Ok(outcome)
-    }
-
-    fn run_script(
-        &self,
-        reference: &ReferenceGenome,
-        alignments: &BalFile,
-        tester: &ColumnTest,
-        region: std::ops::Range<u32>,
-        n_jobs: usize,
-    ) -> Result<CallOutcome, BalError> {
-        let partitions = split_ranges(region.start, region.end, n_jobs);
-        let n_workers = n_jobs.min(partitions.len()).max(1);
-        // Emulated processes run concurrently (static: one partition per
-        // job, like the script's one-process-per-partition), each with its
-        // own reusable scratch.
-        let scratches: Vec<Mutex<Scratch>> =
-            (0..n_workers).map(|_| Mutex::new(Scratch::new())).collect();
-        let (partials, report) =
-            parallel_for(n_workers, &partitions, Schedule::Static, |ctx, _, range| {
-                let mut scratch = scratches[ctx.thread_id]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                crate::caller::call_region_with_scratch(
-                    reference,
-                    alignments,
-                    range.start,
-                    range.end,
-                    &self.config,
-                    tester,
-                    &mut scratch,
-                )
-            });
-        let mut filter_reports = Vec::new();
-        let mut merged = CallSet::default();
-        for partial in partials {
-            let mut call_set = partial?;
-            // Stage 1: each "process" filters its own output with a
-            // threshold derived from *its* record count.
-            if let Some(params) = self.filter {
-                let report = DynamicFilter::new(params).apply(&mut call_set.records);
-                filter_reports.push(report);
-            }
-            merged.append(call_set);
-        }
-        // Stage 2: the wrapper filters the combined output again — the bug.
-        if let Some(params) = self.filter {
-            let report = DynamicFilter::new(params).apply(&mut merged.records);
-            filter_reports.push(report);
-        }
-        Ok(CallOutcome {
-            records: merged.records,
-            stats: merged.stats,
-            decode: merged.decode,
-            filter_reports,
-            team: Some(report),
-            timeline: None,
-            wall: Duration::ZERO,
-            kernel: ultravc_simd::kernels().name,
-            // The emulated script pipeline models the original
-            // one-process-per-partition tool, which had no prefetch — the
-            // effective mode is off regardless of the requested one.
-            prefetch: ResolvedPrefetch::Off,
-            partial: Vec::new(),
-            interrupt: None,
-            io_retries: 0,
-            prefetch_degraded: false,
-            source_tier: "mem",
-        })
-    }
-
-    fn finish_single_filter(
-        &self,
-        mut call_set: CallSet,
-        team: Option<TeamReport>,
-        timeline: Option<Timeline>,
-        prefetch: ResolvedPrefetch,
-    ) -> CallOutcome {
-        let mut filter_reports = Vec::new();
-        if let Some(params) = self.filter {
-            let report = DynamicFilter::new(params).apply(&mut call_set.records);
-            filter_reports.push(report);
-        }
-        CallOutcome {
-            records: call_set.records,
-            stats: call_set.stats,
-            decode: call_set.decode,
-            filter_reports,
-            team,
-            timeline,
-            wall: Duration::ZERO,
-            kernel: ultravc_simd::kernels().name,
-            prefetch,
-            partial: Vec::new(),
-            interrupt: None,
-            io_retries: 0,
-            prefetch_degraded: false,
-            source_tier: "mem",
-        }
-    }
 }
 
 /// The result of a driver run.
@@ -627,12 +440,13 @@ pub struct CallOutcome {
     /// only decodes it performed itself, so with the shared cache this is
     /// the true whole-run decode work (boundary blocks counted once).
     pub decode: DecodeStats,
-    /// One report per filter application (script mode: per partition plus
-    /// the merged pass; others: one).
+    /// One report per filter application: the single pass over the merged
+    /// set, or none for a filterless driver.
     pub filter_reports: Vec<FilterReport>,
-    /// Team accounting for parallel modes.
+    /// Team accounting of the run's parallel-for; always `Some` (a
+    /// sequential run reports its one-worker team).
     pub team: Option<TeamReport>,
-    /// Per-thread trace (OpenMP mode with `trace: true`).
+    /// Per-thread trace (drivers with `trace: true`).
     pub timeline: Option<Timeline>,
     /// Wall-clock time of the run.
     pub wall: Duration,
@@ -641,15 +455,15 @@ pub struct CallOutcome {
     /// perf numbers are attributable to a code path.
     pub kernel: &'static str,
     /// The prefetch mode that actually engaged (`Auto` settled against
-    /// `ULTRAVC_PREFETCH`; always off for script mode and backings with
-    /// nothing to hint or read ahead — e.g. an in-memory source).
+    /// `ULTRAVC_PREFETCH`; always off for backings with nothing to hint
+    /// or read ahead — e.g. an in-memory source).
     /// Reported so I/O numbers are attributable to a scheduling mode,
     /// like `kernel` is for compute.
     pub prefetch: ResolvedPrefetch,
     /// Regions that produced **no calls** because their chunk failed,
-    /// panicked or was skipped after an interruption — supervised OpenMP
-    /// runs only; empty means the run completed everywhere. Completed
-    /// regions' records are bitwise identical to a fault-free run's.
+    /// panicked or was skipped after an interruption; empty means the run
+    /// completed everywhere. Completed regions' records are bitwise
+    /// identical to a fault-free run's.
     pub partial: Vec<RegionError>,
     /// Why the run stopped early, if it did (cancelled / deadline
     /// expired). `None` for runs that ran to completion.
@@ -775,6 +589,62 @@ mod tests {
     }
 
     #[test]
+    fn sequential_is_the_one_thread_one_chunk_case() {
+        use ultravc_bamlite::SourceTier;
+        let (reference, alignments) = setup(250.0, 79);
+        let path =
+            std::env::temp_dir().join(format!("ultravc-driver-shape-{}.bal", std::process::id()));
+        alignments.write_to(&path).unwrap();
+        let seq = CallDriver::sequential();
+        let mut one_chunk = CallDriver::sequential();
+        one_chunk.mode = ParallelMode::OpenMp {
+            n_threads: 1,
+            schedule: Schedule::Static,
+            chunk_columns: u32::MAX,
+        };
+        for tier in [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream] {
+            let disk = BalFile::open_with(&path, tier).unwrap();
+            let a = seq.run(&reference, &disk).unwrap();
+            let b = one_chunk.run(&reference, &disk).unwrap();
+            assert!(!a.records.is_empty(), "{tier:?}: scenario must call");
+            assert_eq!(a.records, b.records, "{tier:?}");
+            assert_eq!(a.stats, b.stats, "{tier:?}");
+            assert_eq!(a.decode.blocks, b.decode.blocks, "{tier:?}");
+            assert_eq!(a.decode.bytes_in, b.decode.bytes_in, "{tier:?}");
+            assert_eq!(a.decode.records_out, b.decode.records_out, "{tier:?}");
+            for out in [&a, &b] {
+                let team = out.team.as_ref().expect("every run has a team");
+                assert_eq!(team.items, [1], "{tier:?}: one worker, one chunk");
+                assert!(out.partial.is_empty());
+            }
+            // An empty span is a valid request with nothing to call.
+            for driver in [&seq, &one_chunk] {
+                let empty = driver.run_region(&reference, &disk, 7..7).unwrap();
+                assert!(empty.records.is_empty() && empty.partial.is_empty());
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn zero_threads_and_zero_chunk_width_are_invalid_input() {
+        let (reference, alignments) = setup(100.0, 97);
+        for (n_threads, chunk_columns) in [(0, CHUNK_COLUMNS), (2, 0)] {
+            let mut driver = CallDriver::openmp(2);
+            driver.mode = ParallelMode::OpenMp {
+                n_threads,
+                schedule: Schedule::Dynamic { chunk: 1 },
+                chunk_columns,
+            };
+            let err = driver.run(&reference, &alignments).unwrap_err();
+            assert!(
+                matches!(&err, BalError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+                "{n_threads} thread(s), {chunk_columns} column(s): {err}"
+            );
+        }
+    }
+
+    #[test]
     fn openmp_schedules_agree() {
         let (reference, alignments) = setup(200.0, 37);
         let mut base = CallDriver::openmp(4);
@@ -793,46 +663,6 @@ mod tests {
         let c = base.run(&reference, &alignments).unwrap();
         assert_eq!(a.records, b.records);
         assert_eq!(a.records, c.records);
-    }
-
-    #[test]
-    fn script_mode_double_filters() {
-        let (reference, alignments) = setup(300.0, 41);
-        let script = CallDriver::script(4).run(&reference, &alignments).unwrap();
-        // 4 partition reports + 1 merged report.
-        assert_eq!(script.filter_reports.len(), 5);
-        let merged_report = script.filter_reports.last().unwrap();
-        // The merged pass examined what survived the partition passes.
-        let survivors: usize = script.filter_reports[..4].iter().map(|r| r.passed).sum();
-        assert_eq!(merged_report.examined, survivors);
-    }
-
-    #[test]
-    fn script_mode_can_disagree_with_single_pass() {
-        // The bug: thresholds derived from partition-local counts differ
-        // from the single-pass threshold. With records spread across
-        // partitions, the per-partition thresholds are *looser* (smaller
-        // n), so borderline records that a single pass would drop can
-        // survive stage 1 — and stage 2's threshold, computed from the
-        // already-thinned set, is looser than the single-pass one too.
-        let (reference, alignments) = setup(150.0, 43);
-        let single = CallDriver::sequential()
-            .run(&reference, &alignments)
-            .unwrap();
-        let script = CallDriver::script(6).run(&reference, &alignments).unwrap();
-        // Raw call sets are identical (same tester)...
-        assert_eq!(single.stats.calls, script.stats.calls);
-        // ...but the thresholds the two pipelines applied differ whenever
-        // the partitioning split the records at all.
-        let single_thr = single.filter_reports[0].qual_threshold;
-        let stage1_thrs: Vec<f64> = script.filter_reports[..script.filter_reports.len() - 1]
-            .iter()
-            .map(|r| r.qual_threshold)
-            .collect();
-        assert!(
-            stage1_thrs.iter().any(|t| (t - single_thr).abs() > 1e-9),
-            "partition thresholds {stage1_thrs:?} all equal single-pass {single_thr}"
-        );
     }
 
     #[test]
@@ -933,17 +763,13 @@ mod tests {
         // Tempfile roundtrip through every ByteSource tier: the driver
         // must produce bitwise-identical calls whether the alignments
         // come from memory, an mmap or a streaming descriptor — in
-        // sequential, OpenMP (shared cache) and script modes.
+        // sequential and OpenMP mode.
         use ultravc_bamlite::SourceTier;
         let (reference, alignments) = setup(250.0, 73);
         let path =
             std::env::temp_dir().join(format!("ultravc-driver-disk-{}.bal", std::process::id()));
         alignments.write_to(&path).unwrap();
-        let drivers = [
-            CallDriver::sequential(),
-            CallDriver::openmp(4),
-            CallDriver::script(3),
-        ];
+        let drivers = [CallDriver::sequential(), CallDriver::openmp(4)];
         let baselines: Vec<_> = drivers
             .iter()
             .map(|d| d.run(&reference, &alignments).unwrap())
@@ -969,7 +795,7 @@ mod tests {
         // The prefetch acceptance invariant: calls, decision counters AND
         // decode totals (blocks / bytes / records — i.e. decode-once) are
         // unchanged by prefetching, on every byte-source tier, in both
-        // non-script modes. Only wall time may differ.
+        // modes. Only wall time may differ.
         use ultravc_bamlite::SourceTier;
         let (reference, alignments) = setup(250.0, 83);
         let path = std::env::temp_dir().join(format!(
@@ -1072,17 +898,5 @@ mod tests {
         assert_eq!(iter.decode_stats().blocks, 0, "consumer decoded nothing");
         assert_eq!(iter.cache_hits(), disk.n_blocks() as u64);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn single_job_script_still_double_filters() {
-        // Even with one partition the script pipeline filters twice; the
-        // second pass sees fewer records (those that survived), so its
-        // threshold is looser and idempotent-drops nothing — matching the
-        // real-world observation that the bug surfaces only with >1 job OR
-        // borderline records.
-        let (reference, alignments) = setup(200.0, 59);
-        let script = CallDriver::script(1).run(&reference, &alignments).unwrap();
-        assert_eq!(script.filter_reports.len(), 2);
     }
 }

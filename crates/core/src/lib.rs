@@ -33,8 +33,8 @@
 //! per-column test allocation-free.
 //!
 //! Modules: [`config`] (tuning surface), [`pvalue`] (the decision engine),
-//! [`caller`] (column → VCF record), [`driver`] (sequential / script-mode /
-//! OpenMP-mode execution), [`session`] (a reusable driver session for
+//! [`caller`] (column → VCF record), [`driver`] (the one run path: a
+//! supervised parallel-for, sequential being its one-thread case), [`session`] (a reusable driver session for
 //! serving region queries), [`supervisor`] (run budgets: deadlines,
 //! cancellation, retry policy, per-region failure reports), [`analysis`]
 //! (upset intersections, truth grading), [`cachemodel`] (memory traces

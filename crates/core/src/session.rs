@@ -86,11 +86,11 @@ impl CallSession {
 
     /// One region call under a per-request budget (a server arms one per
     /// request so client deadlines and disconnects cancel that request
-    /// alone). `None` runs unsupervised — no retries, no containment.
+    /// alone).
     pub fn call_with_budget(
         &self,
         region: Range<u32>,
-        budget: Option<RunBudget>,
+        budget: RunBudget,
     ) -> Result<CallOutcome, BalError> {
         let mut driver = self.driver.clone();
         driver.budget = budget;
@@ -214,7 +214,7 @@ mod tests {
         // A cancelled request comes back partial...
         let cancelled = RunBudget::unbounded();
         cancelled.cancel.cancel();
-        let partial = session.call_with_budget(0..end, Some(cancelled)).unwrap();
+        let partial = session.call_with_budget(0..end, cancelled).unwrap();
         assert!(!partial.partial.is_empty());
         // ...and the next plain call is untouched by it.
         let after = session.call(0..end).unwrap();
@@ -234,7 +234,7 @@ mod tests {
             assert!(err.to_string().contains("out of bounds"), "{bad:?}: {err}");
         }
         let err = session
-            .call_with_budget(0..end, Some(RunBudget::with_deadline(Duration::ZERO)))
+            .call_with_budget(0..end, RunBudget::with_deadline(Duration::ZERO))
             .unwrap_err();
         assert!(err.to_string().contains("must be positive"), "{err}");
     }

@@ -6,14 +6,15 @@
 //! [`CancelToken`]. At run start the driver [`arm`](RunBudget::arm)s it
 //! into a [`IoBudget`] (deadline anchored to that instant) and attaches
 //! it to its [`ultravc_bamlite::BalFile`] clone, so every payload read
-//! this run issues — worker demand reads, the prefetch thread, the
-//! sequential path — retries transients with capped exponential backoff
-//! and observes cancellation/deadline promptly. The default driver
-//! budget is [`RunBudget::unbounded`]: no deadline, never cancelled,
-//! retries armed — supervision as a safety net with nothing to trip it.
+//! this run issues — worker demand reads and the prefetch thread alike —
+//! retries transients with capped exponential backoff and observes
+//! cancellation/deadline promptly. The default driver budget is
+//! [`RunBudget::unbounded`]: no deadline, never cancelled, retries armed —
+//! supervision as a safety net with nothing to trip it.
 //!
 //! Failures that survive the retry layer are **contained per region**
-//! rather than aborting the run: the OpenMP driver runs its chunks under
+//! rather than aborting the run: the driver runs its chunks (a sequential
+//! run's single one included) under
 //! [`ultravc_parfor::parallel_for_supervised`], converts each failed,
 //! panicked or skipped chunk into a [`RegionError`], and returns a
 //! *partial* [`crate::CallOutcome`] — completed regions' calls (bitwise

@@ -8,10 +8,12 @@
 //!   the armed [`RunBudget`] and are *invisible* — the outcome is bitwise
 //!   identical to a fault-free run, only `io_retries` records they
 //!   happened.
-//! * **Fatal** faults (dead device, truncated file) surface as typed
-//!   errors: sequential runs return `Err`, supervised OpenMP runs contain
-//!   them per chunk and return a *partial* outcome whose completed
-//!   regions are bitwise identical to the fault-free baseline.
+//! * **Fatal** faults (dead device, truncated file, a panic under the
+//!   worker) are contained per chunk in every mode: the run returns a
+//!   *partial* outcome itemizing the failed regions, whose completed
+//!   regions are bitwise identical to the fault-free baseline. A
+//!   sequential run is one chunk, so its partial outcome is the whole
+//!   span and no records. A started run never returns `Err`.
 //! * **Interruptions** (cancel, deadline) drain the run promptly and are
 //!   reported on the outcome, never as panics or hangs.
 //! * No scenario leaks a thread.
@@ -210,39 +212,63 @@ fn transient_faults_are_invisible_under_the_default_budget() {
     }
 }
 
+/// One failure contract: the dead device's typed error is itemized per
+/// failed region — the whole span sequentially, the chunks read after the
+/// device died in parallel — and never returned as `Err`.
 #[test]
 fn a_dead_device_is_a_typed_error_sequentially_and_a_partial_report_in_parallel() {
     let baseline = baseline_records();
     let plan = FaultPlan::parse("seed=3,fail_after=2048").unwrap();
+    let len = scenario().0.len() as u32;
 
-    // Sequential: the first post-threshold read escalates after retries.
+    // Sequential: the first post-threshold read escalates after retries
+    // and takes the run's one chunk with it.
     let seq = driver(ParallelMode::Sequential, PrefetchMode::Off);
-    let err = run_with_watchdog(
+    let out = run_with_watchdog(
         &seq,
         open(SourceTier::Stream).with_faults(plan),
         Duration::from_secs(60),
     )
-    .expect_err("a permanently dead device cannot produce a complete run");
+    .expect("a started run reports failures, it does not return them");
+    assert_eq!(out.partial.len(), 1, "{:?}", out.partial);
+    assert_eq!(out.partial[0].region, 0..len);
     assert!(
-        !matches!(err, BalError::Interrupted(_)),
-        "a dead device is a real error, not an interruption: {err}"
+        matches!(out.partial[0].failure, RegionFailure::Error(_)),
+        "a dead device is a real error, not an interruption: {:?}",
+        out.partial[0]
     );
+    assert!(out.records.is_empty() && out.interrupt.is_none());
 
-    // OpenMP: contained per chunk; whatever completed before the device
-    // died is reported and identical to the baseline.
+    // OpenMP: whatever completed before the device died is reported and
+    // identical to the baseline.
     let par = driver(openmp(3), PrefetchMode::Off);
     let out = run_with_watchdog(
         &par,
         open(SourceTier::Stream).with_faults(plan),
         Duration::from_secs(60),
     )
-    .expect("supervised parallel runs contain fatal faults");
+    .expect("a started run reports failures, it does not return them");
     assert!(!out.partial.is_empty(), "the dead device must fail regions");
     assert!(out
         .partial
         .iter()
         .all(|e| matches!(e.failure, RegionFailure::Error(_))));
     assert_partial_identity(baseline, &out);
+}
+
+/// A panic under a sequential run's reader is contained like any other
+/// chunk's: itemized, not unwound through the caller.
+#[test]
+fn a_sequential_panic_is_contained_as_a_failed_region() {
+    let bal = open(SourceTier::Mmap);
+    let mid = bal.index()[bal.n_blocks() / 2].offset;
+    let plan = FaultPlan::parse(&format!("seed=13,panic_at={mid}")).unwrap();
+    let seq = driver(ParallelMode::Sequential, PrefetchMode::Off);
+    let out = run_with_watchdog(&seq, bal.with_faults(plan), Duration::from_secs(60)).unwrap();
+    assert_eq!(out.partial.len(), 1, "{:?}", out.partial);
+    assert_eq!(out.partial[0].region, 0..scenario().0.len() as u32);
+    assert!(matches!(out.partial[0].failure, RegionFailure::Panic(_)));
+    assert!(out.records.is_empty());
 }
 
 #[test]
@@ -256,7 +282,7 @@ fn cancellation_from_another_thread_returns_promptly_with_completed_regions() {
     let mut d = driver(openmp(2), PrefetchMode::Off);
     let budget = RunBudget::unbounded();
     let token = budget.cancel.clone();
-    d.budget = Some(budget);
+    d.budget = budget;
 
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(50));
@@ -268,7 +294,7 @@ fn cancellation_from_another_thread_returns_promptly_with_completed_regions() {
         open(SourceTier::Stream).with_faults(plan),
         Duration::from_secs(60),
     )
-    .expect("a cancelled OpenMP run reports partially, it does not error");
+    .expect("a cancelled run reports partially, it does not error");
     let returned = Instant::now();
     let cancelled_at = canceller.join().unwrap();
 
@@ -297,7 +323,7 @@ fn an_expired_deadline_interrupts_the_run() {
     let baseline = baseline_records();
     let plan = FaultPlan::parse("seed=9,latency_us=20000").unwrap();
     let mut d = driver(openmp(2), PrefetchMode::Off);
-    d.budget = Some(RunBudget::with_deadline(Duration::from_millis(50)));
+    d.budget = RunBudget::with_deadline(Duration::from_millis(50));
     let t0 = Instant::now();
     let out = run_with_watchdog(
         &d,
@@ -361,10 +387,9 @@ proptest! {
 
     /// The robustness sweep: random fault plans across every tier,
     /// execution mode and prefetch setting either (a) complete bitwise
-    /// identical to the fault-free baseline, (b) fail with a clean typed
-    /// error (sequential), or (c) return a partial report whose completed
-    /// regions are bitwise identical — and never panic, hang or leak a
-    /// thread.
+    /// identical to the fault-free baseline or (b) return a partial report
+    /// whose completed regions are bitwise identical — and never fail a
+    /// started run with `Err`, panic, hang or leak a thread.
     #[test]
     fn random_fault_plans_never_panic_hang_leak_or_corrupt(
         plan in plan_strategy(),
@@ -378,29 +403,20 @@ proptest! {
         let mode = if parallel { openmp(3) } else { ParallelMode::Sequential };
         let prefetch = if prefetch_on { PrefetchMode::On } else { PrefetchMode::Off };
         let d = driver(mode, prefetch);
-        let result = run_with_watchdog(
+        // A panic would have crossed the watchdog thread and failed the
+        // test; a hang trips the watchdog itself.
+        let out = run_with_watchdog(
             &d,
             open(tier).with_faults(plan),
             Duration::from_secs(60),
         );
-        match result {
-            Ok(out) => {
-                // Complete or partial — either way the surviving regions
-                // are exactly the baseline's.
-                prop_assert!(parallel || out.partial.is_empty(),
-                    "sequential runs never report partially");
-                assert_partial_identity(baseline, &out);
-                if out.partial.is_empty() {
-                    prop_assert_eq!(&out.records, baseline);
-                }
-            }
-            // A typed error is a legitimate outcome of a fatal plan; a
-            // panic would have crossed the watchdog thread and failed the
-            // test, a hang trips the watchdog itself.
-            Err(e) => prop_assert!(
-                !matches!(e, BalError::Interrupted(_)),
-                "nothing cancels this run, so Interrupted is wrong: {}", e
-            ),
+        prop_assert!(out.is_ok(), "a started run must not fail with Err: {:?}", out.err());
+        let out = out.unwrap();
+        // Complete or partial — either way the surviving regions are
+        // exactly the baseline's.
+        assert_partial_identity(baseline, &out);
+        if out.partial.is_empty() {
+            prop_assert_eq!(&out.records, baseline);
         }
         assert_no_leaked_threads(threads_before);
     }

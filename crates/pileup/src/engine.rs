@@ -17,13 +17,13 @@
 //!   ([`PileupColumn::push_slot_capped`]), the `min_baseq` filter is one
 //!   bin-index comparison, and a batch freelist mirrors the column
 //!   freelist so steady state performs zero allocations.
-//! * **Shared** ([`pileup_region_cached`]) — batches come from a
+//! * **Shared** ([`pileup_region_windowed`]) — batches come from a
 //!   run-scoped [`SharedBlockCache`], so parallel workers whose chunks
 //!   straddle a block boundary decode that block exactly once per run.
-//!   [`pileup_region_windowed`] is the planned variant: the iterator
-//!   walks a precomputed region-scoped [`BlockWindow`] from the run's
-//!   [`ultravc_bamlite::IoPlan`] instead of re-deriving the overlap —
-//!   the same windows the driver's prefetch layer schedules I/O around.
+//!   The iterator walks a precomputed region-scoped [`BlockWindow`] from
+//!   the run's [`ultravc_bamlite::IoPlan`] instead of re-deriving the
+//!   overlap — the same windows the driver's prefetch layer schedules
+//!   I/O around.
 //!
 //! # Hostile input
 //!
@@ -72,41 +72,27 @@ impl Default for PileupParams {
 ///
 /// Every worker thread calls this with its own region; the readers share the
 /// file bytes but decode independently. (For decode-once sharing across
-/// workers, see [`pileup_region_cached`].)
+/// workers, see [`pileup_region_windowed`].)
 pub fn pileup_region(file: &BalFile, start: u32, end: u32, params: PileupParams) -> PileupIter {
     let source = Source::Batch {
         cur: None,
         cursor: 0,
         spare: Vec::new(),
     };
-    PileupIter::new(file, start, end, params, source)
+    let blocks = file.blocks_overlapping(start, end);
+    PileupIter::with_blocks(file, blocks.into(), start, end, params, source)
 }
 
-/// Stream pileup columns for `[start, end)` of the cache's file, pulling
-/// decoded blocks from the shared cache: each block of the run is decoded
-/// by exactly one of the iterators sharing the cache, no matter how many
-/// of their regions overlap it.
-pub fn pileup_region_cached(
-    cache: &Arc<SharedBlockCache>,
-    start: u32,
-    end: u32,
-    params: PileupParams,
-) -> PileupIter {
-    let source = Source::Shared {
-        cache: Arc::clone(cache),
-        cur: None,
-        cursor: 0,
-    };
-    PileupIter::new(cache.file(), start, end, params, source)
-}
-
-/// [`pileup_region_cached`] over a **precomputed block window** from a
-/// run-level [`ultravc_bamlite::IoPlan`]: the iterator touches exactly
-/// the window's blocks (its region's own blocks plus shared boundary
-/// blocks) instead of re-deriving the overlap from the index — the
-/// region-scoped payload window the prefetch planner schedules I/O
-/// around. The window must have been planned for this cache's file;
-/// a window from another file's plan names unrelated blocks.
+/// Stream pileup columns for one **precomputed block window** of a
+/// run-level [`ultravc_bamlite::IoPlan`], pulling decoded blocks from the
+/// run's shared cache: each block is decoded by exactly one of the
+/// iterators sharing the cache, no matter how many of their regions
+/// overlap it. The iterator touches exactly the window's blocks (its
+/// region's own blocks plus shared boundary blocks) instead of
+/// re-deriving the overlap from the index — the region-scoped payload
+/// window the prefetch planner schedules I/O around. The window must have
+/// been planned for this cache's file; a window from another file's plan
+/// names unrelated blocks.
 pub fn pileup_region_windowed(
     cache: &Arc<SharedBlockCache>,
     window: &BlockWindow,
@@ -198,13 +184,8 @@ pub struct PileupIter {
 }
 
 impl PileupIter {
-    fn new(file: &BalFile, start: u32, end: u32, params: PileupParams, source: Source) -> Self {
-        let blocks = file.blocks_overlapping(start, end);
-        PileupIter::with_blocks(file, blocks.into(), start, end, params, source)
-    }
-
-    /// Constructor taking the region's block list as given (the windowed
-    /// path, where a run-level plan already computed every overlap).
+    /// Constructor taking the region's block list as given (on the
+    /// windowed path a run-level plan already computed every overlap).
     fn with_blocks(
         file: &BalFile,
         blocks: Arc<[usize]>,
@@ -756,16 +737,31 @@ mod tests {
         records
     }
 
+    /// One windowed iterator per region, all pulling from `cache`.
+    fn windowed(
+        cache: &Arc<SharedBlockCache>,
+        regions: &[std::ops::Range<u32>],
+        params: PileupParams,
+    ) -> Vec<PileupIter> {
+        ultravc_bamlite::IoPlan::for_regions(cache.file(), regions)
+            .windows()
+            .iter()
+            .map(|w| pileup_region_windowed(cache, w, params))
+            .collect()
+    }
+
     #[test]
     fn cached_pileup_matches_uncached() {
         let f = file(varied_records());
         let cache = Arc::new(SharedBlockCache::new(f.clone()));
         let params = PileupParams::default();
         let plain: Vec<_> = pileup_region(&f, 0, 200, params).collect();
-        let cached: Vec<_> = pileup_region_cached(&cache, 0, 200, params).collect();
+        let cached: Vec<_> = windowed(&cache, std::slice::from_ref(&(0..200)), params)
+            .remove(0)
+            .collect();
         assert_eq!(plain, cached);
         // A second overlapping pass hits the cache instead of re-decoding.
-        let mut second = pileup_region_cached(&cache, 0, 200, params);
+        let mut second = windowed(&cache, std::slice::from_ref(&(0..200)), params).remove(0);
         let again: Vec<_> = second.by_ref().collect();
         assert_eq!(again, plain);
         assert_eq!(second.decode_stats().blocks, 0, "all blocks were hits");
@@ -778,10 +774,7 @@ mod tests {
         let cache = Arc::new(SharedBlockCache::new(f.clone()));
         let params = PileupParams::default();
         let whole: Vec<_> = pileup_region(&f, 0, 200, params).collect();
-        let mut iters: Vec<_> = [(0u32, 30u32), (30, 60), (60, 200)]
-            .iter()
-            .map(|&(s, e)| pileup_region_cached(&cache, s, e, params))
-            .collect();
+        let mut iters = windowed(&cache, &[0..30, 30..60, 60..200], params);
         let mut split = Vec::new();
         for it in &mut iters {
             split.extend(it.by_ref());
@@ -801,6 +794,8 @@ mod tests {
 
     #[test]
     fn windowed_pileup_matches_cached_and_plain() {
+        // The driver's pairing: a cache scoped to the plan, which releases
+        // each arena after its last planned consumer.
         use ultravc_bamlite::IoPlan;
         let f = file(varied_records());
         let params = PileupParams::default();
@@ -824,6 +819,7 @@ mod tests {
             f.n_blocks() as u64,
             "windowed iterators keep decode-once"
         );
+        assert_eq!(cache.resident_blocks(), 0, "every arena was released");
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * **Region queries.** Each parallel worker pileups its own partition via
 //!   an independent [`ultravc_bamlite::BalReader`], matching the paper's
 //!   one-reader-per-thread OpenMP design; [`partition`] provides the
-//!   contiguous split (script mode) and chunked split (dynamic scheduling).
+//!   contiguous split (the original partition script's) and chunked
+//!   split (dynamic scheduling).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +27,5 @@ pub mod engine;
 pub mod partition;
 
 pub use column::{PileupColumn, PileupEntry, QualityBins};
-pub use engine::{
-    pileup_region, pileup_region_cached, pileup_region_windowed, PileupIter, PileupParams,
-};
+pub use engine::{pileup_region, pileup_region_windowed, PileupIter, PileupParams};
 pub use partition::{chunk_ranges, split_ranges};

@@ -5,10 +5,10 @@
 //! legs run under each `ULTRAVC_BAL_SOURCE` pin.
 
 use std::sync::Arc;
-use ultravc_bamlite::{BalFile, Cigar, Flags, Record, SharedBlockCache, SourceTier};
+use ultravc_bamlite::{BalFile, Cigar, Flags, IoPlan, Record, SharedBlockCache, SourceTier};
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
-use ultravc_pileup::{pileup_region, pileup_region_cached, PileupParams};
+use ultravc_pileup::{pileup_region, pileup_region_windowed, PileupParams};
 
 fn mk(id: u64, pos: u32, bases: &[u8], q: u8, flags: Flags) -> Record {
     let seq = Seq::from_ascii(bases).unwrap();
@@ -84,8 +84,9 @@ fn disk_tiers_pile_identically() {
             let got: Vec<_> = pileup_region(&disk, 0, 600, params).collect();
             assert_eq!(got, baseline, "{tier:?}");
             // Shared-cache (decode-once) mode over the disk-backed file.
-            let cache = Arc::new(SharedBlockCache::new(disk.clone()));
-            let cached: Vec<_> = pileup_region_cached(&cache, 0, 600, params).collect();
+            let plan = IoPlan::for_regions(&disk, std::slice::from_ref(&(0..600)));
+            let cache = Arc::new(SharedBlockCache::for_plan(disk.clone(), &plan));
+            let cached: Vec<_> = pileup_region_windowed(&cache, plan.window(0), params).collect();
             assert_eq!(cached, baseline, "{tier:?} shared cache");
         }
     }
@@ -101,10 +102,12 @@ fn disk_backed_shared_cache_still_decodes_once_across_regions() {
     let whole: Vec<_> = pileup_region(&file, 0, 600, params).collect();
     for tier in TIERS {
         let disk = BalFile::open_with(&path, tier).unwrap();
-        let cache = Arc::new(SharedBlockCache::new(disk.clone()));
-        let mut iters: Vec<_> = [(0u32, 40u32), (40, 90), (90, 600)]
+        let plan = IoPlan::for_regions(&disk, &[0..40, 40..90, 90..600]);
+        let cache = Arc::new(SharedBlockCache::for_plan(disk.clone(), &plan));
+        let mut iters: Vec<_> = plan
+            .windows()
             .iter()
-            .map(|&(s, e)| pileup_region_cached(&cache, s, e, params))
+            .map(|w| pileup_region_windowed(&cache, w, params))
             .collect();
         let mut split = Vec::new();
         for it in &mut iters {

@@ -14,8 +14,7 @@ use ultravc_genome::alphabet::Base;
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
 use ultravc_pileup::{
-    pileup_region, pileup_region_cached, pileup_region_windowed, PileupColumn, PileupEntry,
-    PileupParams,
+    pileup_region, pileup_region_windowed, PileupColumn, PileupEntry, PileupParams,
 };
 
 /// One raw read: start, per-base `(base, quality)`, reverse strand, CIGAR
@@ -189,10 +188,11 @@ fn blocks_out_of_position_order_error_instead_of_panicking() {
     // the index is now sorted, the records behind it are not.
     bytes[entries + 5 + 2] = bytes[entries + 2];
     let forged = BalFile::from_bytes(bytes.into()).unwrap();
-    let cache = Arc::new(SharedBlockCache::new(forged.clone()));
+    let plan = IoPlan::for_regions(&forged, std::slice::from_ref(&(0..100)));
+    let cache = Arc::new(SharedBlockCache::for_plan(forged.clone(), &plan));
     for mut columns in [
         pileup_region(&forged, 0, 100, PileupParams::default()),
-        pileup_region_cached(&cache, 0, 100, PileupParams::default()),
+        pileup_region_windowed(&cache, plan.window(0), PileupParams::default()),
     ] {
         let positions: Vec<u32> = columns.by_ref().map(|c| c.pos).collect();
         assert_eq!(positions, vec![20, 21, 22, 23], "columns before the break");
@@ -217,9 +217,10 @@ proptest! {
     ) {
         // Whole histograms, not just depths: same entries, same strand
         // split, same depth-cap truncation decisions, same `truncated`
-        // flag — through a private reader, through the shared decode-once
-        // cache, and through the planned block windows the parallel
-        // driver uses (split in two, so boundary blocks are shared).
+        // flag — through a private reader, and through the shared
+        // decode-once cache over the planned block windows the driver
+        // uses: one window (a sequential run) and two (so boundary blocks
+        // are shared).
         let records = build(raw);
         let file = small_block_file(&records, block_capacity);
         let mut params = PileupParams {
@@ -234,18 +235,18 @@ proptest! {
         let want = oracle_columns(&records, 0, 400, params);
         let plain: Vec<_> = pileup_region(&file, 0, 400, params).collect();
         prop_assert_eq!(&plain, &want, "pileup_region");
-        let cache = Arc::new(SharedBlockCache::new(file.clone()));
-        let cached: Vec<_> = pileup_region_cached(&cache, 0, 400, params).collect();
-        prop_assert_eq!(&cached, &want, "pileup_region_cached");
-        let plan = IoPlan::for_regions(&file, &[0..split_at, split_at..400]);
-        let cache = Arc::new(SharedBlockCache::for_plan(file.clone(), &plan));
-        let mut windowed = Vec::new();
-        for w in plan.windows() {
-            let mut iter = pileup_region_windowed(&cache, w, params);
-            windowed.extend(iter.by_ref());
-            prop_assert!(iter.take_error().is_none());
+        let whole = 0..400;
+        for regions in [std::slice::from_ref(&whole), &[0..split_at, split_at..400]] {
+            let plan = IoPlan::for_regions(&file, regions);
+            let cache = Arc::new(SharedBlockCache::for_plan(file.clone(), &plan));
+            let mut windowed = Vec::new();
+            for w in plan.windows() {
+                let mut iter = pileup_region_windowed(&cache, w, params);
+                windowed.extend(iter.by_ref());
+                prop_assert!(iter.take_error().is_none());
+            }
+            prop_assert_eq!(&windowed, &want, "pileup_region_windowed over {:?}", regions);
         }
-        prop_assert_eq!(&windowed, &want, "pileup_region_windowed");
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::time::Duration;
 use ultravc_bamlite::{BalError, BalFile, FaultPlan, FileFingerprint, Interrupt, SourceTier};
-use ultravc_core::driver::PrefetchMode;
+use ultravc_core::driver::{PrefetchMode, CHUNK_COLUMNS};
 use ultravc_core::supervisor::{RegionError, RegionFailure};
 use ultravc_core::{CallDriver, CallOutcome, CallSession, CallStats, CallerConfig, ParallelMode};
 use ultravc_core::{CancelToken, RunBudget};
@@ -144,9 +144,9 @@ impl ServeConfig {
         }
     }
 
-    /// The driver prototype every session runs: OpenMP mode (so
-    /// failures and deadlines are contained per region), matching the
-    /// CLI's calling pipeline exactly for result identity.
+    /// The driver prototype every session runs: chunked, so a failure or
+    /// deadline costs its chunk rather than the whole request, and
+    /// matching the CLI's calling pipeline exactly for result identity.
     fn driver(&self) -> CallDriver {
         CallDriver {
             config: CallerConfig::improved(),
@@ -154,11 +154,11 @@ impl ServeConfig {
             mode: ParallelMode::OpenMp {
                 n_threads: self.threads_per_call.max(1),
                 schedule: Schedule::Dynamic { chunk: 1 },
-                chunk_columns: 256,
+                chunk_columns: CHUNK_COLUMNS,
             },
             trace: false,
             prefetch: self.prefetch,
-            budget: Some(RunBudget::unbounded()),
+            budget: RunBudget::unbounded(),
         }
     }
 }
@@ -460,10 +460,7 @@ impl Server {
 
 fn worker_loop(shared: &Shared) {
     while let Some((job, cost)) = shared.queue.pop() {
-        let result = job
-            .state
-            .session
-            .call_with_budget(job.region, Some(job.budget));
+        let result = job.state.session.call_with_budget(job.region, job.budget);
         // A vanished handler (client gone) just drops the result.
         let _ = job.reply.send(result);
         shared.queue.finish(cost);

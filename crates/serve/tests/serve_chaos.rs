@@ -91,7 +91,7 @@ fn fresh_cli_vcf(bal: &Path, fa: &Path, span: Option<Range<u32>>) -> String {
         mode: ParallelMode::Sequential,
         trace: false,
         prefetch: PrefetchMode::Auto,
-        budget: Some(RunBudget::unbounded()),
+        budget: RunBudget::unbounded(),
     };
     let outcome = driver.run_region(&reference, &bal, span).unwrap();
     write_vcf(&reference.name, "ultravc-0.1", &outcome.records)

@@ -66,7 +66,7 @@ fn cli_driver() -> CallDriver {
         mode: ParallelMode::Sequential,
         trace: false,
         prefetch: PrefetchMode::Auto,
-        budget: Some(RunBudget::unbounded()),
+        budget: RunBudget::unbounded(),
     }
 }
 

@@ -1,11 +1,13 @@
-//! Parallel calling: the three execution modes and why the paper replaced
-//! the script.
+//! Parallel calling: one run path, two loop shapes.
 //!
-//! Runs one dataset through (a) the sequential caller, (b) the
-//! OpenMP-style shared-memory driver at several thread counts, and (c) the
-//! legacy script emulation — demonstrating that (b) is deterministic and
-//! identical to (a) while (c)'s double filtering makes its output depend
-//! on the job count. Finishes with a per-thread trace timeline.
+//! Runs one dataset through (a) the sequential caller and (b) the
+//! OpenMP-style shared-memory driver at several thread counts —
+//! demonstrating that (b) is deterministic and identical to (a), because
+//! both are the same parallel-for filtering once. Finishes with a
+//! per-thread trace timeline. (What the paper replaced — the partition
+//! script whose double filtering made the output depend on the job count —
+//! is demonstrated by `cargo run --release -p ultravc-bench --bin
+//! double_filter`.)
 //!
 //! ```sh
 //! cargo run --release --example parallel_calling
@@ -19,8 +21,8 @@ fn main() {
         .with_variants(25, 0.004, 0.05)
         .simulate(&reference);
 
-    // Borderline records are what the script bug corrupts; call at the raw
-    // significance level so the set spans the quality range.
+    // Call at the raw significance level so the set spans the quality
+    // range and the single filter pass has borderline records to drop.
     let config = CallerConfig {
         bonferroni: Bonferroni::None,
         ..CallerConfig::default()
@@ -32,7 +34,7 @@ fn main() {
         mode,
         trace: false,
         prefetch: PrefetchMode::Auto,
-        budget: Some(RunBudget::unbounded()),
+        budget: RunBudget::unbounded(),
     };
 
     let seq = make(ParallelMode::Sequential)
@@ -48,7 +50,7 @@ fn main() {
         let out = make(ParallelMode::OpenMp {
             n_threads,
             schedule: Schedule::Dynamic { chunk: 1 },
-            chunk_columns: 128,
+            chunk_columns: CHUNK_COLUMNS,
         })
         .run(&reference, &dataset.alignments)
         .expect("well-formed data");
@@ -63,24 +65,11 @@ fn main() {
         );
     }
 
-    println!();
-    for n_jobs in [2usize, 8] {
-        let out = make(ParallelMode::ScriptEmulation { n_jobs })
-            .run(&reference, &dataset.alignments)
-            .expect("well-formed data");
-        let marker = if out.records == seq.records {
-            "matches (lucky partitioning)"
-        } else {
-            "DIFFERS — the double-filtering bug"
-        };
-        println!("script ×{n_jobs}:  {} calls — {marker}", out.records.len());
-    }
-
     // A traced run for the Figure 2 view.
     let mut traced = make(ParallelMode::OpenMp {
         n_threads: 4,
         schedule: Schedule::Dynamic { chunk: 1 },
-        chunk_columns: 128,
+        chunk_columns: CHUNK_COLUMNS,
     });
     traced.trace = true;
     let out = traced

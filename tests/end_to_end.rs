@@ -76,7 +76,7 @@ fn parallel_modes_are_deterministic_and_equal() {
                 },
                 trace: false,
                 prefetch: PrefetchMode::Auto,
-                budget: Some(RunBudget::unbounded()),
+                budget: RunBudget::unbounded(),
             };
             let out = driver.run(&reference, &dataset.alignments).unwrap();
             assert_eq!(

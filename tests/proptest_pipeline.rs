@@ -63,7 +63,7 @@ proptest! {
             },
             trace: false,
             prefetch: PrefetchMode::Auto,
-            budget: Some(RunBudget::unbounded()),
+            budget: RunBudget::unbounded(),
         };
         let par = driver.run(&reference, &dataset.alignments).unwrap();
         prop_assert_eq!(seq.records, par.records);
