@@ -8,8 +8,9 @@
 //!
 //! `fig1 workflow` runs the Figure 1b decision workflow over a simulated
 //! ultra-deep dataset and reports how columns flowed through it: skipped
-//! by the `O(d)` screen, dismissed by the early-exit DP, fully computed,
-//! called. Run with no argument to get both.
+//! by the `O(d)` screen, dismissed by the early-exit DP, fully computed
+//! (or certified by the upper bound without the DP), called. Run with no
+//! argument to get both.
 
 use ultravc_bench::{env_f64, env_usize, rule};
 use ultravc_core::caller::call_variants;
@@ -107,6 +108,12 @@ fn workflow_shares() {
         "→ of which called",
         s.calls,
         pct(s.calls)
+    );
+    println!(
+        "{:>28} {:>10} {:>7.1}%",
+        "→ certified by upper bound",
+        s.certified_calls,
+        pct(s.certified_calls)
     );
     println!(
         "\nmismatch columns: {} of {} covered columns",

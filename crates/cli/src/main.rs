@@ -394,12 +394,14 @@ fn cmd_call(args: &[String]) -> Result<(), String> {
         Some(path) => {
             fs::write(path, vcf).map_err(|e| e.to_string())?;
             println!(
-                "{} records → {path} ({} columns, {:.1}% screened, mean depth {:.0}, \
-                 {:.1} quality bins/tested column, {} blocks decoded in {:?}, \
+                "{} records → {path} ({} columns, {:.1}% screened, {} of {} calls certified, \
+                 mean depth {:.0}, {:.1} quality bins/tested column, {} blocks decoded in {:?}, \
                  source {}, prefetch {}, kernel {}, {:?})",
                 outcome.records.len(),
                 outcome.stats.columns,
                 outcome.stats.skip_fraction() * 100.0,
+                outcome.stats.certified_calls,
+                outcome.stats.calls,
                 outcome.stats.mean_depth(),
                 outcome.stats.mean_distinct_quals(),
                 outcome.decode.blocks,

@@ -26,6 +26,10 @@ pub struct CallStats {
     pub exact_completed: u64,
     /// Variant calls made.
     pub calls: u64,
+    /// Calls (a sub-count of `calls` and of `exact_completed`) settled by
+    /// the certified upper bound: the p-value was proved to be below the
+    /// point where QUAL saturates, so the exact kernel did not run.
+    pub certified_calls: u64,
     /// Columns whose pileup hit the depth cap.
     pub truncated_columns: u64,
     /// Σ depth over examined columns.
@@ -45,6 +49,7 @@ impl CallStats {
         self.bailed_early += other.bailed_early;
         self.exact_completed += other.exact_completed;
         self.calls += other.calls;
+        self.certified_calls += other.certified_calls;
         self.truncated_columns += other.truncated_columns;
         self.sum_depth += other.sum_depth;
         self.sum_distinct_quals += other.sum_distinct_quals;
@@ -197,6 +202,7 @@ pub(crate) fn examine_column(
             stats.mismatch_columns += 1;
             stats.exact_completed += 1;
             stats.calls += 1;
+            stats.certified_calls += scratch.certified as u64;
             Some(build_record(reference, column, ref_base, pvalue))
         }
     }
@@ -325,6 +331,39 @@ mod tests {
         // And the improved one actually used the fast path.
         assert!(imp.stats.skipped_by_approx > 0, "{:?}", imp.stats);
         assert_eq!(orig.stats.skipped_by_approx, 0);
+    }
+
+    #[test]
+    fn depth_cap_column_is_called_by_the_certificate() {
+        // LoFreq's 1,000,000× depth cap with a 5 % variant: K = 50,000.
+        // The exact kernel needs seconds here (∝ K²), so `original()` is
+        // deliberately not run; `improved()` answers from λ alone.
+        use crate::pvalue::tests::mixed_quality_column;
+        use ultravc_genome::alphabet::Base;
+        use ultravc_genome::phred::QUAL_CAP;
+        use ultravc_genome::sequence::Seq;
+        let reference = ReferenceGenome::from_seq("cap", Seq::from_bases([Base::A]));
+        let column = mixed_quality_column(1_000_000, 50_000);
+        let tester = ColumnTest::new(&CallerConfig::improved(), 30_000);
+        let mut stats = CallStats::default();
+        let record = examine_column(
+            &reference,
+            &column,
+            &tester,
+            &mut Scratch::new(),
+            &mut stats,
+        )
+        .expect("a 5 % variant at 1,000,000× is a call");
+        assert_eq!(record.qual, QUAL_CAP);
+        assert_eq!((record.alt_base, record.info.dp), (Base::G, 1_000_000));
+        assert_eq!(
+            (stats.calls, stats.certified_calls, stats.exact_completed),
+            (1, 1, 1),
+            "a certified call is still a call and still closes the decision partition"
+        );
+        let mut merged = stats;
+        merged.merge(&stats);
+        assert_eq!(merged.certified_calls, 2);
     }
 
     #[test]

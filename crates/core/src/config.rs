@@ -70,6 +70,8 @@ pub struct CallerConfig {
     /// Multiple-testing correction.
     pub bonferroni: Bonferroni,
     /// The approximation shortcut; `None` reproduces *original* LoFreq.
+    /// `Some` also arms the certified upper bound on the accept side (it
+    /// has no tuning of its own: see `ColumnTest::test`).
     pub shortcut: Option<ShortcutParams>,
     /// Exact-kernel choice.
     pub engine: PvalueEngine,

@@ -15,15 +15,22 @@
 //! if shortcut enabled ∧ depth ≥ 100:
 //!     p̂ ← Pr[Pois(Σ pᵢ) ≥ K]           (O(d) screen)
 //!     if p̂ ≥ ε + δ                     → no variant, next column  ← the speedup
+//! if shortcut enabled:
+//!     U ← exp(K − λ − K·ln(K/λ))       (certified: Pr[PoisBin ≥ K] ≤ U)
+//!     if U ≤ 1e-310 ∧ U·B < ε          → call variant, QUAL = 3000 (its cap)
 //! p ← Pr[PoisBin{pᵢ} ≥ K]              (exact DP, with early exit)
 //! if p·B < ε                           → call variant (QUAL = −10·log₁₀ p)
 //! ```
 //!
 //! with `ε = 0.05`, `δ = 0.01`, Bonferroni factor `B`, per the paper's
-//! defaults. The shortcut can only *suppress* calls relative to exact
+//! defaults. The Poisson screen can only *suppress* calls relative to exact
 //! LoFreq (never add), and on all evaluation datasets it suppresses none —
 //! the invariant tested throughout this crate and asserted by the Table I
-//! harness.
+//! harness. The second branch is this repo's accept-side twin of it: the
+//! p-value is proved to be ten decades below the point where QUAL
+//! saturates, so the record is the one the exact DP would have produced
+//! (see [`pvalue::ColumnTest`]); it removes the `O(#bins·K²)` tail from the
+//! ultra-deep true variants, where `K` is in the thousands.
 //!
 //! Both stages consume the pileup layer's **quality-binned** column
 //! representation: the screen's `λ = Σ pᵢ` is a sum over the quality

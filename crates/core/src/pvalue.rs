@@ -3,8 +3,9 @@
 use crate::config::{CallerConfig, PvalueEngine};
 use serde::{Deserialize, Serialize};
 use ultravc_genome::alphabet::Base;
+use ultravc_genome::phred::QUAL_SATURATION_P;
 use ultravc_pileup::{PileupColumn, QualityBins};
-use ultravc_stats::approx::poisson_tail_from_lambda;
+use ultravc_stats::approx::{certifies_tail_below, ln_tail_upper_bound, poisson_tail_from_lambda};
 use ultravc_stats::poisson_binomial::{
     BinnedTailScratch, PoissonBinomial, TailBudget, TailOutcome,
 };
@@ -22,6 +23,9 @@ pub struct Scratch {
     /// for the bins-per-column statistic without re-scanning the
     /// histogram).
     pub(crate) bins: QualityBins,
+    /// Whether the last tested column was called by the certified upper
+    /// bound instead of the exact kernel (see [`ColumnDecision::Called`]).
+    pub(crate) certified: bool,
     dp: BinnedTailScratch,
 }
 
@@ -49,9 +53,14 @@ pub enum ColumnDecision {
         /// Certified lower bound on the p-value at the bail point.
         lower_bound: f64,
     },
-    /// Exact p-value computed; significant → variant call.
+    /// Significant → variant call. Either the exact kernel ran to
+    /// completion, or the certified upper bound proved the p-value is below
+    /// the point where the reported QUAL saturates and the kernel was not
+    /// run (`CallStats::certified_calls` counts the latter).
     Called {
-        /// The exact p-value.
+        /// The exact p-value — or, for a certified call, the upper bound
+        /// `U ≥ p` (≤ `1e-310`, possibly underflowed to `0`). Both
+        /// Phred-scale to the same QUAL.
         pvalue: f64,
     },
     /// Exact p-value computed; not significant.
@@ -67,7 +76,8 @@ impl ColumnDecision {
         matches!(self, ColumnDecision::Called { .. })
     }
 
-    /// Whether the expensive exact kernel ran (to completion or bail).
+    /// Whether the column got past the reject-side screen: the exact
+    /// kernel ran (to completion or bail), or the call was certified.
     pub fn ran_exact(&self) -> bool {
         !matches!(
             self,
@@ -104,6 +114,36 @@ impl ColumnTest {
         self.threshold
     }
 
+    /// The accept-side screen: `Some(U)` when the Chernoff bound
+    /// `U ≥ Pr[X ≥ k]` ([`ln_tail_upper_bound`]) proves, with
+    /// [`ultravc_stats::approx::CERTIFICATE_MARGIN_LN`] to spare, that the
+    /// p-value is below [`QUAL_SATURATION_P`] — the call's QUAL is then
+    /// [`ultravc_genome::phred::QUAL_CAP`] whatever the exact kernel would
+    /// return, so its `O(bins·K²)` run is skipped. `U < threshold` holds
+    /// for every real Bonferroni factor; it is checked so that an absurd
+    /// fixed one still decides the call.
+    ///
+    /// Rigorous at every depth (no `min_depth` gate). Output identity with
+    /// [`CallerConfig::original`]: the true p is `≤ 1e-310`, and the DP
+    /// engines sum non-negative terms only, so an exact run of the same
+    /// column also lands below `1e-300` and prints the same QUAL. (The
+    /// `DftCf` ablation engine carries ~1e-16 of absolute FFT noise and
+    /// cannot resolve such a tail; there the certified QUAL is the
+    /// accurate one.)
+    ///
+    /// Out of line on purpose: [`Self::test`] is the hot body of every
+    /// column, and inlining this branch cost `wide_1k` 3–6 % at two threads
+    /// with zero certificates fired.
+    #[inline(never)]
+    fn certified_saturated(&self, lambda: f64, k: usize) -> Option<f64> {
+        let ln_upper = ln_tail_upper_bound(lambda, k);
+        if !certifies_tail_below(ln_upper, QUAL_SATURATION_P) {
+            return None;
+        }
+        let upper = ln_upper.exp();
+        (upper < self.threshold).then_some(upper)
+    }
+
     /// Run the Figure 1b workflow on one column.
     ///
     /// `scratch` carries the reusable bin/DP buffers; the production
@@ -128,13 +168,20 @@ impl ColumnTest {
         // exact stage consumes the same bins.
         column.fill_quality_bins(&mut scratch.bins);
 
-        // First-pass screen (the paper's contribution).
+        // First-pass screen (the paper's contribution), then its
+        // accept-side twin for the columns it let through.
+        scratch.certified = false;
         if let Some(sc) = self.shortcut {
+            let lambda = scratch.bins.lambda();
             if depth >= sc.min_depth {
-                let p_hat = poisson_tail_from_lambda(scratch.bins.lambda(), k);
+                let p_hat = poisson_tail_from_lambda(lambda, k);
                 if p_hat >= self.sig_level + sc.delta {
                     return ColumnDecision::SkippedByApprox { p_hat };
                 }
+            }
+            if let Some(pvalue) = self.certified_saturated(lambda, k) {
+                scratch.certified = true;
+                return ColumnDecision::Called { pvalue };
             }
         }
 
@@ -180,7 +227,7 @@ impl ColumnTest {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::Bonferroni;
     use ultravc_genome::phred::Phred;
@@ -206,7 +253,15 @@ mod tests {
     }
 
     fn test_with(config: &CallerConfig, col: &PileupColumn) -> ColumnDecision {
-        ColumnTest::new(config, 1_000).test(col, Base::A, &mut Scratch::new())
+        test_with_scratch(config, col, &mut Scratch::new())
+    }
+
+    fn test_with_scratch(
+        config: &CallerConfig,
+        col: &PileupColumn,
+        scratch: &mut Scratch,
+    ) -> ColumnDecision {
+        ColumnTest::new(config, 1_000).test(col, Base::A, scratch)
     }
 
     #[test]
@@ -354,6 +409,147 @@ mod tests {
         };
         assert!(test_with(&loose, &col2).is_call());
         assert!(!test_with(&strict, &col2).is_call());
+    }
+
+    /// A column of Q20–Q40 reads in equal shares (the `deep_100k` quality
+    /// spectrum), `k` of them non-reference.
+    pub(crate) fn mixed_quality_column(depth: usize, k: usize) -> PileupColumn {
+        let mut col = PileupColumn::new(0);
+        for i in 0..depth {
+            col.push(PileupEntry {
+                base: if i < k { Base::G } else { Base::A },
+                qual: Phred::new(20 + (i % 21) as u8),
+                reverse: i % 2 == 0,
+            });
+        }
+        col
+    }
+
+    #[test]
+    fn certificate_fires_only_with_ten_decades_to_spare() {
+        // 1000 reads at Q30: λ = 1, so ln U = k − 1 − k·ln k. At k = 170
+        // that is −704 (U ≈ 1.7e-306: below the saturation point, above
+        // the 1e-310 the margin asks for) — not certified, the DP runs. At
+        // k = 180 it is −756 — certified.
+        let tester = ColumnTest::new(&CallerConfig::improved(), 1_000);
+        let reference = ColumnTest::new(&CallerConfig::original(), 1_000);
+        let mut scratch = Scratch::new();
+
+        let col = column(830, 170, 30);
+        let ln_upper = ln_tail_upper_bound(1.0, 170);
+        assert!(ln_upper < QUAL_SATURATION_P.ln() && ln_upper > 1e-310f64.ln());
+        let by_dp = tester.test(&col, Base::A, &mut scratch);
+        assert!(by_dp.is_call() && !scratch.certified, "{by_dp:?}");
+        assert_eq!(
+            by_dp,
+            reference.test(&col, Base::A, &mut Scratch::new()),
+            "an uncertified call carries the exact kernel's p-value"
+        );
+
+        let col = column(820, 180, 30);
+        let by_bound = tester.test(&col, Base::A, &mut scratch);
+        assert!(by_bound.is_call() && scratch.certified, "{by_bound:?}");
+        let ColumnDecision::Called { pvalue } = by_bound else {
+            unreachable!()
+        };
+        assert!(pvalue <= 1e-310, "{pvalue:e}");
+        // The flag describes the last column only.
+        tester.test(&column(970, 30, 30), Base::A, &mut scratch);
+        assert!(!scratch.certified);
+        // The unscreened reference never certifies.
+        let mut scratch = Scratch::new();
+        assert!(reference.test(&col, Base::A, &mut scratch).is_call() && !scratch.certified);
+    }
+
+    #[test]
+    fn certified_calls_print_the_qual_the_exact_kernel_prints() {
+        // The byte-identity argument on the kernel itself: wherever the
+        // certificate fires, the exact engines' own p-value Phred-scales
+        // to the same saturated QUAL. Sweep K across the firing point on a
+        // shallow and a deep column.
+        use ultravc_genome::phred::{phred_scale_pvalue, QUAL_CAP};
+        let improved = ColumnTest::new(&CallerConfig::improved(), 30_000);
+        let mut scratch = Scratch::new();
+        let mut fired = 0;
+        for (depth, ks) in [
+            (300usize, vec![150, 170, 200, 300]),
+            (2_000, vec![230, 250, 260, 400]),
+            (20_000, vec![480, 500, 520, 600, 1_000]),
+        ] {
+            for k in ks {
+                let col = mixed_quality_column(depth, k);
+                let decision = improved.test(&col, Base::A, &mut scratch);
+                if !scratch.certified {
+                    continue;
+                }
+                fired += 1;
+                let ColumnDecision::Called { pvalue } = decision else {
+                    panic!("certified but not called: {decision:?}");
+                };
+                assert_eq!(phred_scale_pvalue(pvalue), QUAL_CAP);
+                for engine in [PvalueEngine::PrunedDp, PvalueEngine::FullDp] {
+                    if engine == PvalueEngine::FullDp && depth > 2_000 {
+                        continue; // O(d²)
+                    }
+                    let exact = ColumnTest::new(
+                        &CallerConfig {
+                            engine,
+                            ..CallerConfig::original()
+                        },
+                        30_000,
+                    )
+                    .test(&col, Base::A, &mut Scratch::new());
+                    let ColumnDecision::Called { pvalue } = exact else {
+                        panic!("depth {depth} k {k} {engine:?}: exact did not call: {exact:?}");
+                    };
+                    assert_eq!(
+                        phred_scale_pvalue(pvalue),
+                        QUAL_CAP,
+                        "depth {depth} k {k} {engine:?}: exact p = {pvalue:e}"
+                    );
+                }
+            }
+        }
+        assert!(fired >= 8, "the sweep must cross the firing point: {fired}");
+    }
+
+    #[test]
+    fn certificate_respects_an_absurd_threshold_and_needs_the_shortcut() {
+        // A significance level and Bonferroni factor that put the
+        // threshold (1e-318) below the bound itself (k = 175: U ≈ 1e-317,
+        // certifiable on its own): U < threshold fails, the DP decides.
+        let strict = CallerConfig {
+            sig_level: 1e-10,
+            bonferroni: Bonferroni::Fixed(1e308),
+            ..CallerConfig::improved()
+        };
+        let mut scratch = Scratch::new();
+        let tester = ColumnTest::new(&strict, 1);
+        let upper = ln_tail_upper_bound(1.0, 175).exp();
+        assert!(certifies_tail_below(upper.ln(), QUAL_SATURATION_P));
+        assert!(tester.threshold() > 0.0 && tester.threshold() < upper);
+        let d = tester.test(&column(825, 175, 30), Base::A, &mut scratch);
+        assert!(!scratch.certified && d.ran_exact(), "{d:?}");
+        let col = column(820, 180, 30);
+        // All three engines take the branch; it is part of the shortcut.
+        for engine in [
+            PvalueEngine::PrunedDp,
+            PvalueEngine::FullDp,
+            PvalueEngine::DftCf,
+        ] {
+            let cfg = CallerConfig {
+                engine,
+                ..CallerConfig::improved()
+            };
+            assert!(test_with_scratch(&cfg, &col, &mut scratch).is_call());
+            assert!(scratch.certified, "{engine:?}");
+            let cfg = CallerConfig {
+                shortcut: None,
+                ..cfg
+            };
+            assert!(test_with_scratch(&cfg, &col, &mut scratch).is_call());
+            assert!(!scratch.certified, "{engine:?} without the shortcut");
+        }
     }
 
     #[test]

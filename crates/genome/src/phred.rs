@@ -134,15 +134,25 @@ pub fn prob_to_phred(p: f64) -> u8 {
     q.round().clamp(0.0, MAX_PHRED as f64) as u8
 }
 
-/// Phred-scale a p-value for VCF QUAL columns: `−10·log₁₀(p)`, capped so
-/// that underflowed p-values still render as a large finite quality.
+/// The largest QUAL [`phred_scale_pvalue`] reports
+/// (< `−10·log₁₀(f64::MIN_POSITIVE)`, so underflowed p-values still render
+/// as a large finite quality).
+pub const QUAL_CAP: f64 = 3_000.0;
+
+/// The p-value at which QUAL saturates: every `p ≤ QUAL_SATURATION_P`
+/// is reported as exactly [`QUAL_CAP`], so below it the p-value's digits
+/// no longer reach the VCF. The caller's certified upper bound
+/// (`ultravc_core::pvalue`) takes its stopping point from this constant.
+pub const QUAL_SATURATION_P: f64 = 1e-300;
+
+/// Phred-scale a p-value for VCF QUAL columns: `−10·log₁₀(p)`, capped at
+/// [`QUAL_CAP`] (reached at [`QUAL_SATURATION_P`]).
 #[inline]
 pub fn phred_scale_pvalue(p: f64) -> f64 {
-    const CAP: f64 = 3_000.0; // < −10·log10(f64::MIN_POSITIVE)
-    if p <= 0.0 {
-        return CAP;
+    if p <= QUAL_SATURATION_P {
+        return QUAL_CAP;
     }
-    (-10.0 * p.log10()).clamp(0.0, CAP)
+    (-10.0 * p.log10()).clamp(0.0, QUAL_CAP)
 }
 
 #[cfg(test)]
@@ -199,9 +209,23 @@ mod tests {
     fn pvalue_scaling() {
         assert!((phred_scale_pvalue(0.01) - 20.0).abs() < 1e-12);
         assert!((phred_scale_pvalue(0.05) - 13.0103).abs() < 1e-3);
-        assert_eq!(phred_scale_pvalue(0.0), 3_000.0);
         assert_eq!(phred_scale_pvalue(1.0), 0.0);
         assert_eq!(phred_scale_pvalue(2.0), 0.0);
+    }
+
+    #[test]
+    fn cap_and_saturation_point_are_one_definition() {
+        // The two exports must describe the same point of the same curve:
+        // if either drifts, the certified upper bound in `core` would stop
+        // short of (or past) the p-value at which QUAL stops changing.
+        assert_eq!(QUAL_CAP, -10.0 * QUAL_SATURATION_P.log10());
+        assert_eq!(phred_scale_pvalue(QUAL_SATURATION_P), QUAL_CAP);
+        assert_eq!(phred_scale_pvalue(0.0), QUAL_CAP);
+        assert_eq!(phred_scale_pvalue(-1.0), QUAL_CAP);
+        assert_eq!(phred_scale_pvalue(f64::MIN_POSITIVE / 4.0), QUAL_CAP);
+        // Just above the saturation point QUAL is still informative.
+        assert!(phred_scale_pvalue(1e-299) < QUAL_CAP);
+        assert!(QUAL_CAP < -10.0 * f64::MIN_POSITIVE.log10());
     }
 
     #[test]

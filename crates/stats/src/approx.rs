@@ -33,6 +33,53 @@ pub fn poisson_tail_from_lambda(lambda: f64, k: usize) -> f64 {
         .sf(k as u64)
 }
 
+/// Certified upper bound on the Poisson-binomial right tail, in log space:
+/// returns `ln U` with `Pr[X ≥ k] ≤ U` for **every** sum `X` of independent
+/// Bernoulli trials whose mean is `lambda` — `O(1)`, no depth gate.
+///
+/// For `k > λ > 0` the bound is Chernoff's
+///
+/// `Pr[X ≥ k] ≤ exp(k − λ − k·ln(k/λ))`.
+///
+/// Proof. Markov on `e^{tX}`, `t > 0`: `Pr[X ≥ k] ≤ e^{−tk}·E[e^{tX}]`, and
+/// `E[e^{tX}] = Π(1 + pᵢ(e^t − 1)) ≤ e^{λ(e^t − 1)}` because `1 + x ≤ e^x`
+/// (any `pᵢ ∈ [0, 1]`, so `p = 1` bins are covered). Put `t = ln(k/λ)`.
+///
+/// Outside that domain (`k ≤ λ`, `k = 0`, `λ ≤ 0`, non-finite `λ`) it
+/// returns `0.0`, i.e. the trivial `U = 1`: the result is never NaN and
+/// never negative unless the inequality above proves it.
+///
+/// Rounding: the three terms are at most `~k·ln k` in magnitude, so the
+/// computed `ln U` is within `~1e-9` of the real one up to
+/// `k = 10⁶`; a `λ` that is itself off by a relative `1e-13` (a sum over
+/// ~100 bins) moves it by `k·1e-13`. Callers that act on the bound must
+/// leave more room than that — see [`CERTIFICATE_MARGIN_LN`].
+pub fn ln_tail_upper_bound(lambda: f64, k: usize) -> f64 {
+    let k = k as f64;
+    if !(lambda > 0.0 && lambda < k) {
+        return 0.0;
+    }
+    (k - lambda - k * (k / lambda).ln()).min(0.0)
+}
+
+/// Room a caller leaves between [`ln_tail_upper_bound`] and the p-value it
+/// wants to prove the tail is below: ten decades (`10·ln 10 ≈ 23.03` nats).
+///
+/// A tail is *certified below `p`* only when `ln U ≤ ln p − margin`, so the
+/// true tail is `≤ p·10⁻¹⁰`. That is ~10¹⁰× the bound's own rounding (see
+/// above) and it is what carries the caller's byte-identity argument: the
+/// exact binned DP adds non-negative terms only, so its value is the true
+/// tail times `1 + ε` with `|ε| ≪ 1` (or an underflow towards zero) and is
+/// therefore also `< p`. Both routes land on the same side of `p`.
+pub const CERTIFICATE_MARGIN_LN: f64 = 10.0 * std::f64::consts::LN_10;
+
+/// Whether `ln_upper` (from [`ln_tail_upper_bound`]) proves the tail is
+/// below `p` with [`CERTIFICATE_MARGIN_LN`] to spare.
+#[inline]
+pub fn certifies_tail_below(ln_upper: f64, p: f64) -> bool {
+    ln_upper <= p.ln() - CERTIFICATE_MARGIN_LN
+}
+
 /// Normal approximation with continuity correction:
 /// `Pr[X ≥ k] ≈ Φ̄((k − ½ − μ) / σ)`.
 pub fn normal_tail(probs: &[f64], k: usize) -> f64 {

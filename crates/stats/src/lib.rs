@@ -25,7 +25,9 @@
 //!   Hong (2013) built on the in-house [`fft`].
 //! * [`approx`] — the Poisson (Hodges–Le Cam), normal, refined-normal and
 //!   translated-Poisson tail approximations, with Le Cam's total-variation
-//!   error bound.
+//!   error bound, and the certified Chernoff *upper* bound
+//!   ([`approx::ln_tail_upper_bound`]) behind the caller's accept-side
+//!   screen.
 //! * [`fft`] — iterative radix-2 Cooley–Tukey plus Bluestein's algorithm for
 //!   arbitrary lengths (the DFT-CF method needs size `d+1` transforms).
 //! * [`rng`] — deterministic SplitMix64/Xoshiro256++ PRNG with the samplers
@@ -47,7 +49,8 @@ pub mod specfun;
 pub mod summary;
 
 pub use approx::{
-    le_cam_bound, normal_tail, poisson_tail, refined_normal_tail, translated_poisson_tail,
+    le_cam_bound, ln_tail_upper_bound, normal_tail, poisson_tail, refined_normal_tail,
+    translated_poisson_tail,
 };
 pub use poisson_binomial::{BinnedTailScratch, PoissonBinomial, TailBudget, TailOutcome};
 pub use rng::Rng;
