@@ -34,12 +34,12 @@ use crate::codec::{decompress_stream_into, get_varint};
 use crate::file::{BalFile, DecodeStats, MAX_READ_LEN, MAX_STREAM_RAW};
 use crate::record::{Flags, Record};
 use crate::BalError;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use ultravc_genome::alphabet::Base;
 use ultravc_genome::phred::{Phred, MAX_PHRED};
 use ultravc_genome::sequence::Seq;
-use ultravc_sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use ultravc_sync::{Arc, Condvar, Mutex};
+use ultravc_sync::atomic::{AtomicU32, Ordering};
+use ultravc_sync::{Arc, Mutex};
 
 /// Number of representable Phred scores; a spilled dictionary has one bin
 /// per score.
@@ -588,9 +588,6 @@ struct Slot {
     /// Requests still expected for this block (`u32::MAX` = unbounded:
     /// keep the arena for the cache's whole lifetime).
     remaining: AtomicU32,
-    /// Whether a consumer has requested this slot yet (prefetch warms
-    /// don't count) — drives the first-request watermark.
-    requested: AtomicBool,
 }
 
 #[derive(Debug)]
@@ -611,7 +608,7 @@ enum SlotState {
 /// so per-worker [`DecodeStats`] sum to the true whole-run decode work
 /// instead of multiply counting boundary blocks.
 ///
-/// **Memory.** Built with [`SharedBlockCache::for_regions`], each slot
+/// **Memory.** Built with [`SharedBlockCache::for_plan`], each slot
 /// knows how many region iterators will request it and **releases its
 /// arena after the last one** (requesters keep their own `Arc` while
 /// absorbing), so peak residency is bounded by the blocks of in-flight
@@ -623,34 +620,6 @@ pub struct SharedBlockCache {
     file: BalFile,
     slots: Vec<Slot>,
     decoded: AtomicU32,
-    /// Consumption watermarks the bounded read-ahead of
-    /// [`crate::prefetch`] paces itself against. Guarded by a mutex (not
-    /// atomics) so waiters can park on the condvar without a lost-wakeup
-    /// race between the check and the wait.
-    progress: Mutex<PacerState>,
-    progress_cv: Condvar,
-}
-
-/// Everything a pacer waits on, under one lock: the consumer watermarks
-/// plus a shutdown "kick" counter that wakes waiters without moving any
-/// watermark (see [`SharedBlockCache::kick_progress`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct PacerState {
-    progress: CacheProgress,
-    kicks: u64,
-}
-
-/// Consumer-side progress through a cache's slots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheProgress {
-    /// Slots that have received their **first** consumer request — the
-    /// workers' frontier. A prefetcher stays `ahead` schedule blocks past
-    /// this, so prefetched-but-unrequested arenas are bounded by `ahead`.
-    pub requested: u64,
-    /// Slots that have served their **last** expected request (arena
-    /// released). Always 0 for an unbounded [`SharedBlockCache::new`]
-    /// cache, whose slots never retire.
-    pub retired: u64,
 }
 
 impl SharedBlockCache {
@@ -660,26 +629,13 @@ impl SharedBlockCache {
         SharedBlockCache::with_expected(file, None)
     }
 
-    /// A cache for a run whose workers will pile up exactly the given
-    /// regions: each block's arena is released as soon as every region
-    /// overlapping it has requested it once. (A region iterator requests
-    /// each of its overlapping blocks exactly once; extra requests after
-    /// retirement fall back to an uncached decode rather than failing.)
-    pub fn for_regions(file: BalFile, regions: &[std::ops::Range<u32>]) -> SharedBlockCache {
-        let mut expected = vec![0u32; file.n_blocks()];
-        for r in regions {
-            for b in file.blocks_overlapping(r.start, r.end) {
-                expected[b] += 1;
-            }
-        }
-        SharedBlockCache::with_expected(file, Some(expected))
-    }
-
-    /// A cache for a run executing a prepared [`crate::prefetch::IoPlan`]:
-    /// equivalent to [`SharedBlockCache::for_regions`] over the plan's
-    /// regions, but reusing the block windows the plan already computed
-    /// instead of re-walking the index.
-    pub fn for_plan(file: BalFile, plan: &crate::prefetch::IoPlan) -> SharedBlockCache {
+    /// A cache for a run whose workers will pile up exactly the regions
+    /// of a prepared [`IoPlan`](crate::IoPlan): each block's arena is
+    /// released as soon as every window listing it has requested it once.
+    /// (A region iterator requests each of its window's blocks exactly
+    /// once; extra requests after retirement fall back to an uncached
+    /// decode rather than failing.)
+    pub fn for_plan(file: BalFile, plan: &crate::plan::IoPlan) -> SharedBlockCache {
         let mut expected = vec![0u32; file.n_blocks()];
         for window in plan.windows() {
             for &b in window.blocks() {
@@ -696,15 +652,12 @@ impl SharedBlockCache {
             .map(|i| Slot {
                 state: Mutex::new(SlotState::Empty),
                 remaining: AtomicU32::new(expected.as_ref().map_or(u32::MAX, |e| e[i])),
-                requested: AtomicBool::new(false),
             })
             .collect();
         SharedBlockCache {
             file,
             slots,
             decoded: AtomicU32::new(0),
-            progress: Mutex::new(PacerState::default()),
-            progress_cv: Condvar::new(),
         }
     }
 
@@ -761,151 +714,12 @@ impl SharedBlockCache {
         };
         // Count this request down; after the last expected one, release
         // the arena (we and any concurrent absorbers still hold Arcs).
-        // Then advance the consumption watermarks the read-ahead paces
-        // against: `requested` on a slot's first consumer request,
-        // `retired` on its last expected one.
-        let retiring = slot.remaining.load(Ordering::Relaxed) != u32::MAX
-            && slot.remaining.fetch_sub(1, Ordering::Relaxed) == 1;
-        if retiring {
+        if slot.remaining.load(Ordering::Relaxed) != u32::MAX
+            && slot.remaining.fetch_sub(1, Ordering::Relaxed) == 1
+        {
             *state = SlotState::Retired;
         }
-        drop(state);
-        let first_request = !slot.requested.swap(true, Ordering::Relaxed);
-        if first_request || retiring {
-            let mut pacer = self
-                .progress
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            pacer.progress.requested += u64::from(first_request);
-            pacer.progress.retired += u64::from(retiring);
-            self.progress_cv.notify_all();
-        }
         Ok((batch, performed))
-    }
-
-    /// Warm slot `i` without consuming one of its expected requests: the
-    /// read-ahead path. Decodes only when the slot is still `Empty`;
-    /// already-decoded, already-failed and already-retired slots are left
-    /// untouched, so a prefetcher racing the workers can never decode a
-    /// block twice or resurrect a released arena.
-    ///
-    /// `Ok(Some(stats))` reports a decode this call performed (the caller
-    /// owns those stats — fold them into the run total so decode
-    /// accounting stays exact); `Ok(None)` means there was nothing to do.
-    /// A decode failure is recorded in the slot (consumers will surface
-    /// it on request) *and* returned, so the prefetcher can stop early on
-    /// a corrupt file.
-    pub fn prefetch_block(&self, i: usize) -> Result<Option<DecodeStats>, BalError> {
-        let slot = self
-            .slots
-            .get(i)
-            .ok_or(BalError::Corrupt("block index out of range"))?;
-        let mut state = slot
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !matches!(*state, SlotState::Empty) {
-            return Ok(None);
-        }
-        match self.decode(i) {
-            Ok((batch, stats)) => {
-                *state = SlotState::Ready(batch);
-                Ok(Some(stats))
-            }
-            Err(e) => {
-                // Same rule as `get`: an interrupted prefetch leaves the
-                // slot Empty (demand reads can still serve it); only real
-                // decode failures are cached for consumers to surface.
-                if !matches!(e, BalError::Interrupted(_)) {
-                    *state = SlotState::Failed(e.to_string());
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// The consumption watermarks (see [`CacheProgress`]).
-    pub fn progress(&self) -> CacheProgress {
-        self.progress
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .progress
-    }
-
-    /// Whether slot `i` has received its first consumer request yet
-    /// (prefetch warms don't count). Out-of-range slots report `false`.
-    /// The read-ahead uses this to track exactly which of the arenas it
-    /// created are still waiting for a consumer.
-    pub fn block_requested(&self, i: usize) -> bool {
-        self.slots
-            .get(i)
-            .is_some_and(|s| s.requested.load(Ordering::Relaxed))
-    }
-
-    /// The retirement watermark: how many slots have served every
-    /// expected request (always 0 for an unbounded
-    /// [`SharedBlockCache::new`] cache, whose slots never retire).
-    pub fn retired_blocks(&self) -> u64 {
-        self.progress().retired
-    }
-
-    /// Block until the first-request watermark moves past `seen`
-    /// (returning the new progress) or `timeout` elapses (returning the
-    /// current progress). The timeout keeps a pacer waiting on an idle
-    /// run — or one whose workers stopped early — live-checkable instead
-    /// of parked forever.
-    pub fn wait_requested_past(&self, seen: u64, timeout: Duration) -> CacheProgress {
-        // `u64::MAX` seen kicks: only watermark movement (or the timeout)
-        // can end this wait — the historical behavior of this method.
-        self.wait_for_pacing(seen, u64::MAX, timeout)
-    }
-
-    /// Both pacing counters — the watermarks and the kick count — read
-    /// under one lock acquisition, so a pacer can snapshot them without a
-    /// window for a kick to slip between two reads.
-    pub fn pacer_view(&self) -> (CacheProgress, u64) {
-        let pacer = self
-            .progress
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (pacer.progress, pacer.kicks)
-    }
-
-    /// Block until the first-request watermark moves past
-    /// `seen_requested`, a [`SharedBlockCache::kick_progress`] arrives
-    /// past `seen_kicks`, or `timeout` elapses; returns the watermarks at
-    /// wake-up. Pass the counters from one [`SharedBlockCache::pacer_view`]
-    /// call so no wake-up between the snapshot and the wait is lost.
-    pub fn wait_for_pacing(
-        &self,
-        seen_requested: u64,
-        seen_kicks: u64,
-        timeout: Duration,
-    ) -> CacheProgress {
-        let pacer = self
-            .progress
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (pacer, _) = self
-            .progress_cv
-            .wait_timeout_while(pacer, timeout, |p| {
-                p.progress.requested <= seen_requested && p.kicks <= seen_kicks
-            })
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        pacer.progress
-    }
-
-    /// Wake every pacer waiting in [`SharedBlockCache::wait_for_pacing`]
-    /// without moving any watermark: the shutdown nudge. A stopping
-    /// driver kicks after setting its stop flag so the pacer observes the
-    /// flag immediately instead of riding out its pacing timeout.
-    pub fn kick_progress(&self) {
-        let mut pacer = self
-            .progress
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        pacer.kicks += 1;
-        self.progress_cv.notify_all();
     }
 
     fn decode(&self, i: usize) -> Result<(Arc<RecordBatch>, DecodeStats), BalError> {
@@ -1148,13 +962,10 @@ mod tests {
         let n_blocks = file.n_blocks();
         // Two regions covering everything: every block is expected twice.
         let regions = vec![0u32..150, 100..400];
-        let cache = SharedBlockCache::for_regions(file.clone(), &regions);
-        let expected: Vec<Vec<usize>> = regions
-            .iter()
-            .map(|r| file.blocks_overlapping(r.start, r.end))
-            .collect();
-        for blocks in &expected {
-            for &b in blocks {
+        let plan = crate::IoPlan::for_regions(&file, &regions);
+        let cache = SharedBlockCache::for_plan(file.clone(), &plan);
+        for window in plan.windows() {
+            for &b in window.blocks() {
                 let (batch, _) = cache.get(b).unwrap();
                 assert!(!batch.is_empty());
             }
@@ -1170,91 +981,6 @@ mod tests {
         let (batch, performed) = cache.get(0).unwrap();
         assert!(!batch.is_empty());
         assert!(performed.is_some(), "post-retirement request re-decodes");
-    }
-
-    #[test]
-    fn prefetch_warms_slots_without_consuming_expectations() {
-        let mut w = BalWriter::with_block_capacity(10);
-        for rec in sample_records(50) {
-            w.push(rec).unwrap();
-        }
-        let file = w.finish();
-        let n_blocks = file.n_blocks();
-        let regions = [0u32..400, 400..401];
-        let cache = SharedBlockCache::for_regions(file.clone(), &regions);
-        // Prefetch everything: every slot decodes exactly once, and the
-        // prefetcher owns all the decode stats.
-        let mut prefetch_stats = DecodeStats::default();
-        for b in 0..n_blocks {
-            let stats = cache
-                .prefetch_block(b)
-                .unwrap()
-                .expect("first warm decodes");
-            prefetch_stats.merge(&stats);
-        }
-        assert_eq!(prefetch_stats.blocks as usize, n_blocks);
-        assert_eq!(cache.decoded_blocks(), n_blocks);
-        // A second prefetch pass is a no-op.
-        for b in 0..n_blocks {
-            assert!(cache.prefetch_block(b).unwrap().is_none());
-        }
-        assert_eq!(cache.retired_blocks(), 0, "prefetch consumes nothing");
-        // Workers now hit every slot without decoding, and their requests
-        // (not the prefetches) drive retirement.
-        for &b in &file.blocks_overlapping(0, 400) {
-            let (batch, performed) = cache.get(b).unwrap();
-            assert!(!batch.is_empty());
-            assert!(performed.is_none(), "prefetched block must be a hit");
-        }
-        assert_eq!(cache.decoded_blocks(), n_blocks, "still decoded once each");
-        assert_eq!(cache.retired_blocks() as usize, n_blocks);
-        assert_eq!(cache.resident_blocks(), 0, "served slots released");
-        // Prefetching a retired slot stays a no-op (never resurrects).
-        assert!(cache.prefetch_block(0).unwrap().is_none());
-        assert!(cache.prefetch_block(n_blocks).is_err(), "out of range");
-    }
-
-    #[test]
-    fn progress_watermarks_observe_requests_and_retirement() {
-        let file = BalFile::from_records(sample_records(30)).unwrap();
-        // Two identical regions: each block is expected twice, so the
-        // first pass advances `requested` without retiring anything and
-        // the second pass retires.
-        let regions = vec![0u32..200, 0..200];
-        let cache = SharedBlockCache::for_regions(file.clone(), &regions);
-        // Nothing requested yet: the wait must time out and report 0/0.
-        assert_eq!(
-            cache.wait_requested_past(0, Duration::from_millis(1)),
-            CacheProgress::default(),
-            "timeout path returns the current watermarks"
-        );
-        let blocks = file.blocks_overlapping(0, 200);
-        let n = blocks.len() as u64;
-        let (first, rest) = blocks.split_first().expect("non-empty file");
-        // Prefetch warms don't advance the consumer watermark.
-        cache.prefetch_block(*first).unwrap();
-        assert_eq!(cache.progress(), CacheProgress::default());
-        cache.get(*first).unwrap();
-        assert_eq!(
-            cache.wait_requested_past(0, Duration::from_millis(1)),
-            CacheProgress {
-                requested: 1,
-                retired: 0
-            }
-        );
-        for &b in rest {
-            cache.get(b).unwrap();
-        }
-        let after_first_pass = cache.wait_requested_past(n - 1, Duration::from_secs(1));
-        assert_eq!(after_first_pass.requested, n, "every block requested once");
-        assert_eq!(after_first_pass.retired, 0, "second pass still expected");
-        for &b in &blocks {
-            cache.get(b).unwrap();
-        }
-        let done = cache.progress();
-        assert_eq!(done.requested, n, "repeat requests don't double count");
-        assert_eq!(done.retired, n, "all expectations served");
-        assert_eq!(cache.retired_blocks(), n);
     }
 
     #[test]

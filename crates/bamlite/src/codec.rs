@@ -235,9 +235,9 @@ const MIN_COMPRESSION_GAIN: usize = 2;
 
 /// Append one compressed stream container: a scheme byte, the raw length
 /// as a varint, then the payload under whichever of raw/RLE/LZ encodes
-/// `data` smallest — provided the winner beats [`MIN_COMPRESSION_GAIN`];
-/// otherwise the stream is stored verbatim. Never expands beyond
-/// `data.len() + header`.
+/// `data` smallest — provided the winner at least halves the stream
+/// (`MIN_COMPRESSION_GAIN`); otherwise the stream is stored verbatim.
+/// Never expands beyond `data.len() + header`.
 pub fn compress_stream(out: &mut Vec<u8>, data: &[u8]) {
     let mut rle = Vec::new();
     rle_encode(&mut rle, data);

@@ -48,7 +48,7 @@
 
 use crate::batch::{QualityDict, RecordBatch, RecordView, QUAL_SLOTS};
 use crate::codec::{compress_stream, get_varint, put_u64_le, put_varint};
-use crate::io::{fault::FaultPlan, ByteSource, IoBudget, SourceTier};
+use crate::io::{fault::FaultPlan, ByteSource, IoBudget};
 use crate::record::Record;
 use crate::BalError;
 use bytes::{Buf, Bytes};
@@ -163,9 +163,9 @@ impl WriterStats {
 /// index + shared dictionary), so every thread can hold its own handle.
 ///
 /// The backing bytes live behind a [`ByteSource`]: wholly in memory
-/// (writer output, [`BalFile::from_bytes`]), memory-mapped, or streamed
-/// from an open descriptor ([`BalFile::open`]); block payloads are pulled
-/// from the source on demand, so a disk-backed ultra-deep file is never
+/// (writer output, [`BalFile::from_bytes`]) or read by range from an
+/// open descriptor ([`BalFile::open`]); block payloads are pulled from
+/// the source on demand, so a disk-backed ultra-deep file is never
 /// copied whole into memory.
 #[derive(Debug, Clone)]
 pub struct BalFile {
@@ -370,23 +370,17 @@ impl BalFile {
         BalFile::from_source(ByteSource::Mem(data))
     }
 
-    /// Open an on-disk BAL file through the default [`SourceTier`]
-    /// (mmap, falling back to streaming; `ULTRAVC_BAL_SOURCE` overrides).
-    /// Only the index and dictionary are read up front — block payloads
-    /// are paged/read in on demand as readers request them.
-    pub fn open(path: impl AsRef<Path>) -> Result<BalFile, BalError> {
-        BalFile::open_with(path, SourceTier::Auto)
-    }
-
-    /// Open an on-disk BAL file through an explicit [`SourceTier`].
+    /// Open an on-disk BAL file. The descriptor is kept; only the index
+    /// and dictionary are read up front, and each block payload is one
+    /// positioned read issued when a reader first requests it.
     ///
     /// If `ULTRAVC_FAULT` scripts a [`FaultPlan`], the source is wrapped
     /// in the fault tier **after** the index/dictionary parse — opens
     /// succeed and faults land on the payload path, where the run
     /// supervisor operates. A malformed spec is an error (a typo must not
     /// silently run fault-free).
-    pub fn open_with(path: impl AsRef<Path>, tier: SourceTier) -> Result<BalFile, BalError> {
-        let file = BalFile::from_source(ByteSource::open(path.as_ref(), tier)?)?;
+    pub fn open(path: impl AsRef<Path>) -> Result<BalFile, BalError> {
+        let file = BalFile::from_source(ByteSource::open(path.as_ref())?)?;
         match FaultPlan::env_plan()? {
             Some(plan) => Ok(file.with_faults(plan)),
             None => Ok(file),
@@ -430,9 +424,8 @@ impl BalFile {
         if index_offset < 4 || index_offset.checked_add(4).is_none_or(|e| e > total - 12) {
             return Err(BalError::Corrupt("index offset out of range"));
         }
-        // Index + dictionary region (owned for the streaming tier,
-        // borrowed otherwise) — the only part of a disk-backed file read
-        // eagerly.
+        // Index + dictionary region (owned when read from disk, borrowed
+        // from memory) — the only part of a disk-backed file read eagerly.
         let tail = source.slice(index_offset, total - 12 - index_offset)?;
         let mut buf = &tail[..];
         if &buf[..4] != INDEX_MAGIC {
@@ -509,17 +502,16 @@ impl BalFile {
     }
 
     /// The serialized byte stream of an **in-memory** file, or `None`
-    /// when the file is disk-backed (`open` with the mmap or streaming
-    /// tier). Writer output and [`BalFile::from_bytes`] files are always
-    /// in-memory, so those callers can safely `expect` the value; code
-    /// that may hold any tier should use [`BalFile::source`] (length,
-    /// bounded slices) or [`BalFile::write_to`] (full serialization)
-    /// instead — no library API panics based on the tier a file happened
-    /// to be opened through.
+    /// when the file is disk-backed ([`BalFile::open`]). Writer output and
+    /// [`BalFile::from_bytes`] files are always in-memory, so those
+    /// callers can safely `expect` the value; code that may hold either
+    /// backing should use [`BalFile::source`] (length, bounded slices) or
+    /// [`BalFile::write_to`] (full serialization) instead — no library
+    /// API panics based on how a file happened to be opened.
     pub fn as_bytes(&self) -> Option<&Bytes> {
         match &self.source {
             ByteSource::Mem(data) => Some(data),
-            ByteSource::Mmap(_) | ByteSource::Stream(_) | ByteSource::Fault(_) => None,
+            ByteSource::Stream(_) | ByteSource::Fault(_) => None,
         }
     }
 
@@ -551,7 +543,7 @@ impl BalFile {
         self.budget.as_ref()
     }
 
-    /// Write the full serialized stream to `path` (any tier). Copies in
+    /// Write the full serialized stream to `path` (any backing). Copies in
     /// bounded chunks, so a disk-backed file larger than RAM is never
     /// materialized whole.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), BalError> {
@@ -601,7 +593,7 @@ impl BalFile {
     /// blocks at the same byte ranges with the same quality mapping, so a
     /// result cache can key on it (together with a [`crate::FileFingerprint`]
     /// for cheap on-disk staleness checks) without hashing payload bytes.
-    /// FNV-1a; stable across clones and source tiers.
+    /// FNV-1a; stable across clones and backings.
     pub fn content_id(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -629,10 +621,10 @@ impl BalFile {
         h
     }
 
-    /// Raw payload bytes of one block: borrowed straight from the mapping
-    /// or in-memory buffer, read into an owned buffer on the streaming
-    /// tier. Ranges are re-checked against the source, so even a
-    /// hand-built index cannot reach out of bounds.
+    /// Raw payload bytes of one block: borrowed from an in-memory file,
+    /// one positioned read into an owned buffer from an open one. Ranges
+    /// are re-checked against the source, so even a hand-built index
+    /// cannot reach out of bounds.
     pub(crate) fn block_payload(&self, meta: &BlockMeta) -> Result<Cow<'_, [u8]>, BalError> {
         match &self.budget {
             None => self.source.slice(meta.offset, meta.len),
@@ -928,30 +920,34 @@ mod tests {
         std::env::temp_dir().join(format!("ultravc-balfile-{}-{tag}.bal", std::process::id()))
     }
 
+    /// The file at `path` through both backings: read whole into memory,
+    /// and opened for positioned reads.
+    fn both_backings(path: &std::path::Path) -> [BalFile; 2] {
+        [
+            BalFile::from_bytes(Bytes::from(std::fs::read(path).unwrap())).unwrap(),
+            BalFile::open(path).unwrap(),
+        ]
+    }
+
     #[test]
     fn open_tiers_decode_identically() {
         let records = sample_records(100);
         let file = BalFile::from_records(records.clone()).unwrap();
         let path = temp_path("tiers");
         file.write_to(&path).unwrap();
-        for tier in [
-            SourceTier::Auto,
-            SourceTier::Mem,
-            SourceTier::Mmap,
-            SourceTier::Stream,
-        ] {
-            let disk = BalFile::open_with(&path, tier).unwrap();
-            assert_eq!(disk.version(), file.version(), "{tier:?}");
-            assert_eq!(disk.index(), file.index(), "{tier:?}");
+        for disk in both_backings(&path) {
+            let tier = disk.source().tier_name();
+            assert_eq!(disk.version(), file.version(), "{tier}");
+            assert_eq!(disk.index(), file.index(), "{tier}");
             assert_eq!(
                 disk.quality_dict().as_ref(),
                 file.quality_dict().as_ref(),
-                "{tier:?}"
+                "{tier}"
             );
             assert_eq!(
                 disk.reader().clone().records().unwrap(),
                 records,
-                "{tier:?} records()"
+                "{tier} records()"
             );
             let mut mem_batch = RecordBatch::new();
             let mut disk_batch = RecordBatch::new();
@@ -960,7 +956,7 @@ mod tests {
             for i in 0..file.n_blocks() {
                 mem_reader.decode_batch(i, &mut mem_batch).unwrap();
                 disk_reader.decode_batch(i, &mut disk_batch).unwrap();
-                assert_eq!(mem_batch, disk_batch, "{tier:?} batch decode, block {i}");
+                assert_eq!(mem_batch, disk_batch, "{tier} batch decode, block {i}");
             }
         }
         std::fs::remove_file(&path).ok();
@@ -978,12 +974,16 @@ mod tests {
         // Sensitive: different record set, different id.
         let other = BalFile::from_records(sample_records(47)).unwrap();
         assert_ne!(other.content_id(), file.content_id());
-        // Stable across a disk round trip on every tier.
+        // Stable across a disk round trip through either backing.
         let path = temp_path("content-id");
         file.write_to(&path).unwrap();
-        for tier in [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream] {
-            let disk = BalFile::open_with(&path, tier).unwrap();
-            assert_eq!(disk.content_id(), file.content_id(), "{tier:?}");
+        for disk in both_backings(&path) {
+            assert_eq!(
+                disk.content_id(),
+                file.content_id(),
+                "{}",
+                disk.source().tier_name()
+            );
         }
         std::fs::remove_file(&path).ok();
     }

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the ingest stack: a seeded,
 //! scripted failure tier under any real [`ByteSource`].
 //!
-//! A [`FaultSource`] wraps a real tier (mem/mmap/stream) and implements
+//! A [`FaultSource`] wraps a real backing (mem/stream) and implements
 //! the same byte-serving contract while injecting the failure classes
 //! the run supervisor must survive:
 //!
@@ -25,9 +25,7 @@
 //!   corruption of a served payload, for detector coverage;
 //! * **one-shot panic** (`panic_at=N`) — the first read covering offset
 //!   `N` panics, then the trigger disarms: a deterministic stand-in for
-//!   a worker bug the supervisor must contain exactly once;
-//! * **advise failure** (`advise_fail=1`) — `madvise` refusal, driving
-//!   the prefetch degradation path.
+//!   a worker bug the supervisor must contain exactly once.
 //!
 //! # Determinism
 //!
@@ -47,7 +45,7 @@
 //! wins over the environment. Specs are comma-separated `key=value`
 //! pairs, e.g. `seed=42,eio=0.05,short=0.1,latency_us=200,panic_at=4096`.
 
-use crate::io::{Advice, ByteSource};
+use crate::io::ByteSource;
 use crate::BalError;
 use std::borrow::Cow;
 use std::time::Duration;
@@ -77,8 +75,6 @@ pub struct FaultPlan {
     /// The first read covering this offset panics, then the trigger
     /// disarms.
     pub panic_at: Option<usize>,
-    /// Whether `advise` calls fail (driving prefetch degradation).
-    pub advise_fail: bool,
 }
 
 impl Default for FaultPlan {
@@ -93,7 +89,6 @@ impl Default for FaultPlan {
             truncate_at: None,
             flip: 0.0,
             panic_at: None,
-            advise_fail: false,
         }
     }
 }
@@ -151,7 +146,6 @@ impl FaultPlan {
                             invalid(format!("fault panic_at={value} overflows usize"))
                         })?)
                 }
-                "advise_fail" => plan.advise_fail = int(value)? != 0,
                 _ => return Err(invalid(format!("unrecognized fault key {key:?}"))),
             }
         }
@@ -324,15 +318,6 @@ impl FaultSource {
             .then(|| splitmix64(&mut st.rng) % (8 * len.max(1) as u64));
         Verdict::Serve { flip_bit }
     }
-
-    /// Hint pass-through, unless the plan scripts advise failure — then
-    /// an `EIO`, which planners treat as "hints unavailable" and degrade.
-    pub fn advise(&self, advice: Advice, offset: usize, len: usize) -> Result<bool, BalError> {
-        if self.plan.advise_fail {
-            return Err(BalError::Io(std::io::Error::from_raw_os_error(5)));
-        }
-        self.inner.advise(advice, offset, len)
-    }
 }
 
 /// The outcome of one scheduled read decision.
@@ -356,7 +341,7 @@ mod tests {
     fn spec_parsing_round_trips_every_key() {
         let plan = FaultPlan::parse(
             "seed=42,eio=0.25,eintr=0.5,short=1,latency_us=250,fail_after=1024,\
-             truncate_at=2048,flip=0.125,panic_at=99,advise_fail=1",
+             truncate_at=2048,flip=0.125,panic_at=99",
         )
         .unwrap();
         assert_eq!(plan.seed, 42);
@@ -368,7 +353,6 @@ mod tests {
         assert_eq!(plan.truncate_at, Some(2048));
         assert_eq!(plan.flip, 0.125);
         assert_eq!(plan.panic_at, Some(99));
-        assert!(plan.advise_fail);
         // Spaces around items tolerated, unknown keys and junk rejected.
         assert!(FaultPlan::parse("seed=1, eio=0.1").is_ok());
         for bad in [
@@ -561,14 +545,5 @@ mod tests {
             other => panic!("expected fault tier, got {}", other.tier_name()),
         }
         assert_eq!(src.tier_name(), "fault");
-        assert!(!src.is_stream_backed());
-    }
-
-    #[test]
-    fn advise_fail_degrades_hints() {
-        let src = mem(64).with_faults(FaultPlan::parse("advise_fail=1").unwrap());
-        assert!(src.advise(Advice::Sequential, 0, 64).is_err());
-        let benign = mem(64).with_faults(FaultPlan::parse("seed=1").unwrap());
-        assert!(!benign.advise(Advice::Sequential, 0, 64).unwrap());
     }
 }

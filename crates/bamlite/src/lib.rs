@@ -19,60 +19,40 @@
 //! 2-bit packed bases, run-length-encoded qualities. See `DESIGN.md`
 //! (Substitutions) for the BGZF-equivalence argument.
 //!
-//! # On-disk ingest: the `ByteSource` tiers
+//! # Reading a BAL file
 //!
-//! A [`BalFile`]'s bytes live behind a [`ByteSource`] with three tiers:
+//! A [`BalFile`]'s bytes live behind a [`ByteSource`] with two backings:
 //!
 //! * **`Mem`** — the whole serialized stream as shared [`bytes::Bytes`].
 //!   What the writer produces and what [`BalFile::from_bytes`] wraps;
-//!   right for simulator output and small files.
-//! * **`Mmap`** — a read-only `mmap(2)` of the file (via the in-repo
-//!   `memmap2` shim). **The default for [`BalFile::open`]**: block
-//!   payloads are borrowed straight from the mapping and paged in on
-//!   first touch, so an ultra-deep file larger than RAM streams through
-//!   the page cache with zero up-front copies and the kernel reclaims
-//!   cold pages under pressure.
+//!   right for simulator output and tests.
 //! * **`Stream`** — an open descriptor plus positioned (`pread`-style)
-//!   reads into owned buffers. Selected automatically when mapping fails
-//!   (e.g. an unmappable filesystem), or explicitly for files a
-//!   concurrent writer might truncate — the one case where mmap's
-//!   `SIGBUS` hazard matters.
+//!   reads into owned buffers. **What [`BalFile::open`] gives every
+//!   on-disk file**: a block's compressed payload is fetched by one
+//!   bounds-checked ranged read when a decoder first asks for it, so
+//!   resident memory is one compressed block per reader however deep the
+//!   file, and a device error or a file truncated by a concurrent writer
+//!   is an `Err` from a read — something the run's [`IoBudget`] can retry
+//!   or time out and the driver can contain to one region.
 //!
-//! `open` resolves [`SourceTier::Auto`](io::SourceTier) as
-//! mmap-with-streaming-fallback; `ULTRAVC_BAL_SOURCE=mem|mmap|stream`
-//! pins a tier process-wide (CI's on-disk legs run the suites through
-//! every tier), but an **explicitly named tier always wins** — the
-//! variable is only consulted (and strictly validated) when resolving
-//! `Auto`. Only the index/dictionary region is read eagerly — parsing
+//! Only the index/dictionary region is read eagerly — parsing
 //! bounds-checks every offset, length and count it reads, so a corrupt
 //! or truncated file fails with [`BalError::Corrupt`] instead of
-//! panicking, no matter which tier serves it. All tiers feed the same
+//! panicking, whichever backing serves it. Both feed the same
 //! decode-once machinery ([`BalReader::decode_batch`],
 //! [`SharedBlockCache`]) and produce bitwise-identical batches.
 //!
-//! # Scheduled I/O: the `prefetch` layer
+//! # The block plan
 //!
-//! On top of the byte source sits the third layer of the ingest stack —
-//! [`prefetch`], which turns the block index into a per-run I/O plan.
-//! [`IoPlan::for_regions`](prefetch::IoPlan::for_regions) computes each
-//! region's **block window** (its own blocks plus shared boundary
-//! blocks — what a parallel worker's pileup iterator walks instead of
-//! re-deriving the overlap), a distinct-block schedule in first-use
-//! order, and coalesced payload byte runs. The plan then drives the two
-//! disk tiers differently: `madvise(SEQUENTIAL/WILLNEED)` hints on the
-//! mmap tier ([`IoPlan::advise`](prefetch::IoPlan::advise), through the
-//! advice API on the `memmap2` shim), and a bounded background
-//! read-ahead thread on the streaming tier
-//! ([`IoPlan::spawn_readahead`](prefetch::IoPlan::spawn_readahead)) that
-//! warms the run's [`SharedBlockCache`] ahead of the workers. Decode-once
-//! is preserved — a cache slot decodes at most once no matter whether the
-//! prefetcher or a worker gets there first — and so is [`DecodeStats`]
-//! accounting: every decode is owned by exactly one party, with the
-//! read-ahead's share returned from
-//! [`ReadaheadHandle::finish`](prefetch::ReadaheadHandle::finish) for
-//! the driver to fold into the run total. `ULTRAVC_PREFETCH=on|off|N`
-//! resolves driver-level [`PrefetchMode::Auto`](prefetch::PrefetchMode),
-//! with the same explicit-wins precedence as the tier pin.
+//! [`IoPlan::for_regions`] turns the block index and a run's region
+//! partition into one **block window** per region (its own blocks plus
+//! shared boundary blocks — what a parallel worker's pileup iterator
+//! walks instead of re-deriving the overlap).
+//! [`SharedBlockCache::for_plan`] counts the windows to know when each
+//! block has served its last request and its arena can be released.
+//! Nothing is fetched ahead of need: the first worker to ask the cache
+//! for a block reads and decodes it, everyone else shares the result,
+//! and [`DecodeStats`] summed over workers is the run's true decode work.
 //!
 //! # The payload: decode once, already binned, columnar
 //!
@@ -90,9 +70,7 @@
 //! byte savings don't pay for their CPU. Ultra-deep viral stacks are
 //! massively redundant column-wise (every read covers the same 30 kb
 //! reference, the qual spectrum is a handful of plateaus), so the base and
-//! qual streams crush and cold ingest moves few bytes — which multiplies
-//! the prefetch layer's win, since [`IoPlan`] byte runs are computed from
-//! the index's (compressed) block lengths.
+//! qual streams crush and a block's one ranged read moves few bytes.
 //!
 //! There is one decoder. [`BalReader::decode_batch`] bulk-decompresses the
 //! four streams into warmed scratch, then one linear walk fills a reusable
@@ -103,7 +81,8 @@
 //! that want whole reads, are materialized from those views
 //! ([`BalReader::records`]). [`SharedBlockCache`] layers run-scoped
 //! decode-once semantics on top for parallel callers whose partitions
-//! straddle block boundaries. See [`file`] for the byte layout.
+//! straddle block boundaries. See the [`mod@file`] module for the byte
+//! layout.
 //!
 //! # Failure model
 //!
@@ -112,28 +91,21 @@
 //!
 //! * **Transient** ([`BalError::is_transient`]) — `Io` errors a retry can
 //!   plausibly clear: `EINTR`, `EIO` from a flaky device, timeouts,
-//!   injected short reads. [`IoBudget::run_io`](io::IoBudget::run_io)
+//!   injected short reads. [`IoBudget::run_io`]
 //!   retries these with capped exponential backoff up to the budget's
 //!   `max_retries`, then escalates the final [`BalError::Io`] unchanged.
 //!   `EINTR` specifically is retried without consuming budget, matching
-//!   the kernel contract the streaming tier's read loop already honours.
+//!   the kernel contract the positioned-read loop already honours.
 //! * **Fatal** — `Corrupt`, `UnsupportedVersion`, `Unsorted`, `BadRecord`,
 //!   and non-transient `Io` errors. Retrying cannot help (the bytes
 //!   themselves are wrong), so these surface immediately.
 //! * **Interruptions** ([`BalError::Interrupted`]) — not failures at all:
-//!   the run's [`CancelToken`](io::CancelToken) fired or its deadline
-//!   expired. I/O entry points checked against an armed
-//!   [`IoBudget`](io::IoBudget) return this promptly so workers and the
-//!   read-ahead drain instead of finishing doomed work.
+//!   the run's [`CancelToken`] fired or its deadline expired. I/O entry
+//!   points checked against an armed [`IoBudget`] return this promptly
+//!   so workers drain instead of finishing doomed work.
 //!
-//! **Degradation ladder.** Tiers degrade rather than fail the run:
-//! `mem ← mmap ← stream ← fault`. An `Auto` mmap open that fails falls
-//! back to streaming ([`ByteSource::open`]); a refused `madvise` hint
-//! downgrades the effective prefetch report instead of erroring; a dead
-//! read-ahead thread ([`ReadaheadReport::panicked`]) degrades the run to
-//! demand reads — workers decode cache misses themselves, bitwise
-//! identically. The [`fault`](io::fault) tier sits at the bottom of the
-//! ladder: a deterministic, seeded wrapper over any real tier
+//! The [`fault`](io::fault) tier is how all of this is tested: a
+//! deterministic, seeded wrapper over either real backing
 //! ([`FaultPlan`], `ULTRAVC_FAULT`) that injects the failures above so
 //! CI can replay exact failure schedules.
 
@@ -145,19 +117,15 @@ pub mod cigar;
 pub mod codec;
 pub mod file;
 pub mod io;
-pub mod prefetch;
+pub mod plan;
 pub mod record;
 
 pub use batch::{QualityDict, RecordBatch, RecordView, SharedBlockCache};
 pub use cigar::{Cigar, CigarOp};
 pub use file::{BalFile, BalReader, BalWriter, DecodeStats, StreamStats, WriterStats};
 pub use io::fault::{FaultPlan, FaultSource};
-pub use io::{
-    Advice, ByteSource, CancelToken, FileFingerprint, Interrupt, IoBudget, SourceTier, StreamFile,
-};
-pub use prefetch::{
-    BlockWindow, IoPlan, PrefetchMode, ReadaheadHandle, ReadaheadReport, ResolvedPrefetch,
-};
+pub use io::{ByteSource, CancelToken, FileFingerprint, Interrupt, IoBudget, StreamFile};
+pub use plan::{BlockWindow, IoPlan};
 pub use record::{Flags, Record};
 
 /// Errors produced by the BAL encoder/decoder.
@@ -191,7 +159,7 @@ impl BalError {
     /// `EIO`, timeouts, and short-read/partial-transfer conditions are
     /// transient; corrupt bytes, validation failures and interruptions
     /// are not. This is the classification
-    /// [`IoBudget::run_io`](io::IoBudget::run_io) retries on.
+    /// [`IoBudget::run_io`] retries on.
     pub fn is_transient(&self) -> bool {
         match self {
             BalError::Io(e) => {

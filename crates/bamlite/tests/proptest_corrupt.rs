@@ -1,9 +1,9 @@
 //! Adversarial-input property tests: byte-level mutations of valid BAL
 //! files — truncation, bit flips, oversized-varint splices, zeroed
 //! windows — must never panic anywhere in the parse/decode stack. Every
-//! path returns `Ok` or `BalError`; and the on-disk `open(path)` tiers
-//! must agree with the in-memory parser about which mutants are
-//! parseable (same bytes, same verdict, any backing).
+//! path returns `Ok` or `BalError`; and the on-disk `open(path)` must
+//! agree with the in-memory parser about which mutants are parseable
+//! (same bytes, same verdict, either backing).
 //!
 //! The mutations land inside compressed stream containers and per-stream
 //! length varints as often as in the index, so this suite is also the
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ultravc_bamlite::{
-    BalError, BalFile, BalWriter, Flags, IoPlan, Record, RecordBatch, SharedBlockCache, SourceTier,
+    BalError, BalFile, BalWriter, Flags, IoPlan, Record, RecordBatch, SharedBlockCache,
 };
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
@@ -125,7 +125,7 @@ fn swapped_index_file() -> Vec<u8> {
 }
 
 /// `bytes` must be refused with an error matching `is_expected` by the
-/// in-memory parser and by every on-disk tier — never parsed, never a
+/// in-memory parser and by the on-disk open — never parsed, never a
 /// panic.
 fn assert_refused_everywhere(bytes: &[u8], tag: &str, is_expected: fn(&BalError) -> bool) {
     let err = BalFile::from_bytes(Bytes::from(bytes.to_vec())).unwrap_err();
@@ -133,10 +133,8 @@ fn assert_refused_everywhere(bytes: &[u8], tag: &str, is_expected: fn(&BalError)
     let path =
         std::env::temp_dir().join(format!("ultravc-refused-{}-{tag}.bal", std::process::id()));
     std::fs::write(&path, bytes).unwrap();
-    for tier in [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream] {
-        let err = BalFile::open_with(&path, tier).unwrap_err();
-        assert!(is_expected(&err), "{tier:?}: {err}");
-    }
+    let err = BalFile::open(&path).unwrap_err();
+    assert!(is_expected(&err), "open: {err}");
     std::fs::remove_file(&path).ok();
 }
 
@@ -182,51 +180,42 @@ proptest! {
         mutate(&mut bytes, kind, frac, value, width);
         // In-memory: parse + all decode paths, no panic allowed.
         let mem_ok = exercise(&bytes);
-        // On-disk: every tier must reach the same parse verdict on the
-        // same bytes, and decode without panicking when it parses.
+        // On-disk: the same parse verdict on the same bytes, and decode
+        // without panicking when it parses.
         let path = std::env::temp_dir().join(format!(
             "ultravc-corrupt-{}-{}.bal",
             std::process::id(),
             CASE.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&path, &bytes).unwrap();
-        for tier in [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream] {
-            match BalFile::open_with(&path, tier) {
-                Ok(disk) => {
-                    prop_assert!(mem_ok, "{tier:?} parsed a mutant from_bytes rejected");
-                    let mut reader = disk.reader();
-                    let mut batch = RecordBatch::new();
-                    // Per-block verdicts through the plain (non-prefetch)
-                    // path — the oracle the prefetch path must agree with.
-                    let mut plain_ok = Vec::with_capacity(disk.n_blocks());
-                    for i in 0..disk.n_blocks() {
-                        plain_ok.push(reader.decode_batch(i, &mut batch).is_ok());
-                    }
-                    // Prefetch path: plan the whole extent, run the
-                    // bounded read-ahead to completion, then consume like
-                    // a worker. Nothing may panic (finish() re-raises
-                    // read-ahead panics), and each block's ok/err verdict
-                    // must match the plain path — a corrupt block stays
-                    // corrupt whether the prefetcher or the consumer
-                    // decodes it first.
-                    let plan = IoPlan::for_regions(&disk, std::slice::from_ref(&(0..u32::MAX)));
-                    let cache = Arc::new(SharedBlockCache::for_plan(disk.clone(), &plan));
-                    let handle = plan.spawn_readahead(Arc::clone(&cache), 2);
-                    for w in plan.windows() {
-                        for &b in w.blocks() {
-                            prop_assert_eq!(
-                                cache.get(b).is_ok(),
-                                plain_ok[b],
-                                "{:?} block {}: prefetch verdict diverged",
-                                tier,
-                                b
-                            );
-                        }
-                    }
-                    let _ = handle.finish();
+        match BalFile::open(&path) {
+            Ok(disk) => {
+                prop_assert!(mem_ok, "open parsed a mutant from_bytes rejected");
+                let mut reader = disk.reader();
+                let mut batch = RecordBatch::new();
+                // Per-block verdicts through a plain reader — the oracle
+                // the cache path must agree with.
+                let mut plain_ok = Vec::with_capacity(disk.n_blocks());
+                for i in 0..disk.n_blocks() {
+                    plain_ok.push(reader.decode_batch(i, &mut batch).is_ok());
                 }
-                Err(_) => prop_assert!(!mem_ok, "{tier:?} rejected a mutant from_bytes parsed"),
+                // Cache path: plan the whole extent and consume like a
+                // worker. Nothing may panic, and each block's ok/err
+                // verdict must match the plain path.
+                let plan = IoPlan::for_regions(&disk, std::slice::from_ref(&(0..u32::MAX)));
+                let cache = Arc::new(SharedBlockCache::for_plan(disk.clone(), &plan));
+                for w in plan.windows() {
+                    for &b in w.blocks() {
+                        prop_assert_eq!(
+                            cache.get(b).is_ok(),
+                            plain_ok[b],
+                            "block {}: cache verdict diverged",
+                            b
+                        );
+                    }
+                }
             }
+            Err(_) => prop_assert!(!mem_ok, "open rejected a mutant from_bytes parsed"),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -244,8 +233,10 @@ proptest! {
             CASE.fetch_add(1, Ordering::Relaxed)
         ));
         file.write_to(&path).unwrap();
-        for tier in [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream] {
-            let disk = BalFile::open_with(&path, tier).unwrap();
+        for disk in [
+            BalFile::from_bytes(Bytes::from(std::fs::read(&path).unwrap())).unwrap(),
+            BalFile::open(&path).unwrap(),
+        ] {
             prop_assert_eq!(disk.version(), file.version());
             prop_assert_eq!(disk.index(), file.index());
             prop_assert_eq!(&disk.reader().clone().records().unwrap(), &want);

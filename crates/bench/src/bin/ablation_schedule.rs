@@ -9,7 +9,7 @@
 use std::time::Duration;
 use ultravc_bench::{env_f64, env_usize, fmt_duration, rule, script_emulation};
 use ultravc_core::config::CallerConfig;
-use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode};
+use ultravc_core::driver::{CallDriver, ParallelMode};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
 use ultravc_genome::variant::TruthSet;
 use ultravc_parfor::{Schedule, TeamReport};
@@ -110,7 +110,6 @@ fn main() {
             filter: None,
             mode,
             trace: false,
-            prefetch: PrefetchMode::Auto,
             budget: ultravc_core::RunBudget::unbounded(),
         };
         row(&name, &|| {

@@ -35,10 +35,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ultravc_bamlite::{BalFile, SourceTier};
+use ultravc_bamlite::BalFile;
 use ultravc_bench::{env_f64, env_usize, rule};
 use ultravc_core::config::CallerConfig;
-use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode, CHUNK_COLUMNS};
+use ultravc_core::driver::{CallDriver, ParallelMode, CHUNK_COLUMNS};
 use ultravc_core::RunBudget;
 use ultravc_genome::fasta::{write_fasta, FastaRecord};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
@@ -77,7 +77,7 @@ fn main() {
         std::env::var("ULTRAVC_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".to_string());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // Fixture on disk — the server runs its real open/mmap/advise path.
+    // Fixture on disk — the server runs its real open path.
     let dir = std::env::temp_dir().join(format!("ultravc-bench-serve-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create fixture dir");
@@ -158,10 +158,9 @@ fn main() {
                     chunk_columns: CHUNK_COLUMNS,
                 },
                 trace: false,
-                prefetch: PrefetchMode::Auto,
                 budget: RunBudget::unbounded(),
             };
-            let bal = BalFile::open_with(&bal_path, SourceTier::Auto).expect("reopen fixture");
+            let bal = BalFile::open(&bal_path).expect("reopen fixture");
             let outcome = driver
                 .run_region(&reference, &bal, 0..GENOME_LEN as u32)
                 .expect("direct run");
@@ -231,9 +230,7 @@ fn main() {
     // with a whale always in flight — this is the overload row the
     // serve-chaos CI job gates (`ULTRAVC_SERVE_MIX_CEIL`).
     let mix_ceil_ms = env_f64("ULTRAVC_SERVE_MIX_CEIL", 2_000.0);
-    let total_cost = BalFile::open_with(&bal_path, SourceTier::Auto)
-        .expect("probe fixture")
-        .n_records();
+    let total_cost = BalFile::open(&bal_path).expect("probe fixture").n_records();
     let mut config = ServeConfig::new("127.0.0.1:0");
     config.samples.push(SampleSpec {
         name: "bench".to_string(),

@@ -13,7 +13,7 @@
 
 use ultravc_bench::{env_f64, env_usize, fmt_duration, rule};
 use ultravc_core::config::CallerConfig;
-use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode};
+use ultravc_core::driver::{CallDriver, ParallelMode};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
 use ultravc_genome::variant::TruthSet;
 use ultravc_parfor::Schedule;
@@ -62,7 +62,6 @@ fn main() {
             chunk_columns: (genome_len / (n_threads * 4)).max(8) as u32,
         },
         trace: true,
-        prefetch: PrefetchMode::Auto,
         budget: ultravc_core::RunBudget::unbounded(),
     };
     let out = driver.run(&reference, &ds.alignments).unwrap();

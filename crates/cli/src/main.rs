@@ -20,10 +20,10 @@ use std::process::ExitCode;
 
 use std::time::Duration;
 
-use ultravc_bamlite::{BalFile, FaultPlan, SourceTier};
+use ultravc_bamlite::{BalFile, FaultPlan};
 use ultravc_core::analysis::UpsetTable;
 use ultravc_core::config::CallerConfig;
-use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode, CHUNK_COLUMNS};
+use ultravc_core::driver::{CallDriver, ParallelMode, CHUNK_COLUMNS};
 use ultravc_core::RunBudget;
 use ultravc_genome::fasta::{read_fasta, write_fasta, FastaRecord};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
@@ -37,39 +37,28 @@ ultravc — ultra-deep low-frequency variant calling (Kille et al. 2021 reproduc
 USAGE:
   ultravc simulate --out BASE [--genome-len N] [--depth D] [--seed S] [--variants N]
   ultravc call     --input FILE.bal --ref FILE.fa [--out FILE.vcf] [--threads N]
-                   [--mode seq|openmp] [--source mmap|stream|mem]
-                   [--prefetch on|off|N] [--no-shortcut] [--no-filter]
-                   [--deadline-ms N] [--max-retries N]
+                   [--mode seq|openmp] [--max-depth N] [--no-shortcut]
+                   [--no-filter] [--deadline-ms N] [--max-retries N]
                    [--region CHROM[:START-END]] [--min-af F]
   ultravc filter   --vcf FILE [--out FILE]
   ultravc upset    FILE.vcf FILE.vcf [FILE.vcf ...]
   ultravc trace    --input FILE.bal --ref FILE.fa [--threads N]
-                   [--source mmap|stream|mem] [--prefetch on|off|N]
+                   [--deadline-ms N] [--max-retries N]
   ultravc serve    (--input FILE.bal --ref FILE.fa [--sample NAME]
                     | --config SAMPLES.toml)
                    [--addr HOST:PORT] [--workers N] [--threads-per-call N]
                    [--max-inflight N] [--cache N] [--timeout-ms N]
                    [--cost-budget N] [--cache-cost-budget N]
                    [--breaker-threshold N] [--breaker-cooldown-ms N]
-                   [--source mmap|stream|mem] [--prefetch on|off|N]
                    [--no-filter]
 
 `simulate` writes BASE.bal (alignments), BASE.fa (reference) and
 BASE.truth.tsv (planted variants).
 
-`--input` opens the BAL file through an on-disk byte source — mmap by
-default (block payloads page in on demand; an ultra-deep file is never
-copied whole into memory), `stream` for positioned reads on unmappable
-filesystems, `mem` to load everything up front. `--bal` is accepted as
-an alias for `--input`.
-
-`--prefetch` schedules the run's I/O ahead of the workers: madvise
-hints on the mmap tier, a bounded read-ahead thread on the stream tier
-(N = read-ahead depth in blocks). Precedence is deterministic for both
-knobs: an explicit --source/--prefetch always wins; the
-ULTRAVC_BAL_SOURCE / ULTRAVC_PREFETCH environment variables are only
-consulted when the flag is absent (auto). Output reports the effective
-tier and prefetch mode.
+`--input` keeps the BAL file open and reads each block's compressed
+payload by one positioned read when a worker first needs it, so an
+ultra-deep file is never held whole in memory. `--bal` is accepted as
+an alias for `--input`. A flag a subcommand does not list is an error.
 
 Runs are supervised: transient I/O errors are retried with capped
 exponential backoff (--max-retries, default 4), and --deadline-ms
@@ -91,6 +80,55 @@ ultravc-serve crate docs for the request grammar. `serve --config`
 serves many samples from one process ([[sample]] tables with
 name/bal/fasta keys); overload knobs (--cost-budget, the breaker
 flags) tune load shedding and per-sample quarantine — 0 means auto.";
+
+// The flags each subcommand's synopsis above lists, plus the `--bal`
+// alias and the hidden `--fault`. Anything else is a usage error.
+const SIMULATE_FLAGS: &[&str] = &["out", "genome-len", "depth", "seed", "variants"];
+const CALL_FLAGS: &[&str] = &[
+    "input",
+    "bal",
+    "ref",
+    "out",
+    "threads",
+    "mode",
+    "max-depth",
+    "no-shortcut",
+    "no-filter",
+    "deadline-ms",
+    "max-retries",
+    "region",
+    "min-af",
+    "fault",
+];
+const FILTER_FLAGS: &[&str] = &["vcf", "out"];
+const TRACE_FLAGS: &[&str] = &[
+    "input",
+    "bal",
+    "ref",
+    "threads",
+    "deadline-ms",
+    "max-retries",
+    "fault",
+];
+const SERVE_FLAGS: &[&str] = &[
+    "input",
+    "bal",
+    "ref",
+    "sample",
+    "config",
+    "addr",
+    "workers",
+    "threads-per-call",
+    "max-inflight",
+    "cache",
+    "timeout-ms",
+    "cost-budget",
+    "cache-cost-budget",
+    "breaker-threshold",
+    "breaker-cooldown-ms",
+    "no-filter",
+    "fault",
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -120,13 +158,21 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parse `--key value` pairs plus positional arguments.
-fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>), String> {
+/// Parse `--key value` pairs plus positional arguments. A key outside
+/// `known` is the usage error: a typo, or a flag this build no longer
+/// has, must not silently run with a default in its place.
+fn parse_flags(
+    args: &[String],
+    known: &[&str],
+) -> Result<(HashMap<String, String>, Vec<String>), String> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
+            if !known.contains(&key) {
+                return Err(format!("unknown flag `--{key}`\n\n{USAGE}"));
+            }
             // Boolean flags take no value.
             if matches!(key, "no-shortcut" | "no-filter") {
                 flags.insert(key.to_string(), "true".to_string());
@@ -157,7 +203,7 @@ fn get_parsed<T: std::str::FromStr>(
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse_flags(args)?;
+    let (flags, _) = parse_flags(args, SIMULATE_FLAGS)?;
     let out = flags
         .get("out")
         .ok_or("simulate requires --out BASE")?
@@ -225,42 +271,19 @@ fn input_path<'a>(flags: &'a HashMap<String, String>, cmd: &str) -> Result<&'a S
         .ok_or_else(|| format!("{cmd} requires --input FILE.bal"))
 }
 
-/// The byte-source tier `--source` names (default: auto = mmap with
-/// streaming fallback).
-fn source_tier(flags: &HashMap<String, String>) -> Result<SourceTier, String> {
-    match flags.get("source").map(String::as_str) {
-        None | Some("auto") => Ok(SourceTier::Auto),
-        Some("mem") => Ok(SourceTier::Mem),
-        Some("mmap") => Ok(SourceTier::Mmap),
-        Some("stream") => Ok(SourceTier::Stream),
-        Some(other) => Err(format!("--source must be mmap|stream|mem, got {other}")),
-    }
-}
-
-/// Open a BAL file through the tier `--source` names (default: auto =
-/// mmap with streaming fallback). No tier copies the whole file into
-/// memory except `mem`, which exists for small files and A/B timing.
+/// Open the BAL file for on-demand positioned reads.
 fn load_bal(path: &str, flags: &HashMap<String, String>) -> Result<BalFile, String> {
-    let bal = BalFile::open_with(path, source_tier(flags)?).map_err(|e| format!("{path}: {e}"))?;
+    let bal = BalFile::open(path).map_err(|e| format!("{path}: {e}"))?;
     // Hidden fault-injection hook for robustness testing: `--fault SPEC`
-    // wraps the opened tier in a deterministic fault source (same grammar
-    // as ULTRAVC_FAULT; the explicit flag replaces any env-derived plan).
+    // wraps the opened source in a deterministic fault source (same
+    // grammar as ULTRAVC_FAULT; the explicit flag replaces any
+    // env-derived plan).
     match flags.get("fault") {
         None => Ok(bal),
         Some(spec) => {
             let plan = FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?;
             Ok(bal.with_faults(plan))
         }
-    }
-}
-
-/// The prefetch mode `--prefetch` names (default: auto, which defers to
-/// `ULTRAVC_PREFETCH` and otherwise stays off). An explicit flag always
-/// wins over the environment — same precedence rule as `--source`.
-fn prefetch_mode(flags: &HashMap<String, String>) -> Result<PrefetchMode, String> {
-    match flags.get("prefetch").map(String::as_str) {
-        None | Some("auto") => Ok(PrefetchMode::Auto),
-        Some(v) => PrefetchMode::parse(v).map_err(|e| format!("--prefetch: {e}")),
     }
 }
 
@@ -291,7 +314,6 @@ fn build_driver(flags: &HashMap<String, String>) -> Result<CallDriver, String> {
         filter,
         mode,
         trace: false,
-        prefetch: prefetch_mode(flags)?,
         budget: run_budget(flags)?,
     })
 }
@@ -356,7 +378,7 @@ fn min_af(flags: &HashMap<String, String>) -> Result<Option<f64>, String> {
 }
 
 fn cmd_call(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse_flags(args)?;
+    let (flags, _) = parse_flags(args, CALL_FLAGS)?;
     let bal = load_bal(input_path(&flags, "call")?, &flags)?;
     let reference = load_reference(flags.get("ref").ok_or("call requires --ref FILE.fa")?)?;
     let driver = build_driver(&flags)?;
@@ -386,9 +408,6 @@ fn cmd_call(args: &[String]) -> Result<(), String> {
             outcome.io_retries
         );
     }
-    if outcome.prefetch_degraded {
-        eprintln!("prefetch degraded: fell back to demand reads");
-    }
     let vcf = write_vcf(&reference.name, "ultravc-0.1", &outcome.records);
     match flags.get("out") {
         Some(path) => {
@@ -396,7 +415,7 @@ fn cmd_call(args: &[String]) -> Result<(), String> {
             println!(
                 "{} records → {path} ({} columns, {:.1}% screened, {} of {} calls certified, \
                  mean depth {:.0}, {:.1} quality bins/tested column, {} blocks decoded in {:?}, \
-                 source {}, prefetch {}, kernel {}, {:?})",
+                 source {}, kernel {}, {:?})",
                 outcome.records.len(),
                 outcome.stats.columns,
                 outcome.stats.skip_fraction() * 100.0,
@@ -407,7 +426,6 @@ fn cmd_call(args: &[String]) -> Result<(), String> {
                 outcome.decode.blocks,
                 outcome.decode.decode_time,
                 outcome.source_tier,
-                outcome.prefetch,
                 outcome.kernel,
                 outcome.wall
             );
@@ -426,7 +444,7 @@ fn cmd_call(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_filter(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse_flags(args)?;
+    let (flags, _) = parse_flags(args, FILTER_FLAGS)?;
     let path = flags.get("vcf").ok_or("filter requires --vcf FILE")?;
     let file = fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let mut records = parse_vcf(BufReader::new(file))?;
@@ -449,7 +467,7 @@ fn cmd_filter(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_upset(args: &[String]) -> Result<(), String> {
-    let (_, paths) = parse_flags(args)?;
+    let (_, paths) = parse_flags(args, &[])?;
     if paths.len() < 2 {
         return Err("upset needs at least two VCF files".to_string());
     }
@@ -472,7 +490,7 @@ fn cmd_upset(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse_flags(args)?;
+    let (flags, _) = parse_flags(args, TRACE_FLAGS)?;
     let bal = load_bal(input_path(&flags, "trace")?, &flags)?;
     let reference = load_reference(flags.get("ref").ok_or("trace requires --ref FILE.fa")?)?;
     let threads: usize = get_parsed(&flags, "threads", 4)?;
@@ -485,7 +503,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             chunk_columns: CHUNK_COLUMNS,
         },
         trace: true,
-        prefetch: prefetch_mode(&flags)?,
         budget: run_budget(&flags)?,
     };
     let outcome = driver.run(&reference, &bal).map_err(|e| e.to_string())?;
@@ -493,12 +510,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     print!("{}", timeline.render_ascii(100));
     let team = outcome.team.expect("every run reports its team");
     println!(
-        "calls: {}   wall: {:?}   source: {}   prefetch: {}   kernel: {}   \
+        "calls: {}   wall: {:?}   source: {}   kernel: {}   \
          imbalance: {:.2}   straggler: T{:02}   decode: {} blocks in {:?}",
         outcome.records.len(),
         outcome.wall,
         bal.source().tier_name(),
-        outcome.prefetch,
         outcome.kernel,
         team.imbalance(),
         team.straggler(),
@@ -509,7 +525,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse_flags(args)?;
+    let (flags, _) = parse_flags(args, SERVE_FLAGS)?;
     let addr = flags
         .get("addr")
         .cloned()
@@ -568,8 +584,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         config.default_timeout = Some(Duration::from_millis(ms));
     }
-    config.source = source_tier(&flags)?;
-    config.prefetch = prefetch_mode(&flags)?;
     config.filter = !flags.contains_key("no-filter");
     config.cost_budget = get_parsed(&flags, "cost-budget", config.cost_budget)?;
     config.cache_cost_budget = get_parsed(&flags, "cache-cost-budget", config.cache_cost_budget)?;

@@ -82,11 +82,32 @@ fn call_exits_zero_only_when_the_result_is_complete() {
 #[test]
 fn script_mode_is_rejected_with_the_usage_error() {
     let (bal, fa) = fixture("script");
-    let out = ultravc(&["call", "--input", &bal, "--ref", &fa, "--mode", "script"]);
-    assert!(!out.status.success());
+    // A retired mode, two retired flags and a typo: each is an error that
+    // says what was not understood, never a run with a default instead.
+    for (extra, complaint) in [
+        (
+            ["--mode", "script"],
+            "--mode must be seq|openmp, got script",
+        ),
+        (["--source", "mmap"], "unknown flag `--source`"),
+        (["--prefetch", "on"], "unknown flag `--prefetch`"),
+        (["--thraeds", "4"], "unknown flag `--thraeds`"),
+    ] {
+        let mut args = vec!["call", "--input", &bal, "--ref", &fa];
+        args.extend_from_slice(&extra);
+        let out = ultravc(&args);
+        assert!(!out.status.success(), "{extra:?}");
+        assert!(out.stdout.is_empty(), "{extra:?}: nothing was called");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(complaint), "{extra:?}: {stderr}");
+    }
+    // The same check guards every subcommand that takes flags.
+    let out = ultravc(&["trace", "--input", &bal, "--ref", &fa, "--prefetch", "on"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("--mode must be seq|openmp, got script"),
+        !out.status.success()
+            && stderr.contains("unknown flag `--prefetch`")
+            && stderr.contains("USAGE:"),
         "{stderr}"
     );
     cleanup(&bal, &fa);

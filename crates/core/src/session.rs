@@ -1,12 +1,12 @@
 //! A reusable calling session: the driver→service split.
 //!
 //! [`CallDriver::run`] is a batch entry point — it rebuilds the
-//! [`ColumnTest`] and re-issues source advice on every call, which is
-//! right for a CLI process that runs once and exits. A serving process
-//! answering many region queries against the same file wants the
-//! opposite: open the file once (mmap tier, advice issued once), build
-//! the whole-genome tester once, and reuse both across requests.
-//! [`CallSession`] is that object.
+//! [`ColumnTest`] on every call, which is right for a CLI process that
+//! runs once and exits. A serving process answering many region queries
+//! against the same file wants the opposite: open the file once (one
+//! descriptor, index and dictionary parsed once), build the whole-genome
+//! tester once, and reuse both across requests. [`CallSession`] is that
+//! object.
 //!
 //! A session is **immutably shared**: [`CallSession::call`] takes
 //! `&self`, so one session behind an `Arc` serves concurrent requests —
@@ -27,13 +27,13 @@ use crate::driver::{CallDriver, CallOutcome};
 use crate::pvalue::ColumnTest;
 use crate::supervisor::RunBudget;
 use std::ops::Range;
-use ultravc_bamlite::{Advice, BalError, BalFile};
+use ultravc_bamlite::{BalError, BalFile};
 use ultravc_genome::reference::ReferenceGenome;
 use ultravc_sync::Arc;
 
 /// A long-lived calling session over one reference + alignment file:
-/// open file, quality dictionary, whole-genome [`ColumnTest`] and source
-/// advice all survive across requests. See the module docs for the
+/// open file, quality dictionary and whole-genome [`ColumnTest`] all
+/// survive across requests. See the module docs for the
 /// sharing and identity contract.
 #[derive(Debug)]
 pub struct CallSession {
@@ -41,33 +41,21 @@ pub struct CallSession {
     reference: Arc<ReferenceGenome>,
     alignments: BalFile,
     tester: ColumnTest,
-    /// Whether whole-file advice actually engaged at open (true only on
-    /// a mapping whose platform issues real hints). Runs then skip the
-    /// redundant per-plan advise and report hints as engaged.
-    advised: bool,
 }
 
 impl CallSession {
-    /// Open a session: build the whole-genome tester and hint the whole
-    /// backing once (`WILLNEED` — a region server touches the file in
-    /// request order, not scan order). A refused or inapplicable hint
-    /// degrades silently to demand paging; it is never an error.
+    /// Open a session: build the whole-genome tester once.
     pub fn open(
         driver: CallDriver,
         reference: Arc<ReferenceGenome>,
         alignments: BalFile,
     ) -> CallSession {
         let tester = ColumnTest::new(&driver.config, reference.len());
-        let source = alignments.source();
-        let advised = source
-            .advise(Advice::WillNeed, 0, source.len())
-            .unwrap_or(false);
         CallSession {
             driver,
             reference,
             alignments,
             tester,
-            advised,
         }
     }
 
@@ -75,13 +63,8 @@ impl CallSession {
     /// are bitwise identical to [`CallDriver::run_region`] on a fresh
     /// driver with the same configuration.
     pub fn call(&self, region: Range<u32>) -> Result<CallOutcome, BalError> {
-        self.driver.run_region_with(
-            &self.reference,
-            &self.alignments,
-            region,
-            &self.tester,
-            self.advised,
-        )
+        self.driver
+            .run_region_with(&self.reference, &self.alignments, region, &self.tester)
     }
 
     /// One region call under a per-request budget (a server arms one per
@@ -94,13 +77,7 @@ impl CallSession {
     ) -> Result<CallOutcome, BalError> {
         let mut driver = self.driver.clone();
         driver.budget = budget;
-        driver.run_region_with(
-            &self.reference,
-            &self.alignments,
-            region,
-            &self.tester,
-            self.advised,
-        )
+        driver.run_region_with(&self.reference, &self.alignments, region, &self.tester)
     }
 
     /// Price a region request before running it — the session-level
@@ -138,7 +115,6 @@ impl CallSession {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use ultravc_bamlite::SourceTier;
     use ultravc_genome::reference::GenomeParams;
     use ultravc_readsim::dataset::DatasetSpec;
 
@@ -159,20 +135,16 @@ mod tests {
         let end = reference.len() as u32;
         let regions = [0..end, 0..end / 3, end / 3..2 * end / 3, end - 1..end];
         let reference = Arc::new(reference);
-        for tier in [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream] {
-            let disk = BalFile::open_with(&path, tier).unwrap();
-            let session = CallSession::open(CallDriver::openmp(2), Arc::clone(&reference), disk);
+        for held in [alignments, BalFile::open(&path).unwrap()] {
+            let tier = held.source().tier_name();
+            let session = CallSession::open(CallDriver::openmp(2), Arc::clone(&reference), held);
             for region in &regions {
                 let via_session = session.call(region.clone()).unwrap();
                 let fresh = CallDriver::openmp(2)
-                    .run_region(
-                        &reference,
-                        &BalFile::open_with(&path, tier).unwrap(),
-                        region.clone(),
-                    )
+                    .run_region(&reference, &BalFile::open(&path).unwrap(), region.clone())
                     .unwrap();
-                assert_eq!(via_session.records, fresh.records, "{tier:?} {region:?}");
-                assert_eq!(via_session.stats, fresh.stats, "{tier:?} {region:?}");
+                assert_eq!(via_session.records, fresh.records, "{tier} {region:?}");
+                assert_eq!(via_session.stats, fresh.stats, "{tier} {region:?}");
                 assert!(via_session.partial.is_empty());
             }
         }

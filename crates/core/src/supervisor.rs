@@ -6,9 +6,8 @@
 //! [`CancelToken`]. At run start the driver [`arm`](RunBudget::arm)s it
 //! into a [`IoBudget`] (deadline anchored to that instant) and attaches
 //! it to its [`ultravc_bamlite::BalFile`] clone, so every payload read
-//! this run issues — worker demand reads and the prefetch thread alike —
-//! retries transients with capped exponential backoff and observes
-//! cancellation/deadline promptly. The default driver budget is
+//! the run's workers issue retries transients with capped exponential
+//! backoff and observes cancellation/deadline promptly. The default driver budget is
 //! [`RunBudget::unbounded`]: no deadline, never cancelled, retries armed —
 //! supervision as a safety net with nothing to trip it.
 //!

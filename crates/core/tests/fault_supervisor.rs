@@ -1,6 +1,6 @@
 //! End-to-end supervision tests: seeded fault plans injected under the
-//! real ingest→call pipeline, across byte-source tiers, execution modes
-//! and prefetch settings.
+//! real ingest→call pipeline, across both byte-source backings and
+//! execution modes.
 //!
 //! The contract under test (the crate's failure model):
 //!
@@ -24,8 +24,8 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use ultravc_bamlite::{BalError, BalFile, FaultPlan, SourceTier};
-use ultravc_core::driver::{CallDriver, CallOutcome, ParallelMode, PrefetchMode};
+use ultravc_bamlite::{BalError, BalFile, FaultPlan};
+use ultravc_core::driver::{CallDriver, CallOutcome, ParallelMode};
 use ultravc_core::{Interrupt, RegionFailure, RunBudget};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
 use ultravc_parfor::Schedule;
@@ -33,7 +33,7 @@ use ultravc_readsim::dataset::DatasetSpec;
 use ultravc_vcf::VcfRecord;
 
 /// The shared scenario: one tiny ultra-deep dataset written to disk once,
-/// reopened per test through whichever tier the test pins.
+/// reopened per test through whichever backing the test pins.
 fn scenario() -> &'static (ReferenceGenome, PathBuf) {
     static SCENARIO: OnceLock<(ReferenceGenome, PathBuf)> = OnceLock::new();
     SCENARIO.get_or_init(|| {
@@ -50,19 +50,29 @@ fn scenario() -> &'static (ReferenceGenome, PathBuf) {
     })
 }
 
-fn open(tier: SourceTier) -> BalFile {
+/// Where a test's copy of the scenario file lives: read whole into
+/// memory, or opened for positioned reads.
+#[derive(Debug, Clone, Copy)]
+enum Backing {
+    Mem,
+    Disk,
+}
+
+fn open(backing: Backing) -> BalFile {
     let (_, path) = scenario();
-    BalFile::open_with(path, tier).unwrap()
+    match backing {
+        Backing::Mem => BalFile::from_bytes(std::fs::read(path).unwrap().into()).unwrap(),
+        Backing::Disk => BalFile::open(path).unwrap(),
+    }
 }
 
 /// A filterless driver: identity assertions compare *calls*, and the
 /// dynamic filter's thresholds are data-dependent (a partial record set
 /// would shift them), so these tests bypass it.
-fn driver(mode: ParallelMode, prefetch: PrefetchMode) -> CallDriver {
+fn driver(mode: ParallelMode) -> CallDriver {
     let mut d = CallDriver::sequential();
     d.filter = None;
     d.mode = mode;
-    d.prefetch = prefetch;
     d
 }
 
@@ -103,8 +113,8 @@ fn live_threads() -> usize {
         .unwrap_or(usize::MAX)
 }
 
-/// Assert the run left no thread behind. Worker/prefetch threads are
-/// joined before `run` returns, but the OS entry can lag a beat — retry
+/// Assert the run left no thread behind. Worker threads are joined
+/// before `run` returns, but the OS entry can lag a beat — retry
 /// until the count settles back to (or below) the baseline.
 fn assert_no_leaked_threads(baseline: usize) {
     let t0 = Instant::now();
@@ -146,29 +156,28 @@ fn assert_partial_identity(baseline: &[VcfRecord], outcome: &CallOutcome) {
 fn baseline_records() -> &'static Vec<VcfRecord> {
     static BASELINE: OnceLock<Vec<VcfRecord>> = OnceLock::new();
     BASELINE.get_or_init(|| {
-        let d = driver(ParallelMode::Sequential, PrefetchMode::Off);
-        let out = d.run(&scenario().0, &open(SourceTier::Mem)).unwrap();
+        let d = driver(ParallelMode::Sequential);
+        let out = d.run(&scenario().0, &open(Backing::Mem)).unwrap();
         assert!(!out.records.is_empty(), "scenario must produce calls");
         out.records.clone()
     })
 }
 
-/// The issue's acceptance scenario: a seeded plan mixing transient EIO,
-/// short reads and one worker panic, on the OpenMP driver over the mmap
-/// tier with prefetch requested. The run must return a *partial*
-/// `CallOutcome` — the panicked region itemized, every completed region
-/// bitwise identical to the fault-free baseline — with zero leaked
-/// threads.
+/// The acceptance scenario: a seeded plan mixing transient EIO, short
+/// reads and one worker panic, on the OpenMP driver over the on-disk
+/// file. The run must return a *partial* `CallOutcome` — the panicked
+/// region itemized, every completed region bitwise identical to the
+/// fault-free baseline — with zero leaked threads.
 #[test]
 fn mixed_faults_yield_a_partial_outcome_with_identical_survivors() {
     let baseline = baseline_records();
     let threads_before = live_threads();
-    let bal = open(SourceTier::Mmap);
+    let bal = open(Backing::Disk);
     // Panic on the first read of a mid-file block: exactly one chunk's
     // demand decode trips it (one-shot), everything else must survive.
     let mid = bal.index()[bal.n_blocks() / 2].offset;
     let plan = FaultPlan::parse(&format!("seed=11,eio=0.25,short=0.25,panic_at={mid}")).unwrap();
-    let d = driver(openmp(4), PrefetchMode::On);
+    let d = driver(openmp(4));
     let out = run_with_watchdog(&d, bal.with_faults(plan), Duration::from_secs(60)).unwrap();
 
     assert_eq!(out.source_tier, "fault");
@@ -198,17 +207,17 @@ fn mixed_faults_yield_a_partial_outcome_with_identical_survivors() {
 #[test]
 fn transient_faults_are_invisible_under_the_default_budget() {
     let baseline = baseline_records();
-    for tier in [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream] {
+    for backing in [Backing::Mem, Backing::Disk] {
         let plan = FaultPlan::parse("seed=7,eio=0.06,eintr=0.06,short=0.06").unwrap();
-        let d = driver(openmp(2), PrefetchMode::Off);
-        let out = run_with_watchdog(&d, open(tier).with_faults(plan), Duration::from_secs(60))
-            .unwrap_or_else(|e| panic!("{tier:?}: transients must be retried away, got {e}"));
-        assert!(out.partial.is_empty(), "{tier:?}: no region may fail");
+        let d = driver(openmp(2));
+        let out = run_with_watchdog(&d, open(backing).with_faults(plan), Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("{backing:?}: transients must be retried away, got {e}"));
+        assert!(out.partial.is_empty(), "{backing:?}: no region may fail");
         assert_eq!(
             &out.records, baseline,
-            "{tier:?}: outcome must be identical"
+            "{backing:?}: outcome must be identical"
         );
-        assert!(out.io_retries > 0, "{tier:?}: the faults did fire");
+        assert!(out.io_retries > 0, "{backing:?}: the faults did fire");
     }
 }
 
@@ -223,10 +232,10 @@ fn a_dead_device_is_a_typed_error_sequentially_and_a_partial_report_in_parallel(
 
     // Sequential: the first post-threshold read escalates after retries
     // and takes the run's one chunk with it.
-    let seq = driver(ParallelMode::Sequential, PrefetchMode::Off);
+    let seq = driver(ParallelMode::Sequential);
     let out = run_with_watchdog(
         &seq,
-        open(SourceTier::Stream).with_faults(plan),
+        open(Backing::Disk).with_faults(plan),
         Duration::from_secs(60),
     )
     .expect("a started run reports failures, it does not return them");
@@ -241,10 +250,10 @@ fn a_dead_device_is_a_typed_error_sequentially_and_a_partial_report_in_parallel(
 
     // OpenMP: whatever completed before the device died is reported and
     // identical to the baseline.
-    let par = driver(openmp(3), PrefetchMode::Off);
+    let par = driver(openmp(3));
     let out = run_with_watchdog(
         &par,
-        open(SourceTier::Stream).with_faults(plan),
+        open(Backing::Disk).with_faults(plan),
         Duration::from_secs(60),
     )
     .expect("a started run reports failures, it does not return them");
@@ -260,10 +269,10 @@ fn a_dead_device_is_a_typed_error_sequentially_and_a_partial_report_in_parallel(
 /// chunk's: itemized, not unwound through the caller.
 #[test]
 fn a_sequential_panic_is_contained_as_a_failed_region() {
-    let bal = open(SourceTier::Mmap);
+    let bal = open(Backing::Disk);
     let mid = bal.index()[bal.n_blocks() / 2].offset;
     let plan = FaultPlan::parse(&format!("seed=13,panic_at={mid}")).unwrap();
-    let seq = driver(ParallelMode::Sequential, PrefetchMode::Off);
+    let seq = driver(ParallelMode::Sequential);
     let out = run_with_watchdog(&seq, bal.with_faults(plan), Duration::from_secs(60)).unwrap();
     assert_eq!(out.partial.len(), 1, "{:?}", out.partial);
     assert_eq!(out.partial[0].region, 0..scenario().0.len() as u32);
@@ -279,7 +288,7 @@ fn cancellation_from_another_thread_returns_promptly_with_completed_regions() {
     // — long enough that a 50ms cancel lands mid-run, short enough that a
     // prompt drain is provable.
     let plan = FaultPlan::parse("seed=5,latency_us=20000").unwrap();
-    let mut d = driver(openmp(2), PrefetchMode::Off);
+    let mut d = driver(openmp(2));
     let budget = RunBudget::unbounded();
     let token = budget.cancel.clone();
     d.budget = budget;
@@ -291,7 +300,7 @@ fn cancellation_from_another_thread_returns_promptly_with_completed_regions() {
     });
     let out = run_with_watchdog(
         &d,
-        open(SourceTier::Stream).with_faults(plan),
+        open(Backing::Disk).with_faults(plan),
         Duration::from_secs(60),
     )
     .expect("a cancelled run reports partially, it does not error");
@@ -322,12 +331,12 @@ fn cancellation_from_another_thread_returns_promptly_with_completed_regions() {
 fn an_expired_deadline_interrupts_the_run() {
     let baseline = baseline_records();
     let plan = FaultPlan::parse("seed=9,latency_us=20000").unwrap();
-    let mut d = driver(openmp(2), PrefetchMode::Off);
+    let mut d = driver(openmp(2));
     d.budget = RunBudget::with_deadline(Duration::from_millis(50));
     let t0 = Instant::now();
     let out = run_with_watchdog(
         &d,
-        open(SourceTier::Stream).with_faults(plan),
+        open(Backing::Disk).with_faults(plan),
         Duration::from_secs(60),
     )
     .expect("a deadline expiry reports partially, it does not error");
@@ -340,20 +349,43 @@ fn an_expired_deadline_interrupts_the_run() {
     assert_partial_identity(baseline, &out);
 }
 
+/// The concurrent-writer case on a real file, no fault plan: the file is
+/// cut to half its length after `open`. Reads past the new end fail as
+/// typed errors the driver contains per region; nothing in the process
+/// is signalled.
 #[test]
-fn refused_advise_degrades_the_run_instead_of_failing_it() {
+fn a_file_shrunk_after_open_is_a_failed_region_not_a_signal() {
     let baseline = baseline_records();
-    let plan = FaultPlan::parse("seed=1,advise_fail=1").unwrap();
-    let d = driver(openmp(2), PrefetchMode::On);
-    let out = run_with_watchdog(
-        &d,
-        open(SourceTier::Mmap).with_faults(plan),
-        Duration::from_secs(60),
-    )
-    .expect("a refused madvise must not fail the run");
-    assert!(out.prefetch_degraded, "the lost fast path is recorded");
-    assert!(out.partial.is_empty());
-    assert_eq!(&out.records, baseline);
+    let threads_before = live_threads();
+    let (_, shared) = scenario();
+    let path = shared.with_extension("shrunk.bal");
+    std::fs::copy(shared, &path).unwrap();
+    let bal = BalFile::open(&path).unwrap();
+    let len = std::fs::metadata(&path).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(len / 2)
+        .unwrap();
+
+    let out = run_with_watchdog(&driver(openmp(2)), bal, Duration::from_secs(60))
+        .expect("a started run reports failures, it does not return them");
+    std::fs::remove_file(&path).ok();
+    assert!(!out.partial.is_empty(), "blocks past the cut must fail");
+    for e in &out.partial {
+        assert!(
+            matches!(&e.failure, RegionFailure::Error(msg) if msg.contains("truncated")),
+            "every failure names the truncation: {e:?}"
+        );
+    }
+    assert!(
+        !out.records.is_empty(),
+        "regions before the cut still complete"
+    );
+    assert!(out.interrupt.is_none());
+    assert_partial_identity(baseline, &out);
+    assert_no_leaked_threads(threads_before);
 }
 
 /// Strategy for a random (but printable and replayable) fault plan.
@@ -385,29 +417,26 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The robustness sweep: random fault plans across every tier,
-    /// execution mode and prefetch setting either (a) complete bitwise
-    /// identical to the fault-free baseline or (b) return a partial report
-    /// whose completed regions are bitwise identical — and never fail a
-    /// started run with `Err`, panic, hang or leak a thread.
+    /// The robustness sweep: random fault plans across both backings and
+    /// execution modes either (a) complete bitwise identical to the
+    /// fault-free baseline or (b) return a partial report whose completed
+    /// regions are bitwise identical — and never fail a started run with
+    /// `Err`, panic, hang or leak a thread.
     #[test]
     fn random_fault_plans_never_panic_hang_leak_or_corrupt(
         plan in plan_strategy(),
-        tier_ix in 0usize..3,
+        backing in prop::sample::select(vec![Backing::Mem, Backing::Disk]),
         parallel in any::<bool>(),
-        prefetch_on in any::<bool>(),
     ) {
         let baseline = baseline_records();
         let threads_before = live_threads();
-        let tier = [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream][tier_ix];
         let mode = if parallel { openmp(3) } else { ParallelMode::Sequential };
-        let prefetch = if prefetch_on { PrefetchMode::On } else { PrefetchMode::Off };
-        let d = driver(mode, prefetch);
+        let d = driver(mode);
         // A panic would have crossed the watchdog thread and failed the
         // test; a hang trips the watchdog itself.
         let out = run_with_watchdog(
             &d,
-            open(tier).with_faults(plan),
+            open(backing).with_faults(plan),
             Duration::from_secs(60),
         );
         prop_assert!(out.is_ok(), "a started run must not fail with Err: {:?}", out.err());

@@ -22,8 +22,7 @@
 //!   straddle a block boundary decode that block exactly once per run.
 //!   The iterator walks a precomputed region-scoped [`BlockWindow`] from
 //!   the run's [`ultravc_bamlite::IoPlan`] instead of re-deriving the
-//!   overlap — the same windows the driver's prefetch layer schedules
-//!   I/O around.
+//!   overlap.
 //!
 //! # Hostile input
 //!
@@ -89,9 +88,8 @@ pub fn pileup_region(file: &BalFile, start: u32, end: u32, params: PileupParams)
 /// iterators sharing the cache, no matter how many of their regions
 /// overlap it. The iterator touches exactly the window's blocks (its
 /// region's own blocks plus shared boundary blocks) instead of
-/// re-deriving the overlap from the index — the region-scoped payload
-/// window the prefetch planner schedules I/O around. The window must have
-/// been planned for this cache's file; a window from another file's plan
+/// re-deriving the overlap from the index. The window must have been
+/// planned for this cache's file; a window from another file's plan
 /// names unrelated blocks.
 pub fn pileup_region_windowed(
     cache: &Arc<SharedBlockCache>,

@@ -1,11 +1,11 @@
-//! On-disk ingest parity: a BAL file written to disk and reopened
-//! through every [`SourceTier`] must pile up bitwise identically to the
-//! in-memory original, through a private reader and through the shared
-//! decode-once cache. This is the tempfile-roundtrip suite CI's on-disk
-//! legs run under each `ULTRAVC_BAL_SOURCE` pin.
+//! On-disk ingest parity: a BAL file written to disk and reopened —
+//! read whole into memory, or by positioned reads through
+//! [`BalFile::open`] — must pile up bitwise identically to the in-memory
+//! original, through a private reader and through the shared decode-once
+//! cache.
 
 use std::sync::Arc;
-use ultravc_bamlite::{BalFile, Cigar, Flags, IoPlan, Record, SharedBlockCache, SourceTier};
+use ultravc_bamlite::{BalFile, Cigar, Flags, IoPlan, Record, SharedBlockCache};
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
 use ultravc_pileup::{pileup_region, pileup_region_windowed, PileupParams};
@@ -62,7 +62,13 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-const TIERS: [SourceTier; 3] = [SourceTier::Mem, SourceTier::Mmap, SourceTier::Stream];
+/// The file at `path` through both backings.
+fn both_backings(path: &std::path::Path) -> [BalFile; 2] {
+    [
+        BalFile::from_bytes(std::fs::read(path).unwrap().into()).unwrap(),
+        BalFile::open(path).unwrap(),
+    ]
+}
 
 #[test]
 fn disk_tiers_pile_identically() {
@@ -79,15 +85,15 @@ fn disk_tiers_pile_identically() {
     ] {
         let baseline: Vec<_> = pileup_region(&file, 0, 600, params).collect();
         assert!(!baseline.is_empty(), "workload must cover columns");
-        for tier in TIERS {
-            let disk = BalFile::open_with(&path, tier).unwrap();
+        for disk in both_backings(&path) {
+            let tier = disk.source().tier_name();
             let got: Vec<_> = pileup_region(&disk, 0, 600, params).collect();
-            assert_eq!(got, baseline, "{tier:?}");
+            assert_eq!(got, baseline, "{tier}");
             // Shared-cache (decode-once) mode over the disk-backed file.
             let plan = IoPlan::for_regions(&disk, std::slice::from_ref(&(0..600)));
             let cache = Arc::new(SharedBlockCache::for_plan(disk.clone(), &plan));
             let cached: Vec<_> = pileup_region_windowed(&cache, plan.window(0), params).collect();
-            assert_eq!(cached, baseline, "{tier:?} shared cache");
+            assert_eq!(cached, baseline, "{tier} shared cache");
         }
     }
     std::fs::remove_file(&path).ok();
@@ -100,8 +106,8 @@ fn disk_backed_shared_cache_still_decodes_once_across_regions() {
     file.write_to(&path).unwrap();
     let params = PileupParams::default();
     let whole: Vec<_> = pileup_region(&file, 0, 600, params).collect();
-    for tier in TIERS {
-        let disk = BalFile::open_with(&path, tier).unwrap();
+    for disk in both_backings(&path) {
+        let tier = disk.source().tier_name();
         let plan = IoPlan::for_regions(&disk, &[0..40, 40..90, 90..600]);
         let cache = Arc::new(SharedBlockCache::for_plan(disk.clone(), &plan));
         let mut iters: Vec<_> = plan
@@ -113,27 +119,13 @@ fn disk_backed_shared_cache_still_decodes_once_across_regions() {
         for it in &mut iters {
             split.extend(it.by_ref());
         }
-        assert_eq!(split, whole, "{tier:?}");
+        assert_eq!(split, whole, "{tier}");
         let total_decodes: u64 = iters.iter().map(|it| it.decode_stats().blocks).sum();
         assert_eq!(
             total_decodes,
             disk.n_blocks() as u64,
-            "{tier:?}: boundary blocks must decode exactly once"
+            "{tier}: boundary blocks must decode exactly once"
         );
     }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn auto_tier_honors_env_contract() {
-    // Whatever ULTRAVC_BAL_SOURCE says (CI pins mem/mmap/stream in its
-    // on-disk legs), BalFile::open must parse and pile identically.
-    let file = BalFile::from_records(varied_records()).unwrap();
-    let path = temp_path("auto");
-    file.write_to(&path).unwrap();
-    let baseline: Vec<_> = pileup_region(&file, 0, 600, PileupParams::default()).collect();
-    let disk = BalFile::open(&path).unwrap();
-    let got: Vec<_> = pileup_region(&disk, 0, 600, PileupParams::default()).collect();
-    assert_eq!(got, baseline, "tier {}", disk.source().tier_name());
     std::fs::remove_file(&path).ok();
 }

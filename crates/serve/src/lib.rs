@@ -1,10 +1,10 @@
 //! # ultravc-serve
 //!
 //! The region-call serving layer: a long-lived process that holds BAL
-//! files open on the mmap tier and answers htsget-style region queries
-//! over HTTP, turning the batch caller into the interactive service the
-//! paper's speedup makes feasible (many clients querying regions of
-//! many samples continuously, instead of one CLI run per question).
+//! files open and answers htsget-style region queries over HTTP,
+//! turning the batch caller into the interactive service the paper's
+//! speedup makes feasible (many clients querying regions of many
+//! samples continuously, instead of one CLI run per question).
 //!
 //! The build is fully offline, so the HTTP layer is a minimal
 //! hand-rolled HTTP/1.1 implementation over `std::net::TcpListener` —
@@ -48,12 +48,12 @@
 //! ## Sessions, cache, and the `RunBudget` mapping
 //!
 //! Each sample is a [`CallSession`](ultravc_core::CallSession): file,
-//! dictionary, whole-genome tester and source advice survive across
-//! requests. Each request arms its **own** [`RunBudget`]: the request's
-//! `timeout-ms` (or the server default) becomes the budget deadline,
-//! and a detected client disconnect fires the budget's cancel token —
-//! either way the request drains as a partial outcome without
-//! poisoning the session or the cache.
+//! dictionary and whole-genome tester survive across requests. Each
+//! request arms its **own** [`RunBudget`]: the request's `timeout-ms`
+//! (or the server default) becomes the budget deadline, and a detected
+//! client disconnect fires the budget's cancel token — either way the
+//! request drains as a partial outcome without poisoning the session or
+//! the cache.
 //!
 //! Completed (and only completed) call results are cached per
 //! `(sample, file identity, region)` — file identity being the on-disk

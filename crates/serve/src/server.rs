@@ -43,8 +43,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::time::Duration;
-use ultravc_bamlite::{BalError, BalFile, FaultPlan, FileFingerprint, Interrupt, SourceTier};
-use ultravc_core::driver::{PrefetchMode, CHUNK_COLUMNS};
+use ultravc_bamlite::{BalError, BalFile, FaultPlan, FileFingerprint, Interrupt};
+use ultravc_core::driver::CHUNK_COLUMNS;
 use ultravc_core::supervisor::{RegionError, RegionFailure};
 use ultravc_core::{CallDriver, CallOutcome, CallSession, CallStats, CallerConfig, ParallelMode};
 use ultravc_core::{CancelToken, RunBudget};
@@ -101,10 +101,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Deadline applied to requests that don't send `timeout-ms`.
     pub default_timeout: Option<Duration>,
-    /// Byte-source tier files are held open through.
-    pub source: SourceTier,
-    /// Prefetch mode for per-request scheduled I/O.
-    pub prefetch: PrefetchMode,
     /// Whether the dynamic post-call filter runs (the CLI's
     /// `--no-filter` maps to `false`).
     pub filter: bool,
@@ -124,8 +120,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: 2 workers, 1 thread per call, 8 in-flight, 64 cache
-    /// entries, no default deadline, auto tier/prefetch/cost budgets,
-    /// filter on, breaker at 3 failures / 2 s cooldown.
+    /// entries, no default deadline, auto cost budgets, filter on,
+    /// breaker at 3 failures / 2 s cooldown.
     pub fn new(addr: impl Into<String>) -> ServeConfig {
         ServeConfig {
             addr: addr.into(),
@@ -135,8 +131,6 @@ impl ServeConfig {
             max_inflight: 8,
             cache_capacity: 64,
             default_timeout: None,
-            source: SourceTier::Auto,
-            prefetch: PrefetchMode::Auto,
             filter: true,
             cost_budget: 0,
             cache_cost_budget: 0,
@@ -157,7 +151,6 @@ impl ServeConfig {
                 chunk_columns: CHUNK_COLUMNS,
             },
             trace: false,
-            prefetch: self.prefetch,
             budget: RunBudget::unbounded(),
         }
     }
@@ -214,7 +207,6 @@ struct Shared {
     inflight: AtomicUsize,
     max_inflight: usize,
     default_timeout: Option<Duration>,
-    source: SourceTier,
     driver: CallDriver,
     breaker: BreakerConfig,
     shutdown: AtomicBool,
@@ -295,12 +287,10 @@ fn open_session(
     spec: &SampleSpec,
     fault: Option<FaultPlan>,
     driver: &CallDriver,
-    source: SourceTier,
 ) -> Result<SessionState, String> {
     let fingerprint =
         FileFingerprint::probe(&spec.bal).map_err(|e| format!("{}: {e}", spec.bal.display()))?;
-    let mut bal = BalFile::open_with(&spec.bal, source)
-        .map_err(|e| format!("{}: {e}", spec.bal.display()))?;
+    let mut bal = BalFile::open(&spec.bal).map_err(|e| format!("{}: {e}", spec.bal.display()))?;
     if let Some(plan) = fault {
         bal = bal.with_faults(plan);
     }
@@ -328,7 +318,7 @@ impl Server {
             if samples.contains_key(&spec.name) {
                 return Err(format!("serve: duplicate sample name {:?}", spec.name));
             }
-            let state = open_session(spec, spec.fault, &driver, config.source)?;
+            let state = open_session(spec, spec.fault, &driver)?;
             max_sample_cost = max_sample_cost.max(state.session.total_cost());
             samples.insert(
                 spec.name.clone(),
@@ -366,7 +356,6 @@ impl Server {
             inflight: AtomicUsize::new(0),
             max_inflight: config.max_inflight.max(1),
             default_timeout: config.default_timeout,
-            source: config.source,
             driver,
             breaker: config.breaker,
             shutdown: AtomicBool::new(false),
@@ -872,12 +861,7 @@ fn resolve_state(shared: &Shared, slot: &SampleSlot) -> Result<Arc<SessionState>
     *guard = None;
     shared.cache.invalidate_sample(&slot.spec.name);
     let fault = *lock_or_recover(&slot.fault);
-    let rebuilt = Arc::new(open_session(
-        &slot.spec,
-        fault,
-        &shared.driver,
-        shared.source,
-    )?);
+    let rebuilt = Arc::new(open_session(&slot.spec, fault, &shared.driver)?);
     shared
         .counters
         .session_rebuilds

@@ -27,8 +27,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use ultravc_bamlite::{BalFile, FaultPlan, SourceTier};
-use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode};
+use ultravc_bamlite::{BalFile, FaultPlan};
+use ultravc_core::driver::{CallDriver, ParallelMode};
 use ultravc_core::{CallerConfig, RunBudget};
 use ultravc_genome::fasta::{read_fasta, write_fasta, FastaRecord};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
@@ -83,14 +83,13 @@ fn fresh_cli_vcf(bal: &Path, fa: &Path, span: Option<Range<u32>>) -> String {
     let records = read_fasta(std::io::BufReader::new(fs::File::open(fa).unwrap())).unwrap();
     let first = records.into_iter().next().unwrap();
     let reference = ReferenceGenome::from_seq(first.name, first.seq);
-    let bal = BalFile::open_with(bal, SourceTier::Auto).unwrap();
+    let bal = BalFile::open(bal).unwrap();
     let span = span.unwrap_or(0..reference.len() as u32);
     let driver = CallDriver {
         config: CallerConfig::improved(),
         filter: Some(FilterParams::default()),
         mode: ParallelMode::Sequential,
         trace: false,
-        prefetch: PrefetchMode::Auto,
         budget: RunBudget::unbounded(),
     };
     let outcome = driver.run_region(&reference, &bal, span).unwrap();
@@ -317,7 +316,7 @@ fn contained_panic_is_one_shot_and_does_not_quarantine() {
     let dir = scratch("panic");
     let (bal, fa, chrom) = write_fixture(&dir, 53, 500, 250.0, 50);
     // Panic on the first read of a mid-file block: one chunk trips it.
-    let probe = BalFile::open_with(&bal, SourceTier::Auto).unwrap();
+    let probe = BalFile::open(&bal).unwrap();
     let mid = probe.index()[probe.n_blocks() / 2].offset;
     drop(probe);
     let mut config = ServeConfig::new("127.0.0.1:0");
@@ -354,7 +353,7 @@ fn contained_panic_is_one_shot_and_does_not_quarantine() {
 fn truncation_trips_the_breaker_and_quarantines_the_whole_sample() {
     let dir = scratch("trunc");
     let (bal, fa, chrom) = write_fixture(&dir, 59, 500, 250.0, 50);
-    let probe = BalFile::open_with(&bal, SourceTier::Auto).unwrap();
+    let probe = BalFile::open(&bal).unwrap();
     let cut = probe.index()[probe.n_blocks() - 1].offset;
     drop(probe);
     let mut config = ServeConfig::new("127.0.0.1:0");
@@ -410,7 +409,7 @@ fn small_requests_overtake_a_queued_whale_and_excess_cost_is_shed() {
     // small fraction of the whole file.
     let (bal, fa, chrom) = write_fixture(&dir, 61, 400, 400.0, 25);
     let (total, small_cost) = {
-        let probe = BalFile::open_with(&bal, SourceTier::Auto).unwrap();
+        let probe = BalFile::open(&bal).unwrap();
         let small: u64 = probe
             .blocks_overlapping(0, 30)
             .iter()

@@ -12,8 +12,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ultravc_bamlite::{BalFile, SourceTier};
-use ultravc_core::driver::{CallDriver, ParallelMode, PrefetchMode};
+use ultravc_bamlite::BalFile;
+use ultravc_core::driver::{CallDriver, ParallelMode};
 use ultravc_core::{CallerConfig, RunBudget};
 use ultravc_genome::fasta::{read_fasta, write_fasta, FastaRecord};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
@@ -65,7 +65,6 @@ fn cli_driver() -> CallDriver {
         filter: Some(FilterParams::default()),
         mode: ParallelMode::Sequential,
         trace: false,
-        prefetch: PrefetchMode::Auto,
         budget: RunBudget::unbounded(),
     }
 }
@@ -76,7 +75,7 @@ fn fresh_cli_vcf(bal: &Path, fa: &Path, span: Option<Range<u32>>) -> String {
     let records = read_fasta(std::io::BufReader::new(fs::File::open(fa).unwrap())).unwrap();
     let first = records.into_iter().next().unwrap();
     let reference = ReferenceGenome::from_seq(first.name, first.seq);
-    let bal = BalFile::open_with(bal, SourceTier::Auto).unwrap();
+    let bal = BalFile::open(bal).unwrap();
     let span = span.unwrap_or(0..reference.len() as u32);
     let outcome = cli_driver().run_region(&reference, &bal, span).unwrap();
     write_vcf(&reference.name, "ultravc-0.1", &outcome.records)
@@ -169,36 +168,26 @@ fn session_reuse_matches_fresh_runs_across_tiers_and_cache_modes() {
     let wire = format!("{chrom}:51-650");
     let span = Some(50..650u32);
 
-    for tier in [SourceTier::Mmap, SourceTier::Stream] {
-        for cache_on in [true, false] {
-            let mut config = serve_config("127.0.0.1:0", &bal, &fa);
-            config.source = tier;
-            config.cache_capacity = if cache_on { 16 } else { 0 };
-            let server = Server::bind(config).unwrap();
-            let expected = fresh_cli_vcf(&bal, &fa, span.clone());
+    for cache_on in [true, false] {
+        let mut config = serve_config("127.0.0.1:0", &bal, &fa);
+        config.cache_capacity = if cache_on { 16 } else { 0 };
+        let server = Server::bind(config).unwrap();
+        let expected = fresh_cli_vcf(&bal, &fa, span.clone());
 
-            // Two sequential calls on the held-open session ==
-            // two fresh CLI runs, bitwise.
-            for nth in 0..2 {
-                let resp = get(&server, &format!("/call?sample=s&region={wire}"));
-                assert_eq!(
-                    resp.status, 200,
-                    "tier {tier:?} cache {cache_on} call {nth}"
-                );
-                assert_eq!(
-                    resp.text(),
-                    expected,
-                    "tier {tier:?} cache {cache_on} call {nth}"
-                );
-                let status = resp.header("x-ultravc-cache");
-                if cache_on && nth == 1 {
-                    assert_eq!(status, Some("hit"));
-                } else {
-                    assert_eq!(status, Some("miss"));
-                }
+        // Two sequential calls on the held-open session ==
+        // two fresh CLI runs, bitwise.
+        for nth in 0..2 {
+            let resp = get(&server, &format!("/call?sample=s&region={wire}"));
+            assert_eq!(resp.status, 200, "cache {cache_on} call {nth}");
+            assert_eq!(resp.text(), expected, "cache {cache_on} call {nth}");
+            let status = resp.header("x-ultravc-cache");
+            if cache_on && nth == 1 {
+                assert_eq!(status, Some("hit"));
+            } else {
+                assert_eq!(status, Some("miss"));
             }
-            server.shutdown();
         }
+        server.shutdown();
     }
 
     // Invalidation leg: rewrite the file under a running server — the
@@ -208,8 +197,8 @@ fn session_reuse_matches_fresh_runs_across_tiers_and_cache_modes() {
     let before = get(&server, &format!("/call?sample=s&region={wire}"));
     assert_eq!(before.status, 200);
     // Same reference, different reads (and file length). Rename over
-    // the served path so the old mmap'd inode stays valid while the
-    // fingerprint at the path changes.
+    // the served path so the inode the session holds open stays whole
+    // while the fingerprint at the path changes.
     let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(700), 13);
     let rewritten = DatasetSpec::new("smoke", 300.0, 99)
         .with_variants(8, 0.005, 0.05)

@@ -8,7 +8,7 @@
 //!   std types, pinned by the workspace's bitwise-identity suites.
 //! * **model path (`--features model`):** the same API surface backed by
 //!   instrumented primitives driven by a deterministic cooperative
-//!   scheduler ([`model::Explorer`]). Every lock, condvar operation,
+//!   scheduler (`model::Explorer`). Every lock, condvar operation,
 //!   atomic access, spawn, and join becomes a scheduling point; the
 //!   explorer enumerates thread interleavings (bounded-exhaustive DFS with
 //!   a preemption bound, then seeded random sampling), detecting
@@ -18,7 +18,7 @@
 //! Even on the model path, code that runs *outside* an active exploration
 //! (ordinary tests, binaries) transparently delegates to `std`: the
 //! instrumented types only intercept operations on threads registered
-//! with a running [`model::Explorer`].
+//! with a running `model::Explorer`.
 //!
 //! ## Facade usage rules
 //!

@@ -33,7 +33,6 @@ fn main() {
         filter: Some(FilterParams::default()),
         mode,
         trace: false,
-        prefetch: PrefetchMode::Auto,
         budget: RunBudget::unbounded(),
     };
 

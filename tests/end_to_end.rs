@@ -75,7 +75,6 @@ fn parallel_modes_are_deterministic_and_equal() {
                     chunk_columns: 100,
                 },
                 trace: false,
-                prefetch: PrefetchMode::Auto,
                 budget: RunBudget::unbounded(),
             };
             let out = driver.run(&reference, &dataset.alignments).unwrap();

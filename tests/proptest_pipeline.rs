@@ -62,7 +62,6 @@ proptest! {
                 chunk_columns: chunk,
             },
             trace: false,
-            prefetch: PrefetchMode::Auto,
             budget: RunBudget::unbounded(),
         };
         let par = driver.run(&reference, &dataset.alignments).unwrap();
