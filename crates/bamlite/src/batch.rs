@@ -89,6 +89,12 @@ impl QualityDict {
         QualityDict::from_sorted(quals, spilled)
     }
 
+    /// The identity mapping a spilled file uses: one bin per representable
+    /// score, bin `b` holding `Phred(MAX_PHRED − b)`.
+    pub fn identity() -> QualityDict {
+        QualityDict::from_sorted((0..=MAX_PHRED).rev().map(Phred).collect(), true)
+    }
+
     fn from_sorted(quals: Vec<Phred>, spilled: bool) -> QualityDict {
         debug_assert!(quals.windows(2).all(|w| w[0] > w[1]), "strictly descending");
         let mut bin_table = [0u8; QUAL_SLOTS];
@@ -340,15 +346,6 @@ impl<'a> RecordView<'a> {
         self.ops
     }
 
-    /// Iterate `(ref_pos, base_code, bin_index)` for every aligned base —
-    /// the batch-path analogue of [`Record::aligned_bases`].
-    pub fn aligned(&self) -> impl Iterator<Item = (u32, u8, u8)> + 'a {
-        let bases = self.bases;
-        let bins = self.bins;
-        Cigar::walk_ops(self.ops, self.meta.pos)
-            .map(move |(rp, qi)| (rp, bases[qi as usize], bins[qi as usize]))
-    }
-
     /// Materialize an owned [`Record`], resolving bin indices through the
     /// dictionary — what [`crate::BalReader::records`] is built on.
     pub fn to_record(&self, dict: &QualityDict) -> Record {
@@ -444,7 +441,7 @@ fn decode_block_v3(
         if !batch.bins.is_empty() && max_bin as usize >= dict.len() {
             return Err(BalError::Corrupt("quality bin index out of dictionary"));
         }
-        walk_v3_streams(&scratch, n, batch)
+        walk_v3_streams(&scratch, n, meta, batch)
     })();
     batch.scratch = scratch;
     result
@@ -453,6 +450,7 @@ fn decode_block_v3(
 fn walk_v3_streams(
     scratch: &StreamScratch,
     n: usize,
+    meta: &crate::file::BlockMeta,
     batch: &mut RecordBatch,
 ) -> Result<(), BalError> {
     // Every record owes the meta stream at least six bytes (delta, id,
@@ -519,6 +517,13 @@ fn walk_v3_streams(
             .ok_or(BalError::Corrupt("alignment extends past coordinate space"))?;
         if query_len != seq_len as u64 {
             return Err(BalError::Corrupt("cigar/sequence length mismatch"));
+        }
+        // Region queries choose blocks by their index extent, so a record
+        // outside it would be stacked by a whole-file pass and dropped by
+        // a region or chunked one. The writer's extent always covers its
+        // records.
+        if pos < meta.min_pos || end_pos > meta.max_end {
+            return Err(BalError::Corrupt("record outside its block's index extent"));
         }
 
         // Packed bases from the base stream (byte-aligned per record).
@@ -831,6 +836,7 @@ mod tests {
         for q in 0..=MAX_PHRED {
             assert_eq!(dict.phred(dict.bin_of(Phred(q))), Phred(q));
         }
+        assert_eq!(dict, QualityDict::identity());
     }
 
     #[test]
@@ -886,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn view_accessors_and_aligned_walk() {
+    fn view_accessors_match_the_record() {
         let rec = mk_record(7, 100, b"ACGT", &[30, 20, 30, 40]);
         let file = BalFile::from_records(vec![rec.clone()]).unwrap();
         let mut batch = RecordBatch::new();
@@ -898,13 +904,12 @@ mod tests {
         assert_eq!(v.mapq(), 60);
         assert_eq!(v.read_len(), 4);
         assert_eq!(v.end_pos(), 104);
+        assert_eq!(v.cigar_ops(), rec.cigar.ops());
         let dict = file.quality_dict();
-        let aligned: Vec<(u32, Base, Phred)> = v
-            .aligned()
-            .map(|(rp, code, bin)| (rp, Base::from_code(code), dict.phred(bin)))
-            .collect();
-        let want: Vec<_> = rec.aligned_bases().collect();
-        assert_eq!(aligned, want);
+        let bases: Vec<Base> = v.base_codes().iter().map(|&c| Base::from_code(c)).collect();
+        let quals: Vec<Phred> = v.bin_indices().iter().map(|&b| dict.phred(b)).collect();
+        assert_eq!(bases, rec.seq.iter().collect::<Vec<_>>());
+        assert_eq!(quals, rec.quals);
     }
 
     #[test]

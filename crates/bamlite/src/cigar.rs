@@ -143,15 +143,8 @@ impl Cigar {
     /// Walk the alignment, yielding `(ref_pos, query_index)` for every
     /// aligned (M) base, given the record's leftmost reference position.
     pub fn aligned_pairs(&self, ref_start: u32) -> AlignedPairs<'_> {
-        Cigar::walk_ops(&self.0, ref_start)
-    }
-
-    /// [`Cigar::aligned_pairs`] over a bare op slice — the form the arena
-    /// batch decoder uses, where ops live in a shared array rather than an
-    /// owned `Cigar`.
-    pub fn walk_ops(ops: &[CigarOp], ref_start: u32) -> AlignedPairs<'_> {
         AlignedPairs {
-            ops,
+            ops: &self.0,
             op_idx: 0,
             within: 0,
             ref_pos: ref_start,

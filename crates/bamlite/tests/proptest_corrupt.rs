@@ -22,7 +22,7 @@ use ultravc_bamlite::{
 };
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
-use ultravc_pileup::{pileup_region, PileupParams};
+use ultravc_pileup::{pileup_region, pileup_region_windowed, PileupParams};
 
 /// Strategy: a plausible aligned read at a bounded position.
 fn record_strategy() -> impl Strategy<Value = (u32, Vec<u8>, u8, bool)> {
@@ -143,6 +143,70 @@ fn swapped_index_entries_refused_on_every_tier() {
     assert_refused_everywhere(&swapped_index_file(), "swapped", |e| {
         matches!(e, BalError::Corrupt("index not sorted by position"))
     });
+}
+
+/// A two-block file — one record per block, 8 bases at 10 and 4 at 20 —
+/// whose first index entry has `max_end` hand-lowered from 18 to 14, so
+/// its record reaches past the extent region queries select blocks by.
+fn lowered_extent_file() -> BalFile {
+    let mut w = BalWriter::with_block_capacity(1);
+    for (id, pos, bases) in [(0u64, 10u32, &b"ACGTACGT"[..]), (1, 20, b"ACGT")] {
+        let seq = Seq::from_ascii(bases).unwrap();
+        let quals = vec![Phred::new(30); seq.len()];
+        w.push(Record::full_match(id, pos, 60, Flags::none(), seq, quals).unwrap())
+            .unwrap();
+    }
+    let mut bytes = w.finish().as_bytes().expect("in-memory").to_vec();
+    let n = bytes.len();
+    let index_offset = u64::from_le_bytes(bytes[n - 12..n - 4].try_into().unwrap()) as usize;
+    // "BIDX" · count · entries of five one-byte fields; `max_end` is the
+    // fourth field.
+    let entries = index_offset + 5;
+    assert!(bytes[entries..entries + 10].iter().all(|b| *b < 0x80));
+    assert_eq!(bytes[entries + 3], 18);
+    bytes[entries + 3] = 14;
+    BalFile::from_bytes(Bytes::from(bytes)).unwrap()
+}
+
+/// Regression: a record outside its block's index extent used to decode,
+/// so a whole-file pass stacked bases that a region or chunked pass —
+/// which picks blocks by that extent — silently dropped. Every decode path
+/// now refuses the block.
+#[test]
+fn records_outside_their_index_extent_fail_every_decode_path() {
+    let file = lowered_extent_file();
+    let is_extent = |e: &BalError| {
+        matches!(
+            e,
+            BalError::Corrupt("record outside its block's index extent")
+        )
+    };
+    let mut batch = RecordBatch::new();
+    let err = file.reader().decode_batch(0, &mut batch).unwrap_err();
+    assert!(is_extent(&err), "decode_batch: {err}");
+    file.reader().decode_batch(1, &mut batch).unwrap();
+    let err = SharedBlockCache::new(file.clone()).get(0).unwrap_err();
+    assert!(is_extent(&err), "shared cache: {err}");
+    // The whole file, and a region the forged extent claims block 0 does
+    // not reach.
+    for (lo, hi) in [(0, 100), (8, 16)] {
+        let mut columns = pileup_region(&file, lo, hi, PileupParams::default());
+        for col in columns.by_ref() {
+            assert!(col.pos < 10, "no column from the refused block");
+        }
+        let err = columns
+            .take_error()
+            .expect("the refused block stops the iterator");
+        assert!(is_extent(&err), "pileup_region {lo}..{hi}: {err}");
+    }
+    let plan = IoPlan::for_regions(&file, &[0..16, 16..100]);
+    let cache = Arc::new(SharedBlockCache::for_plan(file.clone(), &plan));
+    let mut first = pileup_region_windowed(&cache, plan.window(0), PileupParams::default());
+    assert_eq!(first.by_ref().count(), 0);
+    let err = first
+        .take_error()
+        .expect("the refused block stops the window");
+    assert!(is_extent(&err), "pileup_region_windowed: {err}");
 }
 
 #[test]

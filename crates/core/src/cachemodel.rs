@@ -41,8 +41,9 @@ pub const LINE: u64 = 64;
 const ENTRY_BYTES: u64 = 2;
 
 /// Bytes of one histogram column: 8 (base, strand) groups × 94 quality
-/// slots × 4-byte counts — fixed, independent of depth (the shipped
-/// `PileupColumn` layout).
+/// slots × 4-byte counts — fixed, independent of depth. This is the
+/// `PileupColumn` layout at its largest (the identity dictionary); a file's
+/// learned dictionary of `n ≤ 40` bins makes it `8 × n × 4` bytes.
 pub const HISTOGRAM_BYTES: u64 = 8 * 94 * 4;
 
 /// Bytes per `(error probability f64, multiplicity u32)` quality bin as

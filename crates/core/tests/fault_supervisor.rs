@@ -388,6 +388,63 @@ fn a_file_shrunk_after_open_is_a_failed_region_not_a_signal() {
     assert_no_leaked_threads(threads_before);
 }
 
+/// The scenario file with block `block`'s index `max_end` lowered to one
+/// past its `min_pos`: the block's records now reach past the extent
+/// region planning selects blocks by.
+fn lowered_extent_file(block: usize) -> BalFile {
+    use ultravc_bamlite::codec::{get_varint, put_varint};
+    let bytes = std::fs::read(&scenario().1).unwrap();
+    let n = bytes.len();
+    let index_offset = u64::from_le_bytes(bytes[n - 12..n - 4].try_into().unwrap()) as usize;
+    let mut index = &bytes[index_offset + 4..];
+    let mut out = bytes[..index_offset + 4].to_vec();
+    let count = get_varint(&mut index).unwrap();
+    put_varint(&mut out, count);
+    for b in 0..count as usize {
+        let mut entry: Vec<u64> = (0..5).map(|_| get_varint(&mut index).unwrap()).collect();
+        if b == block {
+            entry[3] = entry[2] + 1; // max_end := min_pos + 1
+        }
+        for field in entry {
+            put_varint(&mut out, field);
+        }
+    }
+    // Dictionary section and trailer; the index offset is unchanged.
+    out.extend_from_slice(index);
+    BalFile::from_bytes(out.into()).unwrap()
+}
+
+/// A record outside its block's index extent fails the block in every
+/// mode — the whole span sequentially, the chunk that decodes the block in
+/// parallel — instead of being stacked by one partition and dropped by
+/// another.
+#[test]
+fn a_record_outside_its_index_extent_fails_the_run_in_both_modes() {
+    let bal = lowered_extent_file(1);
+    let min_pos = bal.index()[1].min_pos;
+    let names_extent =
+        |f: &RegionFailure| matches!(f, RegionFailure::Error(msg) if msg.contains("index extent"));
+    let seq = run_with_watchdog(
+        &driver(ParallelMode::Sequential),
+        bal.clone(),
+        Duration::from_secs(60),
+    )
+    .expect("a started run reports failures, it does not return them");
+    assert_eq!(seq.partial.len(), 1, "{:?}", seq.partial);
+    assert_eq!(seq.partial[0].region, 0..scenario().0.len() as u32);
+    assert!(names_extent(&seq.partial[0].failure), "{:?}", seq.partial);
+    assert!(seq.records.is_empty());
+
+    let par = run_with_watchdog(&driver(openmp(2)), bal, Duration::from_secs(60))
+        .expect("a started run reports failures, it does not return them");
+    assert!(
+        par.partial.iter().any(|e| e.region.contains(&min_pos)),
+        "the chunk that decodes the block fails: {:?}",
+        par.partial
+    );
+    assert!(par.partial.iter().all(|e| names_extent(&e.failure)));
+}
+
 /// Strategy for a random (but printable and replayable) fault plan.
 /// Bit-flips are excluded: silent corruption deliberately breaks the
 /// bitwise-identity contract the other classes must uphold (its own

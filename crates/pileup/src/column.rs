@@ -1,32 +1,41 @@
 //! Pileup columns: the per-position stack of observed bases and qualities.
 //!
-//! # Representation: a quality histogram, not an entry list
+//! # Representation: a quality histogram keyed by the file's dictionary
 //!
-//! A column stores **counts indexed by (base, strand, quality)** instead of
-//! one packed entry per read. Phred qualities are a `u8` with at most
-//! [`QUAL_SLOTS`](crate::column) distinct values (and far fewer in real
-//! data — Illumina instruments emit a handful of quality plateaus), so a
-//! 1 000 000× ultra-deep column collapses to a fixed ~3 KB histogram
-//! instead of a 2 MB entry vector.
+//! A column stores **counts indexed by (base, strand, quality bin)** instead
+//! of one packed entry per read. The bins are the file's [`QualityDict`] —
+//! its distinct Phred scores, sorted descending, exactly as the BAL payload
+//! stores each base's quality — so a column is `8 × n_bins` `u32` counters,
+//! `counts[group * n_bins + bin]` with group = base code | strand << 2, and
+//! the engine stacks a base by the bin index it decoded, with no lookup.
+//! A learned dictionary has at most 40 bins (≤ 1.25 KB per column, however
+//! deep); a file whose spectrum spilled, and a column built by hand with
+//! [`PileupColumn::new`], use the identity dictionary of [`QUAL_SLOTS`]
+//! bins, one per representable score. `QUAL_SLOTS` is therefore the most
+//! bins any column has, never its usual size. A 1 000 000× ultra-deep
+//! column is a few hundred counters instead of a 2 MB entry vector.
 //!
 //! That changes the complexity class of every per-column quantity:
 //!
 //! * `depth`, `base_counts`, `strand_counts`, `mismatch_count`, `top_alt`
-//!   are sums over a fixed number of bins — `O(1)` in depth;
-//! * `lambda` (`λ = Σ p_i`, the input of the paper's `O(d)` Poisson screen)
-//!   becomes `Σ count(q) · p(q)` over the Phred table — `O(#slots)`, i.e.
-//!   **independent of depth**;
-//! * the exact Poisson-binomial kernels consume the [`QualityBins`] view —
+//!   are sums over `8 × n_bins` counters — `O(1)` in depth;
+//! * `λ = Σ p_i`, the input of the paper's `O(d)` Poisson screen, is read
+//!   from the [`QualityBins`] view as `Σ count(q) · p(q)` — `O(n_bins)`,
+//!   i.e. **independent of depth**;
+//! * the exact Poisson-binomial kernels consume the same view —
 //!   `(error probability, multiplicity)` pairs — and fold each bin of `m`
 //!   identical Bernoulli trials in `O(K·min(m, K))` instead of `m` scalar
 //!   DP steps (see `ultravc_stats::poisson_binomial`), for a total
 //!   per-column cost of `O(#bins · K²)` instead of `O(d · K)`.
 //!
-//! The fixed-shape reductions over the histogram (`lambda`,
-//! `base_counts`, the bin aggregation) run through the
-//! `ultravc_simd` runtime-dispatched kernel table, so on AVX2/NEON hosts
-//! they execute as vector loops — with bitwise-identical results on the
-//! scalar fallback (`ULTRAVC_FORCE_SCALAR=1`).
+//! The reductions over the histogram (`base_counts`, the bin aggregation)
+//! run through the `ultravc_simd` runtime-dispatched kernel table, with
+//! bitwise-identical results on the scalar fallback
+//! (`ULTRAVC_FORCE_SCALAR=1`).
+//!
+//! Columns compare by content, not by dictionary: two columns are equal
+//! when they hold the same count for every (base, strand, Phred score),
+//! whichever dictionaries index them.
 //!
 //! The paper's Table I attributes its wins to shrinking the hot loop's
 //! working set; the histogram is that insight applied to the column
@@ -36,10 +45,13 @@
 //! Poisson-binomial is exchangeable in its trials.
 
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
+use ultravc_bamlite::QualityDict;
 use ultravc_genome::alphabet::Base;
 use ultravc_genome::phred::{phred_prob_table, phred_to_prob, Phred, MAX_PHRED};
 
-/// Number of representable Phred scores (`0..=MAX_PHRED`).
+/// Number of representable Phred scores (`0..=MAX_PHRED`) — the bin count
+/// of the identity dictionary, and so the most bins a column can have.
 pub const QUAL_SLOTS: usize = MAX_PHRED as usize + 1;
 
 /// Number of (base, strand) groups: 4 bases × 2 strands.
@@ -64,23 +76,39 @@ impl PileupEntry {
     }
 }
 
-/// A complete pileup column: a (base, strand, quality) count histogram.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+/// The identity dictionary hand-built columns share.
+fn identity_dict() -> &'static Arc<QualityDict> {
+    static IDENTITY: OnceLock<Arc<QualityDict>> = OnceLock::new();
+    IDENTITY.get_or_init(|| Arc::new(QualityDict::identity()))
+}
+
+/// A complete pileup column: a (base, strand, quality bin) count histogram.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct PileupColumn {
     /// 0-based reference position.
     pub pos: u32,
-    /// `counts[group * QUAL_SLOTS + qual]`, group = base code | strand << 2.
-    counts: Box<[u32; GROUPS * QUAL_SLOTS]>,
+    /// `counts[group * dict.len() + bin]`, group = base code | strand << 2.
+    counts: Box<[u32]>,
+    /// The bins `counts` is keyed by.
+    dict: Arc<QualityDict>,
     depth: u32,
     truncated: bool,
 }
 
 impl PileupColumn {
-    /// Empty column at a position.
+    /// Empty column at a position, keyed by the identity dictionary so any
+    /// Phred score can be pushed.
     pub fn new(pos: u32) -> PileupColumn {
+        PileupColumn::with_dict(pos, identity_dict())
+    }
+
+    /// Empty column at a position keyed by `dict` — what the engine stacks
+    /// a file's bin indices into.
+    pub(crate) fn with_dict(pos: u32, dict: &Arc<QualityDict>) -> PileupColumn {
         PileupColumn {
             pos,
-            counts: Box::new([0u32; GROUPS * QUAL_SLOTS]),
+            counts: vec![0; GROUPS * dict.len()].into_boxed_slice(),
+            dict: Arc::clone(dict),
             depth: 0,
             truncated: false,
         }
@@ -96,6 +124,17 @@ impl PileupColumn {
         self.truncated = false;
     }
 
+    /// [`Self::reset`] for stacking under `dict`. A buffer keyed by another
+    /// dictionary (a column recycled across files) is re-shaped, so its
+    /// counters are never read against the wrong bins.
+    pub(crate) fn reset_for(&mut self, pos: u32, dict: &Arc<QualityDict>) {
+        if Arc::ptr_eq(&self.dict, dict) {
+            self.reset(pos);
+        } else {
+            *self = PileupColumn::with_dict(pos, dict);
+        }
+    }
+
     /// Append an entry, enforcing the depth cap. Returns whether the entry
     /// was kept.
     #[inline]
@@ -108,38 +147,83 @@ impl PileupColumn {
         true
     }
 
-    /// Append without a cap (tests, small columns).
-    #[inline]
+    /// Append without a cap (tests, small columns). A score the column's
+    /// dictionary lacks re-keys the column onto the identity dictionary.
     pub fn push(&mut self, e: PileupEntry) {
-        let qual = (e.qual.0 as usize).min(MAX_PHRED as usize);
-        self.counts[e.group() * QUAL_SLOTS + qual] += 1;
+        let qual = Phred(e.qual.0.min(MAX_PHRED));
+        let bin = match self.bin_of(qual) {
+            Some(bin) => bin,
+            None => {
+                self.widen_to_identity();
+                self.bin_of(qual)
+                    .expect("the identity dictionary has every score")
+            }
+        };
+        self.stack(e.group() * self.n_bins() + bin);
+    }
+
+    /// Stack one base at counter `slot` = `group * n_bins + bin`, uncapped —
+    /// the engine's inner loop, once it has shown the cap cannot bind.
+    #[inline(always)]
+    pub(crate) fn stack(&mut self, slot: usize) {
+        self.counts[slot] += 1;
         self.depth += 1;
     }
 
-    /// Append by raw base code and pre-resolved quality slot, enforcing
-    /// the depth cap — the **bin-indexed** push the batch ingest path
-    /// uses. `slot` is the histogram row a `QualityDict` bin resolves to
-    /// (its clamped Phred score), so stacking performs no per-base
-    /// Phred→probability work and no clamping. Exactly equivalent to
-    /// [`Self::push_capped`] with the corresponding `PileupEntry`.
-    #[inline]
-    pub fn push_slot_capped(
-        &mut self,
-        base_code: u8,
-        reverse: bool,
-        slot: u8,
-        max_depth: usize,
-    ) -> bool {
+    /// [`Self::stack`], enforcing the depth cap.
+    #[inline(always)]
+    pub(crate) fn stack_capped(&mut self, slot: usize, max_depth: usize) {
         if self.depth as usize >= max_depth {
             self.truncated = true;
-            return false;
+        } else {
+            self.stack(slot);
         }
-        debug_assert!(base_code < 4, "base code out of range");
-        debug_assert!((slot as usize) < QUAL_SLOTS, "quality slot out of range");
-        let group = (base_code | ((reverse as u8) << 2)) as usize;
-        self.counts[group * QUAL_SLOTS + slot as usize] += 1;
-        self.depth += 1;
-        true
+    }
+
+    /// Number of quality bins the counters are keyed by.
+    #[inline]
+    pub(crate) fn n_bins(&self) -> usize {
+        self.dict.len()
+    }
+
+    /// The bin of `qual` in this column's dictionary, if it has one.
+    fn bin_of(&self, qual: Phred) -> Option<usize> {
+        let bin = self.dict.bin_of(qual) as usize;
+        (self.dict.quals().get(bin) == Some(&qual)).then_some(bin)
+    }
+
+    /// Re-key the counters onto the identity dictionary.
+    fn widen_to_identity(&mut self) {
+        let mut wide = PileupColumn::new(self.pos);
+        for (group, qual, n) in self.runs() {
+            let bin = wide
+                .bin_of(qual)
+                .expect("the identity dictionary has every score");
+            wide.counts[group * QUAL_SLOTS + bin] = n;
+        }
+        wide.depth = self.depth;
+        wide.truncated = self.truncated;
+        *self = wide;
+    }
+
+    /// One (base, strand) group's counters, in bin order.
+    #[inline]
+    fn row(&self, group: usize) -> &[u32] {
+        let n = self.n_bins();
+        &self.counts[group * n..(group + 1) * n]
+    }
+
+    /// The non-zero counters as `(group, score, count)`: ascending group,
+    /// then ascending quality (bins are stored descending).
+    fn runs(&self) -> impl Iterator<Item = (usize, Phred, u32)> + '_ {
+        (0..GROUPS).flat_map(move |group| {
+            self.row(group)
+                .iter()
+                .zip(self.dict.quals())
+                .rev()
+                .filter(|(&n, _)| n > 0)
+                .map(move |(&n, &qual)| (group, qual, n))
+        })
     }
 
     /// Number of bases stacked on this column (after capping).
@@ -165,30 +249,25 @@ impl PileupColumn {
     /// is not representable in the histogram (and nothing statistical
     /// depends on it: the trials are exchangeable).
     pub fn iter(&self) -> impl Iterator<Item = PileupEntry> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .flat_map(|(idx, &n)| {
-                let entry = PileupEntry {
-                    base: Base::from_code((idx / QUAL_SLOTS) as u8 & 0b11),
-                    qual: Phred((idx % QUAL_SLOTS) as u8),
-                    reverse: idx / QUAL_SLOTS >= 4,
-                };
-                std::iter::repeat_n(entry, n as usize)
-            })
+        self.runs().flat_map(|(group, qual, n)| {
+            let entry = PileupEntry {
+                base: Base::from_code(group as u8 & 0b11),
+                qual,
+                reverse: group >= 4,
+            };
+            std::iter::repeat_n(entry, n as usize)
+        })
     }
 
-    /// Per-base counts `[A, C, G, T]`. A sum over the fixed histogram —
-    /// `O(1)` in depth — through the dispatched SIMD reduction.
+    /// Per-base counts `[A, C, G, T]`. A sum over the histogram — `O(1)`
+    /// in depth — through the dispatched SIMD reduction.
     pub fn base_counts(&self) -> [u32; 4] {
         let kr = ultravc_simd::kernels();
         let mut c = [0u32; 4];
-        for (group, chunk) in self.counts.chunks_exact(QUAL_SLOTS).enumerate() {
-            let base = group & 0b11;
+        for group in 0..GROUPS {
             // Group totals sum to the (u32) depth, so the u64→u32
             // narrowing cannot truncate.
-            c[base] += (kr.sum_u32)(chunk) as u32;
+            c[group & 0b11] += (kr.sum_u32)(self.row(group)) as u32;
         }
         c
     }
@@ -198,11 +277,8 @@ impl PileupColumn {
     pub fn strand_counts(&self, base: Base) -> (u32, u32) {
         let kr = ultravc_simd::kernels();
         let fwd_group = base.code() as usize;
-        let rev_group = fwd_group + 4;
-        let sum = |g: usize| -> u32 {
-            (kr.sum_u32)(&self.counts[g * QUAL_SLOTS..(g + 1) * QUAL_SLOTS]) as u32
-        };
-        (sum(fwd_group), sum(rev_group))
+        let sum = |group: usize| (kr.sum_u32)(self.row(group)) as u32;
+        (sum(fwd_group), sum(fwd_group + 4))
     }
 
     /// Count of bases differing from the reference base — the `K` of the
@@ -232,41 +308,18 @@ impl PileupColumn {
     /// tests, ablations, and the per-trial reference kernels.
     pub fn error_probs(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.depth as usize);
-        for (idx, &n) in self.counts.iter().enumerate() {
-            if n > 0 {
-                let p = phred_to_prob((idx % QUAL_SLOTS) as u8);
-                out.extend(std::iter::repeat_n(p, n as usize));
-            }
+        for (_, qual, n) in self.runs() {
+            out.extend(std::iter::repeat_n(phred_to_prob(qual.0), n as usize));
         }
         out
-    }
-
-    /// `λ = Σ p_i`, computed as `Σ count(q)·p(q)` over the quality
-    /// histogram — `O(QUAL_SLOTS)`, independent of depth. This feeds the
-    /// paper's `O(d)` Poisson screen, which the histogram upgrades to
-    /// `O(1)` in depth.
-    pub fn lambda(&self) -> f64 {
-        let table = phred_prob_table();
-        let kr = ultravc_simd::kernels();
-        // One count(q)·p(q) dot product per (base, strand) group; the
-        // kernel's fixed blocked reduction keeps the sum deterministic
-        // across dispatch backends.
-        self.counts
-            .chunks_exact(QUAL_SLOTS)
-            .map(|chunk| (kr.dot_u32_f64)(chunk, table))
-            .sum()
     }
 
     /// Number of distinct quality values present — the bin count of the
     /// grouped-trial DP's outer loop.
     pub fn distinct_quals(&self) -> usize {
-        let mut present = [false; QUAL_SLOTS];
-        for (idx, &n) in self.counts.iter().enumerate() {
-            if n > 0 {
-                present[idx % QUAL_SLOTS] = true;
-            }
-        }
-        present.iter().filter(|&&p| p).count()
+        (0..self.n_bins())
+            .filter(|&bin| (0..GROUPS).any(|group| self.row(group)[bin] > 0))
+            .count()
     }
 
     /// Fill `out` with this column's quality bins (see [`QualityBins`]),
@@ -277,18 +330,18 @@ impl PileupColumn {
         out.clear();
         let table = phred_prob_table();
         let kr = ultravc_simd::kernels();
-        // Aggregate the 8 (base, strand) group rows into one per-quality
+        // Aggregate the 8 (base, strand) group rows into one per-bin
         // histogram — an element-wise vector add per row. No overflow:
         // the grand total is the column depth, itself a u32.
-        let mut per_qual = [0u32; QUAL_SLOTS];
-        for chunk in self.counts.chunks_exact(QUAL_SLOTS) {
-            (kr.accumulate_u32)(&mut per_qual, chunk);
+        let mut per_bin = [0u32; QUAL_SLOTS];
+        let per_bin = &mut per_bin[..self.n_bins()];
+        for group in 0..GROUPS {
+            (kr.accumulate_u32)(per_bin, self.row(group));
         }
-        // Descending quality = ascending error probability.
-        for q in (0..QUAL_SLOTS).rev() {
-            let n = per_qual[q];
+        // Bins run in descending quality = ascending error probability.
+        for (&n, qual) in per_bin.iter().zip(self.dict.quals()) {
             if n > 0 {
-                out.bins.push((table[q], n));
+                out.bins.push((table[qual.0 as usize], n));
                 out.depth += n as u64;
             }
         }
@@ -299,6 +352,17 @@ impl PileupColumn {
         let mut out = QualityBins::default();
         self.fill_quality_bins(&mut out);
         out
+    }
+}
+
+/// Equal position, depth, truncation and count per (base, strand, Phred
+/// score) — independent of the dictionaries keying the two columns.
+impl PartialEq for PileupColumn {
+    fn eq(&self, other: &PileupColumn) -> bool {
+        self.pos == other.pos
+            && self.depth == other.depth
+            && self.truncated == other.truncated
+            && self.runs().eq(other.runs())
     }
 }
 
@@ -367,6 +431,7 @@ impl QualityBins {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn e(base: Base, q: u8, reverse: bool) -> PileupEntry {
         PileupEntry {
@@ -374,6 +439,15 @@ mod tests {
             qual: Phred::new(q),
             reverse,
         }
+    }
+
+    /// A dictionary over exactly `scores`.
+    fn dict_of(scores: &[u8]) -> Arc<QualityDict> {
+        let mut counts = [0u64; QUAL_SLOTS];
+        for &q in scores {
+            counts[q as usize] += 1;
+        }
+        Arc::new(QualityDict::from_histogram(&counts))
     }
 
     #[test]
@@ -455,8 +529,9 @@ mod tests {
             col.push(e(Base::A, q, false));
         }
         let direct: f64 = col.error_probs().iter().sum();
-        assert!((col.lambda() - direct).abs() < 1e-15);
-        assert!((col.lambda() - 0.111_1).abs() < 1e-3);
+        let lambda = col.quality_bins().lambda();
+        assert!((lambda - direct).abs() < 1e-15);
+        assert!((lambda - 0.111_1).abs() < 1e-3);
     }
 
     #[test]
@@ -483,7 +558,6 @@ mod tests {
         assert_eq!(slice[0].1, 1); // Q41
         assert_eq!(slice[1].1, 150); // Q30 across A-fwd and G-rev
         assert_eq!(slice[2].1, 7); // Q20
-        assert!((bins.lambda() - col.lambda()).abs() < 1e-12);
     }
 
     #[test]
@@ -541,5 +615,72 @@ mod tests {
         assert_eq!(col.depth(), 1);
         let bins = col.quality_bins();
         assert_eq!(bins.as_slice()[0].0, phred_to_prob(MAX_PHRED));
+    }
+
+    #[test]
+    fn pushing_a_score_the_dictionary_lacks_widens_the_column() {
+        let dict = dict_of(&[30, 20]);
+        let mut col = PileupColumn::with_dict(4, &dict);
+        col.stack(Base::G.code() as usize * dict.len());
+        col.push(e(Base::A, 37, true));
+        col.push(e(Base::A, 20, false));
+        let mut want = PileupColumn::new(4);
+        for entry in [
+            e(Base::G, 30, false),
+            e(Base::A, 37, true),
+            e(Base::A, 20, false),
+        ] {
+            want.push(entry);
+        }
+        assert_eq!(col, want);
+        assert_eq!(col.n_bins(), QUAL_SLOTS, "re-keyed onto the identity");
+        assert_eq!(col.quality_bins(), want.quality_bins());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn dictionary_column_equals_identity_column(
+            scores in prop::collection::vec(0u8..=MAX_PHRED, 1..12),
+            bases in prop::collection::vec((0u8..4, any::<bool>(), any::<u8>()), 0..200),
+            cap in prop::sample::select(vec![1usize, 5, 1_000_000]),
+        ) {
+            // The same entries stacked by bin into a dictionary-keyed
+            // column and pushed by score into an identity column.
+            let dict = dict_of(&scores);
+            let mut keyed = PileupColumn::with_dict(9, &dict);
+            let mut identity = PileupColumn::new(9);
+            for &(code, reverse, pick) in &bases {
+                let bin = pick as usize % dict.len();
+                let group = (code | (reverse as u8) << 2) as usize;
+                keyed.stack_capped(group * dict.len() + bin, cap);
+                identity.push_capped(
+                    PileupEntry {
+                        base: Base::from_code(code),
+                        qual: dict.phred(bin as u8),
+                        reverse,
+                    },
+                    cap,
+                );
+            }
+            prop_assert_eq!(&keyed, &identity);
+            prop_assert_eq!(keyed.depth(), identity.depth());
+            prop_assert_eq!(keyed.truncated(), identity.truncated());
+            prop_assert_eq!(keyed.base_counts(), identity.base_counts());
+            for base in Base::ALL {
+                prop_assert_eq!(keyed.strand_counts(base), identity.strand_counts(base));
+            }
+            prop_assert_eq!(keyed.iter().collect::<Vec<_>>(), identity.iter().collect::<Vec<_>>());
+            // Bitwise: the exact (p, m) sequence and per-read probabilities.
+            let bits = |v: &[(f64, u32)]| v.iter().map(|&(p, m)| (p.to_bits(), m)).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(keyed.quality_bins().as_slice()),
+                bits(identity.quality_bins().as_slice())
+            );
+            let probs = |c: &PileupColumn| c.error_probs().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(probs(&keyed), probs(&identity));
+            prop_assert_eq!(keyed.distinct_quals(), identity.distinct_quals());
+        }
     }
 }

@@ -4,19 +4,40 @@
 //! lazily); a ring of in-flight columns receives bases from every read that
 //! overlaps them; a column is emitted as soon as no unread record can still
 //! touch it (i.e. the next record starts past it). Peak memory is
-//! `O(read_len × depth_cap)` packed entries, independent of file size.
+//! `O(read_len)` columns of `8 × n_bins` counters, independent of file size
+//! and depth.
+//!
+//! # The `M`-run kernel
+//!
+//! A record is stacked one CIGAR op at a time, not one base at a time.
+//! Each `M` run is clamped to the region once; its bases, quality-bin
+//! indices and the ring columns it covers are then consecutive, so the
+//! inner loop zips three slices: the ring is split at its wrap point once
+//! per run ([`VecDeque::as_mut_slices`]), and each base is one `min_baseq`
+//! compare and one counter increment at `group * n_bins + bin` — the
+//! column is keyed by the file's quality dictionary, so the bin the
+//! decoder produced is the counter index (see [`crate::column`]).
+//!
+//! **The depth cap is checked once per record.** A record adds at most one
+//! base to any column (its `M` runs cover disjoint reference positions),
+//! so the iterator keeps a conservative bound on the ring's deepest
+//! column, raised by one per stacked record. While the bound is below
+//! `max_depth`, no column can reach the cap during the record and its
+//! bases take the uncapped loop. Once the bound reaches the cap, one scan
+//! of the ring re-tightens it to the true maximum; only a record that
+//! finds a column really at the cap takes the per-base capped loop, which
+//! drops the base and marks the column truncated exactly as
+//! [`PileupColumn::push_capped`] does.
 //!
 //! # Ingest paths
 //!
-//! Two sources can feed the ring, both producing **bitwise-identical**
-//! columns (same entries, same push order, same depth-cap decisions):
+//! Two sources feed the one kernel, both producing **bitwise-identical**
+//! columns (same counts, same depth-cap decisions):
 //!
 //! * **Batch** ([`pileup_region`]) — blocks decode into a reusable
-//!   [`RecordBatch`] arena via [`BalReader::decode_batch`]; bases are
-//!   stacked straight from bin indices
-//!   ([`PileupColumn::push_slot_capped`]), the `min_baseq` filter is one
-//!   bin-index comparison, and a batch freelist mirrors the column
-//!   freelist so steady state performs zero allocations.
+//!   [`RecordBatch`] arena via [`BalReader::decode_batch`], and a batch
+//!   freelist mirrors the column freelist so steady state performs zero
+//!   allocations.
 //! * **Shared** ([`pileup_region_windowed`]) — batches come from a
 //!   run-scoped [`SharedBlockCache`], so parallel workers whose chunks
 //!   straddle a block boundary decode that block exactly once per run.
@@ -33,13 +54,11 @@
 //! let an out-of-order record reach behind the ring's emission front.
 
 use crate::column::PileupColumn;
-#[cfg(test)]
-use crate::column::PileupEntry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use ultravc_bamlite::{
-    BalError, BalFile, BalReader, BlockWindow, DecodeStats, QualityDict, RecordBatch, RecordView,
-    SharedBlockCache,
+    BalError, BalFile, BalReader, BlockWindow, CigarOp, DecodeStats, QualityDict, RecordBatch,
+    RecordView, SharedBlockCache,
 };
 
 /// Pileup configuration, mirroring LoFreq's relevant defaults.
@@ -160,6 +179,9 @@ pub struct PileupIter {
     /// In-flight columns, front = lowest position. Invariant: contiguous
     /// positions `ring[0].pos .. ring[0].pos + ring.len()`.
     ring: VecDeque<PileupColumn>,
+    /// At least the depth of every ring column: raised by one per stacked
+    /// record, re-tightened by a ring scan when it reaches the cap.
+    depth_bound: usize,
     /// Retired column buffers awaiting reuse: uncovered positions the
     /// iterator skipped plus whatever the consumer hands back via
     /// [`PileupIter::recycle`]. In steady state the ring allocates no new
@@ -202,6 +224,7 @@ impl PileupIter {
             dict,
             bin_cutoff,
             ring: VecDeque::new(),
+            depth_bound: 0,
             free: Vec::new(),
             start,
             end,
@@ -330,6 +353,7 @@ impl PileupIter {
         let Self {
             source,
             ring,
+            depth_bound,
             free,
             params,
             start,
@@ -338,29 +362,37 @@ impl PileupIter {
             bin_cutoff,
             ..
         } = self;
-        match source {
+        let (view, cursor) = match source {
             Source::Batch { cur, cursor, .. } => {
-                let view = cur.as_ref().expect("ensured batch").view(*cursor);
-                *cursor += 1;
-                absorb_view(ring, free, params, *start, *end, view, dict, *bin_cutoff);
+                (cur.as_ref().expect("ensured batch").view(*cursor), cursor)
             }
             Source::Shared { cur, cursor, .. } => {
-                let view = cur.as_ref().expect("ensured batch").view(*cursor);
-                *cursor += 1;
-                absorb_view(ring, free, params, *start, *end, view, dict, *bin_cutoff);
+                (cur.as_ref().expect("ensured batch").view(*cursor), cursor)
             }
-        }
+        };
+        *cursor += 1;
+        absorb_view(
+            ring,
+            depth_bound,
+            free,
+            params,
+            *start..*end,
+            view,
+            dict,
+            *bin_cutoff,
+        );
     }
 }
 
-/// A blank column at `pos`, reusing a retired buffer when available.
-fn fresh_column(free: &mut Vec<PileupColumn>, pos: u32) -> PileupColumn {
+/// A blank column at `pos` keyed by `dict`, reusing a retired buffer when
+/// available.
+fn fresh_column(free: &mut Vec<PileupColumn>, dict: &Arc<QualityDict>, pos: u32) -> PileupColumn {
     match free.pop() {
         Some(mut col) => {
-            col.reset(pos);
+            col.reset_for(pos, dict);
             col
         }
-        None => PileupColumn::new(pos),
+        None => PileupColumn::with_dict(pos, dict),
     }
 }
 
@@ -370,6 +402,7 @@ fn fresh_column(free: &mut Vec<PileupColumn>, pos: u32) -> PileupColumn {
 fn ensure_span(
     ring: &mut VecDeque<PileupColumn>,
     free: &mut Vec<PileupColumn>,
+    dict: &Arc<QualityDict>,
     first: u32,
     last: u32,
 ) {
@@ -384,25 +417,25 @@ fn ensure_span(
         }
     };
     while next < last {
-        let col = fresh_column(free, next);
+        let col = fresh_column(free, dict, next);
         ring.push_back(col);
         next += 1;
     }
 }
 
-/// Stack a record's bin indices straight from the arena view. The quality
-/// filter is a single comparison against the dictionary cutoff and the
-/// push resolves each bin to its histogram slot through the (L1-sized)
-/// dictionary — no per-base Phred construction, no clamping.
+/// Stack one record with the `M`-run kernel (see the module docs): walk
+/// its CIGAR ops, clamp each `M` run to `region`, and stack the run's bin
+/// indices into consecutive ring columns, capped per base only when
+/// `depth_bound` says a column may be at `max_depth`.
 #[allow(clippy::too_many_arguments)]
 fn absorb_view(
     ring: &mut VecDeque<PileupColumn>,
+    depth_bound: &mut usize,
     free: &mut Vec<PileupColumn>,
     params: &PileupParams,
-    start: u32,
-    end: u32,
+    region: std::ops::Range<u32>,
     view: RecordView<'_>,
-    dict: &QualityDict,
+    dict: &Arc<QualityDict>,
     bin_cutoff: u8,
 ) {
     if params.skip_flagged && view.flags().is_filtered() {
@@ -417,24 +450,108 @@ fn absorb_view(
     // deletion) must not leave the front past a column that the next
     // record, starting at the same position, still stacks into. Columns
     // covered but never filled are skipped on emission.
-    let first = view.pos().max(start);
-    let last = view.end_pos().min(end);
+    let first = view.pos().max(region.start);
+    let last = view.end_pos().min(region.end);
     if first >= last {
         return;
     }
-    ensure_span(ring, free, first, last);
+    ensure_span(ring, free, dict, first, last);
+    let cap = if *depth_bound < params.max_depth {
+        None
+    } else {
+        *depth_bound = ring.iter().map(PileupColumn::depth).max().unwrap_or(0);
+        (*depth_bound >= params.max_depth).then_some(params.max_depth)
+    };
+    // One base per column at most: the bound stays a bound.
+    *depth_bound += 1;
+    let kernel = RunKernel {
+        strand: usize::from(view.flags().is_reverse()) << 2,
+        n_bins: dict.len(),
+        bin_cutoff,
+        cap,
+    };
     let front_pos = ring.front().expect("span is non-empty").pos;
-    let reverse = view.flags().is_reverse();
-    let slots = dict.quals();
-    for (ref_pos, base_code, bin) in view.aligned() {
-        if ref_pos < start || ref_pos >= end {
-            continue;
+    let (head, tail) = ring.as_mut_slices();
+    let (bases, bins) = (view.base_codes(), view.bin_indices());
+    // Decode validated `pos + Σ ref_len` and `Σ query_len = read_len`, so
+    // neither cursor overflows and every run slice is in bounds.
+    let (mut ref_pos, mut query) = (view.pos(), 0usize);
+    for &op in view.cigar_ops() {
+        match op {
+            CigarOp::Match(n) => {
+                let lo = ref_pos.max(region.start);
+                let hi = (ref_pos + n).min(region.end);
+                if lo < hi {
+                    let q = query + (lo - ref_pos) as usize;
+                    let len = (hi - lo) as usize;
+                    let col = (lo - front_pos) as usize;
+                    // The ring's wrap point splits the run at most once.
+                    let in_head = head.len().saturating_sub(col).min(len);
+                    if in_head > 0 {
+                        kernel.stack(
+                            &mut head[col..col + in_head],
+                            &bases[q..q + in_head],
+                            &bins[q..q + in_head],
+                        );
+                    }
+                    if in_head < len {
+                        let t = col + in_head - head.len();
+                        kernel.stack(
+                            &mut tail[t..t + len - in_head],
+                            &bases[q + in_head..q + len],
+                            &bins[q + in_head..q + len],
+                        );
+                    }
+                }
+                ref_pos += n;
+                query += n as usize;
+            }
+            CigarOp::Ins(n) | CigarOp::SoftClip(n) => query += n as usize,
+            CigarOp::Del(n) => ref_pos += n,
         }
-        if bin >= bin_cutoff {
-            continue;
+    }
+}
+
+/// What every base of one record shares.
+struct RunKernel {
+    /// `4` on the reverse strand: the group's strand bit.
+    strand: usize,
+    /// Bins per counter row of the file's dictionary.
+    n_bins: usize,
+    /// Bins at or past this fail `min_baseq`.
+    bin_cutoff: u8,
+    /// `Some(max_depth)` when a column may already be at the cap.
+    cap: Option<usize>,
+}
+
+impl RunKernel {
+    /// Stack one clamped `M` run: `bases[i]` / `bins[i]` land on `cols[i]`.
+    #[inline]
+    fn stack(&self, cols: &mut [PileupColumn], bases: &[u8], bins: &[u8]) {
+        match self.cap {
+            None => self.stack_run::<false>(cols, bases, bins, 0),
+            Some(max_depth) => self.stack_run::<true>(cols, bases, bins, max_depth),
         }
-        let idx = (ref_pos - front_pos) as usize;
-        ring[idx].push_slot_capped(base_code, reverse, slots[bin as usize].0, params.max_depth);
+    }
+
+    #[inline(always)]
+    fn stack_run<const CAPPED: bool>(
+        &self,
+        cols: &mut [PileupColumn],
+        bases: &[u8],
+        bins: &[u8],
+        max_depth: usize,
+    ) {
+        for ((col, &base), &bin) in cols.iter_mut().zip(bases).zip(bins) {
+            if bin < self.bin_cutoff {
+                let slot = (self.strand | base as usize) * self.n_bins + bin as usize;
+                if CAPPED {
+                    col.stack_capped(slot, max_depth);
+                } else {
+                    col.stack(slot);
+                }
+            }
+        }
     }
 }
 
@@ -480,6 +597,10 @@ impl Iterator for PileupIter {
                     }
                 }
                 Some(col) => {
+                    if self.ring.is_empty() {
+                        // Nothing left for the bound to cover.
+                        self.depth_bound = 0;
+                    }
                     if !col.is_empty() {
                         return Some(col);
                     }
@@ -821,38 +942,55 @@ mod tests {
     }
 
     #[test]
-    fn push_slot_equals_entry_push() {
-        let mut a = PileupColumn::new(0);
-        let mut b = PileupColumn::new(0);
-        for (base, q, rev) in [
-            (Base::A, 30u8, false),
-            (Base::G, 2, true),
-            (Base::T, 93, false),
-        ] {
-            a.push_capped(
-                PileupEntry {
-                    base,
-                    qual: Phred::new(q),
-                    reverse: rev,
-                },
-                10,
-            );
-            b.push_slot_capped(base.code(), rev, q, 10);
+    fn columns_recycled_across_files_are_rekeyed() {
+        // Two quality dictionaries of different widths: a buffer keyed by
+        // the first must not be read against the second's bins.
+        let a = file(vec![
+            mk(0, 0, b"ACGTAC", 30, Flags::none()),
+            mk(1, 1, b"ACGTA", 20, Flags::REVERSE),
+        ]);
+        let b = file(vec![
+            mk(0, 2, b"GGTTAA", 41, Flags::none()),
+            mk(1, 3, b"CCAA", 12, Flags::REVERSE),
+            mk(2, 3, b"AC", 37, Flags::none()),
+        ]);
+        assert_ne!(a.quality_dict().len(), b.quality_dict().len());
+        let params = PileupParams::default();
+        let want: Vec<_> = pileup_region(&b, 0, 100, params).collect();
+        let mut iter = pileup_region(&b, 0, 100, params);
+        for col in pileup_region(&a, 0, 100, params) {
+            iter.recycle(col);
         }
-        assert_eq!(a, b);
-        // Cap behaviour matches too.
-        for _ in 0..20 {
-            a.push_capped(
-                PileupEntry {
-                    base: Base::C,
-                    qual: Phred::new(10),
-                    reverse: false,
-                },
-                4,
-            );
-            b.push_slot_capped(Base::C.code(), false, 10, 4);
+        let got: Vec<_> = iter.by_ref().collect();
+        assert_eq!(got, want);
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.quality_bins(), w.quality_bins());
+            assert_eq!(g.n_bins(), b.quality_dict().len());
         }
-        assert_eq!(a, b);
-        assert!(b.truncated());
+    }
+
+    #[test]
+    fn depth_bound_is_retightened_below_the_cap() {
+        // Forty overlapping reads, two deep at every interior column: the
+        // per-record bound reaches a cap of 3 after three records, and each
+        // ring scan brings it back to the true maximum, so no column is
+        // ever capped and the bound never runs away.
+        let records: Vec<Record> = (0..40)
+            .map(|i| mk(i, 2 * i as u32, b"ACGT", 30, Flags::none()))
+            .collect();
+        let f = file(records);
+        let params = PileupParams {
+            max_depth: 3,
+            ..PileupParams::default()
+        };
+        let mut iter = pileup_region(&f, 0, 200, params);
+        let mut depths = Vec::new();
+        while let Some(col) = iter.next() {
+            assert!(iter.depth_bound <= 3, "bound {}", iter.depth_bound);
+            assert!(!col.truncated());
+            depths.push(col.depth());
+        }
+        assert_eq!(depths.len(), 82);
+        assert!(depths[2..80].iter().all(|&d| d == 2));
     }
 }

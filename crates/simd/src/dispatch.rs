@@ -33,8 +33,6 @@ pub struct Kernels {
     /// Element-wise `dst[i] += src[i]` (histogram group aggregation; the
     /// caller guarantees no overflow).
     pub accumulate_u32: fn(dst: &mut [u32], src: &[u32]),
-    /// `Σ counts[i]·table[i]` — the λ reduction over the Phred table.
-    pub dot_u32_f64: fn(counts: &[u32], table: &[f64]) -> f64,
 }
 
 /// The scalar reference backend: the binned DP's loops exactly as they
@@ -46,7 +44,6 @@ static SCALAR: Kernels = Kernels {
     binomial_pmf: binomial_pmf_baseline,
     sum_u32: sum_u32_baseline,
     accumulate_u32: accumulate_u32_baseline,
-    dot_u32_f64: dot_u32_f64_baseline,
 };
 
 // Baseline-ISA monomorphizations of the shared generic kernels (the
@@ -59,9 +56,6 @@ fn sum_u32_baseline(counts: &[u32]) -> u64 {
 }
 fn accumulate_u32_baseline(dst: &mut [u32], src: &[u32]) {
     imp::accumulate_u32_impl(dst, src);
-}
-fn dot_u32_f64_baseline(counts: &[u32], table: &[f64]) -> f64 {
-    imp::dot_u32_f64_impl(counts, table)
 }
 
 /// AVX2+FMA backend: the generic lane kernels monomorphized inside
@@ -125,12 +119,6 @@ mod avx2 {
         imp::accumulate_u32_impl,
         fn(dst: &mut [u32], src: &[u32])
     );
-    avx2_wrapper!(
-        dot_u32_f64,
-        dot_u32_f64_tf,
-        imp::dot_u32_f64_impl,
-        fn(counts: &[u32], table: &[f64]) -> f64
-    );
 
     pub(super) static AVX2: super::Kernels = super::Kernels {
         name: "avx2",
@@ -139,7 +127,6 @@ mod avx2 {
         binomial_pmf,
         sum_u32,
         accumulate_u32,
-        dot_u32_f64,
     };
 }
 
@@ -166,7 +153,6 @@ mod neon {
         binomial_pmf: super::binomial_pmf_baseline,
         sum_u32: super::sum_u32_baseline,
         accumulate_u32: super::accumulate_u32_baseline,
-        dot_u32_f64: super::dot_u32_f64_baseline,
     };
 }
 

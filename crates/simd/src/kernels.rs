@@ -227,28 +227,6 @@ pub(crate) fn accumulate_u32_impl(dst: &mut [u32], src: &[u32]) {
     }
 }
 
-/// `Σ counts[i]·table[i]` — the λ reduction (`count(q) · p(q)` over the
-/// Phred table). Blocked over four independent accumulators with a fixed
-/// reduction tree, so every backend sums in the same order.
-#[inline(always)]
-pub(crate) fn dot_u32_f64_impl(counts: &[u32], table: &[f64]) -> f64 {
-    let n = counts.len().min(table.len());
-    let mut acc = [0.0f64; LANES];
-    let mut i = 0;
-    while i + LANES <= n {
-        for (l, slot) in acc.iter_mut().enumerate() {
-            *slot += counts[i + l] as f64 * table[i + l];
-        }
-        i += LANES;
-    }
-    let mut rest = 0.0f64;
-    while i < n {
-        rest += counts[i] as f64 * table[i];
-        i += 1;
-    }
-    F64Lanes::<LANES>(acc).reduce_sum() + rest
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,16 +342,6 @@ mod tests {
         let mut dst = vec![1u32; 10];
         accumulate_u32_impl(&mut dst, &[2u32; 10]);
         assert_eq!(dst, vec![3u32; 10]);
-
-        let table = random_f64s(23, 0xC3);
-        let direct: f64 = counts
-            .iter()
-            .zip(table.iter())
-            .map(|(&c, &t)| c as f64 * t)
-            .sum();
-        let blocked = dot_u32_f64_impl(&counts, &table);
-        assert!((blocked - direct).abs() <= 1e-12 * direct.abs());
-        assert_eq!(dot_u32_f64_impl(&[], &[]), 0.0);
     }
 
     #[test]
