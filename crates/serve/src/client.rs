@@ -1,8 +1,13 @@
 //! A minimal blocking HTTP/1.1 client — just enough to exercise the
-//! server from tests and the `bench_serve` load generator without any
+//! server from tests and the benchmark's load generator without any
 //! external tooling. Supports `Content-Length` and chunked bodies.
+//!
+//! Like the server, it sets `TCP_NODELAY` and sends each request in one
+//! write. Response sizes are untrusted: a body buffer grows only with
+//! the bytes actually received, and a bad size or a short body is an
+//! error, never a panic or an allocation sized by the peer.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -37,6 +42,45 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Open a connection with `timeout` on connect, reads and writes, and
+/// Nagle off.
+fn connect(addr: SocketAddr, timeout: Option<Duration>) -> io::Result<TcpStream> {
+    let stream = match timeout {
+        Some(t) => TcpStream::connect_timeout(&addr, t)?,
+        None => TcpStream::connect(addr)?,
+    };
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Send a `GET` request head in one write.
+fn write_request(
+    out: &mut impl Write,
+    addr: SocketAddr,
+    path_and_query: &str,
+    close: bool,
+) -> io::Result<()> {
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    let head = format!("GET {path_and_query} HTTP/1.1\r\nHost: {addr}\r\n{connection}\r\n");
+    out.write_all(head.as_bytes())?;
+    out.flush()
+}
+
+/// Append exactly `n` bytes from `stream` to `body`; the buffer grows
+/// with what arrives, so a forged size cannot allocate ahead of it.
+fn read_exactly(stream: &mut impl BufRead, body: &mut Vec<u8>, n: u64) -> io::Result<()> {
+    let got = stream.take(n).read_to_end(body)?;
+    if (got as u64) < n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("body ended after {got} of {n} bytes"),
+        ));
+    }
+    Ok(())
+}
+
 /// A keep-alive client connection: issues sequential `GET`s over one
 /// TCP connection, reconnecting transparently when the server closes
 /// it (idle timeout, per-connection request cap, shutdown) or the
@@ -62,13 +106,7 @@ impl ClientConn {
 
     fn ensure_stream(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
         if self.stream.is_none() {
-            let stream = match self.timeout {
-                Some(t) => TcpStream::connect_timeout(&self.addr, t)?,
-                None => TcpStream::connect(self.addr)?,
-            };
-            stream.set_read_timeout(self.timeout)?;
-            stream.set_write_timeout(self.timeout)?;
-            self.stream = Some(BufReader::new(stream));
+            self.stream = Some(BufReader::new(connect(self.addr, self.timeout)?));
         }
         Ok(self.stream.as_mut().expect("just ensured"))
     }
@@ -76,11 +114,7 @@ impl ClientConn {
     fn exchange(&mut self, path_and_query: &str) -> io::Result<Response> {
         let addr = self.addr;
         let reader = self.ensure_stream()?;
-        write!(
-            reader.get_mut(),
-            "GET {path_and_query} HTTP/1.1\r\nHost: {addr}\r\n\r\n"
-        )?;
-        reader.get_mut().flush()?;
+        write_request(reader.get_mut(), addr, path_and_query, false)?;
         read_response(reader)
     }
 
@@ -117,18 +151,8 @@ pub fn http_get(
     path_and_query: &str,
     timeout: Option<Duration>,
 ) -> io::Result<Response> {
-    let stream = match timeout {
-        Some(t) => TcpStream::connect_timeout(&addr, t)?,
-        None => TcpStream::connect(addr)?,
-    };
-    stream.set_read_timeout(timeout)?;
-    stream.set_write_timeout(timeout)?;
-    let mut stream = stream;
-    write!(
-        stream,
-        "GET {path_and_query} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
+    let mut stream = connect(addr, timeout)?;
+    write_request(&mut stream, addr, path_and_query, true)?;
     read_response(&mut BufReader::new(stream))
 }
 
@@ -161,27 +185,23 @@ pub fn read_response(stream: &mut impl BufRead) -> io::Result<Response> {
     let chunked = headers
         .iter()
         .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    let body = if chunked {
-        read_chunked(stream)?
+    let mut body = Vec::new();
+    if chunked {
+        read_chunked(stream, &mut body)?;
     } else {
-        let length = headers
-            .iter()
-            .find(|(k, _)| k == "content-length")
-            .and_then(|(_, v)| v.parse::<usize>().ok());
-        match length {
-            Some(n) => {
-                let mut body = vec![0u8; n];
-                stream.read_exact(&mut body)?;
-                body
+        match headers.iter().find(|(k, _)| k == "content-length") {
+            Some((_, v)) => {
+                let n = v
+                    .parse::<u64>()
+                    .map_err(|_| bad(format!("bad Content-Length {v:?}")))?;
+                read_exactly(stream, &mut body, n)?;
             }
             // No length, connection-close delimited.
             None => {
-                let mut body = Vec::new();
                 stream.read_to_end(&mut body)?;
-                body
             }
         }
-    };
+    }
     Ok(Response {
         status,
         headers,
@@ -189,12 +209,11 @@ pub fn read_response(stream: &mut impl BufRead) -> io::Result<Response> {
     })
 }
 
-fn read_chunked(stream: &mut impl BufRead) -> io::Result<Vec<u8>> {
-    let mut body = Vec::new();
+fn read_chunked(stream: &mut impl BufRead, body: &mut Vec<u8>) -> io::Result<()> {
     loop {
         let mut size_line = String::new();
         stream.read_line(&mut size_line)?;
-        let size = usize::from_str_radix(size_line.trim(), 16)
+        let size = u64::from_str_radix(size_line.trim(), 16)
             .map_err(|_| bad(format!("bad chunk size {size_line:?}")))?;
         if size == 0 {
             // Trailing CRLF after the zero chunk (and any trailers).
@@ -202,11 +221,9 @@ fn read_chunked(stream: &mut impl BufRead) -> io::Result<Vec<u8>> {
             while stream.read_line(&mut rest)? > 0 && rest.trim() != "" {
                 rest.clear();
             }
-            return Ok(body);
+            return Ok(());
         }
-        let start = body.len();
-        body.resize(start + size, 0);
-        stream.read_exact(&mut body[start..])?;
+        read_exactly(stream, body, size)?;
         let mut crlf = [0u8; 2];
         stream.read_exact(&mut crlf)?;
         if &crlf != b"\r\n" {
@@ -218,6 +235,7 @@ fn read_chunked(stream: &mut impl BufRead) -> io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Writes;
     use std::io::Cursor;
 
     #[test]
@@ -242,5 +260,48 @@ mod tests {
         assert!(read_response(&mut Cursor::new(b"not http\r\n\r\n".to_vec())).is_err());
         let bad_chunk = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n";
         assert!(read_response(&mut Cursor::new(bad_chunk.to_vec())).is_err());
+    }
+
+    fn error_kind(raw: &[u8]) -> io::ErrorKind {
+        read_response(&mut Cursor::new(raw.to_vec()))
+            .expect_err("a hostile response must be an error")
+            .kind()
+    }
+
+    #[test]
+    fn hostile_sizes_are_errors_not_panics_or_allocations() {
+        // A second chunk sized at u64::MAX used to overflow `start + size`.
+        let huge_chunk = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
+            3\r\nabc\r\nffffffffffffffff\r\nde\r\n0\r\n\r\n";
+        assert_eq!(error_kind(huge_chunk), io::ErrorKind::UnexpectedEof);
+        // A Content-Length far past the bytes sent is a short body, read
+        // into a buffer that never outgrows what arrived.
+        let huge_length = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nabc";
+        assert_eq!(error_kind(huge_length), io::ErrorKind::UnexpectedEof);
+        let short = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nabc";
+        assert_eq!(error_kind(short), io::ErrorKind::UnexpectedEof);
+        for raw in [
+            b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\nabc".as_slice(),
+            b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1ffffffffffffffff\r\n",
+        ] {
+            assert_eq!(error_kind(raw), io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
+    fn a_request_is_one_write() {
+        let addr: SocketAddr = "127.0.0.1:7777".parse().unwrap();
+        let mut out = Writes::default();
+        write_request(&mut out, addr, "/call?region=c:1-5", false).unwrap();
+        write_request(&mut out, addr, "/health", true).unwrap();
+        assert_eq!(
+            out.0,
+            [
+                b"GET /call?region=c:1-5 HTTP/1.1\r\nHost: 127.0.0.1:7777\r\n\r\n".to_vec(),
+                b"GET /health HTTP/1.1\r\nHost: 127.0.0.1:7777\r\nConnection: close\r\n\r\n"
+                    .to_vec(),
+            ]
+        );
     }
 }

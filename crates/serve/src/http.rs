@@ -10,8 +10,14 @@
 //! disconnect probe may consume bytes sent before the response
 //! completes); a keep-alive client must read each response fully before
 //! sending the next request. Request bodies are ignored, and the
-//! request head is capped at 8 KiB (anything larger is a 431-class
-//! parse error).
+//! request head is capped at 8 KiB: a head that breaks the cap, or that
+//! the peer cuts off before its blank line, is a 431-class parse error.
+//!
+//! Every message leaves its socket in one `write` (a chunked body: one
+//! per chunk, the head riding with the first and the terminator with
+//! the last), and the server and client both set `TCP_NODELAY`. A
+//! message split over several small writes would otherwise sit in
+//! Nagle's buffer until the peer's delayed ACK, ~40 ms per exchange.
 
 use std::io::{self, BufRead, Read, Write};
 
@@ -105,6 +111,31 @@ fn parse_query(raw: &str) -> Result<Vec<(String, String)>, HttpError> {
     Ok(pairs)
 }
 
+/// Read one head line into `line`, charging it against the head cap.
+/// A line that does not end in `\n` either hit the cap or was cut off
+/// by EOF; both are a bad request, never a line to parse.
+fn read_head_line(
+    stream: &mut impl BufRead,
+    line: &mut String,
+    head: &mut usize,
+) -> Result<(), HttpError> {
+    line.clear();
+    let n = stream
+        .by_ref()
+        .take((MAX_HEAD_BYTES - *head) as u64)
+        .read_line(line)?;
+    *head += n;
+    if line.ends_with('\n') {
+        Ok(())
+    } else if *head >= MAX_HEAD_BYTES {
+        Err(bad("request head exceeds 8 KiB"))
+    } else if *head == 0 {
+        Err(bad("empty request line"))
+    } else {
+        Err(bad("request head truncated before its blank line"))
+    }
+}
+
 impl Request {
     /// Read and parse one request head from `stream`. Headers are
     /// consumed through the blank line; only `Connection:` is
@@ -112,11 +143,7 @@ impl Request {
     pub fn read_from(stream: &mut impl BufRead) -> Result<Request, HttpError> {
         let mut head = 0usize;
         let mut line = String::new();
-        stream
-            .by_ref()
-            .take(MAX_HEAD_BYTES as u64)
-            .read_line(&mut line)?;
-        head += line.len();
+        read_head_line(stream, &mut line, &mut head)?;
         let line = line.trim_end_matches(['\r', '\n']);
         if line.is_empty() {
             return Err(bad("empty request line"));
@@ -138,18 +165,11 @@ impl Request {
             close: http10,
         };
         // Scan headers up to the blank line (bounded by the head cap).
+        let mut header = String::new();
         loop {
-            let mut header = String::new();
-            let n = stream
-                .by_ref()
-                .take((MAX_HEAD_BYTES - head) as u64)
-                .read_line(&mut header)?;
-            head += n;
-            if n == 0 || header == "\r\n" || header == "\n" {
+            read_head_line(stream, &mut header, &mut head)?;
+            if header == "\r\n" || header == "\n" {
                 break;
-            }
-            if head >= MAX_HEAD_BYTES {
-                return Err(bad("request head exceeds 8 KiB"));
             }
             if let Some((name, value)) = header.split_once(':') {
                 if name.trim().eq_ignore_ascii_case("connection") {
@@ -188,107 +208,183 @@ fn connection_value(close: bool) -> &'static str {
     }
 }
 
-/// Write a complete (non-chunked) response with a known body. `close`
-/// states whether the server will close the connection after this
-/// response (the caller's keep-alive decision).
-pub fn write_response(
-    out: &mut impl Write,
+/// Append a response head to `buf`: status line, `Content-Type`, the
+/// body's `framing` header, `Connection`, the extra headers, blank line.
+fn push_head(
+    buf: &mut Vec<u8>,
     status: u16,
     content_type: &str,
+    framing: std::fmt::Arguments<'_>,
     extra_headers: &[(&str, String)],
-    body: &[u8],
     close: bool,
 ) -> io::Result<()> {
     write!(
-        out,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+        buf,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n{framing}\r\nConnection: {}\r\n",
         reason(status),
-        body.len(),
         connection_value(close)
     )?;
     for (k, v) in extra_headers {
-        write!(out, "{k}: {v}\r\n")?;
+        write!(buf, "{k}: {v}\r\n")?;
     }
-    out.write_all(b"\r\n")?;
-    out.write_all(body)?;
-    out.flush()
+    buf.extend_from_slice(b"\r\n");
+    Ok(())
 }
 
-/// Write the head of a chunked response; follow with a [`ChunkedBody`]
-/// over the same stream and finish it. `close` as in
-/// [`write_response`] — a chunked body self-delimits, so the
-/// connection stays reusable when `false`.
-pub fn write_chunked_head(
-    out: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    close: bool,
-) -> io::Result<()> {
-    write!(
-        out,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n",
-        reason(status),
-        connection_value(close)
-    )?;
-    for (k, v) in extra_headers {
-        write!(out, "{k}: {v}\r\n")?;
+/// The response side of one connection. Each message is assembled in
+/// buffers the writer keeps across the connection's keep-alive requests
+/// and leaves in one `write`, so a response costs no allocation and no
+/// segment waits on Nagle.
+pub(crate) struct ResponseWriter<W: Write> {
+    out: W,
+    /// The bytes of the next write.
+    frame: Vec<u8>,
+    /// A chunked body's bytes not yet framed.
+    pending: Vec<u8>,
+}
+
+impl<W: Write> ResponseWriter<W> {
+    /// Wrap a connection's write side.
+    pub(crate) fn new(out: W) -> ResponseWriter<W> {
+        ResponseWriter {
+            out,
+            frame: Vec::new(),
+            pending: Vec::new(),
+        }
     }
-    out.write_all(b"\r\n")
+
+    /// The wrapped stream.
+    pub(crate) fn get_ref(&self) -> &W {
+        &self.out
+    }
+
+    /// Write a complete (non-chunked) response with a known body. `close`
+    /// states whether the server will close the connection after this
+    /// response (the caller's keep-alive decision).
+    pub(crate) fn write_response(
+        &mut self,
+        status: u16,
+        content_type: &str,
+        extra_headers: &[(&str, String)],
+        body: &[u8],
+        close: bool,
+    ) -> io::Result<()> {
+        self.frame.clear();
+        push_head(
+            &mut self.frame,
+            status,
+            content_type,
+            format_args!("Content-Length: {}", body.len()),
+            extra_headers,
+            close,
+        )?;
+        self.frame.extend_from_slice(body);
+        self.out.write_all(&self.frame)?;
+        self.out.flush()
+    }
+
+    /// Start a chunked response: write the body into the returned
+    /// [`ChunkedBody`], then finish it. The head goes out with the first
+    /// chunk. `close` as in [`ResponseWriter::write_response`] — a
+    /// chunked body self-delimits, so the connection stays reusable when
+    /// `false`.
+    pub(crate) fn chunked(
+        &mut self,
+        status: u16,
+        content_type: &str,
+        extra_headers: &[(&str, String)],
+        close: bool,
+    ) -> io::Result<ChunkedBody<'_, W>> {
+        self.frame.clear();
+        self.pending.clear();
+        push_head(
+            &mut self.frame,
+            status,
+            content_type,
+            format_args!("Transfer-Encoding: chunked"),
+            extra_headers,
+            close,
+        )?;
+        Ok(ChunkedBody { writer: self })
+    }
 }
 
 /// A `Write` adapter that emits its input as HTTP/1.1 chunks, buffering
 /// up to a flush threshold so a streaming [`ultravc_vcf::VcfWriter`]
-/// writing line-by-line doesn't produce one chunk per record.
-pub struct ChunkedBody<W: Write> {
-    out: W,
-    buf: Vec<u8>,
+/// writing line-by-line doesn't produce one chunk per record. A chunk
+/// leaves once the next write shows it is not the last, so the
+/// terminator always rides with the final chunk: a body of at most
+/// 16 KiB is the head, one chunk and the terminator in one write.
+pub(crate) struct ChunkedBody<'a, W: Write> {
+    writer: &'a mut ResponseWriter<W>,
 }
 
 /// Flush threshold for [`ChunkedBody`]: one chunk per this many bytes.
 const CHUNK_FLUSH: usize = 16 * 1024;
 
-impl<W: Write> ChunkedBody<W> {
-    /// Wrap a stream positioned just after a chunked response head.
-    pub fn new(out: W) -> ChunkedBody<W> {
-        ChunkedBody {
+impl<W: Write> ChunkedBody<'_, W> {
+    /// Frame the pending bytes as a chunk (plus the terminator when
+    /// `last`) behind whatever the frame already holds — the head, before
+    /// the first chunk — and write it all at once.
+    fn emit(&mut self, last: bool) -> io::Result<()> {
+        let ResponseWriter {
             out,
-            buf: Vec::with_capacity(CHUNK_FLUSH),
+            frame,
+            pending,
+        } = &mut *self.writer;
+        if !pending.is_empty() {
+            write!(frame, "{:x}\r\n", pending.len())?;
+            frame.extend_from_slice(pending);
+            frame.extend_from_slice(b"\r\n");
+            pending.clear();
         }
-    }
-
-    fn emit_chunk(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
+        if last {
+            frame.extend_from_slice(b"0\r\n\r\n");
         }
-        write!(self.out, "{:x}\r\n", self.buf.len())?;
-        self.out.write_all(&self.buf)?;
-        self.out.write_all(b"\r\n")?;
-        self.buf.clear();
+        if !frame.is_empty() {
+            out.write_all(frame)?;
+            frame.clear();
+        }
         Ok(())
     }
 
-    /// Flush pending bytes and write the terminating zero-length chunk.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.emit_chunk()?;
-        self.out.write_all(b"0\r\n\r\n")?;
-        self.out.flush()?;
-        Ok(self.out)
+    /// Write the remaining bytes and the terminating zero-length chunk.
+    pub(crate) fn finish(mut self) -> io::Result<()> {
+        self.emit(true)?;
+        self.writer.out.flush()
     }
 }
 
-impl<W: Write> Write for ChunkedBody<W> {
+impl<W: Write> Write for ChunkedBody<'_, W> {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        if self.buf.len() >= CHUNK_FLUSH {
-            self.emit_chunk()?;
+        if self.writer.pending.len() >= CHUNK_FLUSH {
+            self.emit(false)?;
         }
+        self.writer.pending.extend_from_slice(data);
         Ok(data.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.emit_chunk()?;
-        self.out.flush()
+        self.emit(false)?;
+        self.writer.out.flush()
+    }
+}
+
+/// A sink that records every `write` call separately, so tests can pin
+/// one write per message.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct Writes(pub(crate) Vec<Vec<u8>>);
+
+#[cfg(test)]
+impl Write for Writes {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        self.0.push(data.to_vec());
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -359,46 +455,120 @@ mod tests {
     }
 
     #[test]
-    fn chunked_body_frames_and_terminates() {
-        let mut raw = Vec::new();
-        let mut body = ChunkedBody::new(&mut raw);
-        body.write_all(b"hello ").unwrap();
-        body.write_all(b"world").unwrap();
+    fn oversized_request_line_is_rejected_not_split() {
+        // No newline inside the cap: the tail must not be parsed as a
+        // second keep-alive request.
+        let raw = format!(
+            "GET /health HTTP/1.1 {}GET /stats HTTP/1.1\r\n\r\n",
+            " ".repeat(MAX_HEAD_BYTES)
+        );
+        let mut stream = Cursor::new(raw.into_bytes());
+        match Request::read_from(&mut stream) {
+            Err(HttpError::BadRequest(msg)) => assert!(msg.contains("8 KiB"), "{msg}"),
+            other => panic!("expected a bad request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn head_cut_off_before_its_blank_line_is_rejected() {
+        for raw in [
+            "GET /x HTTP/1.1",
+            "GET /x HTTP/1.1\r\n",
+            "GET /x HTTP/1.1\r\nHost: a",
+            "GET /x HTTP/1.1\r\nHost: a\r\n",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(HttpError::BadRequest(_))),
+                "{raw:?}"
+            );
+        }
+    }
+
+    /// Send `pieces` as one chunked 200 and return the writes it made.
+    fn chunked_writes(pieces: &[&[u8]]) -> Vec<Vec<u8>> {
+        let mut writer = ResponseWriter::new(Writes::default());
+        let mut body = writer.chunked(200, "text/plain", &[], false).unwrap();
+        for piece in pieces {
+            body.write_all(piece).unwrap();
+        }
         body.finish().unwrap();
-        assert_eq!(raw, b"b\r\nhello world\r\n0\r\n\r\n");
-        // Empty body is just the terminator.
-        let mut raw = Vec::new();
-        ChunkedBody::new(&mut raw).finish().unwrap();
-        assert_eq!(raw, b"0\r\n\r\n");
+        writer.out.0
+    }
+
+    const CHUNKED_HEAD: &str = "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
+        Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n";
+
+    #[test]
+    fn chunked_body_frames_and_terminates() {
+        let writes = chunked_writes(&[b"hello ", b"world"]);
+        assert_eq!(writes.len(), 1, "head, chunk and terminator in one write");
+        assert_eq!(
+            writes[0],
+            format!("{CHUNKED_HEAD}b\r\nhello world\r\n0\r\n\r\n").as_bytes()
+        );
+        // Empty body: the head and the terminator.
+        assert_eq!(
+            chunked_writes(&[]),
+            vec![format!("{CHUNKED_HEAD}0\r\n\r\n").into_bytes()]
+        );
+    }
+
+    #[test]
+    fn chunked_body_writes_once_per_16_kib_chunk() {
+        // A 16 KiB body, line by line as the VCF writer sends it: one write.
+        let line = [b'x'; 1024];
+        let writes = chunked_writes(&[&line[..]; 16]);
+        assert_eq!(writes.len(), 1);
+        let expected = [
+            CHUNKED_HEAD.as_bytes(),
+            b"4000\r\n",
+            &[b'x'; 16 * 1024],
+            b"\r\n0\r\n\r\n",
+        ]
+        .concat();
+        assert_eq!(writes[0], expected);
+
+        // 40 KiB: a chunk each time 16 KiB accumulates, the rest with the
+        // terminator — three writes, the same framing as ever.
+        let writes = chunked_writes(&[&line[..]; 40]);
+        assert_eq!(writes.len(), 3);
+        let chunk = [b"4000\r\n".as_slice(), &[b'x'; 16 * 1024], b"\r\n"].concat();
+        assert_eq!(writes[0], [CHUNKED_HEAD.as_bytes(), &chunk].concat());
+        assert_eq!(writes[1], chunk);
+        assert_eq!(
+            writes[2],
+            [b"2000\r\n".as_slice(), &[b'x'; 8 * 1024], b"\r\n0\r\n\r\n"].concat()
+        );
     }
 
     #[test]
     fn response_head_shape() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
-            400,
-            "text/plain",
-            &[("X-Test", "1".to_string())],
-            b"nope\n",
-            true,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"));
-        assert!(text.contains("Content-Length: 5\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.contains("X-Test: 1\r\n"));
-        assert!(text.ends_with("\r\n\r\nnope\n"));
-        // Keep-alive responses state it.
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "text/plain", &[], b"ok", false).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Connection: keep-alive\r\n"));
-        let mut out = Vec::new();
-        write_chunked_head(&mut out, 200, "text/plain", &[], false).unwrap();
-        assert!(String::from_utf8(out)
-            .unwrap()
-            .contains("Connection: keep-alive\r\n"));
+        let mut writer = ResponseWriter::new(Writes::default());
+        writer
+            .write_response(
+                400,
+                "text/plain",
+                &[("X-Test", "1".to_string())],
+                b"nope\n",
+                true,
+            )
+            .unwrap();
+        // Keep-alive responses state it; the buffer is reused, not
+        // carried over.
+        writer
+            .write_response(200, "text/plain", &[], b"ok", false)
+            .unwrap();
+        let writes = writer.out.0;
+        assert_eq!(writes.len(), 2, "one write per response");
+        assert_eq!(
+            writes[0],
+            b"HTTP/1.1 400 Bad Request\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n\
+              Connection: close\r\nX-Test: 1\r\n\r\nnope\n"
+        );
+        assert_eq!(
+            writes[1],
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\
+              Connection: keep-alive\r\n\r\nok"
+        );
     }
 }

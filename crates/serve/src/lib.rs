@@ -86,7 +86,9 @@
 //! Connections are HTTP/1.1 keep-alive by default (`Connection: close`
 //! honored, 5 s idle timeout, 64 requests per connection). Pipelining
 //! is **not** supported: the disconnect probe may consume bytes a
-//! pipelined request sent early.
+//! pipelined request sent early. Each message is one write on a
+//! `TCP_NODELAY` socket ([`http`]), so a keep-alive exchange costs its
+//! work, not a delayed-ACK timer.
 //!
 //! [`RunBudget`]: ultravc_core::RunBudget
 //! [`CallSession::estimate_cost`]: ultravc_core::CallSession::estimate_cost

@@ -34,11 +34,11 @@
 
 use crate::cache::{CacheKey, CachedCall, ResultCache};
 use crate::health::{Admission, BreakerConfig, SampleHealth};
-use crate::http::{self, ChunkedBody, HttpError, Request};
+use crate::http::{HttpError, Request, ResponseWriter};
 use crate::query::{CallQuery, Format};
 use crate::sched::{CostQueue, PushError};
 use std::collections::HashMap;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
@@ -65,6 +65,9 @@ const VCF_SOURCE: &str = "ultravc-0.1";
 /// closes it (bounds per-connection state and recycles handler
 /// threads).
 const MAX_REQUESTS_PER_CONN: u32 = 64;
+
+/// A connection's response side.
+type Responder = ResponseWriter<TcpStream>;
 
 /// One sample the server holds open: a name clients address, the BAL
 /// file, and its reference FASTA.
@@ -527,11 +530,13 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     // Bound header parsing; doubles as the keep-alive idle timeout — a
     // stuck or silent client cannot pin the handler.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    // Each response is one write (see `http`); Nagle would only hold it.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut out = stream;
+    let mut out = ResponseWriter::new(stream);
     let mut served = 0u32;
     loop {
         let request = match Request::read_from(&mut reader) {
@@ -555,14 +560,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             }
             (_, "/stats") => {
                 let body = stats_json(shared);
-                let _ = http::write_response(
-                    &mut out,
-                    200,
-                    "application/json",
-                    &[],
-                    body.as_bytes(),
-                    close,
-                );
+                let _ = out.write_response(200, "application/json", &[], body.as_bytes(), close);
             }
             (_, "/shutdown") => {
                 shared.shutdown.store(true, Ordering::SeqCst);
@@ -594,8 +592,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     }
 }
 
-fn respond_text(out: &mut impl Write, status: u16, body: &str, close: bool) -> std::io::Result<()> {
-    http::write_response(out, status, "text/plain", &[], body.as_bytes(), close)
+fn respond_text(out: &mut Responder, status: u16, body: &str, close: bool) -> std::io::Result<()> {
+    out.write_response(status, "text/plain", &[], body.as_bytes(), close)
 }
 
 /// Whole ceiling seconds for a `Retry-After` header (minimum 1).
@@ -614,7 +612,7 @@ fn note_sample_failure(shared: &Shared, slot: &SampleSlot) {
     }
 }
 
-fn handle_call(shared: &Shared, out: &mut TcpStream, request: &Request, close: bool) {
+fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: bool) {
     let c = &shared.counters;
     c.requests.fetch_add(1, Ordering::SeqCst);
     let query = match CallQuery::from_pairs(&request.query) {
@@ -642,8 +640,7 @@ fn handle_call(shared: &Shared, out: &mut TcpStream, request: &Request, close: b
         Admission::Admit { probe } => probe,
         Admission::Quarantined { retry_after } => {
             c.quarantined.fetch_add(1, Ordering::SeqCst);
-            let _ = http::write_response(
-                out,
+            let _ = out.write_response(
                 503,
                 "text/plain",
                 &[("Retry-After", retry_after_secs(retry_after).to_string())],
@@ -659,8 +656,7 @@ fn handle_call(shared: &Shared, out: &mut TcpStream, request: &Request, close: b
         shared.inflight.fetch_sub(1, Ordering::SeqCst);
         c.rejected.fetch_add(1, Ordering::SeqCst);
         slot.health.record_neutral();
-        let _ = http::write_response(
-            out,
+        let _ = out.write_response(
             503,
             "text/plain",
             &[("Retry-After", "1".to_string())],
@@ -764,8 +760,7 @@ fn handle_call(shared: &Shared, out: &mut TcpStream, request: &Request, close: b
         Err(PushError::Saturated { retry_after }) => {
             c.shed.fetch_add(1, Ordering::SeqCst);
             slot.health.record_neutral();
-            let _ = http::write_response(
-                out,
+            let _ = out.write_response(
                 503,
                 "text/plain",
                 &[("Retry-After", retry_after_secs(retry_after).to_string())],
@@ -775,7 +770,7 @@ fn handle_call(shared: &Shared, out: &mut TcpStream, request: &Request, close: b
             return;
         }
     }
-    let Some(result) = await_result(out, &reply_rx, &cancel, c) else {
+    let Some(result) = await_result(out.get_ref(), &reply_rx, &cancel, c) else {
         // Worker pool went away mid-request (shutdown race).
         c.server_errors.fetch_add(1, Ordering::SeqCst);
         slot.health.record_neutral();
@@ -965,7 +960,7 @@ fn partial_header(partial: &[RegionError]) -> String {
 
 #[allow(clippy::too_many_arguments)]
 fn render(
-    out: &mut TcpStream,
+    out: &mut Responder,
     query: &CallQuery,
     reference_name: &str,
     span: Range<u32>,
@@ -989,11 +984,10 @@ fn render(
     }
     match query.format {
         Format::Vcf => {
-            http::write_chunked_head(out, status, "text/plain", &headers, close)?;
             // Stream the body: header + one record per write, framed in
             // bounded chunks — an ultra-deep response is never
             // materialized whole.
-            let mut writer = VcfWriter::new(ChunkedBody::new(&mut *out));
+            let mut writer = VcfWriter::new(out.chunked(status, "text/plain", &headers, close)?);
             writer.write_header(reference_name, VCF_SOURCE)?;
             for rec in &records {
                 writer.write_record(rec)?;
@@ -1012,14 +1006,7 @@ fn render(
                 interrupt,
                 cache_status,
             );
-            http::write_response(
-                out,
-                status,
-                "application/json",
-                &headers,
-                body.as_bytes(),
-                close,
-            )
+            out.write_response(status, "application/json", &headers, body.as_bytes(), close)
         }
     }
 }

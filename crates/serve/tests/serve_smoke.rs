@@ -2,7 +2,8 @@
 //! with fresh CLI-style runs, session reuse across tiers and cache
 //! modes (including invalidation after an on-disk rewrite), deadline
 //! and disconnect cancellation without poisoning the session, strict
-//! request validation, admission control, and leak-checked shutdown.
+//! request validation, admission control, keep-alive round trips at
+//! loopback speed, and leak-checked shutdown.
 
 use std::fs;
 use std::io::Write;
@@ -10,7 +11,7 @@ use std::net::TcpStream;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ultravc_bamlite::BalFile;
 use ultravc_core::driver::{CallDriver, ParallelMode};
@@ -414,6 +415,42 @@ fn keep_alive_reuses_one_connection_and_honors_close() {
     // The three keep-alive calls all counted as requests...
     assert_eq!(report.requests, 3);
     assert_eq!(report.server_errors, 0);
+}
+
+#[test]
+fn keep_alive_round_trips_pay_no_delayed_ack_floor() {
+    let dir = scratch("floor");
+    let (bal, fa, chrom) = write_fixture(&dir, 37, 500, 250.0);
+    let server = Server::bind(serve_config("127.0.0.1:0", &bal, &fa)).unwrap();
+    // A response split over small writes waits ~40 ms for the peer's
+    // delayed ACK, so 50 + 20 round trips would take ≥ 2.2 s; one write
+    // per message and `TCP_NODELAY` leave them at loopback speed. The
+    // 1 s bound is loose enough for a loaded host.
+    let bound = Duration::from_secs(1);
+
+    let mut conn =
+        ultravc_serve::ClientConn::new(server.local_addr(), Some(Duration::from_secs(30)));
+    let t = Instant::now();
+    for _ in 0..50 {
+        assert_eq!(conn.get("/health").unwrap().status, 200);
+    }
+    let health = t.elapsed();
+    assert!(health < bound, "50 keep-alive /health took {health:?}");
+
+    let mut conn =
+        ultravc_serve::ClientConn::new(server.local_addr(), Some(Duration::from_secs(30)));
+    let path = format!("/call?sample=s&region={chrom}:1-200");
+    let miss = conn.get(&path).unwrap();
+    assert_eq!(miss.header("x-ultravc-cache"), Some("miss"));
+    let t = Instant::now();
+    for _ in 0..20 {
+        let hit = conn.get(&path).unwrap();
+        assert_eq!(hit.header("x-ultravc-cache"), Some("hit"));
+        assert_eq!(hit.body, miss.body);
+    }
+    let hits = t.elapsed();
+    assert!(hits < bound, "20 keep-alive cache hits took {hits:?}");
+    server.shutdown();
 }
 
 #[test]
