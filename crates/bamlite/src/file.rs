@@ -138,8 +138,8 @@ pub struct StreamStats {
 }
 
 /// Write-side accounting from [`BalWriter::finish_with_stats`] — the
-/// bytes/base and per-stream compression-ratio numbers `bench_ingest`
-/// records for the Table-1 scenario.
+/// bytes/base and per-stream compression ratios the README quotes for
+/// the Table-1 scenario.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriterStats {
     /// Blocks written.

@@ -16,8 +16,10 @@
 //!
 //! The **BAL** ("Binary ALignment-lite") format provides exactly that, with
 //! honest-but-simple codecs instead of DEFLATE: delta+varint positions,
-//! 2-bit packed bases, run-length-encoded qualities. See `DESIGN.md`
-//! (Substitutions) for the BGZF-equivalence argument.
+//! 2-bit packed bases, run-length-encoded qualities. It stands in for
+//! BGZF-compressed BAM on the four points above, which are all the
+//! caller's cost depends on: only the codec differs, not the block,
+//! index and per-thread reader structure.
 //!
 //! # Reading a BAL file
 //!

@@ -12,9 +12,8 @@
 //!    sweeps).
 //!
 //! Prints both tables and emits the raw numbers as `BENCH_binned.json`
-//! (in the working directory, override with `ULTRAVC_BENCH_OUT`) so
-//! successive PRs can track the trajectory; CI uploads the JSON as a
-//! workflow artifact.
+//! in the working directory; CI uploads the JSON as a workflow artifact,
+//! which is the trend record.
 //!
 //! Acceptance gates this binary enforces:
 //!
@@ -23,21 +22,47 @@
 //!   vector backend dispatched** (an AVX2/NEON host); on scalar-only
 //!   hosts the gate is skipped with a message, not failed;
 //! * small-K routing (`Kernels::for_k`, K = 5 < `SMALL_K_THRESHOLD`)
-//!   must be ≥ the unrouted vector path within noise (floor 0.9,
-//!   `ULTRAVC_SMALLK_FLOOR` overrides) — routing may never regress;
+//!   must be ≥ the unrouted vector path within noise (floor 0.9) —
+//!   routing may never regress;
 //! * every row's tail agrees across dispatch paths to ≤ 1e−14 relative
 //!   (the backends are bitwise-identical by design, so this should hold
 //!   with margin to spare), and early-exit decisions — bail-or-complete
 //!   and the certified trial count — match exactly.
 
 use std::time::Instant;
-use ultravc_bench::{fmt_depth, phred_bins, rule};
+use ultravc_bench::{fmt_depth, rule};
 use ultravc_stats::poisson_binomial::{BinnedTailScratch, PoissonBinomial, TailBudget};
 use ultravc_stats::TailOutcome;
 
-/// Median-of-`reps` wall time of `f`, in seconds.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
+/// Timed repetitions per cell; each cell reports the median.
+const REPS: usize = 5;
+/// Where the JSON record goes (working directory).
+const OUT_PATH: &str = "BENCH_binned.json";
+/// Routed ÷ unrouted small-K time may not fall below this: the runs are
+/// microseconds, so the floor leaves room for noise, not for a loss.
+const SMALL_K_FLOOR: f64 = 0.9;
+
+/// A simulated depth-`d` pileup column at mixed Phred 20-40, as sorted
+/// `(error probability, multiplicity)` quality bins.
+fn phred_bins(depth: usize, seed: u64) -> Vec<(f64, u32)> {
+    let mut rng = ultravc_stats::rng::Rng::new(seed);
+    let mut counts = [0u32; 64];
+    for _ in 0..depth {
+        counts[rng.range_u64(20, 40) as usize] += 1;
+    }
+    let mut bins: Vec<(f64, u32)> = counts
+        .iter()
+        .enumerate()
+        .filter(|(_, &m)| m > 0)
+        .map(|(q, &m)| (10f64.powf(-(q as f64) / 10.0), m))
+        .collect();
+    bins.sort_by(|a, b| a.0.total_cmp(&b.0));
+    bins
+}
+
+/// Median-of-[`REPS`] wall time of `f`, in seconds.
+fn time_median(mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..REPS)
         .map(|_| {
             let t = Instant::now();
             f();
@@ -120,11 +145,8 @@ fn assert_paths_agree(bins: &[(f64, u32)], depth: usize, k: usize) {
 }
 
 fn main() {
-    let reps = ultravc_bench::env_usize("ULTRAVC_BENCH_REPS", 5);
-    let out_path =
-        std::env::var("ULTRAVC_BENCH_OUT").unwrap_or_else(|_| "BENCH_binned.json".to_string());
     let active = ultravc_simd::kernels();
-    println!("binned vs per-trial pruned-tail kernels (median of {reps} runs)\n");
+    println!("binned vs per-trial pruned-tail kernels (median of {REPS} runs)\n");
     let header = format!(
         "{:>12} {:>5} {:>7} {:>14} {:>14} {:>10}",
         "depth", "K", "#bins", "per-trial", "binned", "speedup"
@@ -150,10 +172,10 @@ fn main() {
             assert!(rel <= 1e-11, "kernels disagree at d={depth} k={k}: {rel:e}");
             assert_paths_agree(&bins, depth, k);
 
-            let per_trial_s = time_median(reps, || {
+            let per_trial_s = time_median(|| {
                 std::hint::black_box(pb.tail_pruned(std::hint::black_box(k)));
             });
-            let binned_s = time_median(reps, || {
+            let binned_s = time_median(|| {
                 std::hint::black_box(PoissonBinomial::tail_early_exit_binned(
                     std::hint::black_box(&bins),
                     std::hint::black_box(k),
@@ -179,7 +201,7 @@ fn main() {
             });
 
             // SIMD vs scalar on the same binned kernel.
-            let scalar_s = time_median(reps, || {
+            let scalar_s = time_median(|| {
                 std::hint::black_box(PoissonBinomial::tail_early_exit_binned_with(
                     ultravc_simd::scalar(),
                     std::hint::black_box(&bins),
@@ -188,7 +210,7 @@ fn main() {
                     &mut scratch,
                 ));
             });
-            let simd_s = time_median(reps, || {
+            let simd_s = time_median(|| {
                 std::hint::black_box(PoissonBinomial::tail_early_exit_binned_with(
                     active,
                     std::hint::black_box(&bins),
@@ -207,7 +229,7 @@ fn main() {
     }
 
     println!(
-        "\nscalar vs {} binned kernel (median of {reps} runs)\n",
+        "\nscalar vs {} binned kernel (median of {REPS} runs)\n",
         active.name
     );
     let header2 = format!(
@@ -263,9 +285,8 @@ fn main() {
     // Small-K routing gate: K=5 sits below SMALL_K_THRESHOLD, so
     // `for_k` must hand back the scalar table, and the routed call must
     // be at least at parity with the unrouted vector path. The floor is
-    // noise-tolerant (these runs are microseconds; `ULTRAVC_SMALLK_FLOOR`
-    // overrides the default 0.9) — the point is "routing never costs a
-    // regression", not a speedup claim.
+    // noise-tolerant — the point is "routing never costs a regression",
+    // not a speedup claim.
     let small_k = 5usize;
     assert!(small_k < ultravc_simd::SMALL_K_THRESHOLD);
     let routed = active.for_k(small_k);
@@ -274,7 +295,7 @@ fn main() {
         "for_k must route K={small_k} to the scalar table"
     );
     let small_bins = phred_bins(100_000, 0xB16B);
-    let routed_s = time_median(reps, || {
+    let routed_s = time_median(|| {
         std::hint::black_box(PoissonBinomial::tail_early_exit_binned_with(
             routed,
             std::hint::black_box(&small_bins),
@@ -283,7 +304,7 @@ fn main() {
             &mut scratch,
         ));
     });
-    let unrouted_s = time_median(reps, || {
+    let unrouted_s = time_median(|| {
         std::hint::black_box(PoissonBinomial::tail_early_exit_binned_with(
             active,
             std::hint::black_box(&small_bins),
@@ -293,17 +314,16 @@ fn main() {
         ));
     });
     let small_k_ratio = unrouted_s / routed_s;
-    let small_k_floor = ultravc_bench::env_f64("ULTRAVC_SMALLK_FLOOR", 0.9);
     println!(
         "small-K routing at 100,000×, K={small_k}: routed {:.2}µs vs unrouted {} {:.2}µs \
-         ({small_k_ratio:.2}×, floor {small_k_floor}×)",
+         ({small_k_ratio:.2}×, floor {SMALL_K_FLOOR}×)",
         routed_s * 1e6,
         active.name,
         unrouted_s * 1e6,
     );
     assert!(
-        small_k_ratio >= small_k_floor,
-        "small-K routing must not regress: {small_k_ratio:.2}× < {small_k_floor}×"
+        small_k_ratio >= SMALL_K_FLOOR,
+        "small-K routing must not regress: {small_k_ratio:.2}× < {SMALL_K_FLOOR}×"
     );
 
     let mut json = format!(
@@ -339,6 +359,6 @@ fn main() {
         routed_s * 1e6,
         unrouted_s * 1e6,
     ));
-    std::fs::write(&out_path, json).expect("write benchmark JSON");
-    println!("wrote {out_path}");
+    std::fs::write(OUT_PATH, json).expect("write benchmark JSON");
+    println!("wrote {OUT_PATH}");
 }

@@ -12,7 +12,7 @@
 //! (ground truth: one filter pass), the OpenMP driver, and the script
 //! emulation at several job counts, and reports the divergences.
 
-use ultravc_bench::{env_f64, env_usize, rule, script_emulation};
+use ultravc_bench::{rule, script_emulation};
 use ultravc_core::config::{Bonferroni, CallerConfig};
 use ultravc_core::driver::CallDriver;
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
@@ -20,19 +20,20 @@ use ultravc_readsim::dataset::DatasetSpec;
 use ultravc_readsim::QualityPreset;
 use ultravc_vcf::{FilterParams, VcfRecord};
 
+const GENOME_LEN: usize = 2_000;
+const DEPTH: f64 = 3_000.0;
+
 fn main() {
-    let genome_len = env_usize("ULTRAVC_GENOME", 2_000);
-    let depth = env_f64("ULTRAVC_D3_DEPTH", 3_000.0);
-    let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(genome_len), 44);
+    let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(GENOME_LEN), 44);
     // Plenty of borderline-quality variants so the data-dependent
     // threshold has something to disagree about.
-    let ds = DatasetSpec::new("d3", depth, 0xD3)
+    let ds = DatasetSpec::new("d3", DEPTH, 0xD3)
         .with_variants(40, 0.004, 0.05)
         .with_quality(QualityPreset::Degraded)
         .simulate(&reference);
 
     println!(
-        "D-3 double-filtering bug — {genome_len} bp at {depth}x, 40 planted \
+        "D-3 double-filtering bug — {GENOME_LEN} bp at {DEPTH}x, 40 planted \
          variants incl. borderline frequencies\n"
     );
     // Call at the raw significance level so the call set spans the quality
@@ -109,8 +110,8 @@ fn main() {
     if !any_divergence {
         println!(
             "(no record-level divergence at these parameters — thresholds \
-             still shift with job count; increase ULTRAVC_D3_DEPTH or \
-             variant count to push borderline records across them)"
+             still shift with job count; a deeper dataset or more variants \
+             push borderline records across them)"
         );
     }
 }

@@ -12,7 +12,7 @@
 //! (or certified by the upper bound without the DP), called. Run with no
 //! argument to get both.
 
-use ultravc_bench::{env_f64, env_usize, rule};
+use ultravc_bench::rule;
 use ultravc_core::caller::call_variants;
 use ultravc_core::config::CallerConfig;
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
@@ -21,6 +21,12 @@ use ultravc_readsim::QualityPreset;
 use ultravc_stats::poisson::Poisson;
 use ultravc_stats::poisson_binomial::PoissonBinomial;
 use ultravc_stats::rng::Rng;
+
+/// Figure 1a's column depth.
+const PMF_DEPTH: usize = 500;
+// Figure 1b's dataset: depth and reference length in bp.
+const WORKFLOW_DEPTH: f64 = 10_000.0;
+const WORKFLOW_GENOME_LEN: usize = 600;
 
 fn main() {
     let mode = std::env::args()
@@ -39,10 +45,9 @@ fn main() {
 
 /// Figure 1a: exact pmf vs Poisson density over a mixed-quality column.
 fn pmf_series() {
-    let depth = env_usize("ULTRAVC_FIG1_DEPTH", 500);
     let mut rng = Rng::new(0xF161);
     // A deep column with realistic mixed Phred 20–40 qualities.
-    let probs: Vec<f64> = (0..depth)
+    let probs: Vec<f64> = (0..PMF_DEPTH)
         .map(|_| 10f64.powf(-(rng.range_u64(20, 40) as f64) / 10.0))
         .collect();
     let pb = PoissonBinomial::new(probs.clone()).unwrap();
@@ -50,9 +55,9 @@ fn pmf_series() {
     let poisson = Poisson::new(lambda).unwrap();
     let pmf = pb.pmf();
 
-    println!("Figure 1a series — depth {depth}, λ = Σ pᵢ = {lambda:.4}");
+    println!("Figure 1a series — depth {PMF_DEPTH}, λ = Σ pᵢ = {lambda:.4}");
     println!("k,poisson_binomial_pmf,poisson_pmf,pb_tail_P(X>=k),poisson_tail_P(X>=k)");
-    let k_max = ((lambda + 6.0 * lambda.sqrt()).ceil() as usize).clamp(8, depth);
+    let k_max = ((lambda + 6.0 * lambda.sqrt()).ceil() as usize).clamp(8, PMF_DEPTH);
     for k in 0..=k_max {
         println!(
             "{k},{:.6e},{:.6e},{:.6e},{:.6e}",
@@ -68,10 +73,9 @@ fn pmf_series() {
 
 /// Figure 1b: decision-path shares over a simulated deep dataset.
 fn workflow_shares() {
-    let depth = env_f64("ULTRAVC_FIG1_WORKFLOW_DEPTH", 10_000.0);
-    let genome_len = env_usize("ULTRAVC_GENOME", 600);
-    let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(genome_len), 11);
-    let ds = DatasetSpec::new("fig1b", depth, 0xF1B)
+    let reference =
+        ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(WORKFLOW_GENOME_LEN), 11);
+    let ds = DatasetSpec::new("fig1b", WORKFLOW_DEPTH, 0xF1B)
         .with_variants(10, 0.01, 0.05)
         .with_quality(QualityPreset::Degraded)
         .simulate(&reference);
@@ -80,7 +84,7 @@ fn workflow_shares() {
     let original = call_variants(&reference, &ds.alignments, &CallerConfig::original()).unwrap();
 
     let s = improved.stats;
-    println!("Figure 1b workflow shares — genome {genome_len} bp at {depth}x (Degraded quality)");
+    println!("Figure 1b workflow shares — genome {WORKFLOW_GENOME_LEN} bp at {WORKFLOW_DEPTH}x (Degraded quality)");
     let header = format!("{:>28} {:>10} {:>8}", "decision path", "columns", "share");
     println!("{header}");
     rule(header.len());

@@ -11,7 +11,7 @@
 //! an OpenMP-mode run with dynamic scheduling, and the trace rendered as
 //! an ASCII timeline plus the imbalance metrics.
 
-use ultravc_bench::{env_f64, env_usize, fmt_duration, rule};
+use ultravc_bench::{fmt_duration, rule};
 use ultravc_core::config::CallerConfig;
 use ultravc_core::driver::{CallDriver, ParallelMode};
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
@@ -21,11 +21,12 @@ use ultravc_readsim::dataset::DatasetSpec;
 use ultravc_readsim::QualityPreset;
 use ultravc_stats::rng::Rng;
 
+const N_THREADS: usize = 8;
+const GENOME_LEN: usize = 2_000;
+const DEPTH: f64 = 8_000.0;
+
 fn main() {
-    let n_threads = env_usize("ULTRAVC_THREADS", 8);
-    let genome_len = env_usize("ULTRAVC_GENOME", 2_000);
-    let depth = env_f64("ULTRAVC_FIG2_DEPTH", 8_000.0);
-    let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(genome_len), 22);
+    let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(GENOME_LEN), 22);
 
     // Variant hotspot: 30 clustered variants in the last tenth — the
     // "partitions with high concentrations of variants near the end"
@@ -36,20 +37,20 @@ fn main() {
         30,
         0.02,
         0.2,
-        genome_len * 9 / 10..genome_len,
+        GENOME_LEN * 9 / 10..GENOME_LEN,
         &mut rng,
     );
     let background =
-        TruthSet::random_in_window(&reference, 5, 0.02, 0.1, 100..genome_len * 8 / 10, &mut rng);
+        TruthSet::random_in_window(&reference, 5, 0.02, 0.1, 100..GENOME_LEN * 8 / 10, &mut rng);
     truth.absorb(&background);
 
-    let ds = DatasetSpec::new("fig2", depth, 0xF162)
+    let ds = DatasetSpec::new("fig2", DEPTH, 0xF162)
         .with_truth(truth)
         .with_quality(QualityPreset::Degraded)
         .simulate(&reference);
 
     println!(
-        "Figure 2 reproduction — {genome_len} bp at {depth}x, {n_threads} threads, \
+        "Figure 2 reproduction — {GENOME_LEN} bp at {DEPTH}x, {N_THREADS} threads, \
          dynamic schedule, variant hotspot in the last 10%\n"
     );
 
@@ -57,9 +58,9 @@ fn main() {
         config: CallerConfig::improved(),
         filter: None,
         mode: ParallelMode::OpenMp {
-            n_threads,
+            n_threads: N_THREADS,
             schedule: Schedule::Dynamic { chunk: 1 },
-            chunk_columns: (genome_len / (n_threads * 4)).max(8) as u32,
+            chunk_columns: (GENOME_LEN / (N_THREADS * 4)).max(8) as u32,
         },
         trace: true,
         budget: ultravc_core::RunBudget::unbounded(),

@@ -13,17 +13,19 @@
 //! caller *detects*, not from the truth sets directly: shallow tiers miss
 //! their rarest variants exactly as the paper's shallow samples do.
 
-use ultravc_bench::{env_f64, env_usize, rule};
+use ultravc_bench::rule;
 use ultravc_core::analysis::UpsetTable;
 use ultravc_core::driver::CallDriver;
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
 use ultravc_readsim::dataset::{shared_truth_sets, DatasetSpec};
 use ultravc_readsim::QualityPreset;
 
+/// Every tier's depth is its nominal depth times this.
+const SCALE: f64 = 0.1;
+const GENOME_LEN: usize = 3_000;
+
 fn main() {
-    let scale = env_f64("ULTRAVC_SCALE", 0.1);
-    let genome_len = env_usize("ULTRAVC_GENOME", 3_000);
-    let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(genome_len), 33);
+    let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(GENOME_LEN), 33);
 
     // Sharing structure scaled ~1/10 from the paper's counts: a core of 2
     // high-frequency variants (the paper's all-five overlap), a pool of 60
@@ -48,14 +50,14 @@ fn main() {
         (1_000_000.0, "1,000,000x"),
     ];
     println!(
-        "Figure 3 reproduction — 5 samples over a {genome_len} bp reference, \
-         scale {scale}\n"
+        "Figure 3 reproduction — 5 samples over a {GENOME_LEN} bp reference, \
+         scale {SCALE}\n"
     );
 
     let mut names = Vec::new();
     let mut call_sets = Vec::new();
     for ((nominal, label), truth) in tiers.iter().zip(truths) {
-        let depth = (nominal * scale).max(10.0);
+        let depth = (nominal * SCALE).max(10.0);
         let ds = DatasetSpec::new(*label, depth, 0xF163 + *nominal as u64)
             .with_truth(truth)
             .with_quality(QualityPreset::HiSeq)

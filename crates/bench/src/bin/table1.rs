@@ -13,34 +13,36 @@
 //! ```
 //!
 //! This harness keeps the tier *ratios* (1 : 30 : 100 : 300 : 1000) and the
-//! depth cap mechanism, scaled by `ULTRAVC_SCALE` (default 1/100) over an
-//! `ULTRAVC_GENOME`-bp slice (default 400) so the whole ladder runs in
-//! seconds. The invariant that made the paper's comparison meaningful is
-//! asserted, not eyeballed: **identical variant counts** from both
-//! versions in every tier.
+//! depth cap mechanism, scaled by `SCALE` (1/10) over a `GENOME_LEN`-bp
+//! slice (400) so the whole ladder runs in seconds. The invariant that made
+//! the paper's comparison meaningful is asserted, not eyeballed:
+//! **identical variant counts** from both versions in every tier.
 
 use std::time::Instant;
-use ultravc_bench::{env_f64, env_usize, fmt_bytes, fmt_depth, fmt_duration, rule};
+use ultravc_bench::{fmt_bytes, fmt_depth, fmt_duration, rule};
 use ultravc_core::caller::call_variants;
 use ultravc_core::config::CallerConfig;
 use ultravc_genome::reference::{GenomeParams, ReferenceGenome};
 use ultravc_readsim::dataset::DatasetSpec;
 
+/// Every tier's depth is its nominal depth times this.
+const SCALE: f64 = 0.1;
+/// Length of the simulated reference slice, in bp.
+const GENOME_LEN: usize = 400;
+
 fn main() {
-    let scale = env_f64("ULTRAVC_SCALE", 0.1);
-    let genome_len = env_usize("ULTRAVC_GENOME", 400);
     // The paper's 1M-read depth cap, scaled the same way: it sits between
     // the 300,000x and 1,000,000x tiers, so the deepest tier pays full
     // decode cost for columns the caller then truncates — the mechanism
     // behind Table I's speedup dip on the 25 GB file.
-    let depth_cap = (1_000_000.0 * scale * 0.25).max(100.0) as usize;
+    let depth_cap = (1_000_000.0 * SCALE * 0.25).max(100.0) as usize;
 
-    let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(genome_len), 7);
+    let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(GENOME_LEN), 7);
     println!(
-        "Table I reproduction — genome {} bp, scale {scale}, depth cap {depth_cap}",
+        "Table I reproduction — genome {} bp, scale {SCALE}, depth cap {depth_cap}",
         reference.len()
     );
-    println!("paper tiers 1,000x…1,000,000x are scaled by {scale}; labels keep nominal depths\n");
+    println!("paper tiers 1,000x…1,000,000x are scaled by {SCALE}; labels keep nominal depths\n");
     let header = format!(
         "{:>11} {:>12} {:>12} {:>10} {:>10} {:>9} {:>8} {:>7}",
         "Input size", "Avg. depth", "Reads", "Orig.", "New", "Speed-up", "Vars", "Equal?"
@@ -56,12 +58,12 @@ fn main() {
         (1_000_000.0, "1,000,000x"),
     ];
     for (i, (nominal, label)) in tiers.iter().enumerate() {
-        let depth = (nominal * scale).max(10.0);
+        let depth = (nominal * SCALE).max(10.0);
         // Burden-preserving scaling: with depth scaled by 1/10, the
         // Degraded preset's ~10× error rate keeps each tier's per-column
         // mismatch burden λ = Σ pᵢ at the paper's level — λ is what the
         // exact DP's cost grows with, so scaling *it* preserves the
-        // speedup shape (see DESIGN.md, Substitutions).
+        // speedup shape.
         let spec = DatasetSpec::new(*label, depth, 0xD47A + i as u64)
             .with_variants(8, 0.01, 0.05)
             .with_quality(ultravc_readsim::QualityPreset::Degraded);

@@ -1,28 +1,28 @@
 //! # ultravc-bench
 //!
-//! Benchmark harnesses that regenerate **every table and figure** of the
-//! paper, plus the ablations DESIGN.md commits to. Each harness is a
-//! binary (`cargo run -p ultravc-bench --release --bin <name>`):
+//! The paper's own harnesses, one binary each
+//! (`cargo run -p ultravc-bench --release --bin <name>`), plus the
+//! binned-kernel speedup gate:
 //!
-//! | binary             | regenerates                                        |
-//! |--------------------|----------------------------------------------------|
-//! | `table1`           | Table I — original vs improved runtimes/speedups   |
-//! | `fig1`             | Figure 1a (distributions) + 1b (workflow shares)   |
-//! | `fig2`             | Figure 2 — per-thread trace timeline, imbalance    |
-//! | `fig3`             | Figure 3 — SNV-sharing upset table                 |
-//! | `cache_miss`       | discussion claim D-1 — miss rates                  |
-//! | `approx_accuracy`  | D-2 — approximation error vs depth                 |
-//! | `double_filter`    | D-3 — script-mode filtering inconsistency ([`script_emulation`]) |
-//! | `ablation_delta`   | A-1 — δ margin sweep                               |
-//! | `ablation_depth_gate` | A-2 — min-depth gate sweep                      |
-//! | `ablation_schedule`   | A-3 — loop-schedule comparison                  |
+//! | binary          | regenerates                                              |
+//! |-----------------|----------------------------------------------------------|
+//! | `table1`        | Table I — original vs improved runtimes/speedups         |
+//! | `fig1`          | Figure 1a (distributions) + 1b (workflow shares)         |
+//! | `fig2`          | Figure 2 — per-thread trace timeline, imbalance          |
+//! | `fig3`          | Figure 3 — SNV-sharing upset table                       |
+//! | `double_filter` | the script wrapper's double filtering ([`script_emulation`]) vs one pass |
+//! | `bench_binned`  | binned vs per-trial and SIMD vs scalar kernel gates      |
 //!
-//! Workload sizes are scaled so every harness finishes in seconds to
-//! minutes on a laptop (the paper's full runs took up to 415 CPU-hours);
-//! the depth *ratios* and decision structure are preserved, which is what
-//! the result shapes depend on. Scale knobs are environment variables
-//! (`ULTRAVC_SCALE`, `ULTRAVC_GENOME`, `ULTRAVC_THREADS`) so bigger runs
-//! are one shell line away.
+//! End-to-end and per-layer performance is the repo benchmark's job
+//! (`BENCHMARK.json`, the `benchmark` binary beside these).
+//!
+//! Workload sizes are constants scaled so every harness finishes in
+//! seconds (the paper's full runs took up to 415 CPU-hours); the depth
+//! *ratios* and decision structure are preserved, which is what the
+//! result shapes depend on. Each harness asserts the invariant its
+//! figure rests on — identical calls from the original and improved
+//! callers (`table1`, `fig1`), one filter pass in every parallel mode
+//! (`double_filter`) — so running it is a check, not only a printout.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -101,43 +101,6 @@ pub fn script_emulation(
         filter_reports,
         team,
     })
-}
-
-/// A simulated depth-`d` pileup column at mixed Phred 20-40, as sorted
-/// `(error probability, multiplicity)` quality bins — the shared workload
-/// of the binned-kernel bench harnesses (`bench_binned` gate binary and
-/// the criterion microbench), kept in one place so both always measure
-/// the same columns.
-pub fn phred_bins(depth: usize, seed: u64) -> Vec<(f64, u32)> {
-    let mut rng = ultravc_stats::rng::Rng::new(seed);
-    let mut counts = [0u32; 64];
-    for _ in 0..depth {
-        counts[rng.range_u64(20, 40) as usize] += 1;
-    }
-    let mut bins: Vec<(f64, u32)> = counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &m)| m > 0)
-        .map(|(q, &m)| (10f64.powf(-(q as f64) / 10.0), m))
-        .collect();
-    bins.sort_by(|a, b| a.0.total_cmp(&b.0));
-    bins
-}
-
-/// Read an `f64` knob from the environment with a default.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Read a `usize` knob from the environment with a default.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Human-format a duration compactly (µs/ms/s as appropriate).
@@ -289,11 +252,5 @@ mod tests {
         assert_eq!(fmt_depth(1_000.0), "1,000x");
         assert_eq!(fmt_depth(1_000_000.0), "1,000,000x");
         assert_eq!(fmt_depth(10.0), "10x");
-    }
-
-    #[test]
-    fn env_knobs_default() {
-        assert_eq!(env_f64("ULTRAVC_NOPE_XYZ", 1.5), 1.5);
-        assert_eq!(env_usize("ULTRAVC_NOPE_XYZ", 7), 7);
     }
 }

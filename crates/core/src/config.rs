@@ -4,7 +4,8 @@ use serde::{Deserialize, Serialize};
 use ultravc_pileup::PileupParams;
 
 /// Which exact tail kernel computes `Pr[X ≥ K]` when a column falls
-/// through the screen — the ablation axis of experiment A-4.
+/// through the screen; the non-default engines are reference kernels for
+/// tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PvalueEngine {
     /// Pruned DP with LoFreq's early exit (production default). Runs the

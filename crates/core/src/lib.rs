@@ -44,14 +44,12 @@
 //! supervised parallel-for, sequential being its one-thread case), [`session`] (a reusable driver session for
 //! serving region queries), [`supervisor`] (run budgets: deadlines,
 //! cancellation, retry policy, per-region failure reports), [`analysis`]
-//! (upset intersections, truth grading), [`cachemodel`] (memory traces
-//! for the cache experiments).
+//! (upset intersections, truth grading).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod cachemodel;
 pub mod caller;
 pub mod config;
 pub mod driver;

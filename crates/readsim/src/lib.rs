@@ -29,7 +29,6 @@
 
 pub mod dataset;
 pub mod error;
-pub mod fastq;
 pub mod quality;
 pub mod simulator;
 

@@ -40,12 +40,13 @@ pub struct Request {
     pub close: bool,
 }
 
-/// Why a request head failed to parse. Maps to a 400 response.
+/// Why no request head was read.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The bytes are not a well-formed HTTP/1.1 request head.
+    /// The bytes are not a well-formed HTTP/1.1 request head (a 400).
     BadRequest(String),
-    /// The connection failed mid-read.
+    /// The connection failed mid-read, or closed cleanly before a
+    /// request began (`UnexpectedEof`); there is no one to answer.
     Io(io::Error),
 }
 
@@ -113,7 +114,9 @@ fn parse_query(raw: &str) -> Result<Vec<(String, String)>, HttpError> {
 
 /// Read one head line into `line`, charging it against the head cap.
 /// A line that does not end in `\n` either hit the cap or was cut off
-/// by EOF; both are a bad request, never a line to parse.
+/// by EOF; both are a bad request, never a line to parse — except EOF
+/// before the head's first byte, which is a peer closing an idle
+/// keep-alive connection and comes back as `UnexpectedEof`.
 fn read_head_line(
     stream: &mut impl BufRead,
     line: &mut String,
@@ -130,7 +133,7 @@ fn read_head_line(
     } else if *head >= MAX_HEAD_BYTES {
         Err(bad("request head exceeds 8 KiB"))
     } else if *head == 0 {
-        Err(bad("empty request line"))
+        Err(HttpError::Io(io::ErrorKind::UnexpectedEof.into()))
     } else {
         Err(bad("request head truncated before its blank line"))
     }
@@ -139,7 +142,10 @@ fn read_head_line(
 impl Request {
     /// Read and parse one request head from `stream`. Headers are
     /// consumed through the blank line; only `Connection:` is
-    /// interpreted (for keep-alive), the rest are discarded.
+    /// interpreted (for keep-alive), the rest are discarded. A stream
+    /// that ends before the head's first byte is
+    /// `HttpError::Io(UnexpectedEof)`: the peer closed, nothing was
+    /// malformed.
     pub fn read_from(stream: &mut impl BufRead) -> Result<Request, HttpError> {
         let mut head = 0usize;
         let mut line = String::new();
@@ -433,8 +439,11 @@ mod tests {
 
     #[test]
     fn rejects_malformed_heads() {
-        assert!(parse("").is_err());
-        assert!(parse("\r\n").is_err());
+        // EOF before any byte is a closed connection, not a bad request.
+        assert!(
+            matches!(parse(""), Err(HttpError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof)
+        );
+        assert!(matches!(parse("\r\n"), Err(HttpError::BadRequest(_))));
         assert!(parse("GET\r\n\r\n").is_err());
         assert!(parse("GET /x SPDY/9\r\n\r\n").is_err());
         assert!(parse("GET /x?a=%zz HTTP/1.1\r\n\r\n").is_err());

@@ -1,18 +1,21 @@
 //! Corrupt-never-panic property tests for the serving layer's parsers of
 //! untrusted bytes: the server's request-head parser
 //! (`Request::read_from`), the client's response parser
-//! (`read_response`) and the `/call` query validator
-//! (`CallQuery::from_pairs`). Valid inputs are truncated, bit-flipped,
-//! spliced with an oversized line or given a hostile size, and every
-//! parser must return a value or an error, never panic. Where a mutation
-//! has a known verdict — a head cut before its blank line, a head over
-//! the 8 KiB cap, a body cut short, a size the bytes cannot back — the
-//! verdict is asserted too.
+//! (`read_response`), the `/call` query validator
+//! (`CallQuery::from_pairs`) and the `--config` samples parser
+//! (`parse_samples`). Valid inputs are truncated, bit-flipped, spliced
+//! with an oversized line or random bytes, given a hostile size, or
+//! replaced by random bytes, and every parser must return a value or an
+//! error, never panic. Where a mutation has a known verdict — a head cut
+//! before its blank line, a head over the 8 KiB cap, a body cut short, a
+//! size the bytes cannot back — the verdict is asserted too.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::io::{Cursor, ErrorKind};
+use std::path::Path;
 use ultravc_serve::http::{HttpError, Request, MAX_HEAD_BYTES};
-use ultravc_serve::{read_response, CallQuery};
+use ultravc_serve::{parse_samples, read_response, CallQuery};
 
 const REQUESTS: &[&str] = &[
     "GET /call?sample=s&region=chr%3A1-100&min-af=0.05&format=json&timeout-ms=250 HTTP/1.1\r\n\
@@ -29,6 +32,16 @@ const RESPONSES: &[&str] = &[
     "HTTP/1.1 206 Partial Content\r\nTransfer-Encoding: chunked\r\n\
      X-Ultravc-Cache: miss\r\n\r\n3\r\nabc\r\n2\r\nde\r\n0\r\n\r\n",
     "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\n\r\n",
+];
+
+/// Valid `--config` files: one table with defaults; two tables with
+/// bare and quoted values, comments and a fault plan; CRLF line ends.
+const CONFIGS: &[&str] = &[
+    "[[sample]]\nbal = \"a.bal\"\nfasta = \"ref.fa\"\n",
+    "# two samples\n[[sample]]\nname = \"a\"\nbal = a.bal\nfasta = ref.fa\n\n\
+     [[sample]]\nbal = /abs/b.bal # stem names it\nfasta = \"ref.fa\"\n\
+     fault = \"eio=0.5,seed=9\"\n",
+    "[[sample]]\r\nname=x\r\nbal=x.bal\r\nfasta=x.fa\r\nfault=\"fail_after=0\"\r\n",
 ];
 
 /// Sizes no honest peer sends: past the bytes, past `u64`, negative,
@@ -127,11 +140,18 @@ proptest! {
     ) {
         let mut bytes = REQUESTS[seed].as_bytes().to_vec();
         prop_assert!(Request::read_from(&mut Cursor::new(bytes.clone())).is_ok());
-        mutate(&mut bytes, kind, frac, bit);
+        let at = mutate(&mut bytes, kind, frac, bit);
         let parsed = Request::read_from(&mut Cursor::new(bytes));
         match kind {
-            // Every strict prefix of a head lacks its blank line, and a
-            // splice of 8 KiB before the head's last byte breaks the cap.
+            // The empty prefix is a peer that closed before sending.
+            0 if at == 0 => prop_assert!(
+                matches!(&parsed, Err(HttpError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof),
+                "empty stream parsed as {:?}",
+                parsed
+            ),
+            // Every other strict prefix of a head lacks its blank line,
+            // and a splice of 8 KiB before the head's last byte breaks
+            // the cap.
             0 | 2 => prop_assert!(
                 matches!(parsed, Err(HttpError::BadRequest(_))),
                 "kind {} parsed as {:?}",
@@ -202,6 +222,40 @@ proptest! {
                 size,
                 e
             ),
+        }
+    }
+
+    #[test]
+    fn sample_configs_never_panic(
+        seed in 0..CONFIGS.len(),
+        kind in 0u8..5,
+        frac in 0.0f64..1.0,
+        bit in any::<u8>(),
+        raw in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let base = Path::new("/cfg");
+        prop_assert!(parse_samples(CONFIGS[seed], base).is_ok());
+        let mut bytes = CONFIGS[seed].as_bytes().to_vec();
+        match kind {
+            0..=2 => {
+                mutate(&mut bytes, kind, frac, bit);
+            }
+            3 => {
+                let at = ((bytes.len() - 1) as f64 * frac) as usize;
+                bytes.splice(at..at, raw);
+            }
+            _ => bytes = raw,
+        }
+        match parse_samples(&String::from_utf8_lossy(&bytes), base) {
+            // Whatever parses still keeps the parser's promises: at least
+            // one sample, every name non-empty and unique.
+            Ok(samples) => {
+                let names: HashSet<&str> = samples.iter().map(|s| s.name.as_str()).collect();
+                prop_assert!(!samples.is_empty());
+                prop_assert_eq!(names.len(), samples.len());
+                prop_assert!(!names.contains(""), "{:?}", names);
+            }
+            Err(msg) => prop_assert!(!msg.is_empty()),
         }
     }
 

@@ -454,6 +454,27 @@ fn keep_alive_round_trips_pay_no_delayed_ack_floor() {
 }
 
 #[test]
+fn closing_an_idle_keep_alive_connection_is_not_a_client_error() {
+    let dir = scratch("idle-close");
+    let (bal, fa, _) = write_fixture(&dir, 41, 400, 200.0);
+    let server = Server::bind(serve_config("127.0.0.1:0", &bal, &fa)).unwrap();
+
+    let mut conn =
+        ultravc_serve::ClientConn::new(server.local_addr(), Some(Duration::from_secs(30)));
+    assert_eq!(conn.get("/health").unwrap().status, 200);
+    // A clean close between requests: the handler reads EOF where the
+    // next request line would start. The pause lets `/stats` see that
+    // handler's verdict; the shutdown report below does not depend on it.
+    drop(conn);
+    std::thread::sleep(Duration::from_millis(200));
+
+    let stats = get(&server, "/stats").text();
+    assert!(stats.contains("\"client_errors\":0"), "{stats}");
+    // Shutdown joins every handler, so this count is final.
+    assert_eq!(server.shutdown().client_errors, 0);
+}
+
+#[test]
 fn graceful_shutdown_leaks_no_threads() {
     let dir = scratch("leak");
     let (bal, fa, chrom) = write_fixture(&dir, 29, 500, 250.0);

@@ -2,14 +2,11 @@
 //!
 //! The paper's shortcut is [`poisson_tail`]: the Hodges–Le Cam Poisson
 //! approximation with rate `λ = Σ p_i`, computed in `O(d)` (one pass to sum
-//! the probabilities, one incomplete-gamma evaluation). Three alternative
-//! approximations of the same tail are provided for the ablation study
-//! (experiment A-4 in DESIGN.md): the plain normal with continuity
-//! correction, the skewness-corrected refined normal of Hong (2013), and
-//! Röllin's translated Poisson. [`le_cam_bound`] gives the classic
-//! total-variation guarantee that justifies the shortcut at high depth.
+//! the probabilities, one incomplete-gamma evaluation). [`le_cam_bound`]
+//! gives the classic total-variation guarantee that justifies the shortcut
+//! at high depth, and [`ln_tail_upper_bound`] the certified bound behind the
+//! caller's accept-side screen.
 
-use crate::normal::Normal;
 use crate::poisson::Poisson;
 
 /// The paper's approximation: `Pr[X ≥ k] ≈ Pr[Pois(Σ p_i) ≥ k]`.
@@ -80,64 +77,6 @@ pub fn certifies_tail_below(ln_upper: f64, p: f64) -> bool {
     ln_upper <= p.ln() - CERTIFICATE_MARGIN_LN
 }
 
-/// Normal approximation with continuity correction:
-/// `Pr[X ≥ k] ≈ Φ̄((k − ½ − μ) / σ)`.
-pub fn normal_tail(probs: &[f64], k: usize) -> f64 {
-    if k == 0 {
-        return 1.0;
-    }
-    let mu: f64 = probs.iter().sum();
-    let var: f64 = probs.iter().map(|p| p * (1.0 - p)).sum();
-    if var <= 0.0 {
-        // Deterministic count: the tail is a step function at μ.
-        return if (k as f64) <= mu { 1.0 } else { 0.0 };
-    }
-    let z = (k as f64 - 0.5 - mu) / var.sqrt();
-    Normal::standard().sf(z)
-}
-
-/// Refined normal approximation (Hong 2013, "RNA"): adds the first
-/// Edgeworth skewness correction,
-/// `Pr[X ≥ k] ≈ 1 − G((k − ½ − μ)/σ)` with
-/// `G(x) = Φ(x) + γ (1 − x²) φ(x) / 6`, clamped to `[0, 1]`.
-pub fn refined_normal_tail(probs: &[f64], k: usize) -> f64 {
-    if k == 0 {
-        return 1.0;
-    }
-    let mu: f64 = probs.iter().sum();
-    let var: f64 = probs.iter().map(|p| p * (1.0 - p)).sum();
-    if var <= 0.0 {
-        return if (k as f64) <= mu { 1.0 } else { 0.0 };
-    }
-    let sigma = var.sqrt();
-    let third: f64 = probs.iter().map(|p| p * (1.0 - p) * (1.0 - 2.0 * p)).sum();
-    let gamma = third / var.powf(1.5);
-    let x = (k as f64 - 0.5 - mu) / sigma;
-    let n = Normal::standard();
-    let g = n.cdf(x) + gamma * (1.0 - x * x) * n.pdf(x) / 6.0;
-    (1.0 - g).clamp(0.0, 1.0)
-}
-
-/// Translated Poisson approximation (Röllin 2007): match both mean and
-/// variance by shifting an integer offset `s = ⌊μ − σ²⌋` and using rate
-/// `λ = σ² + frac(μ − σ²)`; then `Pr[X ≥ k] ≈ Pr[Pois(λ) ≥ k − s]`.
-pub fn translated_poisson_tail(probs: &[f64], k: usize) -> f64 {
-    if k == 0 {
-        return 1.0;
-    }
-    let mu: f64 = probs.iter().sum();
-    let var: f64 = probs.iter().map(|p| p * (1.0 - p)).sum();
-    let shift = (mu - var).floor();
-    let lambda = (mu - shift).max(0.0);
-    let k_adj = k as f64 - shift;
-    if k_adj <= 0.0 {
-        return 1.0;
-    }
-    Poisson::new(lambda)
-        .expect("λ ≥ 0 by construction")
-        .sf(k_adj as u64)
-}
-
 /// Barbour–Hall refinement of Le Cam's theorem: the total-variation
 /// distance between the Poisson-binomial and Poisson(`λ = Σ p_i`) is at most
 /// `(1 − e^{−λ})/λ · Σ p_i²`.
@@ -172,9 +111,8 @@ mod tests {
     fn all_tails_are_one_at_k_zero() {
         let probs = vec![0.01, 0.02];
         assert_eq!(poisson_tail(&probs, 0), 1.0);
-        assert_eq!(normal_tail(&probs, 0), 1.0);
-        assert_eq!(refined_normal_tail(&probs, 0), 1.0);
-        assert_eq!(translated_poisson_tail(&probs, 0), 1.0);
+        // The certified bound is the trivial `U = 1` there.
+        assert_eq!(ln_tail_upper_bound(0.03, 0), 0.0);
     }
 
     #[test]
@@ -219,45 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn refined_normal_beats_plain_normal_on_skewed_sums() {
-        // Small probabilities ⇒ strongly right-skewed: the skewness
-        // correction must reduce the worst-case tail error.
-        let probs = vec![0.01f64; 2_000];
-        let pb = PoissonBinomial::new(probs.clone()).unwrap();
-        let lambda = pb.mean() as usize; // 20
-        let (mut worst_plain, mut worst_refined) = (0.0f64, 0.0f64);
-        for k in 1..=(lambda * 3) {
-            let exact = pb.tail_pruned(k);
-            worst_plain = worst_plain.max((exact - normal_tail(&probs, k)).abs());
-            worst_refined = worst_refined.max((exact - refined_normal_tail(&probs, k)).abs());
-        }
-        assert!(
-            worst_refined < worst_plain,
-            "refined {worst_refined} should beat plain {worst_plain}"
-        );
-    }
-
-    #[test]
-    fn translated_poisson_handles_mixed_probabilities() {
-        // With some large p_i the plain Poisson overestimates variance;
-        // translated Poisson matches both moments and should do better.
-        let mut probs = vec![0.4f64; 50];
-        probs.extend(vec![0.01f64; 200]);
-        let pb = PoissonBinomial::new(probs.clone()).unwrap();
-        let mu = pb.mean() as usize;
-        let (mut worst_pois, mut worst_tp) = (0.0f64, 0.0f64);
-        for k in 1..=(2 * mu) {
-            let exact = pb.tail_pruned(k);
-            worst_pois = worst_pois.max((exact - poisson_tail(&probs, k)).abs());
-            worst_tp = worst_tp.max((exact - translated_poisson_tail(&probs, k)).abs());
-        }
-        assert!(
-            worst_tp < worst_pois,
-            "translated {worst_tp} should beat plain Poisson {worst_pois}"
-        );
-    }
-
-    #[test]
     fn le_cam_bound_basics() {
         assert_eq!(le_cam_bound(&[]), 0.0);
         assert_eq!(le_cam_bound(&[0.0, 0.0]), 0.0);
@@ -267,17 +166,6 @@ mod tests {
         assert!(b > 0.0 && b < 0.001, "bound {b}");
         // Never exceeds 1.
         assert!(le_cam_bound(&[1.0; 100]) <= 1.0);
-    }
-
-    #[test]
-    fn degenerate_variance_cases() {
-        // p_i ∈ {0, 1} gives σ = 0; normal-family approximations must fall
-        // back to the deterministic step.
-        let probs = vec![1.0, 1.0, 0.0];
-        assert_eq!(normal_tail(&probs, 2), 1.0);
-        assert_eq!(normal_tail(&probs, 3), 0.0);
-        assert_eq!(refined_normal_tail(&probs, 2), 1.0);
-        assert_eq!(refined_normal_tail(&probs, 3), 0.0);
     }
 
     #[test]

@@ -15,25 +15,21 @@
 //!
 //! Module map:
 //!
-//! * [`specfun`] — log-gamma, regularized incomplete gamma, incomplete beta,
-//!   erf/erfc; the foundation for every closed-form CDF here.
-//! * [`poisson`], [`normal`], [`binomial`] — classic distributions built on
-//!   [`specfun`], including the Fisher exact test used for strand-bias
-//!   filtering.
+//! * [`specfun`] — log-gamma, regularized incomplete gamma and incomplete
+//!   beta; the foundation for every closed-form CDF here.
+//! * [`poisson`], [`binomial`] — classic distributions built on [`specfun`],
+//!   including the Fisher exact test used for strand-bias filtering.
 //! * [`poisson_binomial`] — exact kernels: full `O(d²)` DP, tail-pruned
 //!   `O(d·K)` DP, the early-exit DP LoFreq ships, and the DFT-CF method of
 //!   Hong (2013) built on the in-house [`fft`].
-//! * [`approx`] — the Poisson (Hodges–Le Cam), normal, refined-normal and
-//!   translated-Poisson tail approximations, with Le Cam's total-variation
-//!   error bound, and the certified Chernoff *upper* bound
-//!   ([`approx::ln_tail_upper_bound`]) behind the caller's accept-side
-//!   screen.
+//! * [`approx`] — the Poisson (Hodges–Le Cam) tail approximation with Le
+//!   Cam's total-variation error bound, and the certified Chernoff *upper*
+//!   bound ([`approx::ln_tail_upper_bound`]) behind the caller's
+//!   accept-side screen.
 //! * [`fft`] — iterative radix-2 Cooley–Tukey plus Bluestein's algorithm for
 //!   arbitrary lengths (the DFT-CF method needs size `d+1` transforms).
 //! * [`rng`] — deterministic SplitMix64/Xoshiro256++ PRNG with the samplers
 //!   the simulator needs (uniform, normal, Poisson, categorical).
-//! * [`summary`] — Welford accumulators, histograms and quantiles used by the
-//!   benchmark harnesses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,17 +37,12 @@
 pub mod approx;
 pub mod binomial;
 pub mod fft;
-pub mod normal;
 pub mod poisson;
 pub mod poisson_binomial;
 pub mod rng;
 pub mod specfun;
-pub mod summary;
 
-pub use approx::{
-    le_cam_bound, ln_tail_upper_bound, normal_tail, poisson_tail, refined_normal_tail,
-    translated_poisson_tail,
-};
+pub use approx::{le_cam_bound, ln_tail_upper_bound, poisson_tail};
 pub use poisson_binomial::{BinnedTailScratch, PoissonBinomial, TailBudget, TailOutcome};
 pub use rng::Rng;
 

@@ -1,5 +1,4 @@
-//! Special functions: log-gamma, regularized incomplete gamma and beta,
-//! error function family.
+//! Special functions: log-gamma, regularized incomplete gamma and beta.
 //!
 //! These replace the GNU Scientific Library routines the paper used for the
 //! Poisson tail. Accuracy targets: relative error below `1e-12` across the
@@ -263,46 +262,6 @@ fn beta_contfrac(a: f64, b: f64, x: f64) -> Result<f64> {
     })
 }
 
-/// Complementary error function `erfc(x)`.
-///
-/// Implemented through the incomplete gamma identity
-/// `erfc(x) = Q(1/2, x²)` for `x ≥ 0` (and reflection for `x < 0`), which
-/// inherits the `1e-12` accuracy of the gamma routines instead of the ~1e-7
-/// of the usual rational fits.
-pub fn erfc(x: f64) -> f64 {
-    if x == 0.0 {
-        return 1.0;
-    }
-    let v = gamma_q(0.5, x * x).unwrap_or_else(|_| if x.abs() > 1.0 { 0.0 } else { 1.0 });
-    if x > 0.0 {
-        v
-    } else {
-        2.0 - v
-    }
-}
-
-/// Error function `erf(x) = 1 − erfc(x)`.
-pub fn erf(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 - erfc(x)
-    } else {
-        erfc(-x) - 1.0
-    }
-}
-
-/// Natural log of `erfc(x)` with graceful behaviour deep in the tail, where
-/// `erfc` itself underflows (`x ≳ 27`). Uses the asymptotic expansion
-/// `erfc(x) ≈ e^{−x²} / (x√π) · (1 − 1/(2x²) + 3/(4x⁴) − …)` when needed.
-pub fn ln_erfc(x: f64) -> f64 {
-    if x < 25.0 {
-        return erfc(x).ln();
-    }
-    let x2 = x * x;
-    // Three asymptotic correction terms are plenty at x ≥ 25.
-    let series = 1.0 - 1.0 / (2.0 * x2) + 3.0 / (4.0 * x2 * x2) - 15.0 / (8.0 * x2 * x2 * x2);
-    -x2 - (x * std::f64::consts::PI.sqrt()).ln() + series.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,41 +403,5 @@ mod tests {
                 1e-10,
             );
         }
-    }
-
-    #[test]
-    fn erf_known_values() {
-        // Reference values from Abramowitz & Stegun.
-        assert_close(erf(0.5), 0.520_499_877_813_046_5, 1e-12);
-        assert_close(erf(1.0), 0.842_700_792_949_714_9, 1e-12);
-        assert_close(erf(2.0), 0.995_322_265_018_952_7, 1e-12);
-        assert_close(erfc(1.0), 0.157_299_207_050_285_13, 1e-11);
-        assert_eq!(erf(0.0), 0.0);
-        assert_eq!(erfc(0.0), 1.0);
-    }
-
-    #[test]
-    fn erf_is_odd_and_erfc_reflects() {
-        for &x in &[0.1, 0.7, 1.3, 2.9] {
-            assert_close(erf(-x), -erf(x), 1e-12);
-            assert_close(erfc(-x), 2.0 - erfc(x), 1e-12);
-        }
-    }
-
-    #[test]
-    fn ln_erfc_continuous_across_switch() {
-        // Direct log and asymptotic expansion must agree near the crossover.
-        let direct = erfc(24.9).ln();
-        let asymptotic = {
-            let x: f64 = 24.9;
-            let x2 = x * x;
-            let series =
-                1.0 - 1.0 / (2.0 * x2) + 3.0 / (4.0 * x2 * x2) - 15.0 / (8.0 * x2 * x2 * x2);
-            -x2 - (x * std::f64::consts::PI.sqrt()).ln() + series.ln()
-        };
-        assert_close(direct, asymptotic, 1e-6);
-        // And far in the tail we still return finite values.
-        assert!(ln_erfc(100.0).is_finite());
-        assert!(ln_erfc(100.0) < -9_999.0);
     }
 }

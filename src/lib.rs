@@ -6,8 +6,7 @@
 //!
 //! Start with [`core`] for the variant caller (the paper's contribution) and
 //! [`readsim`] to generate the ultra-deep synthetic datasets the evaluation
-//! runs on. See the repository `README.md` for a guided tour and
-//! `DESIGN.md` for the full system inventory.
+//! runs on. See the repository `README.md` for a guided tour.
 //!
 //! ```
 //! use ultravc::prelude::*;
@@ -25,7 +24,6 @@
 #![forbid(unsafe_code)]
 
 pub use ultravc_bamlite as bamlite;
-pub use ultravc_cachesim as cachesim;
 pub use ultravc_core as core;
 pub use ultravc_genome as genome;
 pub use ultravc_parfor as parfor;
