@@ -30,8 +30,8 @@
 use std::time::Duration;
 
 use ultravc_bamlite::{BalError, BalFile};
-use ultravc_core::caller::{call_region, CallSet, CallStats};
-use ultravc_core::{CallerConfig, ColumnTest};
+use ultravc_core::caller::{CallSet, CallStats};
+use ultravc_core::{CallDriver, CallOutcome, CallerConfig};
 use ultravc_genome::reference::ReferenceGenome;
 use ultravc_parfor::{parallel_for, Schedule, TeamReport};
 use ultravc_pileup::split_ranges;
@@ -57,9 +57,10 @@ pub struct ScriptRun {
 /// **filter the merged set again**. Both filter applications use
 /// data-dependent thresholds — the inconsistency the review article (\[8\]
 /// in the paper) flagged and the paper's single-process parallel-for fixes.
-/// It exists to be compared against [`ultravc_core::CallDriver`], which
-/// filters once; every piece shares one whole-genome [`ColumnTest`], so the
-/// raw calls are the driver's and only the filtering differs.
+/// It exists to be compared against [`CallDriver`], which filters once;
+/// every piece is an unfiltered sequential [`CallDriver::run_region`],
+/// whose test is built from the whole genome, so the raw calls are the
+/// driver's and only the filtering differs.
 pub fn script_emulation(
     reference: &ReferenceGenome,
     alignments: &BalFile,
@@ -67,18 +68,17 @@ pub fn script_emulation(
     filter: Option<FilterParams>,
     n_jobs: usize,
 ) -> Result<ScriptRun, BalError> {
-    let tester = ColumnTest::new(config, reference.len());
+    let caller = CallDriver {
+        config: config.clone(),
+        filter: None,
+        ..CallDriver::sequential()
+    };
     let partitions = split_ranges(0, reference.len() as u32, n_jobs);
     let n_workers = n_jobs.min(partitions.len()).max(1);
     let (partials, team) = parallel_for(n_workers, &partitions, Schedule::Static, |_, _, range| {
-        call_region(
-            reference,
-            alignments,
-            range.start,
-            range.end,
-            config,
-            &tester,
-        )
+        caller
+            .run_region(reference, alignments, range.clone())
+            .and_then(CallOutcome::into_call_set)
     });
     let mut filter_reports = Vec::new();
     let mut merged = CallSet::default();
@@ -156,7 +156,6 @@ pub fn rule(width: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ultravc_core::CallDriver;
     use ultravc_genome::reference::GenomeParams;
     use ultravc_readsim::dataset::DatasetSpec;
 

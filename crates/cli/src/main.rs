@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 use std::time::Duration;
 
-use ultravc_bamlite::{BalFile, FaultPlan};
+use ultravc_bamlite::{BalError, BalFile, FaultPlan};
 use ultravc_core::analysis::UpsetTable;
 use ultravc_core::config::CallerConfig;
 use ultravc_core::driver::{CallDriver, ParallelMode, CHUNK_COLUMNS};
@@ -291,8 +291,9 @@ fn build_driver(flags: &HashMap<String, String>) -> Result<CallDriver, String> {
     let threads: usize = get_parsed(flags, "threads", 1)?;
     let mode = match flags.get("mode").map(String::as_str).unwrap_or("seq") {
         "seq" => ParallelMode::Sequential,
+        // Unclamped: the driver refuses zero threads as invalid input.
         "openmp" => ParallelMode::OpenMp {
-            n_threads: threads.max(1),
+            n_threads: threads,
             schedule: Schedule::Dynamic { chunk: 1 },
             chunk_columns: CHUNK_COLUMNS,
         },
@@ -386,7 +387,14 @@ fn cmd_call(args: &[String]) -> Result<(), String> {
     let min_af = min_af(&flags)?;
     let mut outcome = driver
         .run_region(&reference, &bal, span)
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| match &e {
+            // A run that cannot start (zero threads, zero depth cap) is a
+            // usage error, not a data failure.
+            BalError::Io(io) if io.kind() == std::io::ErrorKind::InvalidInput => {
+                format!("{e}\n\n{USAGE}")
+            }
+            _ => e.to_string(),
+        })?;
     ultravc_serve::apply_min_af(&mut outcome.records, min_af);
     // Supervision report: anything short of a clean, complete run goes to
     // stderr so the VCF on stdout stays machine-readable.

@@ -82,19 +82,26 @@ fn call_exits_zero_only_when_the_result_is_complete() {
 #[test]
 fn script_mode_is_rejected_with_the_usage_error() {
     let (bal, fa) = fixture("script");
-    // A retired mode, two retired flags and a typo: each is an error that
-    // says what was not understood, never a run with a default instead.
+    // A retired mode, two retired flags, a typo, and a run that could not
+    // call anything — no threads, or a depth cap that stacks no base: each
+    // is an error that says what was not understood, never a run with a
+    // default instead.
     for (extra, complaint) in [
         (
-            ["--mode", "script"],
+            &["--mode", "script"][..],
             "--mode must be seq|openmp, got script",
         ),
-        (["--source", "mmap"], "unknown flag `--source`"),
-        (["--prefetch", "on"], "unknown flag `--prefetch`"),
-        (["--thraeds", "4"], "unknown flag `--thraeds`"),
+        (&["--source", "mmap"], "unknown flag `--source`"),
+        (&["--prefetch", "on"], "unknown flag `--prefetch`"),
+        (&["--thraeds", "4"], "unknown flag `--thraeds`"),
+        (
+            &["--mode", "openmp", "--threads", "0"],
+            "thread count and chunk width must be positive",
+        ),
+        (&["--max-depth", "0"], "depth cap must be positive"),
     ] {
         let mut args = vec!["call", "--input", &bal, "--ref", &fa];
-        args.extend_from_slice(&extra);
+        args.extend_from_slice(extra);
         let out = ultravc(&args);
         assert!(!out.status.success(), "{extra:?}");
         assert!(out.stdout.is_empty(), "{extra:?}: nothing was called");

@@ -1,12 +1,13 @@
 //! Region calling: pileup columns → decisions → VCF records.
 
 use crate::config::CallerConfig;
+use crate::driver::CallDriver;
 use crate::pvalue::{ColumnDecision, ColumnTest, Scratch};
 use serde::{Deserialize, Serialize};
 use ultravc_bamlite::{BalError, BalFile, DecodeStats};
 use ultravc_genome::phred::phred_scale_pvalue;
 use ultravc_genome::reference::ReferenceGenome;
-use ultravc_pileup::{pileup_region, PileupColumn, PileupIter};
+use ultravc_pileup::{PileupColumn, PileupIter};
 use ultravc_stats::binomial::fisher_exact;
 use ultravc_vcf::{FilterStatus, Info, VcfRecord};
 
@@ -115,23 +116,6 @@ impl CallSet {
         self.stats.merge(&other.stats);
         self.decode.merge(&other.decode);
     }
-}
-
-/// Call variants across one region with a pre-built tester.
-///
-/// The tester carries the Bonferroni threshold computed from the *whole
-/// run's* column count, so partitioned execution makes identical decisions
-/// to sequential execution.
-pub fn call_region(
-    reference: &ReferenceGenome,
-    alignments: &BalFile,
-    start: u32,
-    end: u32,
-    config: &CallerConfig,
-    tester: &ColumnTest,
-) -> Result<CallSet, BalError> {
-    let iter = pileup_region(alignments, start, end, config.pileup);
-    drain_pileup(reference, iter, tester, &mut Scratch::new())
 }
 
 /// Shared drain loop: test every column of an already-configured pileup
@@ -245,22 +229,21 @@ fn build_record(
 
 /// Call variants across the whole reference, sequentially, unfiltered.
 ///
-/// This is the library's front door for simple uses; the parallel and
-/// filtered paths live in [`crate::driver`].
+/// This is the library's front door for simple uses: the one-thread,
+/// unfiltered case of [`CallDriver`], whose records, decision counters and
+/// decode totals it returns. A region the run lost is the error.
 pub fn call_variants(
     reference: &ReferenceGenome,
     alignments: &BalFile,
     config: &CallerConfig,
 ) -> Result<CallSet, BalError> {
-    let tester = ColumnTest::new(config, reference.len());
-    call_region(
-        reference,
-        alignments,
-        0,
-        reference.len() as u32,
-        config,
-        &tester,
-    )
+    CallDriver {
+        config: config.clone(),
+        filter: None,
+        ..CallDriver::sequential()
+    }
+    .run(reference, alignments)?
+    .into_call_set()
 }
 
 #[cfg(test)]
@@ -382,36 +365,6 @@ mod tests {
             s.skip_fraction() > 0.5,
             "deep data should mostly skip: {s:?}"
         );
-    }
-
-    #[test]
-    fn call_region_splits_cleanly() {
-        let (reference, alignments, _) = setup(250.0, 8, 23);
-        let config = CallerConfig::default();
-        let tester = ColumnTest::new(&config, reference.len());
-        let whole = call_region(
-            &reference,
-            &alignments,
-            0,
-            reference.len() as u32,
-            &config,
-            &tester,
-        )
-        .unwrap();
-        let mut merged = call_region(&reference, &alignments, 0, 400, &config, &tester).unwrap();
-        merged.append(
-            call_region(
-                &reference,
-                &alignments,
-                400,
-                reference.len() as u32,
-                &config,
-                &tester,
-            )
-            .unwrap(),
-        );
-        assert_eq!(whole.records, merged.records);
-        assert_eq!(whole.stats, merged.stats);
     }
 
     #[test]

@@ -3,42 +3,14 @@
 use serde::{Deserialize, Serialize};
 use ultravc_pileup::PileupParams;
 
-/// Which exact tail kernel computes `Pr[X ≥ K]` when a column falls
-/// through the screen; the non-default engines are reference kernels for
-/// tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PvalueEngine {
-    /// Pruned DP with LoFreq's early exit (production default). Runs the
-    /// grouped-trial binned kernel — `O(#bins·K²)` per column instead of
-    /// `O(d·K)` — over the pileup quality histogram.
-    PrunedDp,
-    /// Full `O(d²)` DP (the recurrence as printed in the paper; reference).
-    FullDp,
-    /// DFT of the characteristic function (Hong 2013).
-    DftCf,
-}
+/// The screen's safety margin `δ` (§II.A of the paper): the exact test is
+/// skipped only when `p̂ ≥ ε + δ`. The paper's 0.01, chosen
+/// "intentionally conservative".
+pub(crate) const SCREEN_DELTA: f64 = 0.01;
 
-/// The approximation shortcut's tuning (§II.A of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShortcutParams {
-    /// Safety margin above the significance level: skip the exact
-    /// computation only when `p̂ ≥ ε + delta`. Paper default 0.01, chosen
-    /// "intentionally conservative".
-    pub delta: f64,
-    /// Minimum column depth for the shortcut. Below this the Poisson error
-    /// bound is weak and the pruned DP fits in cache anyway; paper uses
-    /// 100.
-    pub min_depth: usize,
-}
-
-impl Default for ShortcutParams {
-    fn default() -> Self {
-        ShortcutParams {
-            delta: 0.01,
-            min_depth: 100,
-        }
-    }
-}
+/// Minimum column depth for the screen. Below this the Poisson error bound
+/// is weak and the exact DP fits in cache anyway; the paper uses 100.
+pub(crate) const SCREEN_MIN_DEPTH: usize = 100;
 
 /// Multiple-testing correction for the per-column significance threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -70,18 +42,13 @@ pub struct CallerConfig {
     pub sig_level: f64,
     /// Multiple-testing correction.
     pub bonferroni: Bonferroni,
-    /// The approximation shortcut; `None` reproduces *original* LoFreq.
-    /// `Some` also arms the certified upper bound on the accept side (it
-    /// has no tuning of its own: see `ColumnTest::test`).
-    pub shortcut: Option<ShortcutParams>,
-    /// Exact-kernel choice.
-    pub engine: PvalueEngine,
+    /// The paper's Poisson screen (`δ = 0.01`, columns of depth ≥ 100) and
+    /// its accept-side twin, the certified upper bound; `false` reproduces
+    /// *original* LoFreq.
+    pub shortcut: bool,
     /// Pileup filters and depth cap.
     #[serde(skip, default)]
     pub pileup: PileupParams,
-    /// Use the exact DP's early-exit optimization (LoFreq has it; turning
-    /// it off isolates the shortcut's contribution in ablations).
-    pub early_exit: bool,
 }
 
 impl Default for CallerConfig {
@@ -89,10 +56,8 @@ impl Default for CallerConfig {
         CallerConfig {
             sig_level: 0.05,
             bonferroni: Bonferroni::Auto,
-            shortcut: Some(ShortcutParams::default()),
-            engine: PvalueEngine::PrunedDp,
+            shortcut: true,
             pileup: PileupParams::default(),
-            early_exit: true,
         }
     }
 }
@@ -101,7 +66,7 @@ impl CallerConfig {
     /// Original LoFreq: no approximation shortcut, early exit on.
     pub fn original() -> CallerConfig {
         CallerConfig {
-            shortcut: None,
+            shortcut: false,
             ..CallerConfig::default()
         }
     }
@@ -135,10 +100,15 @@ mod tests {
     fn presets_differ_only_in_shortcut() {
         let orig = CallerConfig::original();
         let imp = CallerConfig::improved();
-        assert!(orig.shortcut.is_none());
-        assert!(imp.shortcut.is_some());
-        assert_eq!(orig.sig_level, imp.sig_level);
-        assert_eq!(orig.engine, imp.engine);
+        assert!(!orig.shortcut);
+        assert!(imp.shortcut);
+        assert_eq!(
+            CallerConfig {
+                shortcut: true,
+                ..orig
+            },
+            imp
+        );
     }
 
     #[test]
@@ -157,9 +127,8 @@ mod tests {
 
     #[test]
     fn shortcut_defaults_match_paper() {
-        let s = ShortcutParams::default();
-        assert_eq!(s.delta, 0.01);
-        assert_eq!(s.min_depth, 100);
+        assert_eq!(SCREEN_DELTA, 0.01);
+        assert_eq!(SCREEN_MIN_DEPTH, 100);
         assert_eq!(CallerConfig::default().sig_level, 0.05);
     }
 }

@@ -175,9 +175,10 @@ impl CallDriver {
     ///
     /// A request that cannot start is an `InvalidInput` I/O error: a
     /// region outside `start ≤ end ≤ reference.len()`, a zero thread count
-    /// or chunk width, or a zero-duration deadline in the budget (which
-    /// would expire before the run started and make every outcome
-    /// trivially partial).
+    /// or chunk width, a zero depth cap (every column would be empty, so
+    /// the run would call nothing and look complete), or a zero-duration
+    /// deadline in the budget (which would expire before the run started
+    /// and make every outcome trivially partial).
     pub fn run_region(
         &self,
         reference: &ReferenceGenome,
@@ -213,6 +214,11 @@ impl CallDriver {
                 "thread count and chunk width must be positive, \
                  got {n_threads} thread(s) over {chunk_columns}-column chunks"
             )));
+        }
+        if self.config.pileup.max_depth == 0 {
+            return Err(invalid_input(
+                "depth cap must be positive: a zero cap stacks no bases".to_string(),
+            ));
         }
         self.budget.validate().map_err(invalid_input)?;
         let budget = Arc::new(self.budget.arm());
@@ -363,6 +369,26 @@ pub struct CallOutcome {
     pub source_tier: &'static str,
 }
 
+impl CallOutcome {
+    /// The run as a [`CallSet`] — its records, decision counters and decode
+    /// totals — for a caller that takes a whole answer or none: the first
+    /// lost region is the error (an interruption stays
+    /// [`BalError::Interrupted`]).
+    pub fn into_call_set(self) -> Result<CallSet, BalError> {
+        if let Some(lost) = self.partial.into_iter().next() {
+            return Err(match lost.failure {
+                RegionFailure::Cancelled(why) => BalError::Interrupted(why),
+                _ => BalError::Io(std::io::Error::other(lost.to_string())),
+            });
+        }
+        Ok(CallSet {
+            records: self.records,
+            stats: self.stats,
+            decode: self.decode,
+        })
+    }
+}
+
 /// Worker body: pileup + test one chunk, attributing time to trace
 /// categories. Span granularity is per chunk (one span per category),
 /// which keeps recording overhead negligible while preserving the
@@ -510,19 +536,58 @@ mod tests {
     #[test]
     fn zero_threads_and_zero_chunk_width_are_invalid_input() {
         let (reference, alignments) = setup(100.0, 97);
-        for (n_threads, chunk_columns) in [(0, CHUNK_COLUMNS), (2, 0)] {
+        for (n_threads, chunk_columns, max_depth) in [
+            (0, CHUNK_COLUMNS, 1_000_000),
+            (2, 0, 1_000_000),
+            (2, CHUNK_COLUMNS, 0),
+        ] {
             let mut driver = CallDriver::openmp(2);
             driver.mode = ParallelMode::OpenMp {
                 n_threads,
                 schedule: Schedule::Dynamic { chunk: 1 },
                 chunk_columns,
             };
+            driver.config.pileup.max_depth = max_depth;
             let err = driver.run(&reference, &alignments).unwrap_err();
             assert!(
                 matches!(&err, BalError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
-                "{n_threads} thread(s), {chunk_columns} column(s): {err}"
+                "{n_threads} thread(s), {chunk_columns} column(s), cap {max_depth}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn run_region_splits_cleanly() {
+        let (reference, alignments) = setup(250.0, 23);
+        let mut driver = CallDriver::sequential();
+        driver.filter = None;
+        let calls = |region| {
+            driver
+                .run_region(&reference, &alignments, region)
+                .and_then(CallOutcome::into_call_set)
+                .unwrap()
+        };
+        let end = reference.len() as u32;
+        let whole = calls(0..end);
+        let mut merged = calls(0..400);
+        merged.append(calls(400..end));
+        assert!(!whole.records.is_empty(), "scenario must call");
+        assert_eq!(whole.records, merged.records);
+        assert_eq!(whole.stats, merged.stats);
+        assert_eq!(whole.decode.records_out, alignments.n_records());
+    }
+
+    #[test]
+    fn a_lost_region_is_the_call_set_error() {
+        let (reference, alignments) = setup(100.0, 89);
+        let driver = CallDriver::sequential();
+        driver.budget.cancel.cancel();
+        let outcome = driver.run(&reference, &alignments).unwrap();
+        assert!(!outcome.partial.is_empty());
+        assert!(matches!(
+            outcome.into_call_set(),
+            Err(BalError::Interrupted(Interrupt::Cancelled))
+        ));
     }
 
     #[test]

@@ -22,22 +22,29 @@
 //! if p·B < ε                           → call variant (QUAL = −10·log₁₀ p)
 //! ```
 //!
-//! with `ε = 0.05`, `δ = 0.01`, Bonferroni factor `B`, per the paper's
-//! defaults. The Poisson screen can only *suppress* calls relative to exact
-//! LoFreq (never add), and on all evaluation datasets it suppresses none —
-//! the invariant tested throughout this crate and asserted by the Table I
-//! harness. The second branch is this repo's accept-side twin of it: the
-//! p-value is proved to be ten decades below the point where QUAL
-//! saturates, so the record is the one the exact DP would have produced
-//! (see [`pvalue::ColumnTest`]); it removes the `O(#bins·K²)` tail from the
-//! ultra-deep true variants, where `K` is in the thousands.
+//! with `ε = 0.05`, `δ = 0.01`, the depth gate 100 and Bonferroni factor
+//! `B`, per the paper's defaults (the two screen values are constants in
+//! [`config`]); [`CallerConfig::shortcut`] switches both screens off
+//! together ([`CallerConfig::original`]). The Poisson screen can only
+//! *suppress* calls relative to exact LoFreq (never add), and on all
+//! evaluation datasets it suppresses none — the invariant tested
+//! throughout this crate and asserted by the Table I harness. The second
+//! branch is this repo's accept-side twin of it: the p-value is proved to
+//! be ten decades below the point where QUAL saturates, so the record is
+//! the one the exact DP would have produced (see [`pvalue::ColumnTest`]);
+//! it removes the `O(#bins·K²)` tail from the ultra-deep true variants,
+//! where `K` is in the thousands.
 //!
 //! Both stages consume the pileup layer's **quality-binned** column
 //! representation: the screen's `λ = Σ pᵢ` is a sum over the quality
 //! histogram (`O(1)` in depth) and the exact stage runs the grouped-trial
 //! DP over `(probability, multiplicity)` bins (`O(#bins·K²)` instead of
 //! `O(d·K)`), with per-worker [`pvalue::Scratch`] buffers making the whole
-//! per-column test allocation-free.
+//! per-column test allocation-free. That kernel is the only exact path.
+//! Its referee is the workspace's `tests/naive_oracle.rs`: a one-thread
+//! caller over the raw records with the per-trial `O(d·K)` DP and no bins,
+//! screens or early exit, whose calls, QUALs and VCF bytes the driver must
+//! reproduce on every benchmark workload shape.
 //!
 //! Modules: [`config`] (tuning surface), [`pvalue`] (the decision engine),
 //! [`caller`] (column → VCF record), [`driver`] (the one run path: a
@@ -58,7 +65,7 @@ pub mod session;
 pub mod supervisor;
 
 pub use caller::{call_variants, CallSet, CallStats};
-pub use config::{Bonferroni, CallerConfig, PvalueEngine, ShortcutParams};
+pub use config::{Bonferroni, CallerConfig};
 pub use driver::{CallDriver, CallOutcome, ParallelMode};
 pub use pvalue::{ColumnDecision, ColumnTest, Scratch};
 pub use session::CallSession;

@@ -1,6 +1,6 @@
 //! The per-column decision engine — the paper's Figure 1b as code.
 
-use crate::config::{CallerConfig, PvalueEngine};
+use crate::config::{CallerConfig, SCREEN_DELTA, SCREEN_MIN_DEPTH};
 use serde::{Deserialize, Serialize};
 use ultravc_genome::alphabet::Base;
 use ultravc_genome::phred::QUAL_SATURATION_P;
@@ -92,9 +92,7 @@ impl ColumnDecision {
 pub struct ColumnTest {
     sig_level: f64,
     threshold: f64,
-    shortcut: Option<crate::config::ShortcutParams>,
-    engine: PvalueEngine,
-    early_exit: bool,
+    shortcut: bool,
 }
 
 impl ColumnTest {
@@ -104,8 +102,6 @@ impl ColumnTest {
             sig_level: config.sig_level,
             threshold: config.column_threshold(n_columns),
             shortcut: config.shortcut,
-            engine: config.engine,
-            early_exit: config.early_exit,
         }
     }
 
@@ -123,13 +119,10 @@ impl ColumnTest {
     /// for every real Bonferroni factor; it is checked so that an absurd
     /// fixed one still decides the call.
     ///
-    /// Rigorous at every depth (no `min_depth` gate). Output identity with
+    /// Rigorous at every depth (no depth gate). Output identity with
     /// [`CallerConfig::original`]: the true p is `≤ 1e-310`, and the DP
-    /// engines sum non-negative terms only, so an exact run of the same
-    /// column also lands below `1e-300` and prints the same QUAL. (The
-    /// `DftCf` ablation engine carries ~1e-16 of absolute FFT noise and
-    /// cannot resolve such a tail; there the certified QUAL is the
-    /// accurate one.)
+    /// sums non-negative terms only, so an exact run of the same column
+    /// also lands below `1e-300` and prints the same QUAL.
     ///
     /// Out of line on purpose: [`Self::test`] is the hot body of every
     /// column, and inlining this branch cost `wide_1k` 3–6 % at two threads
@@ -146,11 +139,9 @@ impl ColumnTest {
 
     /// Run the Figure 1b workflow on one column.
     ///
-    /// `scratch` carries the reusable bin/DP buffers; the production
-    /// (`PrunedDp`) path reads the column's quality histogram straight
-    /// into them and allocates nothing per column. The reference engines
-    /// (`FullDp`, `DftCf`) expand per-trial probabilities — they exist for
-    /// ablations, not production.
+    /// `scratch` carries the reusable bin/DP buffers: the column's quality
+    /// histogram is read straight into them, so the test allocates nothing
+    /// per column.
     pub fn test(
         &self,
         column: &PileupColumn,
@@ -171,11 +162,11 @@ impl ColumnTest {
         // First-pass screen (the paper's contribution), then its
         // accept-side twin for the columns it let through.
         scratch.certified = false;
-        if let Some(sc) = self.shortcut {
+        if self.shortcut {
             let lambda = scratch.bins.lambda();
-            if depth >= sc.min_depth {
+            if depth >= SCREEN_MIN_DEPTH {
                 let p_hat = poisson_tail_from_lambda(lambda, k);
-                if p_hat >= self.sig_level + sc.delta {
+                if p_hat >= self.sig_level + SCREEN_DELTA {
                     return ColumnDecision::SkippedByApprox { p_hat };
                 }
             }
@@ -185,37 +176,21 @@ impl ColumnTest {
             }
         }
 
-        // Exact computation.
-        let pvalue = match self.engine {
-            PvalueEngine::PrunedDp => {
-                let budget = if self.early_exit {
-                    // Any tail above the *uncorrected* sig level can never
-                    // be significant after correction, so bail there.
-                    TailBudget {
-                        bail_above: self.sig_level,
-                    }
-                } else {
-                    TailBudget {
-                        bail_above: f64::INFINITY,
-                    }
-                };
-                match PoissonBinomial::tail_early_exit_binned(
-                    scratch.bins.as_slice(),
-                    k,
-                    budget,
-                    &mut scratch.dp,
-                ) {
-                    TailOutcome::Exact(p) => p,
-                    TailOutcome::Bailed { lower_bound, .. } => {
-                        return ColumnDecision::BailedEarly { lower_bound };
-                    }
-                }
-            }
-            PvalueEngine::FullDp => {
-                PoissonBinomial::from_phred_probs(column.error_probs()).tail_full(k)
-            }
-            PvalueEngine::DftCf => {
-                PoissonBinomial::from_phred_probs(column.error_probs()).tail_dft(k)
+        // Exact computation, with LoFreq's early exit: any tail above the
+        // *uncorrected* sig level can never be significant after
+        // correction, so the DP bails there.
+        let budget = TailBudget {
+            bail_above: self.sig_level,
+        };
+        let pvalue = match PoissonBinomial::tail_early_exit_binned(
+            scratch.bins.as_slice(),
+            k,
+            budget,
+            &mut scratch.dp,
+        ) {
+            TailOutcome::Exact(p) => p,
+            TailOutcome::Bailed { lower_bound, .. } => {
+                return ColumnDecision::BailedEarly { lower_bound };
             }
         };
         if pvalue < self.threshold {
@@ -309,7 +284,7 @@ pub(crate) mod tests {
 
     #[test]
     fn shallow_columns_bypass_the_shortcut() {
-        // depth 50 < min_depth 100: the screen must not fire even though
+        // depth 50 < SCREEN_MIN_DEPTH: the screen must not fire even though
         // p̂ would be large.
         let cfg = CallerConfig::default();
         let col = column(48, 2, 20);
@@ -348,50 +323,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn engines_agree_on_calls() {
-        for engine in [
-            PvalueEngine::PrunedDp,
-            PvalueEngine::FullDp,
-            PvalueEngine::DftCf,
-        ] {
-            let cfg = CallerConfig {
-                engine,
-                shortcut: None,
-                early_exit: false,
-                ..CallerConfig::default()
-            };
-            let col = column(970, 30, 25);
-            let d = test_with(&cfg, &col);
-            match d {
-                ColumnDecision::Called { pvalue } => {
-                    assert!(pvalue < 1e-10, "{engine:?}: {pvalue}")
-                }
-                other => panic!("{engine:?} failed to call: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn early_exit_toggle_changes_outcome_kind_not_calls() {
-        let col = column(500, 6, 20); // λ = 5.06, K=6 — unremarkable
-        let with = CallerConfig {
-            shortcut: None,
-            early_exit: true,
-            ..CallerConfig::default()
-        };
-        let without = CallerConfig {
-            shortcut: None,
-            early_exit: false,
-            ..CallerConfig::default()
-        };
-        let d1 = test_with(&with, &col);
-        let d2 = test_with(&without, &col);
-        assert!(!d1.is_call() && !d2.is_call());
-        assert!(matches!(d1, ColumnDecision::BailedEarly { .. }));
-        assert!(matches!(d2, ColumnDecision::NotSignificant { .. }));
-    }
-
-    #[test]
     fn bonferroni_tightens_threshold() {
         // A marginal variant: significant uncorrected, not after ×3000.
         let col = column(995, 5, 20); // λ ≈ 10 … K=5 is below the mean; pick stronger
@@ -399,12 +330,12 @@ pub(crate) mod tests {
         let _ = col;
         let loose = CallerConfig {
             bonferroni: Bonferroni::None,
-            shortcut: None,
+            shortcut: false,
             ..CallerConfig::default()
         };
         let strict = CallerConfig {
             bonferroni: Bonferroni::Fixed(1e9),
-            shortcut: None,
+            shortcut: false,
             ..CallerConfig::default()
         };
         assert!(test_with(&loose, &col2).is_call());
@@ -464,11 +395,13 @@ pub(crate) mod tests {
     #[test]
     fn certified_calls_print_the_qual_the_exact_kernel_prints() {
         // The byte-identity argument on the kernel itself: wherever the
-        // certificate fires, the exact engines' own p-value Phred-scales
-        // to the same saturated QUAL. Sweep K across the firing point on a
-        // shallow and a deep column.
+        // certificate fires, the exact binned kernel's own p-value — and
+        // the per-trial DP's over the expanded reads — Phred-scales to the
+        // same saturated QUAL. Sweep K across the firing point on a shallow
+        // and a deep column.
         use ultravc_genome::phred::{phred_scale_pvalue, QUAL_CAP};
         let improved = ColumnTest::new(&CallerConfig::improved(), 30_000);
+        let exact = ColumnTest::new(&CallerConfig::original(), 30_000);
         let mut scratch = Scratch::new();
         let mut fired = 0;
         for (depth, ks) in [
@@ -487,25 +420,16 @@ pub(crate) mod tests {
                     panic!("certified but not called: {decision:?}");
                 };
                 assert_eq!(phred_scale_pvalue(pvalue), QUAL_CAP);
-                for engine in [PvalueEngine::PrunedDp, PvalueEngine::FullDp] {
-                    if engine == PvalueEngine::FullDp && depth > 2_000 {
-                        continue; // O(d²)
-                    }
-                    let exact = ColumnTest::new(
-                        &CallerConfig {
-                            engine,
-                            ..CallerConfig::original()
-                        },
-                        30_000,
-                    )
-                    .test(&col, Base::A, &mut Scratch::new());
-                    let ColumnDecision::Called { pvalue } = exact else {
-                        panic!("depth {depth} k {k} {engine:?}: exact did not call: {exact:?}");
-                    };
+                let binned = exact.test(&col, Base::A, &mut Scratch::new());
+                let ColumnDecision::Called { pvalue } = binned else {
+                    panic!("depth {depth} k {k}: exact did not call: {binned:?}");
+                };
+                let per_trial = PoissonBinomial::from_phred_probs(col.error_probs()).tail_pruned(k);
+                for (kernel, p) in [("binned", pvalue), ("per-trial", per_trial)] {
                     assert_eq!(
-                        phred_scale_pvalue(pvalue),
+                        phred_scale_pvalue(p),
                         QUAL_CAP,
-                        "depth {depth} k {k} {engine:?}: exact p = {pvalue:e}"
+                        "depth {depth} k {k} {kernel}: exact p = {p:e}"
                     );
                 }
             }
@@ -530,26 +454,17 @@ pub(crate) mod tests {
         assert!(tester.threshold() > 0.0 && tester.threshold() < upper);
         let d = tester.test(&column(825, 175, 30), Base::A, &mut scratch);
         assert!(!scratch.certified && d.ran_exact(), "{d:?}");
+        // The branch is part of the shortcut: off, the DP decides.
         let col = column(820, 180, 30);
-        // All three engines take the branch; it is part of the shortcut.
-        for engine in [
-            PvalueEngine::PrunedDp,
-            PvalueEngine::FullDp,
-            PvalueEngine::DftCf,
-        ] {
-            let cfg = CallerConfig {
-                engine,
-                ..CallerConfig::improved()
-            };
-            assert!(test_with_scratch(&cfg, &col, &mut scratch).is_call());
-            assert!(scratch.certified, "{engine:?}");
-            let cfg = CallerConfig {
-                shortcut: None,
-                ..cfg
-            };
-            assert!(test_with_scratch(&cfg, &col, &mut scratch).is_call());
-            assert!(!scratch.certified, "{engine:?} without the shortcut");
-        }
+        let cfg = CallerConfig::improved();
+        assert!(test_with_scratch(&cfg, &col, &mut scratch).is_call());
+        assert!(scratch.certified);
+        let cfg = CallerConfig {
+            shortcut: false,
+            ..cfg
+        };
+        assert!(test_with_scratch(&cfg, &col, &mut scratch).is_call());
+        assert!(!scratch.certified, "without the shortcut");
     }
 
     #[test]

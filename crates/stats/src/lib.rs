@@ -19,15 +19,14 @@
 //!   beta; the foundation for every closed-form CDF here.
 //! * [`poisson`], [`binomial`] — classic distributions built on [`specfun`],
 //!   including the Fisher exact test used for strand-bias filtering.
-//! * [`poisson_binomial`] — exact kernels: full `O(d²)` DP, tail-pruned
-//!   `O(d·K)` DP, the early-exit DP LoFreq ships, and the DFT-CF method of
-//!   Hong (2013) built on the in-house [`fft`].
+//! * [`poisson_binomial`] — exact kernels: the grouped-trial (binned)
+//!   early-exit DP the caller runs, and the per-trial ones it is checked
+//!   against — the tail-pruned `O(d·K)` DP with LoFreq's early exit and the
+//!   full `O(d²)` pmf.
 //! * [`approx`] — the Poisson (Hodges–Le Cam) tail approximation with Le
 //!   Cam's total-variation error bound, and the certified Chernoff *upper*
 //!   bound ([`approx::ln_tail_upper_bound`]) behind the caller's
 //!   accept-side screen.
-//! * [`fft`] — iterative radix-2 Cooley–Tukey plus Bluestein's algorithm for
-//!   arbitrary lengths (the DFT-CF method needs size `d+1` transforms).
 //! * [`rng`] — deterministic SplitMix64/Xoshiro256++ PRNG with the samplers
 //!   the simulator needs (uniform, normal, Poisson, categorical).
 
@@ -36,7 +35,6 @@
 
 pub mod approx;
 pub mod binomial;
-pub mod fft;
 pub mod poisson;
 pub mod poisson_binomial;
 pub mod rng;

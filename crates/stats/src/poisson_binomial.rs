@@ -7,22 +7,22 @@
 //! variant is called when the observed non-reference count `K` has
 //! `Pr[X ≥ K]` below the significance level.
 //!
-//! Four exact per-trial kernels are provided, mirroring the lineage the
-//! paper cites:
+//! Three exact per-trial kernels are provided:
 //!
 //! * [`PoissonBinomial::pmf`] — the classic full `O(d²)` dynamic program
 //!   (the recurrence displayed in §II.A of the paper).
 //! * [`PoissonBinomial::tail_pruned`] — `O(d·K)` DP that only tracks states
 //!   `< K` plus an absorbing tail; this is what computing `Pr[X ≥ K]`
-//!   actually requires.
+//!   actually requires, and the kernel the workspace's naive-oracle test
+//!   calls with.
 //! * [`PoissonBinomial::tail_early_exit`] — the pruned DP with LoFreq's
 //!   early-termination: the running tail is monotonically non-decreasing in
 //!   the number of processed reads, so once it crosses the significance
 //!   threshold the column can be abandoned ("works especially well on
 //!   shallow columns", §IV).
-//! * [`PoissonBinomial::pmf_dft`] — the DFT-CF method of Hong (2013),
-//!   evaluating the characteristic function on the unit circle and inverting
-//!   with the in-house Bluestein FFT.
+//!
+//! The caller itself runs none of them: it runs the grouped-trial kernels
+//! below, which the per-trial ones referee.
 //!
 //! # Grouped-trial (binned) kernels
 //!
@@ -60,7 +60,6 @@
 //! [`PoissonBinomial::tail_early_exit_binned_with`]) accept an explicit
 //! table for benchmarks and the backend-agreement tests.
 
-use crate::fft::{dft, Complex};
 use crate::{Result, StatsError};
 use ultravc_simd::{AlignedF64, Kernels};
 
@@ -187,23 +186,6 @@ impl PoissonBinomial {
         self.probs.iter().map(|p| p * (1.0 - p)).sum()
     }
 
-    /// Third standardized moment `γ = Σ p_i(1−p_i)(1−2p_i) / σ³`, used by
-    /// the refined normal approximation.
-    pub fn skewness(&self) -> f64 {
-        let var = self.variance();
-        if var == 0.0 {
-            return 0.0;
-        }
-        let third: f64 = self
-            .probs
-            .iter()
-            .map(|p| p * (1.0 - p) * (1.0 - 2.0 * p))
-            .sum();
-        // σ³ = σ²·σ: two multiplies beat a transcendental `powf(1.5)` on a
-        // path evaluated once per screened column.
-        third / (var * var.sqrt())
-    }
-
     /// Full probability mass function by the `O(d²)` dynamic program
     ///
     /// `P_n(X = k) = P_{n−1}(X = k)(1 − p_n) + P_{n−1}(X = k − 1) p_n`
@@ -223,26 +205,6 @@ impl PoissonBinomial {
             f[0] *= q;
         }
         f
-    }
-
-    /// Exact right tail `Pr[X ≥ k]` from the full pmf. `O(d²)` — reference
-    /// implementation; production callers use [`Self::tail_pruned`].
-    pub fn tail_full(&self, k: usize) -> f64 {
-        if k == 0 {
-            return 1.0;
-        }
-        if k > self.probs.len() {
-            return 0.0;
-        }
-        let pmf = self.pmf();
-        // Summing the smaller side keeps absolute error minimal.
-        let upper: f64 = pmf[k..].iter().sum();
-        let lower: f64 = pmf[..k].iter().sum();
-        if upper <= lower {
-            upper.clamp(0.0, 1.0)
-        } else {
-            (1.0 - lower).clamp(0.0, 1.0)
-        }
     }
 
     /// Exact right tail `Pr[X ≥ k]` with the `O(d·k)` pruned DP.
@@ -308,48 +270,6 @@ impl PoissonBinomial {
         TailOutcome::Exact(tail.clamp(0.0, 1.0))
     }
 
-    /// Full pmf via the DFT-CF method (Hong 2013).
-    ///
-    /// The characteristic function `φ(t) = Π_j (1 − p_j + p_j e^{it})` is
-    /// evaluated at the `d + 1` roots of unity with log-magnitude/phase
-    /// accumulation (the raw product underflows at depth ≳ 10⁴), then the
-    /// pmf is recovered by an inverse DFT. Conjugate symmetry halves the
-    /// evaluation work. `O(d²)` arithmetic dominated by the CF evaluation,
-    /// but with far smaller constants than the full DP at large `d` and
-    /// embarrassingly parallel across frequencies.
-    pub fn pmf_dft(&self) -> Vec<f64> {
-        let d = self.probs.len();
-        let m = d + 1;
-        if d == 0 {
-            return vec![1.0];
-        }
-        let omega = 2.0 * std::f64::consts::PI / m as f64;
-        let mut spectrum = vec![Complex::zero(); m];
-        spectrum[0] = Complex::one();
-        let half = m / 2;
-        for l in 1..=half {
-            let (sin_w, cos_w) = (omega * l as f64).sin_cos();
-            let mut ln_mag = 0.0f64;
-            let mut arg = 0.0f64;
-            for &p in &self.probs {
-                let re = 1.0 - p + p * cos_w;
-                let im = p * sin_w;
-                ln_mag += 0.5 * (re * re + im * im).ln();
-                arg += im.atan2(re);
-            }
-            let val = Complex::cis(arg).scale(ln_mag.exp());
-            spectrum[l] = val;
-            if l != m - l {
-                spectrum[m - l] = val.conj();
-            }
-        }
-        // pmf_k = (1/m) Σ_l φ(ωl) e^{−iωlk}: a *forward* DFT scaled by 1/m.
-        dft(&spectrum)
-            .into_iter()
-            .map(|c| (c.re / m as f64).clamp(0.0, 1.0))
-            .collect()
-    }
-
     // ----- grouped-trial (binned) kernels -------------------------------
 
     /// Mean `μ = Σ mᵢ·pᵢ` over `(probability, multiplicity)` bins —
@@ -361,19 +281,6 @@ impl PoissonBinomial {
     /// Variance `σ² = Σ mᵢ·pᵢ(1−pᵢ)` over bins.
     pub fn variance_binned(bins: &[(f64, u32)]) -> f64 {
         bins.iter().map(|&(p, m)| m as f64 * p * (1.0 - p)).sum()
-    }
-
-    /// Third standardized moment over bins (cf. [`Self::skewness`]).
-    pub fn skewness_binned(bins: &[(f64, u32)]) -> f64 {
-        let var = Self::variance_binned(bins);
-        if var == 0.0 {
-            return 0.0;
-        }
-        let third: f64 = bins
-            .iter()
-            .map(|&(p, m)| m as f64 * p * (1.0 - p) * (1.0 - 2.0 * p))
-            .sum();
-        third / (var * var.sqrt())
     }
 
     /// Exact right tail `Pr[X ≥ k]` from quality bins, `O(#bins·K²)`,
@@ -475,24 +382,6 @@ impl PoissonBinomial {
             }
         }
         TailOutcome::Exact(tail.clamp(0.0, 1.0))
-    }
-
-    /// Exact right tail via the DFT-CF pmf.
-    pub fn tail_dft(&self, k: usize) -> f64 {
-        if k == 0 {
-            return 1.0;
-        }
-        if k > self.probs.len() {
-            return 0.0;
-        }
-        let pmf = self.pmf_dft();
-        let upper: f64 = pmf[k..].iter().sum();
-        let lower: f64 = pmf[..k].iter().sum();
-        if upper <= lower {
-            upper.clamp(0.0, 1.0)
-        } else {
-            (1.0 - lower).clamp(0.0, 1.0)
-        }
     }
 }
 
@@ -752,10 +641,8 @@ mod tests {
     fn empty_distribution_is_point_mass_at_zero() {
         let pb = PoissonBinomial::new(Vec::new()).unwrap();
         assert_eq!(pb.pmf(), vec![1.0]);
-        assert_eq!(pb.tail_full(0), 1.0);
-        assert_eq!(pb.tail_full(1), 0.0);
+        assert_eq!(pb.tail_pruned(0), 1.0);
         assert_eq!(pb.tail_pruned(1), 0.0);
-        assert_eq!(pb.pmf_dft(), vec![1.0]);
     }
 
     #[test]
@@ -807,39 +694,14 @@ mod tests {
     fn pruned_tail_matches_full_tail() {
         let probs = random_probs(200, 13, 0.15);
         let pb = PoissonBinomial::new(probs).unwrap();
+        let pmf = pb.pmf();
         for k in [0usize, 1, 2, 5, 10, 20, 40, 100, 200, 201] {
-            let full = pb.tail_full(k);
+            let full: f64 = pmf.iter().skip(k).sum();
             let pruned = pb.tail_pruned(k);
             assert!(
                 close(full, pruned, 1e-10),
                 "k={k}: full {full} vs pruned {pruned}"
             );
-        }
-    }
-
-    #[test]
-    fn dft_matches_dp_small_and_medium() {
-        for &(n, seed, scale) in &[
-            (1usize, 1u64, 0.5f64),
-            (7, 2, 0.8),
-            (64, 3, 0.3),
-            (501, 4, 0.05),
-        ] {
-            let pb = PoissonBinomial::new(random_probs(n, seed, scale)).unwrap();
-            let dp = pb.pmf();
-            let dft = pb.pmf_dft();
-            assert_eq!(dp.len(), dft.len());
-            for (k, (a, b)) in dp.iter().zip(dft.iter()).enumerate() {
-                assert!(close(*a, *b, 1e-8), "n={n} k={k}: dp {a} vs dft {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn tail_dft_matches_tail_pruned() {
-        let pb = PoissonBinomial::new(random_probs(150, 21, 0.1)).unwrap();
-        for k in [1usize, 3, 8, 15, 30] {
-            assert!(close(pb.tail_dft(k), pb.tail_pruned(k), 1e-8), "k={k}");
         }
     }
 
@@ -1057,10 +919,6 @@ mod tests {
             PoissonBinomial::variance_binned(&bins),
             1e-12
         ));
-        let a = pb.skewness();
-        let b = PoissonBinomial::skewness_binned(&bins);
-        assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "{a} vs {b}");
-        assert_eq!(PoissonBinomial::skewness_binned(&[(1.0, 4)]), 0.0);
         assert_eq!(PoissonBinomial::mean_binned(&[]), 0.0);
     }
 
@@ -1121,11 +979,9 @@ mod tests {
         let pb = PoissonBinomial::new(vec![0.1, 0.5, 0.9]).unwrap();
         assert!(close(pb.mean(), 1.5, 1e-15));
         assert!(close(pb.variance(), 0.09 + 0.25 + 0.09, 1e-15));
-        // Skewness of symmetric-around-half probs is 0.
-        assert!(close(pb.skewness(), 0.0, 1e-12));
-        // Degenerate all-certain trials: zero variance, zero skewness.
+        // Degenerate all-certain trials: zero variance, a sure tail.
         let sure = PoissonBinomial::new(vec![1.0, 1.0]).unwrap();
-        assert_eq!(sure.skewness(), 0.0);
+        assert_eq!(sure.variance(), 0.0);
         assert_eq!(sure.tail_pruned(2), 1.0);
         assert_eq!(sure.tail_pruned(3), 0.0);
     }

@@ -39,7 +39,7 @@ pub use ultravc_vcf as vcf;
 pub mod prelude {
     pub use ultravc_core::analysis::{grade, UpsetTable};
     pub use ultravc_core::caller::{call_variants, CallSet, CallStats};
-    pub use ultravc_core::config::{Bonferroni, CallerConfig, PvalueEngine, ShortcutParams};
+    pub use ultravc_core::config::{Bonferroni, CallerConfig};
     pub use ultravc_core::driver::{CallDriver, CallOutcome, ParallelMode, CHUNK_COLUMNS};
     pub use ultravc_core::session::CallSession;
     pub use ultravc_core::supervisor::{
