@@ -1,15 +1,22 @@
 //! Grouped-trial kernel speedup measurement — the perf trajectory of the
 //! quality-binned pipeline.
 //!
-//! Two comparisons on simulated columns at depths {10k, 100k, 1M} ×
-//! K {5, 20, 80} with a Phred 20–40 quality mix:
+//! Three comparisons:
 //!
-//! 1. **per-trial vs binned** — the PR 1 speedup (algorithmic: `O(d·K)` →
-//!    `O(#bins·K²)`);
+//! 1. **per-trial vs binned** on simulated columns at depths {10k, 100k,
+//!    1M} × K {5, 20, 80} with a Phred 20–40 quality mix — the PR 1
+//!    speedup (algorithmic: `O(d·K)` → `O(K·Σ min(mᵦ, K))`, which is far
+//!    smaller when the bins hold thousands of reads each);
 //! 2. **scalar vs SIMD binned** — the dispatched vector backend against
 //!    the pinned scalar fallback on the *same* binned kernel (ISA-level:
 //!    branchy per-output Neumaier dot products → branchless two-sum axpy
-//!    sweeps).
+//!    sweeps);
+//! 3. **per-trial vs binned on long-read columns** — 3,000× with a
+//!    LongRead-like Q2–Q25 spectrum at K ∈ {250, 600}, where (almost)
+//!    every bin is thinner than K, so `Σ min(mᵦ, K) ≈ d` and binning alone
+//!    saves nothing; what the binned kernel gains there is its tilt window
+//!    (`O(w_f·w_b)` per bin: a few tilted standard deviations of states
+//!    times as many binomial terms).
 //!
 //! Prints both tables and emits the raw numbers as `BENCH_binned.json`
 //! in the working directory; CI uploads the JSON as a workflow artifact,
@@ -18,6 +25,9 @@
 //! Acceptance gates this binary enforces:
 //!
 //! * binned ≥ 5× over per-trial at depth 100k (PR 1's floor);
+//! * binned ≥ 5× over per-trial on the long-read rows (the tilt window's
+//!   floor; the full-range fold measured 2.6–3.4× there, the windowed
+//!   one ~9×);
 //! * SIMD ≥ 1.5× over scalar at depth 100k, K = 80 — **only when a
 //!   vector backend dispatched** (an AVX2/NEON host); on scalar-only
 //!   hosts the gate is skipped with a message, not failed;
@@ -41,6 +51,12 @@ const OUT_PATH: &str = "BENCH_binned.json";
 /// Routed ÷ unrouted small-K time may not fall below this: the runs are
 /// microseconds, so the floor leaves room for noise, not for a loss.
 const SMALL_K_FLOOR: f64 = 0.9;
+/// Binned ÷ per-trial speedup floor on the long-read rows.
+const LONG_READ_FLOOR: f64 = 5.0;
+/// Depth and K cuts of the long-read rows: `noisy_3k`'s depth, and K near
+/// the p10 and p90 of its exact-completed columns.
+const LONG_READ_DEPTH: u32 = 3_000;
+const LONG_READ_KS: [usize; 2] = [250, 600];
 
 /// A simulated depth-`d` pileup column at mixed Phred 20-40, as sorted
 /// `(error probability, multiplicity)` quality bins.
@@ -58,6 +74,21 @@ fn phred_bins(depth: usize, seed: u64) -> Vec<(f64, u32)> {
         .collect();
     bins.sort_by(|a, b| a.0.total_cmp(&b.0));
     bins
+}
+
+/// A depth-`d` column with a LongRead-like quality spectrum — Phred
+/// ~ N(13, 3.6) over Q2–Q25 — as sorted `(error probability,
+/// multiplicity)` bins. The widest bin holds ~11 % of the reads.
+fn long_read_bins(depth: u32) -> Vec<(f64, u32)> {
+    let weight = |q: u32| (-0.5 * ((q as f64 - 13.0) / 3.6).powi(2)).exp();
+    let norm: f64 = (2..=25).map(weight).sum();
+    (2..=25u32)
+        .rev()
+        .map(|q| {
+            let m = (depth as f64 * weight(q) / norm).round() as u32;
+            (10f64.powf(-(q as f64) / 10.0), m.max(1))
+        })
+        .collect()
 }
 
 /// Median-of-[`REPS`] wall time of `f`, in seconds.
@@ -83,6 +114,24 @@ struct Row {
     n_bins: usize,
     per_trial_s: f64,
     binned_s: f64,
+}
+
+/// One JSON line per row, comma-separated.
+fn rows_json(rows: &[Row]) -> String {
+    let mut json = String::new();
+    for (i, r) in rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"depth\": {}, \"k\": {}, \"n_bins\": {}, \"per_trial_us\": {:.3}, \"binned_us\": {:.3}, \"speedup\": {:.2}}}{}\n",
+            r.depth,
+            r.k,
+            r.n_bins,
+            r.per_trial_s * 1e6,
+            r.binned_s * 1e6,
+            r.per_trial_s / r.binned_s,
+            if i + 1 == rows.len() { "" } else { "," }
+        ));
+    }
+    json
 }
 
 struct SimdRow {
@@ -228,6 +277,50 @@ fn main() {
         }
     }
 
+    println!("\nlong-read columns: per-trial vs binned (median of {REPS} runs)\n");
+    println!("{header}");
+    rule(header.len());
+    let long_bins = long_read_bins(LONG_READ_DEPTH);
+    let long_pb = PoissonBinomial::from_bins(&long_bins);
+    let mut long_rows = Vec::new();
+    for k in LONG_READ_KS {
+        let reference = long_pb.tail_pruned(k);
+        let binned_val = PoissonBinomial::tail_pruned_binned(&long_bins, k);
+        let rel = rel_diff(reference, binned_val);
+        assert!(
+            rel <= 1e-12,
+            "kernels disagree on the long-read row k={k}: {rel:e}"
+        );
+        assert_paths_agree(&long_bins, long_pb.len(), k);
+        let per_trial_s = time_median(|| {
+            std::hint::black_box(long_pb.tail_pruned(std::hint::black_box(k)));
+        });
+        let binned_s = time_median(|| {
+            std::hint::black_box(PoissonBinomial::tail_early_exit_binned(
+                std::hint::black_box(&long_bins),
+                std::hint::black_box(k),
+                budget,
+                &mut scratch,
+            ));
+        });
+        println!(
+            "{:>12} {:>5} {:>7} {:>13.2}µs {:>13.2}µs {:>9.1}×",
+            fmt_depth(long_pb.len() as f64),
+            k,
+            long_bins.len(),
+            per_trial_s * 1e6,
+            binned_s * 1e6,
+            per_trial_s / binned_s
+        );
+        long_rows.push(Row {
+            depth: long_pb.len(),
+            k,
+            n_bins: long_bins.len(),
+            per_trial_s,
+            binned_s,
+        });
+    }
+
     println!(
         "\nscalar vs {} binned kernel (median of {REPS} runs)\n",
         active.name
@@ -257,6 +350,20 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     println!("\nminimum binned speedup at 100,000×: {floor:.1}× (acceptance floor: 5×)");
     assert!(floor >= 5.0, "binned kernel must be ≥5× at depth 100k");
+
+    // The tilt window's gate: every bin is thinner than K on these rows,
+    // so only the window can put the binned kernel ahead of per-trial.
+    let long_floor = long_rows
+        .iter()
+        .map(|r| r.per_trial_s / r.binned_s)
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "minimum binned speedup on long-read columns: {long_floor:.1}× (acceptance floor: {LONG_READ_FLOOR}×)"
+    );
+    assert!(
+        long_floor >= LONG_READ_FLOOR,
+        "binned kernel must be ≥{LONG_READ_FLOOR}× over per-trial on long-read columns (got {long_floor:.2}×)"
+    );
 
     // This PR's gate: SIMD ≥ 1.5× over scalar at depth 100k, K=80 — only
     // meaningful when a vector backend actually dispatched.
@@ -327,21 +434,11 @@ fn main() {
     );
 
     let mut json = format!(
-        "{{\n  \"benchmark\": \"binned_vs_per_trial_tail\",\n  \"kernel\": \"{}\",\n  \"rows\": [\n",
-        active.name
+        "{{\n  \"benchmark\": \"binned_vs_per_trial_tail\",\n  \"kernel\": \"{}\",\n  \"rows\": [\n{}  ],\n  \"long_read_rows\": [\n{}",
+        active.name,
+        rows_json(&rows),
+        rows_json(&long_rows),
     );
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"depth\": {}, \"k\": {}, \"n_bins\": {}, \"per_trial_us\": {:.3}, \"binned_us\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            r.depth,
-            r.k,
-            r.n_bins,
-            r.per_trial_s * 1e6,
-            r.binned_s * 1e6,
-            r.per_trial_s / r.binned_s,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
     json.push_str("  ],\n  \"simd_rows\": [\n");
     for (i, r) in simd_rows.iter().enumerate() {
         json.push_str(&format!(

@@ -32,15 +32,18 @@
 //! branch is this repo's accept-side twin of it: the p-value is proved to
 //! be ten decades below the point where QUAL saturates, so the record is
 //! the one the exact DP would have produced (see [`pvalue::ColumnTest`]);
-//! it removes the `O(#bins·K²)` tail from the ultra-deep true variants,
-//! where `K` is in the thousands.
+//! it removes the `O(K·Σ min(mᵦ, K))` exact tail from the ultra-deep
+//! true variants, where `K` is in the thousands.
 //!
 //! Both stages consume the pileup layer's **quality-binned** column
 //! representation: the screen's `λ = Σ pᵢ` is a sum over the quality
 //! histogram (`O(1)` in depth) and the exact stage runs the grouped-trial
-//! DP over `(probability, multiplicity)` bins (`O(#bins·K²)` instead of
-//! `O(d·K)`), with per-worker [`pvalue::Scratch`] buffers making the whole
-//! per-column test allocation-free. That kernel is the only exact path.
+//! DP over `(probability, multiplicity)` bins (`O(K·Σ min(mᵦ, K))` instead
+//! of `O(d·K)` — the same when every bin is thinner than `K` — and, under
+//! the exponential tilt at `K`, only the few tilted standard deviations of
+//! states and binomial terms that can move the tail, with a certified
+//! bound on what it drops), with per-worker [`pvalue::Scratch`] buffers
+//! making the whole per-column test allocation-free. That kernel is the only exact path.
 //! Its referee is the workspace's `tests/naive_oracle.rs`: a one-thread
 //! caller over the raw records with the per-trial `O(d·K)` DP and no bins,
 //! screens or early exit, whose calls, QUALs and VCF bytes the driver must

@@ -115,7 +115,8 @@ impl ColumnTest {
     /// [`ultravc_stats::approx::CERTIFICATE_MARGIN_LN`] to spare, that the
     /// p-value is below [`QUAL_SATURATION_P`] — the call's QUAL is then
     /// [`ultravc_genome::phred::QUAL_CAP`] whatever the exact kernel would
-    /// return, so its `O(bins·K²)` run is skipped. `U < threshold` holds
+    /// return, so its `O(K·Σ min(mᵦ, K))` run (less under the tilt window)
+    /// is skipped. `U < threshold` holds
     /// for every real Bonferroni factor; it is checked so that an absurd
     /// fixed one still decides the call.
     ///

@@ -26,7 +26,9 @@
 //!   `(error probability, multiplicity)` pairs — and fold each bin of `m`
 //!   identical Bernoulli trials in `O(K·min(m, K))` instead of `m` scalar
 //!   DP steps (see `ultravc_stats::poisson_binomial`), for a total
-//!   per-column cost of `O(#bins · K²)` instead of `O(d · K)`.
+//!   per-column cost of `O(K · Σ min(m, K))` instead of `O(d · K)` (equal
+//!   when every bin is thinner than `K`; the kernel's tilt window cuts
+//!   both factors to a few tilted standard deviations).
 //!
 //! The reductions over the histogram (`base_counts`, the bin aggregation)
 //! run through the `ultravc_simd` runtime-dispatched kernel table, with

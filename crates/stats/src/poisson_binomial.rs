@@ -38,14 +38,38 @@
 //!
 //! with the mass escaping past `K` routed into the absorbing tail through
 //! binomial suffix sums. One bin costs `O(K·min(m, K))` instead of `m`
-//! scalar DP steps, so a whole column costs `O(#bins · K²)` instead of
-//! `O(d·K)` — at LoFreq's 1 000 000× depth cap with ~40 distinct
-//! qualities and `K` in the tens, that is a multiple-order-of-magnitude
-//! reduction, and the working set shrinks from the `d` probabilities to
-//! `O(#bins + K)` floats. The binned early exit preserves the per-trial
-//! kernel's contract: its running tail after each folded bin is a
-//! certified lower bound on the final `Pr[X ≥ K]`, so a bail is still a
-//! proof that the column cannot be significant.
+//! scalar DP steps, so a whole column costs `O(K·Σ min(mᵦ, K))` instead of
+//! `O(d·K)`. That is a multiple-order-of-magnitude reduction at LoFreq's
+//! 1 000 000× depth cap, where ~40 distinct qualities hold thousands of
+//! reads each and `K` is in the tens — and no reduction at all when every
+//! bin is thinner than `K` (`Σ min(mᵦ, K) = d`), as on a 3 000× long-read
+//! column tested at `K` in the hundreds. The working set shrinks from the
+//! `d` probabilities to `O(#bins + K)` floats. The binned early exit
+//! preserves the per-trial kernel's contract: its running tail after each
+//! folded bin is a certified lower bound on the final `Pr[X ≥ K]`, so a
+//! bail is still a proof that the column cannot be significant.
+//!
+//! # The tilt window
+//!
+//! Most of those `K·Σ min(mᵦ, K)` multiply-adds cannot move the tail. The
+//! kernel solves the exponential tilt `θ` that centres the error count at
+//! `K` (`Σ mᵦ·p′ᵦ = K`, `p′ = p·e^θ / (q + p·e^θ)`), and convolves only the
+//! states and binomial terms that the tilted measure puts mass on: before
+//! each bin's fold it trims both ends of the binomial terms, after it both
+//! ends of the state vector, each trim removing at most `1e−20` of tilted
+//! mass. Every path with `X ≥ K` has probability at most `C` times its
+//! tilted probability, where `C = Π(qᵦ + pᵦe^θ)^{mᵦ}·e^{−θK}` is the per-bin
+//! Chernoff bound, so with `D` the tilted mass removed and `L` the windowed
+//! tail, `L ≤ Pr[X ≥ K] ≤ L + C·D`. `L` is accepted when `C·D ≤ 1e−15·L`;
+//! otherwise the column re-runs over the full range. A fold then costs
+//! `O(w_f·w_b)` for a state window `w_f` and a term window `w_b` of a few
+//! tilted standard deviations each — ~5× fewer multiply-adds on 3 000×
+//! long-read columns at `K` of 250–600. The DP's arithmetic stays
+//! untilted: the tilt only picks the windows. Below `SMALL_K_THRESHOLD`,
+//! or where `θ ≤ 0` (`K` at or below the mean) or `θ` is infinite, nothing
+//! is trimmed and the window is just the support of the state vector — the
+//! full-range fold bit for bit, since every product it skips is an exact
+//! zero.
 //!
 //! # SIMD dispatch
 //!
@@ -61,6 +85,7 @@
 //! table for benchmarks and the backend-agreement tests.
 
 use crate::{Result, StatsError};
+use std::ops::Range;
 use ultravc_simd::{AlignedF64, Kernels};
 
 /// A Poisson-binomial distribution defined by per-trial success
@@ -283,8 +308,10 @@ impl PoissonBinomial {
         bins.iter().map(|&(p, m)| m as f64 * p * (1.0 - p)).sum()
     }
 
-    /// Exact right tail `Pr[X ≥ k]` from quality bins, `O(#bins·K²)`,
-    /// using the runtime-dispatched SIMD kernels. Tiny truncation cuts
+    /// Exact right tail `Pr[X ≥ k]` from quality bins, using the
+    /// runtime-dispatched SIMD kernels: `O(K·Σ min(mᵦ, K))` over the full
+    /// range, and `O(Σ w_f·w_b)` over the tilt windows (see the module
+    /// docs) where a tilt applies. Tiny truncation cuts
     /// (`k < SMALL_K_THRESHOLD`) route to the scalar table via
     /// [`Kernels::for_k`] — the vector kernels have nothing to amortize
     /// there — which is bitwise-neutral since all backends agree exactly.
@@ -319,11 +346,13 @@ impl PoissonBinomial {
     /// Folds one bin of `m` identical trials at a time (highest error
     /// probability first, so the absorbing tail — and therefore the bail —
     /// grows as fast as possible; the completed value is independent of
-    /// fold order). After every bin the running tail is a certified lower
-    /// bound on the final `Pr[X ≥ k]`, exactly as in the per-trial
-    /// [`Self::tail_early_exit`]; when it crosses `budget.bail_above` the
-    /// column provably cannot be significant and the kernel bails,
-    /// reporting the trials folded so far at bin granularity.
+    /// fold order) over the tilt window of the module docs. After every bin
+    /// the running tail is a certified lower bound on the final
+    /// `Pr[X ≥ k]`, exactly as in the per-trial [`Self::tail_early_exit`]
+    /// — trimming only removes non-negative terms — and when it crosses
+    /// `budget.bail_above` the column provably cannot be significant and
+    /// the kernel bails, reporting the trials folded so far at bin
+    /// granularity.
     ///
     /// `scratch` carries the DP state vectors; reusing one scratch across
     /// columns makes the kernel allocation-free in steady state.
@@ -357,32 +386,256 @@ impl PoissonBinomial {
         budget: TailBudget,
         scratch: &mut BinnedTailScratch,
     ) -> TailOutcome {
-        if k == 0 {
-            return TailOutcome::Exact(1.0);
-        }
-        let total: u64 = bins.iter().map(|&(_, m)| m as u64).sum();
-        if (k as u64) > total {
-            return TailOutcome::Exact(0.0);
-        }
-        scratch.reset(k);
-        let mut tail = 0.0f64;
-        let mut trials_used = 0usize;
-        // Highest probability first (bins arrive sorted ascending).
-        for &(p, m) in bins.iter().rev() {
-            if m == 0 || p <= 0.0 {
-                continue;
-            }
-            fold_bin(&mut tail, p, m as u64, k, kernels, scratch);
-            trials_used += m as usize;
-            if tail > budget.bail_above {
-                return TailOutcome::Bailed {
-                    lower_bound: tail,
-                    trials_used,
-                };
-            }
-        }
-        TailOutcome::Exact(tail.clamp(0.0, 1.0))
+        tail_windowed(kernels, bins, k, budget, scratch, TRIM_EPS).0
     }
+}
+
+/// Tilted mass one trim may remove from one end of the binomial terms or
+/// of the state vector.
+const TRIM_EPS: f64 = 1e-20;
+
+/// A windowed tail `L` is accepted when its certified gap `C·D` is at most
+/// this fraction of `L` — three orders of magnitude inside the kernel's
+/// 1e−12 agreement contract.
+const CERTIFIED_GAP: f64 = 1e-15;
+
+/// Newton steps allowed for the tilt; any `θ > 0` gives a valid bound, so
+/// an unconverged one costs window width, never correctness.
+const TILT_MAX_STEPS: usize = 60;
+
+/// The exponential tilt that centres the column's error count at `K`.
+///
+/// Under the tilted measure a trial succeeds with
+/// `p′ = p·e^θ / (q + p·e^θ)`, and `θ` solves `Σ mᵦ·p′ᵦ = K`. A DP path
+/// `ω` has `P(ω) = P′(ω)·Π(qᵦ + pᵦe^θ)^{mᵦ}·e^{−θX(ω)}`, so every path with
+/// `X ≥ K` has `P(ω) ≤ C·P′(ω)` with
+/// `C = Π(qᵦ + pᵦe^θ)^{mᵦ}·e^{−θK}` (the per-bin Chernoff bound, itself
+/// `≥ Pr[X ≥ K]`). Dropping any set of DP paths of tilted mass `δ`
+/// therefore lowers the tail by at most `C·δ` — for every `θ > 0`, which is
+/// why the Newton solve needs no convergence proof. A dropped set also
+/// cannot lower the tail by more than its own (untilted) probability, so a
+/// trim charges `min(δ, P/C)` to the tilted budget: near `K`, where states
+/// are about to escape, `P/C` is the smaller of the two.
+#[derive(Debug, Clone, Copy)]
+struct Tilt {
+    theta: f64,
+    /// `e^θ − 1`, for the per-trial normalizer `ln(q + p·e^θ)`.
+    expm1_theta: f64,
+    /// `ln C`.
+    ln_c: f64,
+    /// Tilted mass each trim may remove.
+    eps: f64,
+}
+
+impl Tilt {
+    /// The tilt at `k`, or `None` where the window is the full range:
+    /// `k < SMALL_K_THRESHOLD` (nothing to save), `k` at or below the mean
+    /// (`θ ≤ 0`), `k` at or above the number of random trials (`θ = ∞`),
+    /// or a solve whose bound `C` is not below 1.
+    fn solve(bins: &[(f64, u32)], k: usize, eps: f64) -> Option<Tilt> {
+        if k < ultravc_simd::SMALL_K_THRESHOLD {
+            return None;
+        }
+        let live = || bins.iter().filter(|&&(p, m)| m > 0 && p > 0.0);
+        let kf = k as f64;
+        let lambda: f64 = live().map(|&(p, m)| m as f64 * p).sum();
+        let trials: f64 = live().map(|&(_, m)| m as f64).sum();
+        if !(kf > lambda && kf < trials) {
+            return None;
+        }
+        // g(θ) = Σ m·p′(θ) − K increases in θ, and p′ ≤ p·e^θ makes
+        // g(ln(K/λ)) ≤ 0: start there and keep Newton inside the bracket.
+        let excess = |theta: f64| {
+            let e = theta.exp();
+            live().fold((-kf, 0.0), |(g, dg), &(p, m)| {
+                let tilted = p * e / (1.0 + p * (e - 1.0));
+                let m = m as f64;
+                (g + m * tilted, dg + m * tilted * (1.0 - tilted))
+            })
+        };
+        let (mut lo, mut hi) = ((kf / lambda).ln(), f64::INFINITY);
+        let mut theta = lo;
+        for _ in 0..TILT_MAX_STEPS {
+            let (g, dg) = excess(theta);
+            if g.abs() <= 1e-9 * kf {
+                break;
+            }
+            if g < 0.0 {
+                lo = theta;
+            } else {
+                hi = theta;
+            }
+            let newton = theta - g / dg;
+            theta = if newton > lo && newton < hi {
+                newton
+            } else if hi.is_finite() {
+                0.5 * (lo + hi)
+            } else {
+                lo + 1.0
+            };
+        }
+        let expm1_theta = theta.exp_m1();
+        let ln_c = live()
+            .map(|&(p, m)| m as f64 * (p * expm1_theta).ln_1p())
+            .sum::<f64>()
+            - theta * kf;
+        (theta > 0.0 && expm1_theta.is_finite() && ln_c <= 0.0).then_some(Tilt {
+            theta,
+            expm1_theta,
+            ln_c,
+            eps,
+        })
+    }
+
+    /// `ln(q + p·e^θ)`: the log-normalizer of one tilted trial.
+    fn ln_norm(&self, p: f64) -> f64 {
+        (p * self.expm1_theta).ln_1p()
+    }
+
+    /// The tilted-budget charge for dropping untilted mass `x` whose tilted
+    /// mass is `x·e^{ln_tilt}`: `min(x·e^{ln_tilt}, x/C)`. An exact zero
+    /// costs nothing even where the factor overflows.
+    fn charge(&self, x: f64, ln_tilt: f64) -> f64 {
+        if x == 0.0 {
+            0.0
+        } else {
+            x * ln_tilt.min(-self.ln_c).exp()
+        }
+    }
+
+    /// Whether `p ≤ tail + C·dropped` is within [`CERTIFIED_GAP`] of
+    /// `tail`.
+    fn certifies(&self, tail: f64, dropped: f64) -> bool {
+        dropped == 0.0 || (tail > 0.0 && self.ln_c + dropped.ln() <= tail.ln() + CERTIFIED_GAP.ln())
+    }
+
+    /// Trim `mass(i)` for `i` in `range` from both ends while each end's
+    /// removed total stays within `eps`; returns the kept range and the
+    /// mass removed.
+    fn trim(&self, range: Range<usize>, mass: impl Fn(usize) -> f64) -> (Range<usize>, f64) {
+        let (mut lo, mut hi) = (range.start, range.end);
+        let (mut low, mut high) = (0.0, 0.0);
+        while lo < hi {
+            match low + mass(lo) {
+                x if x <= self.eps => (low, lo) = (x, lo + 1),
+                _ => break,
+            }
+        }
+        while lo < hi {
+            match high + mass(hi - 1) {
+                x if x <= self.eps => (high, hi) = (x, hi - 1),
+                _ => break,
+            }
+        }
+        (lo..hi, low + high)
+    }
+}
+
+/// One column's fold in progress: the absorbing tail, the window `lo..hi`
+/// outside which the state vector is zero, the part of the double buffer
+/// that may still be nonzero, and — under a tilt — the log-normalizer of
+/// the trials folded so far and the tilted mass trimmed.
+struct Fold<'t> {
+    tail: f64,
+    lo: usize,
+    hi: usize,
+    stale: Range<usize>,
+    tilt: Option<&'t Tilt>,
+    ln_norm: f64,
+    dropped: f64,
+    widest: usize,
+}
+
+/// What a windowed run did besides its outcome (read by the unit tests).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct WindowReport {
+    /// Widest state window any fold kept.
+    widest: usize,
+    /// Whether the certificate failed and the column re-ran over the full
+    /// range.
+    fell_back: bool,
+}
+
+/// The binned kernel: fold under the tilt at `k` (when there is one),
+/// trimming `eps` of tilted mass per end per trim, and re-run over the full
+/// range when the certificate does not hold the windowed tail to
+/// [`CERTIFIED_GAP`].
+fn tail_windowed(
+    kernels: &Kernels,
+    bins: &[(f64, u32)],
+    k: usize,
+    budget: TailBudget,
+    scratch: &mut BinnedTailScratch,
+    eps: f64,
+) -> (TailOutcome, WindowReport) {
+    if k == 0 {
+        return (TailOutcome::Exact(1.0), WindowReport::default());
+    }
+    let total: u64 = bins.iter().map(|&(_, m)| m as u64).sum();
+    if (k as u64) > total {
+        return (TailOutcome::Exact(0.0), WindowReport::default());
+    }
+    let tilt = Tilt::solve(bins, k, eps);
+    let (outcome, fold) = fold_column(kernels, bins, k, budget, scratch, tilt.as_ref());
+    let report = WindowReport {
+        widest: fold.widest,
+        fell_back: false,
+    };
+    match (outcome, tilt) {
+        (TailOutcome::Exact(tail), Some(tilt)) if !tilt.certifies(tail, fold.dropped) => {
+            let (outcome, _) = fold_column(kernels, bins, k, budget, scratch, None);
+            (
+                outcome,
+                WindowReport {
+                    fell_back: true,
+                    ..report
+                },
+            )
+        }
+        _ => (outcome, report),
+    }
+}
+
+/// Fold every bin, highest probability first, trimming under `tilt`; the
+/// running tail is a lower bound on `Pr[X ≥ k]` after every bin, trimmed
+/// or not, so the bail stays sound.
+fn fold_column<'t>(
+    kernels: &Kernels,
+    bins: &[(f64, u32)],
+    k: usize,
+    budget: TailBudget,
+    scratch: &mut BinnedTailScratch,
+    tilt: Option<&'t Tilt>,
+) -> (TailOutcome, Fold<'t>) {
+    scratch.reset(k);
+    let mut fold = Fold {
+        tail: 0.0,
+        lo: 0,
+        hi: 1,
+        stale: 0..0,
+        tilt,
+        ln_norm: 0.0,
+        dropped: 0.0,
+        widest: 1,
+    };
+    let mut trials_used = 0usize;
+    // Highest probability first (bins arrive sorted ascending).
+    for &(p, m) in bins.iter().rev() {
+        if m == 0 || p <= 0.0 {
+            continue;
+        }
+        fold_bin(&mut fold, p, m as u64, k, kernels, scratch);
+        trials_used += m as usize;
+        if fold.tail > budget.bail_above {
+            let outcome = TailOutcome::Bailed {
+                lower_bound: fold.tail,
+                trials_used,
+            };
+            return (outcome, fold);
+        }
+    }
+    let outcome = TailOutcome::Exact(fold.tail.clamp(0.0, 1.0));
+    (outcome, fold)
 }
 
 /// Reusable state for [`PoissonBinomial::tail_early_exit_binned`]: the
@@ -391,14 +644,16 @@ impl PoissonBinomial {
 /// All buffers grow to the high-water `K` of the columns a worker sees
 /// and are then reused allocation-free.
 ///
-/// The buffers are [`AlignedF64`] (32-byte-aligned storage), so the SIMD
-/// backends' 4-lane blocks start on a vector-register boundary and need
-/// no scalar peel loop.
+/// The buffers are [`AlignedF64`] (32-byte-aligned storage), so a
+/// full-range fold's 4-lane blocks start on a vector-register boundary; a
+/// window slice starts wherever its window does.
 #[derive(Debug, Clone, Default)]
 pub struct BinnedTailScratch {
-    /// `f[j] = Pr[j successes among folded trials]`, `j < k`.
+    /// `f[j] = Pr[j successes among folded trials]`, `j < k`; zero outside
+    /// the fold's window.
     f: AlignedF64,
-    /// Double buffer for the convolution output.
+    /// Double buffer for the convolution output; zero outside the fold's
+    /// `stale` range.
     g: AlignedF64,
     /// Binomial pmf terms `b_0..b_cut` of the bin being folded.
     b: AlignedF64,
@@ -433,7 +688,7 @@ impl BinnedTailScratch {
 const LN_UNDERFLOW: f64 = -700.0;
 
 /// Fold one bin of `m` trials with success probability `p` into the pruned
-/// state (`scratch.f`, absorbing `tail`). `O(k·min(m, k))`.
+/// state (`scratch.f` over `fold.lo..fold.hi`, absorbing `fold.tail`).
 ///
 /// When `q^m` would underflow (very low quality × very high multiplicity,
 /// e.g. a million Phred-3 reads) the bin is folded as several sub-chunks
@@ -443,7 +698,7 @@ const LN_UNDERFLOW: f64 = -700.0;
 /// and was measured to cost five decimal digits against a double-double
 /// referee.
 fn fold_bin(
-    tail: &mut f64,
+    fold: &mut Fold<'_>,
     p: f64,
     m: u64,
     k: usize,
@@ -451,19 +706,27 @@ fn fold_bin(
     scratch: &mut BinnedTailScratch,
 ) {
     if p >= 1.0 {
-        // Deterministic: the bin contributes exactly m successes.
-        let f = scratch.f.as_mut_slice();
-        let m = m as usize;
-        if m >= k {
-            *tail += f.iter().sum::<f64>();
-            f.fill(0.0);
-        } else {
-            *tail += f[k - m..].iter().sum::<f64>();
-            for t in (m..k).rev() {
-                f[t] = f[t - m];
-            }
-            f[..m].fill(0.0);
+        // Deterministic: the bin shifts every state up by m; states at or
+        // above k − m escape.
+        if let Some(tilt) = fold.tilt {
+            fold.ln_norm += m as f64 * tilt.theta;
         }
+        let (lo, hi) = (fold.lo, fold.hi);
+        if lo >= hi {
+            return;
+        }
+        let m = m.min(k as u64) as usize;
+        let escape_from = k.saturating_sub(m).clamp(lo, hi);
+        let out = if escape_from > lo {
+            lo + m..escape_from + m
+        } else {
+            hi..hi
+        };
+        fold.tail += scratch.f[escape_from..hi].iter().sum::<f64>();
+        clear_outside(&mut scratch.g, fold.stale.clone(), &out);
+        scratch.g[out.clone()].copy_from_slice(&scratch.f[lo..escape_from]);
+        std::mem::swap(&mut scratch.f, &mut scratch.g);
+        (fold.lo, fold.hi, fold.stale) = (out.start, out.end, lo..hi);
         return;
     }
 
@@ -476,7 +739,7 @@ fn fold_bin(
     let mut remaining = m;
     while remaining > 0 {
         let chunk = remaining.min(max_chunk);
-        fold_chunk(tail, p, chunk, k, kr, scratch);
+        fold_chunk(fold, p, chunk, k, kr, scratch);
         remaining -= chunk;
     }
 }
@@ -484,12 +747,20 @@ fn fold_bin(
 /// Fold `m` identical trials via one truncated `Binomial(m, p)`
 /// convolution. Requires `0 < p < 1` and `q^m` representable.
 ///
-/// The two `O(K·min(m,K))` stages — pmf-term setup and the interior
-/// convolution — go through the dispatched kernel table `kr`; the `O(K)`
-/// suffix-tail and escape reductions stay scalar (they are shared by all
-/// backends, which keeps every path bitwise identical).
+/// The pmf-term setup and the interior convolution go through the
+/// dispatched kernel table `kr`; the `O(K)` suffix-tail and escape
+/// reductions stay scalar (they are shared by all backends, which keeps
+/// every path bitwise identical).
+///
+/// The convolution runs on window slices: the state window `lo..hi`
+/// (zero-padded to the output length) against the binomial terms that can
+/// land on an interior state. Every term it leaves out is an exact zero
+/// product, which adds nothing to a compensated sum, so without a tilt
+/// the result is bit for bit the full-range `O(K·min(m, K))` fold. Under a
+/// tilt both ends of the binomial terms are trimmed before the fold and
+/// both ends of the state window after it.
 fn fold_chunk(
-    tail: &mut f64,
+    fold: &mut Fold<'_>,
     p: f64,
     m: u64,
     k: usize,
@@ -529,29 +800,81 @@ fn fold_chunk(
         *slot = 0.0;
     }
 
+    let (lo, hi) = (fold.lo, fold.hi);
+    let ln_norm_trial = fold.tilt.map_or(0.0, |tilt| tilt.ln_norm(p));
+    fold.ln_norm += m as f64 * ln_norm_trial;
+    if lo >= hi {
+        return;
+    }
+
     // Escape: mass jumping from interior state j past k−1 in one bin.
     // Uses the *pre-fold* f, so it must precede the convolution.
     let f = &scratch.f;
     let mut escaped = KahanSum::default();
-    for (j, &fj) in f.iter().enumerate() {
+    for (j, &fj) in (lo..hi).zip(&f[lo..hi]) {
         let r = k - j;
         if fj > 0.0 && (r as u64) <= m {
             escaped.add(fj * s[r]);
         }
     }
-    *tail += escaped.value();
+    fold.tail += escaped.value();
+
+    // Binomial terms that can land on an interior state; under a tilt,
+    // less the tilted mass each end may give up (a term's tilted mass is
+    // b_i·e^{θi}/(q + p·e^θ)^m).
+    let mut terms = 0..cut.min(k - 1 - lo) + 1;
+    if let Some(tilt) = fold.tilt {
+        let b = scratch.b.as_slice();
+        let ln_norm_chunk = m as f64 * ln_norm_trial;
+        let (kept, dropped) = tilt.trim(terms, |i| {
+            tilt.charge(b[i], tilt.theta * i as f64 - ln_norm_chunk)
+        });
+        fold.dropped += dropped;
+        terms = kept;
+    }
 
     // Interior convolution f'[t] = Σ b_i f[t−i] into the double buffer,
     // with compensated accumulation (Neumaier in the scalar backend,
     // two-sum + compensator array in the vector backends — identical
     // values either way).
-    (kr.conv_fold_compensated)(
-        scratch.b.as_slice(),
-        scratch.f.as_slice(),
-        scratch.g.as_mut_slice(),
-        scratch.comp.as_mut_slice(),
-    );
+    let out_lo = lo + terms.start;
+    let out_len = if terms.is_empty() {
+        0
+    } else {
+        (hi - lo + terms.len() - 1).min(k - out_lo)
+    };
+    let out = out_lo..out_lo + out_len;
+    clear_outside(&mut scratch.g, fold.stale.clone(), &out);
+    if out_len > 0 {
+        (kr.conv_fold_compensated)(
+            &scratch.b[terms],
+            &scratch.f[lo..lo + out_len],
+            &mut scratch.g[out.clone()],
+            &mut scratch.comp[..out_len],
+        );
+    }
     std::mem::swap(&mut scratch.f, &mut scratch.g);
+    (fold.lo, fold.hi, fold.stale) = (out.start, out.end, lo..hi);
+
+    if let Some(tilt) = fold.tilt {
+        let f = scratch.f.as_slice();
+        let ln_norm = fold.ln_norm;
+        let (kept, dropped) = tilt.trim(fold.lo..fold.hi, |j| {
+            tilt.charge(f[j], tilt.theta * j as f64 - ln_norm)
+        });
+        scratch.f[fold.lo..kept.start].fill(0.0);
+        scratch.f[kept.end..fold.hi].fill(0.0);
+        fold.dropped += dropped;
+        (fold.lo, fold.hi) = (kept.start, kept.end);
+    }
+    fold.widest = fold.widest.max(fold.hi - fold.lo);
+}
+
+/// Zero `buf[stale]` outside `keep`: the double buffer still holds the
+/// window before last, and the next fold overwrites only `keep`.
+fn clear_outside(buf: &mut [f64], stale: Range<usize>, keep: &Range<usize>) {
+    buf[stale.start..stale.end.min(keep.start).max(stale.start)].fill(0.0);
+    buf[keep.end.clamp(stale.start, stale.end)..stale.end].fill(0.0);
 }
 
 /// Neumaier-compensated accumulator: error-free for sums whose condition
@@ -961,6 +1284,103 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(again.exact(), Some(a));
+    }
+
+    /// A `depth`× column with a LongRead-like quality spectrum: Phred
+    /// ~ N(13, 3.6) over Q2–Q25, every multiplicity far below the mid-K
+    /// cuts the caller tests there.
+    fn long_read_bins(depth: u32) -> Vec<(f64, u32)> {
+        let weight = |q: u32| (-0.5 * ((q as f64 - 13.0) / 3.6).powi(2)).exp();
+        let norm: f64 = (2..=25).map(weight).sum();
+        (2..=25u32)
+            .rev()
+            .map(|q| {
+                let m = (depth as f64 * weight(q) / norm).round() as u32;
+                (10f64.powf(-(q as f64) / 10.0), m.max(1))
+            })
+            .collect()
+    }
+
+    fn windowed(bins: &[(f64, u32)], k: usize, eps: f64) -> (f64, WindowReport) {
+        let (outcome, report) = tail_windowed(
+            ultravc_simd::kernels(),
+            bins,
+            k,
+            TailBudget {
+                bail_above: f64::INFINITY,
+            },
+            &mut BinnedTailScratch::new(),
+            eps,
+        );
+        (outcome.exact().expect("infinite budget"), report)
+    }
+
+    #[test]
+    fn tilt_window_narrows_a_long_read_column() {
+        let bins = long_read_bins(3_000);
+        let k = 600;
+        assert!(bins.iter().all(|&(_, m)| (m as usize) < k));
+        let (tail, report) = windowed(&bins, k, TRIM_EPS);
+        assert!(!report.fell_back, "the certificate holds: {report:?}");
+        assert!(
+            report.widest < k / 2,
+            "kept state window {} not narrower than K/2",
+            report.widest
+        );
+        let per_trial = PoissonBinomial::from_bins(&bins).tail_pruned(k);
+        assert!(
+            rel_close(per_trial, tail, 1e-12),
+            "{per_trial:e} vs {tail:e}"
+        );
+    }
+
+    #[test]
+    fn a_failed_certificate_reruns_the_full_range() {
+        let bins = long_read_bins(3_000);
+        for k in [250usize, 600] {
+            // ε = 0 trims only exact zeros: the full-range arithmetic.
+            let (full, exact_report) = windowed(&bins, k, 0.0);
+            assert!(!exact_report.fell_back);
+            let (tail, report) = windowed(&bins, k, 1e-3);
+            assert!(
+                report.fell_back,
+                "k={k}: ε = 1e-3 must fail the certificate"
+            );
+            assert_eq!(tail.to_bits(), full.to_bits(), "k={k}");
+        }
+    }
+
+    #[test]
+    fn degenerate_tilts_match_per_trial() {
+        let deep_q40 = vec![(1e-4, 2_000u32)];
+        let shallow = long_read_bins(80);
+        let depth = PoissonBinomial::from_bins(&shallow).len();
+        let check = |what: &str, bins: &[(f64, u32)], ks: &[usize]| {
+            let pb = PoissonBinomial::from_bins(bins);
+            for &k in ks {
+                let per_trial = pb.tail_pruned(k);
+                let (tail, report) = windowed(bins, k, TRIM_EPS);
+                assert!(!report.fell_back, "{what} k={k}");
+                assert!(
+                    rel_close(per_trial, tail, 1e-12),
+                    "{what} k={k}: per-trial {per_trial:e} vs windowed {tail:e}"
+                );
+            }
+        };
+        // K = depth has θ = ∞ (no tilt); K = depth − 1 a huge finite θ.
+        check("long read", &shallow, &[depth - 1, depth, depth + 1]);
+        check("all Q40", &deep_q40, &[16, 17, 40, 1_999, 2_000]);
+        // p = 1 bins shift the window; K at or below them has θ ≤ 0.
+        let certain = [(0.01, 300), (0.2, 40), (1.0, 20)];
+        check("p = 1", &certain, &[10, 20, 21, 40, 60, 100]);
+        // q^m underflows: the bin folds in chunks, each normalized.
+        let chunked = [(0.05, 200), (0.206, 7_000)];
+        check("chunked", &chunked, &[1_500, 1_700, 2_000]);
+        // θ = ∞ and θ ≤ 0 solve to no tilt at all.
+        assert!(Tilt::solve(&deep_q40, 2_000, TRIM_EPS).is_none());
+        assert!(Tilt::solve(&deep_q40, 1, TRIM_EPS).is_none());
+        assert!(Tilt::solve(&[(0.01, 300), (1.0, 20)], 22, TRIM_EPS).is_none());
+        assert!(Tilt::solve(&deep_q40, 1_999, TRIM_EPS).is_some());
     }
 
     #[test]

@@ -39,18 +39,64 @@ fn bins_strategy(max_bins: usize, max_mult: u32) -> impl Strategy<Value = Vec<(f
     })
 }
 
+/// Strategy: a LongRead-like column — Phred ~ N(μ, sd) over Q2–Q25 with
+/// μ ∈ [11, 15], sd ∈ [2.5, 4.5] and a jitter per bin, 400–6 000 reads.
+/// The widest bin holds ~11 % of the reads, so every K the caller tests
+/// on such a column (λ ≈ 8 % of the depth, K far above it) is above every
+/// multiplicity: the regime where binning saves nothing and the kernel's
+/// tilt window does the work.
+fn long_read_strategy() -> impl Strategy<Value = Vec<(f64, u32)>> {
+    (
+        400u32..=6_000,
+        11.0..=15.0f64,
+        2.5..=4.5f64,
+        prop::collection::vec(0u32..=20, 24),
+    )
+        .prop_map(|(depth, mean, sd, jitter)| {
+            let weight = |q: u32| (-0.5 * ((q as f64 - mean) / sd).powi(2)).exp();
+            let norm: f64 = (2..=25).map(weight).sum();
+            (2..=25u32)
+                .rev()
+                .zip(jitter)
+                .map(|(q, extra)| {
+                    let m = (depth as f64 * weight(q) / norm).round() as u32 + extra;
+                    (10f64.powf(-(q as f64) / 10.0), m.max(1))
+                })
+                .collect()
+        })
+}
+
 fn rel_diff(a: f64, b: f64) -> f64 {
     (a - b).abs() / a.abs().max(b.abs()).max(f64::MIN_POSITIVE)
 }
 
-/// Pick a K inside the regime the caller exercises: between 1 and
-/// min(depth, λ + 12σ, 2048), scaled by `frac`.
-fn pick_k(bins: &[(f64, u32)], frac: f64) -> usize {
+/// Pick a K inside the regime the caller exercises: between `floor` and
+/// min(depth, λ + 60σ, 2048), scaled by `frac` (`noisy_3k` tests columns
+/// at λ + 45σ). K then steps halfway back to `floor` while the tail there
+/// is below 1e−290, where relative agreement stops meaning anything.
+fn pick_k_from(bins: &[(f64, u32)], frac: f64, floor: usize) -> usize {
     let lambda = PoissonBinomial::mean_binned(bins);
     let sigma = PoissonBinomial::variance_binned(bins).sqrt();
     let depth: usize = bins.iter().map(|&(_, m)| m as usize).sum();
-    let hi = ((lambda + 12.0 * sigma) as usize + 2).min(depth).min(2048);
-    ((hi as f64 * frac) as usize).clamp(1, hi)
+    let hi = ((lambda + 60.0 * sigma) as usize + 2)
+        .min(depth)
+        .min(2048)
+        .max(floor);
+    let mut k = floor + ((hi - floor) as f64 * frac) as usize;
+    while k > floor && PoissonBinomial::tail_pruned_binned(bins, k) < 1e-290 {
+        k = floor + (k - floor) / 2;
+    }
+    k
+}
+
+fn pick_k(bins: &[(f64, u32)], frac: f64) -> usize {
+    pick_k_from(bins, frac, 1)
+}
+
+/// A K above every multiplicity of a [`long_read_strategy`] column.
+fn pick_k_above_bins(bins: &[(f64, u32)], frac: f64) -> usize {
+    let widest = bins.iter().map(|&(_, m)| m as usize).max().unwrap_or(0);
+    pick_k_from(bins, frac, widest + 1)
 }
 
 proptest! {
@@ -209,6 +255,72 @@ proptest! {
                     kr.name
                 ),
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tail the caller computes on long-read columns: K far above λ and
+// above every bin's multiplicity, where the kernel folds only its tilt
+// windows. Same 1e-12 contract against the per-trial DP, a sound bail,
+// and bitwise-identical backends.
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn long_read_tail_matches_per_trial(bins in long_read_strategy(), frac in 0.0..=1.0f64) {
+        let k = pick_k_above_bins(&bins, frac);
+        prop_assert!(bins.iter().all(|&(_, m)| (m as usize) < k));
+        let pb = PoissonBinomial::from_bins(&bins);
+        let per_trial = pb.tail_pruned(k);
+        let binned = PoissonBinomial::tail_pruned_binned(&bins, k);
+        prop_assert!(
+            rel_diff(per_trial, binned) <= 1e-12,
+            "k={k} depth={}: per-trial {per_trial:e} vs binned {binned:e} (rel {:.3e})",
+            pb.len(),
+            rel_diff(per_trial, binned)
+        );
+    }
+
+    #[test]
+    fn long_read_bail_bound_is_below_the_tail(
+        bins in long_read_strategy(),
+        frac in 0.0..=1.0f64,
+        bail_frac in 0.05..=0.95f64,
+    ) {
+        // A budget below the exact tail forces a bail by the last bin.
+        let k = pick_k_above_bins(&bins, frac);
+        let exact = PoissonBinomial::from_bins(&bins).tail_pruned(k);
+        let budget = TailBudget { bail_above: exact * bail_frac };
+        let mut scratch = BinnedTailScratch::new();
+        match PoissonBinomial::tail_early_exit_binned(&bins, k, budget, &mut scratch) {
+            TailOutcome::Bailed { lower_bound, .. } => prop_assert!(
+                lower_bound <= exact * (1.0 + 1e-12),
+                "k={k}: bail bound {lower_bound:e} above the exact tail {exact:e}"
+            ),
+            TailOutcome::Exact(p) => prop_assert!(false, "k={k}: completed at {p:e} above a budget of {:e}", budget.bail_above),
+        }
+    }
+
+    #[test]
+    fn long_read_backends_are_bitwise_identical(
+        bins in long_read_strategy(),
+        frac in 0.0..=1.0f64,
+        bail_frac in 0.05..=2.0f64,
+    ) {
+        let k = pick_k_above_bins(&bins, frac);
+        let scalar_kr = ultravc_simd::scalar();
+        let exact = PoissonBinomial::tail_pruned_binned_with(scalar_kr, &bins, k);
+        let budget = TailBudget { bail_above: exact * bail_frac };
+        let mut scratch = BinnedTailScratch::new();
+        let reference = PoissonBinomial::tail_early_exit_binned_with(scalar_kr, &bins, k, budget, &mut scratch);
+        for kr in ultravc_simd::available() {
+            let tail = PoissonBinomial::tail_pruned_binned_with(kr, &bins, k);
+            prop_assert_eq!(tail.to_bits(), exact.to_bits(), "backend {} k={}", kr.name, k);
+            let got = PoissonBinomial::tail_early_exit_binned_with(kr, &bins, k, budget, &mut scratch);
+            prop_assert_eq!(got, reference, "backend {} k={}", kr.name, k);
         }
     }
 }

@@ -75,6 +75,13 @@ fn naive_pileup(
     columns
 }
 
+/// One oracle call, with the `K` and `λ = Σ pᵢ` its column was tested at.
+struct NaiveCall {
+    record: VcfRecord,
+    k: usize,
+    lambda: f64,
+}
+
 /// The oracle's calls over the whole reference. `K` is every
 /// non-reference base of the column, pooled; the column is called when
 /// `Pr[X ≥ K] < ε / (3 · reference length)`.
@@ -82,7 +89,7 @@ fn naive_calls(
     reference: &ReferenceGenome,
     alignments: &BalFile,
     params: PileupParams,
-) -> Vec<VcfRecord> {
+) -> Vec<NaiveCall> {
     let threshold = SIG_LEVEL / (3.0 * reference.len() as f64);
     let mut calls = Vec::new();
     for (pos, bases) in naive_pileup(alignments, params, reference.len()) {
@@ -92,9 +99,14 @@ fn naive_calls(
             continue;
         }
         let probs: Vec<f64> = bases.iter().map(|o| phred_to_prob(o.qual)).collect();
+        let lambda = probs.iter().sum();
         let pvalue = PoissonBinomial::from_phred_probs(probs).tail_pruned(k);
         if pvalue < threshold {
-            calls.push(naive_record(reference, pos, ref_base, &bases, pvalue));
+            calls.push(NaiveCall {
+                record: naive_record(reference, pos, ref_base, &bases, pvalue),
+                k,
+                lambda,
+            });
         }
     }
     calls
@@ -202,15 +214,15 @@ fn assert_matches_oracle(what: &str, chrom: &str, got: &[VcfRecord], want: &[Vcf
 }
 
 /// Run every driver over `span` and hold it to the oracle's whole-genome
-/// calls restricted to that span. Returns the runs for shape-specific
-/// checks.
+/// calls restricted to that span. Returns the runs and the oracle's calls
+/// for shape-specific checks.
 fn referee(
     shape: &str,
     reference: &ReferenceGenome,
     alignments: &BalFile,
     pileup: PileupParams,
     spans: &[Range<u32>],
-) -> Vec<(String, CallOutcome)> {
+) -> (Vec<(String, CallOutcome)>, Vec<NaiveCall>) {
     let oracle = naive_calls(reference, alignments, pileup);
     let mut runs = Vec::new();
     for (name, driver) in drivers(pileup) {
@@ -221,6 +233,7 @@ fn referee(
             assert!(outcome.partial.is_empty(), "{shape} {name}: complete run");
             let want: Vec<VcfRecord> = oracle
                 .iter()
+                .map(|call| &call.record)
                 .filter(|r| span.contains(&(r.pos as u32)))
                 .cloned()
                 .collect();
@@ -230,7 +243,7 @@ fn referee(
         }
     }
     assert!(!oracle.is_empty(), "{shape}: the shape must call something");
-    runs
+    (runs, oracle)
 }
 
 fn dataset(
@@ -254,7 +267,7 @@ fn deep() -> (ReferenceGenome, BalFile) {
 fn deep_shape_matches_the_oracle() {
     let (reference, alignments) = deep();
     let whole = 0..reference.len() as u32;
-    let runs = referee(
+    let (runs, _) = referee(
         "deep",
         &reference,
         &alignments,
@@ -280,7 +293,7 @@ fn depth_cap_matches_the_oracle() {
         max_depth: 8_000,
         ..PileupParams::default()
     };
-    let runs = referee("deep capped", &reference, &alignments, pileup, &[whole]);
+    let (runs, _) = referee("deep capped", &reference, &alignments, pileup, &[whole]);
     for (name, outcome) in &runs {
         assert!(
             outcome.stats.truncated_columns > 0,
@@ -304,7 +317,9 @@ fn wide_shape_matches_the_oracle() {
 }
 
 /// `noisy_3k` reduced: 1,500 bp × 1,000×, Q12 long-read qualities,
-/// 150 bp reads — every column is a mismatch column.
+/// 150 bp reads — every column is a mismatch column. Its calls sit at
+/// mid K far above λ, so every driver reaches them through the exact
+/// kernel's tilt window.
 #[test]
 fn noisy_shape_matches_the_oracle() {
     let (reference, alignments) = dataset(1_500, 1_000.0, 13, |s| {
@@ -313,12 +328,22 @@ fn noisy_shape_matches_the_oracle() {
             .with_variants(100, 0.02, 0.20)
     });
     let whole = 0..reference.len() as u32;
-    referee(
+    let (_, oracle) = referee(
         "noisy",
         &reference,
         &alignments,
         PileupParams::default(),
         &[whole],
+    );
+    // A tilt applies at K ≥ SMALL_K_THRESHOLD (16) with K above the mean.
+    let windowed = oracle
+        .iter()
+        .filter(|call| call.k >= 64 && call.k as f64 > call.lambda)
+        .count();
+    assert!(
+        windowed >= 20,
+        "noisy: {windowed} of {} calls at K ≥ 64 and K > λ",
+        oracle.len()
     );
 }
 
