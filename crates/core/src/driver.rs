@@ -482,21 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_openmp_agree_exactly() {
-        let (reference, alignments) = setup(300.0, 31);
-        let seq = CallDriver::sequential()
-            .run(&reference, &alignments)
-            .unwrap();
-        for n_threads in [1, 2, 4] {
-            let par = CallDriver::openmp(n_threads)
-                .run(&reference, &alignments)
-                .unwrap();
-            assert_eq!(seq.records, par.records, "n_threads={n_threads}");
-            assert_eq!(seq.stats, par.stats);
-        }
-    }
-
-    #[test]
     fn sequential_is_the_one_thread_one_chunk_case() {
         let (reference, alignments) = setup(250.0, 79);
         let path =
@@ -588,27 +573,6 @@ mod tests {
             outcome.into_call_set(),
             Err(BalError::Interrupted(Interrupt::Cancelled))
         ));
-    }
-
-    #[test]
-    fn openmp_schedules_agree() {
-        let (reference, alignments) = setup(200.0, 37);
-        let mut base = CallDriver::openmp(4);
-        let a = base.run(&reference, &alignments).unwrap();
-        base.mode = ParallelMode::OpenMp {
-            n_threads: 4,
-            schedule: Schedule::Static,
-            chunk_columns: 50,
-        };
-        let b = base.run(&reference, &alignments).unwrap();
-        base.mode = ParallelMode::OpenMp {
-            n_threads: 3,
-            schedule: Schedule::Guided { min_chunk: 2 },
-            chunk_columns: 17,
-        };
-        let c = base.run(&reference, &alignments).unwrap();
-        assert_eq!(a.records, b.records);
-        assert_eq!(a.records, c.records);
     }
 
     #[test]

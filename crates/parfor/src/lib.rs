@@ -8,10 +8,10 @@
 //!
 //! * an explicit **thread count** (the paper benchmarks 64- and 128-thread
 //!   machines and studies scaling, so implicit global pools are wrong here);
-//! * an explicit **[`Schedule`]** — `Static`, `Dynamic { chunk }` or
-//!   `Guided { min_chunk }` — because schedule choice *is* the experiment in
-//!   the paper's Figure 2 (dynamic scheduling vs. the script's static
-//!   partitioning, and the end-of-run load imbalance);
+//! * an explicit **[`Schedule`]** — `Static` or `Dynamic { chunk }` —
+//!   because schedule choice *is* the experiment in the paper's Figure 2
+//!   (dynamic scheduling vs. the script's static partitioning, and the
+//!   end-of-run load imbalance);
 //! * a **[`TeamReport`]** from every region: per-thread busy time and item
 //!   counts, so the tracer can reconstruct the barrier imbalance exactly the
 //!   way HPC-Toolkit's timeline view showed it.

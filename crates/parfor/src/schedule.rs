@@ -18,14 +18,6 @@ pub enum Schedule {
         /// the atomic traffic.
         chunk: usize,
     },
-    /// Chunk size decays with remaining work: `max(remaining / (2·threads),
-    /// min_chunk)` (OpenMP `guided`). Large grabs early (low overhead),
-    /// small grabs late (tail balance) — the "smaller partitions towards the
-    /// end" idea in the paper's discussion.
-    Guided {
-        /// Floor on the decaying chunk size.
-        min_chunk: usize,
-    },
 }
 
 impl Default for Schedule {
@@ -37,7 +29,7 @@ impl Default for Schedule {
 /// A claim of loop iterations `[start, end)`.
 pub type Claim = std::ops::Range<usize>;
 
-/// Shared iteration dispenser implementing the three schedules.
+/// Shared iteration dispenser implementing both schedules.
 #[derive(Debug)]
 pub struct Dispenser {
     n_items: usize,
@@ -86,25 +78,6 @@ impl Dispenser {
                 }
                 Some(start..(start + chunk).min(self.n_items))
             }
-            Schedule::Guided { min_chunk } => {
-                let min_chunk = min_chunk.max(1);
-                loop {
-                    let start = self.cursor.load(Ordering::Relaxed);
-                    if start >= self.n_items {
-                        return None;
-                    }
-                    let remaining = self.n_items - start;
-                    let chunk = (remaining / (2 * self.n_threads)).max(min_chunk);
-                    let end = (start + chunk).min(self.n_items);
-                    if self
-                        .cursor
-                        .compare_exchange_weak(start, end, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        return Some(start..end);
-                    }
-                }
-            }
         }
     }
 
@@ -151,33 +124,6 @@ mod tests {
     fn dynamic_zero_chunk_normalized() {
         let d = Dispenser::new(3, 2, Schedule::Dynamic { chunk: 0 });
         assert_eq!(d.claim(), Some(0..1));
-    }
-
-    #[test]
-    fn guided_chunks_decay() {
-        let d = Dispenser::new(1_000, 4, Schedule::Guided { min_chunk: 5 });
-        let mut sizes = Vec::new();
-        while let Some(c) = d.claim() {
-            sizes.push(c.len());
-        }
-        // First chunk is remaining/(2·4) = 125; sizes never grow.
-        assert_eq!(sizes[0], 125);
-        for w in sizes.windows(2) {
-            assert!(w[1] <= w[0], "guided chunks must not grow: {sizes:?}");
-        }
-        assert!(*sizes.last().unwrap() <= 5 || sizes.len() == 1);
-        assert_eq!(sizes.iter().sum::<usize>(), 1_000);
-    }
-
-    #[test]
-    fn guided_respects_min_chunk_floor() {
-        let d = Dispenser::new(20, 8, Schedule::Guided { min_chunk: 6 });
-        let mut total = 0;
-        while let Some(c) = d.claim() {
-            assert!(!c.is_empty());
-            total += c.len();
-        }
-        assert_eq!(total, 20);
     }
 
     #[test]

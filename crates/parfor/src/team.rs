@@ -295,7 +295,6 @@ mod tests {
             Schedule::Static,
             Schedule::Dynamic { chunk: 1 },
             Schedule::Dynamic { chunk: 13 },
-            Schedule::Guided { min_chunk: 4 },
         ] {
             let (out, report) = parallel_for(4, &items, schedule, |_, i, x| x * 2 + i as u64);
             let want: Vec<u64> = items

@@ -19,11 +19,9 @@ pub struct Kernels {
     /// (`"scalar"`, `"avx2"`, `"neon"`).
     pub name: &'static str,
     /// Truncated-binomial convolution `g[t] = Σ_{i≤min(t,cut)} b[i]·f[t−i]`
-    /// with plain accumulation. Requires `f.len() ≥ g.len()`.
-    pub conv_fold: fn(b: &[f64], f: &[f64], g: &mut [f64]),
-    /// The convolution with compensated (Neumaier-bound) accumulation;
-    /// arguments `(b, f, g, comp)` where `comp` is scratch of at least
-    /// `g.len()` elements.
+    /// with compensated (Neumaier-bound) accumulation; arguments
+    /// `(b, f, g, comp)` where `comp` is scratch of at least `g.len()`
+    /// elements. Requires `f.len() ≥ g.len()`.
     pub conv_fold_compensated: ConvFoldCompensatedFn,
     /// Binomial pmf prefix `b[i] = C(m,i)pⁱq^{m−i}` from `b0 = q^m` and
     /// `ratio = p/q` (two-pass ratio recurrence).
@@ -39,7 +37,6 @@ pub struct Kernels {
 /// shipped pre-SIMD. Always available; pinned by `ULTRAVC_FORCE_SCALAR`.
 static SCALAR: Kernels = Kernels {
     name: "scalar",
-    conv_fold: imp::conv_fold_scalar,
     conv_fold_compensated: imp::conv_fold_compensated_scalar,
     binomial_pmf: binomial_pmf_baseline,
     sum_u32: sum_u32_baseline,
@@ -90,12 +87,6 @@ mod avx2 {
     }
 
     avx2_wrapper!(
-        conv_fold,
-        conv_fold_tf,
-        imp::conv_fold_lanes,
-        fn(b: &[f64], f: &[f64], g: &mut [f64])
-    );
-    avx2_wrapper!(
         conv_fold_compensated,
         conv_fold_compensated_tf,
         imp::conv_fold_compensated_lanes,
@@ -122,7 +113,6 @@ mod avx2 {
 
     pub(super) static AVX2: super::Kernels = super::Kernels {
         name: "avx2",
-        conv_fold,
         conv_fold_compensated,
         binomial_pmf,
         sum_u32,
@@ -139,16 +129,12 @@ mod avx2 {
 mod neon {
     use crate::kernels as imp;
 
-    fn conv_fold(b: &[f64], f: &[f64], g: &mut [f64]) {
-        imp::conv_fold_lanes(b, f, g);
-    }
     fn conv_fold_compensated(b: &[f64], f: &[f64], g: &mut [f64], comp: &mut [f64]) {
         imp::conv_fold_compensated_lanes(b, f, g, comp);
     }
 
     pub(super) static NEON: super::Kernels = super::Kernels {
         name: "neon",
-        conv_fold,
         conv_fold_compensated,
         binomial_pmf: super::binomial_pmf_baseline,
         sum_u32: super::sum_u32_baseline,
@@ -165,10 +151,10 @@ pub fn scalar() -> &'static Kernels {
 
 /// Problem-size threshold for [`Kernels::for_k`]: convolutions whose
 /// truncation cut `K` is below this run the scalar kernels. A K-truncated
-/// `conv_fold` touches at most `K+1` lanes of `b` per output element, so
-/// for tiny K the vector kernels spend their time in remainder handling
-/// and the wider loads buy nothing — the scalar loop is at parity or
-/// ahead, and keeps the icache footprint smaller.
+/// `conv_fold_compensated` touches at most `K+1` lanes of `b` per output
+/// element, so for tiny K the vector kernels spend their time in remainder
+/// handling and the wider loads buy nothing — the scalar loop is at parity
+/// or ahead, and keeps the icache footprint smaller.
 pub const SMALL_K_THRESHOLD: usize = 16;
 
 impl Kernels {

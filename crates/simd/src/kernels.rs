@@ -23,24 +23,6 @@ pub(crate) const LANES: usize = 4;
 // Truncated-binomial convolution: g[t] = Σ_{i ≤ min(t, cut)} b[i]·f[t−i]
 // ---------------------------------------------------------------------
 
-/// Scalar reference convolution: per-output dot product, plain
-/// accumulation.
-pub(crate) fn conv_fold_scalar(b: &[f64], f: &[f64], g: &mut [f64]) {
-    debug_assert!(f.len() >= g.len());
-    if b.is_empty() {
-        g.fill(0.0);
-        return;
-    }
-    for (t, slot) in g.iter_mut().enumerate() {
-        let imax = t.min(b.len() - 1);
-        let mut acc = 0.0f64;
-        for i in 0..=imax {
-            acc += b[i] * f[t - i];
-        }
-        *slot = acc;
-    }
-}
-
 /// Scalar reference convolution with Neumaier-compensated per-output
 /// accumulation — bit-for-bit the loop `fold_chunk` shipped with PR 1.
 /// `comp` is dead scratch here (the compensator lives in a register); it
@@ -66,39 +48,6 @@ pub(crate) fn conv_fold_compensated_scalar(b: &[f64], f: &[f64], g: &mut [f64], 
             sum = t_;
         }
         *slot = sum + comp;
-    }
-}
-
-/// Lane convolution: `axpy` sweep per coefficient. For each `i`,
-/// `g[i..] += b[i] · f[..k−i]` — contiguous loads, contiguous stores, no
-/// loop-carried dependency inside the sweep. Each output element still
-/// receives its terms in ascending-`i` order, so the result is bitwise
-/// equal to [`conv_fold_scalar`].
-#[cfg_attr(
-    not(all(feature = "arch", any(target_arch = "x86_64", target_arch = "aarch64"))),
-    allow(dead_code)
-)]
-#[inline(always)]
-pub(crate) fn conv_fold_lanes(b: &[f64], f: &[f64], g: &mut [f64]) {
-    let k = g.len();
-    debug_assert!(f.len() >= k);
-    g.fill(0.0);
-    for (i, &bi) in b.iter().take(k).enumerate() {
-        let bv = F64Lanes::<LANES>::splat(bi);
-        let gs = &mut g[i..];
-        let fs = &f[..k - i];
-        let n = fs.len();
-        let mut t = 0;
-        while t + LANES <= n {
-            let fv = F64Lanes::<LANES>::load(&fs[t..]);
-            let gv = F64Lanes::<LANES>::load(&gs[t..]);
-            (gv + bv * fv).store(&mut gs[t..]);
-            t += LANES;
-        }
-        while t < n {
-            gs[t] += bi * fs[t];
-            t += 1;
-        }
     }
 }
 
@@ -129,12 +78,15 @@ fn two_sum_1(s: f64, x: f64) -> (f64, f64) {
     (t, (s - (t - z)) + (x - z))
 }
 
-/// Lane convolution with compensated accumulation: the `axpy` sweep of
-/// [`conv_fold_lanes`] plus a per-output compensator array (`comp`, at
-/// least `g.len()` long) accumulating the exact rounding error of every
-/// addition. Folding `comp` into `g` at the end reproduces the Neumaier
-/// `sum + comp` finish, so the output is bitwise equal to
-/// [`conv_fold_compensated_scalar`] and carries the same error bound.
+/// Lane convolution with compensated accumulation: one `axpy` sweep per
+/// coefficient — for each `i`, `g[i..] += b[i] · f[..k−i]`, contiguous
+/// loads and stores with no loop-carried dependency inside the sweep —
+/// plus a per-output compensator array (`comp`, at least `g.len()` long)
+/// accumulating the exact rounding error of every addition. Each output
+/// still receives its terms in ascending-`i` order, and folding `comp`
+/// into `g` at the end reproduces the Neumaier `sum + comp` finish, so the
+/// output is bitwise equal to [`conv_fold_compensated_scalar`] and carries
+/// the same error bound.
 #[cfg_attr(
     not(all(feature = "arch", any(target_arch = "x86_64", target_arch = "aarch64"))),
     allow(dead_code)
@@ -257,12 +209,6 @@ mod tests {
         ] {
             let b = random_f64s(cut + 1, 0xA1 + cut as u64);
             let f = random_f64s(k, 0xB2 + k as u64);
-            let mut g_scalar = vec![0.0; k];
-            let mut g_lanes = vec![0.0; k];
-            conv_fold_scalar(&b, &f, &mut g_scalar);
-            conv_fold_lanes(&b, &f, &mut g_lanes);
-            assert_eq!(g_scalar, g_lanes, "plain conv cut={cut} k={k}");
-
             let mut comp = vec![0.0; k];
             let mut gc_scalar = vec![0.0; k];
             let mut gc_lanes = vec![0.0; k];
@@ -283,30 +229,26 @@ mod tests {
         // A sum designed to lose low-order bits without compensation.
         let b = vec![1.0, 1e-17, 1e-17, 1e-17, 1e-17, 1e-17, 1e-17, 1e-17];
         let f = vec![1.0; 8];
-        let mut plain = vec![0.0; 8];
         let mut comp_out = vec![0.0; 8];
         let mut comp = vec![0.0; 8];
-        conv_fold_lanes(&b, &f, &mut plain);
         conv_fold_compensated_lanes(&b, &f, &mut comp_out, &mut comp);
-        // t = 7 accumulates 1.0 + 7·1e-17: plain rounds each add to 1.0.
-        assert_eq!(plain[7], 1.0);
+        // t = 7 accumulates 1.0 + 7·1e-17: a plain sum rounds each add to 1.0.
+        let plain: f64 = (0..8).map(|i| b[i] * f[7 - i]).sum();
+        assert_eq!(plain, 1.0);
         assert_eq!(comp_out[7], 1.0 + 7e-17);
     }
 
     #[test]
     fn empty_and_degenerate_shapes() {
-        let mut g = vec![1.0; 4];
-        conv_fold_scalar(&[], &[0.5; 4], &mut g);
-        assert_eq!(g, vec![0.0; 4]);
-        let mut g = vec![1.0; 4];
-        conv_fold_lanes(&[], &[0.5; 4], &mut g);
-        assert_eq!(g, vec![0.0; 4]);
         let mut comp = vec![0.0; 4];
+        let mut g = vec![1.0; 4];
+        conv_fold_compensated_scalar(&[], &[0.5; 4], &mut g, &mut comp);
+        assert_eq!(g, vec![0.0; 4]);
         let mut g = vec![1.0; 4];
         conv_fold_compensated_lanes(&[], &[0.5; 4], &mut g, &mut comp);
         assert_eq!(g, vec![0.0; 4]);
         let mut empty: [f64; 0] = [];
-        conv_fold_lanes(&[1.0], &[], &mut empty);
+        conv_fold_compensated_lanes(&[1.0], &[], &mut empty, &mut comp);
         binomial_pmf_two_pass(&mut [], 5, 0.5, 1.0);
     }
 

@@ -14,9 +14,9 @@
 //!   generic lane code is monomorphized once per backend, and the
 //!   backend's `#[target_feature]` attribute tells LLVM which vector ISA
 //!   to emit for it.
-//! * [`Kernels`] — a table of function pointers (convolution, compensated
-//!   convolution, binomial-pmf setup, `u32` histogram reductions). One
-//!   table per backend.
+//! * [`Kernels`] — a table of function pointers (compensated convolution,
+//!   binomial-pmf setup, `u32` histogram reductions). One table per
+//!   backend.
 //! * [`kernels`] — the dispatcher: detects the best available backend
 //!   **once** per process (cached in a `OnceLock`) and returns its table.
 //!
@@ -45,15 +45,15 @@
 //!   rounded whether executed scalar or in vector lanes, so code that
 //!   performs the same operations in the same per-element order is
 //!   deterministic across backends;
-//! * the vector convolutions restructure the scalar loops from per-output
+//! * the vector convolution restructures the scalar loop from per-output
 //!   dot products into per-coefficient `axpy` sweeps — a reordering of
 //!   *independent output elements* that leaves each output's own
 //!   accumulation order unchanged;
-//! * the compensated variants extract the *exact* rounding error of every
-//!   addition (branchless Knuth two-sum in the vector backends, branchy
-//!   Neumaier in the scalar reference — both yield the identical,
-//!   representable error value), so the Kahan-compensated path keeps its
-//!   error bound on every backend.
+//! * every backend extracts the *exact* rounding error of every addition
+//!   (branchless Knuth two-sum in the vector backends, branchy Neumaier in
+//!   the scalar reference — both yield the identical, representable error
+//!   value), so the compensated convolution keeps its error bound on every
+//!   backend.
 //!
 //! The payoff: dispatch can never change a variant call, an early-exit
 //! decision, or a certified bail bound — only the wall clock.

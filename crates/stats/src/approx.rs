@@ -3,9 +3,10 @@
 //! The paper's shortcut is [`poisson_tail`]: the Hodges–Le Cam Poisson
 //! approximation with rate `λ = Σ p_i`, computed in `O(d)` (one pass to sum
 //! the probabilities, one incomplete-gamma evaluation). [`le_cam_bound`]
-//! gives the classic total-variation guarantee that justifies the shortcut
-//! at high depth, and [`ln_tail_upper_bound`] the certified bound behind the
-//! caller's accept-side screen.
+//! gives the classic total-variation distance between the two laws — which
+//! certifies the shortcut only on reads better than Q20, see its doc — and
+//! [`ln_tail_upper_bound`] the certified bound behind the caller's
+//! accept-side screen.
 
 use crate::poisson::Poisson;
 
@@ -79,12 +80,18 @@ pub fn certifies_tail_below(ln_upper: f64, p: f64) -> bool {
 
 /// Barbour–Hall refinement of Le Cam's theorem: the total-variation
 /// distance between the Poisson-binomial and Poisson(`λ = Σ p_i`) is at most
-/// `(1 − e^{−λ})/λ · Σ p_i²`.
+/// `(1 − e^{−λ})/λ · Σ p_i²`, so every tail probability of one is within
+/// this bound of the other's.
 ///
-/// Because any tail probability differs by at most the total-variation
-/// distance, this bound certifies the shortcut: with Phred-quality error
-/// probabilities (`p_i ≤ 10^{−2}` typically), the bound is ≈ `max p_i`,
-/// tiny compared to the paper's `δ = 0.01` safety margin once depth ≥ 100.
+/// The bound is at most `Σ p_i² / λ`, a mean of the `p_i`; it does not
+/// shrink with depth. It certifies the paper's shortcut — skip when
+/// `p̂ ≥ α + δ`, `δ = 0.01` — only where it is below `δ`, which every read
+/// better than Q20 (`p_i < 0.01`) guarantees. On low-quality reads it is
+/// not: on Q12 long reads (`p_i ≈ 0.063`) it is ≈ 0.063, so there
+/// `p̂ ≥ α + δ` does not imply `p ≥ α`. Until the screen has a certified
+/// lower bound of its own, the evidence for its skips on such reads is the
+/// naive-oracle property's long-read simulator draws
+/// (`tests/naive_oracle.rs`, held to a per-trial DP with no screen).
 pub fn le_cam_bound(probs: &[f64]) -> f64 {
     let lambda: f64 = probs.iter().sum();
     let sum_sq: f64 = probs.iter().map(|p| p * p).sum();

@@ -24,9 +24,10 @@
 //!   against — the tail-pruned `O(d·K)` DP with LoFreq's early exit and the
 //!   full `O(d²)` pmf.
 //! * [`approx`] — the Poisson (Hodges–Le Cam) tail approximation with Le
-//!   Cam's total-variation error bound, and the certified Chernoff *upper*
-//!   bound ([`approx::ln_tail_upper_bound`]) behind the caller's
-//!   accept-side screen.
+//!   Cam's total-variation distance (which certifies the shortcut only on
+//!   reads better than Q20), and the certified Chernoff *upper* bound
+//!   ([`approx::ln_tail_upper_bound`]) behind the caller's accept-side
+//!   screen.
 //! * [`rng`] — deterministic SplitMix64/Xoshiro256++ PRNG with the samplers
 //!   the simulator needs (uniform, normal, Poisson, categorical).
 

@@ -43,50 +43,6 @@ fn pipeline_recovers_planted_variants_and_roundtrips_vcf() {
 }
 
 #[test]
-fn improved_caller_is_identical_to_original_across_configs() {
-    for (depth, seed) in [(300.0, 1u64), (1_500.0, 2), (5_000.0, 3)] {
-        let (reference, dataset) = standard_setup(depth, seed);
-        let orig =
-            call_variants(&reference, &dataset.alignments, &CallerConfig::original()).unwrap();
-        let imp =
-            call_variants(&reference, &dataset.alignments, &CallerConfig::improved()).unwrap();
-        assert_eq!(orig.records, imp.records, "depth {depth}, seed {seed}");
-    }
-}
-
-#[test]
-fn parallel_modes_are_deterministic_and_equal() {
-    let (reference, dataset) = standard_setup(1_000.0, 0xDE7);
-    let seq = CallDriver::sequential()
-        .run(&reference, &dataset.alignments)
-        .unwrap();
-    for n_threads in [2usize, 3, 8] {
-        for schedule in [
-            Schedule::Static,
-            Schedule::Dynamic { chunk: 2 },
-            Schedule::Guided { min_chunk: 1 },
-        ] {
-            let driver = CallDriver {
-                config: CallerConfig::default(),
-                filter: Some(FilterParams::default()),
-                mode: ParallelMode::OpenMp {
-                    n_threads,
-                    schedule,
-                    chunk_columns: 100,
-                },
-                trace: false,
-                budget: RunBudget::unbounded(),
-            };
-            let out = driver.run(&reference, &dataset.alignments).unwrap();
-            assert_eq!(
-                out.records, seq.records,
-                "threads={n_threads} schedule={schedule:?}"
-            );
-        }
-    }
-}
-
-#[test]
 fn bal_file_survives_disk_roundtrip() {
     let (reference, dataset) = standard_setup(200.0, 0xD15C);
     let bytes = dataset
