@@ -1,37 +1,28 @@
-//! Decode-once ingest: quality dictionaries, arena record batches, and the
-//! shared decoded-block cache.
+//! Quality dictionaries, the record-batch materialization, and the shared
+//! decoded-block cache.
 //!
-//! # Why this module exists
-//!
-//! Materializing every read as an owned [`Record`] costs one
-//! `Vec<CigarOp>`, one packed-base `Vec<u8>` and one `Vec<Phred>` per
-//! record — heap allocations and a byte-by-byte Phred construction for
-//! data the pileup engine immediately re-reduces into a quality
-//! histogram. On an ultra-deep sample the caller decodes tens of millions
-//! of records, so the allocator traffic (not the arithmetic) would
-//! dominate ingest.
-//!
-//! Instead a whole block decodes **once, into one arena**:
-//!
-//! * [`RecordBatch`] holds three flat arrays — unpacked base codes,
-//!   per-base **quality-bin indices**, and CIGAR ops — plus a small
-//!   per-record metadata table. Records are `(offset, len)` views
-//!   ([`RecordView`]) into the arenas; re-decoding a block into a warmed
-//!   batch performs **zero** allocations.
 //! * [`QualityDict`] is the per-file spectrum of distinct Phred scores,
 //!   sorted descending (= ascending error probability). BAL blocks store
 //!   each base's quality as its dictionary index, so the pileup layer can
 //!   stack bin ids directly and derive its `min_baseq` filter from a
 //!   single index comparison.
-//! * [`SharedBlockCache`] decodes each block of a file **exactly once per
-//!   run** and hands out shared references, so parallel workers whose
-//!   column chunks straddle a block boundary no longer re-decode the
-//!   boundary block — the duplicated "decompression" work the Figure 2
-//!   trace used to over-attribute.
+//! * [`SharedBlockCache`] reads and decompresses each block of a file
+//!   **exactly once per run** and hands out its [`BlockStreams`], so
+//!   parallel workers whose column chunks straddle a block boundary no
+//!   longer re-read the boundary block — the duplicated "decompression"
+//!   work the Figure 2 trace used to over-attribute. Consumers walk the
+//!   streams with their own [`RecordCursor`](crate::RecordCursor).
+//! * [`RecordBatch`] materializes a whole block as flat arenas — unpacked
+//!   base codes, per-base quality-bin indices, CIGAR ops — with records as
+//!   `(offset, len)` views ([`RecordView`]). It is built by the same
+//!   cursor walk, so it makes the same checks; re-decoding a block into a
+//!   warmed batch performs **zero** allocations. The pileup does not use
+//!   it; whole-record consumers ([`crate::BalReader::records`]) and the
+//!   benchmark's decode pass do.
 
 use crate::cigar::{Cigar, CigarOp};
-use crate::codec::{decompress_stream_into, get_varint};
-use crate::file::{BalFile, DecodeStats, MAX_READ_LEN, MAX_STREAM_RAW};
+use crate::cursor::{fill_block, unpack_2bit, BlockBuffers, BlockStreams};
+use crate::file::{BalFile, DecodeStats};
 use crate::record::{Flags, Record};
 use crate::BalError;
 use std::time::Instant;
@@ -186,41 +177,31 @@ pub(crate) struct RecMeta {
 }
 
 /// One decoded block as flat arenas: every record's bases, quality-bin
-/// indices and CIGAR ops live in three shared arrays, addressed by
-/// per-record `(offset, len)` spans. Re-filling a warmed batch allocates
-/// nothing.
+/// indices and CIGAR ops live in shared arrays, addressed by per-record
+/// `(offset, len)` spans. Re-filling a warmed batch allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RecordBatch {
     recs: Vec<RecMeta>,
     /// Unpacked base codes (one byte per base, [`Base::code`] values).
     bases: Vec<u8>,
-    /// Quality-bin indices, parallel to `bases`.
-    bins: Vec<u8>,
     /// CIGAR operations, all records back to back.
     ops: Vec<CigarOp>,
-    /// Per-stream decompression scratch, kept warmed alongside the
-    /// arenas so re-decoding a block into a used batch also allocates
-    /// nothing. Not part of the batch's value (see `PartialEq`).
-    scratch: StreamScratch,
+    /// The block's decompressed streams. Their qual stream *is* the bins
+    /// arena: it concatenates every record's bin indices in record order,
+    /// parallel to `bases`.
+    streams: BlockStreams,
+    /// Payload read buffer for an on-disk file, kept warmed like the
+    /// arenas. Not part of the batch's value (see `PartialEq`).
+    read: Vec<u8>,
 }
 
-/// Decompressed stream buffers (meta, cigar, base). The qual stream
-/// needs no scratch: its decoded form *is* the block's concatenated bin
-/// indices, so it decompresses straight into the `bins` arena.
-#[derive(Debug, Clone, Default)]
-struct StreamScratch {
-    meta: Vec<u8>,
-    cigar: Vec<u8>,
-    base: Vec<u8>,
-}
-
-/// Batches compare by decoded content only — the transient decompression
-/// scratch is an implementation detail of the decoder.
+/// Batches compare by decoded content only — the read buffer and the
+/// streams' other buffers are the decoder's scratch.
 impl PartialEq for RecordBatch {
     fn eq(&self, other: &RecordBatch) -> bool {
         self.recs == other.recs
             && self.bases == other.bases
-            && self.bins == other.bins
+            && self.streams.qual() == other.streams.qual()
             && self.ops == other.ops
     }
 }
@@ -235,8 +216,8 @@ impl RecordBatch {
     pub fn clear(&mut self) {
         self.recs.clear();
         self.bases.clear();
-        self.bins.clear();
         self.ops.clear();
+        self.streams.clear();
     }
 
     /// Number of records.
@@ -265,7 +246,7 @@ impl RecordBatch {
         RecordView {
             meta: m,
             bases: &self.bases[s0..s1],
-            bins: &self.bins[s0..s1],
+            bins: &self.streams.qual()[s0..s1],
             ops: &self.ops[c0..c1],
         }
     }
@@ -275,10 +256,47 @@ impl RecordBatch {
         (0..self.len()).map(move |i| self.view(i))
     }
 
-    /// Start position of record `i` without building a view.
-    #[inline]
-    pub fn pos(&self, i: usize) -> u32 {
-        self.recs[i].pos
+    /// Read and decompress block `i` of `file` into the batch's streams,
+    /// dropping the previous block's records.
+    pub(crate) fn read_block(&mut self, file: &BalFile, i: usize) -> Result<(), BalError> {
+        self.clear();
+        fill_block(file, i, &mut self.streams, &mut self.read)
+    }
+
+    /// Walk the streams [`RecordBatch::read_block`] filled with a
+    /// [`RecordCursor`](crate::RecordCursor) and materialize every record
+    /// into the arenas. On error the batch holds the records before the
+    /// failing one.
+    pub(crate) fn materialize(&mut self) -> Result<(), BalError> {
+        let Self {
+            recs,
+            bases,
+            ops,
+            streams,
+            ..
+        } = self;
+        recs.reserve(streams.len());
+        let mut cursor = streams.cursor();
+        while let Some(r) = cursor.next(streams)? {
+            let (seq_off, cig_off) = (bases.len(), ops.len());
+            ops.extend(streams.ops(&r));
+            bases.resize(seq_off + r.seq_len as usize, 0);
+            unpack_2bit(streams.packed_bases(&r), 0, &mut bases[seq_off..]);
+            // Both offsets index arenas no longer than their streams,
+            // which the decoder bounds far below `u32::MAX`.
+            recs.push(RecMeta {
+                id: r.id,
+                pos: r.pos,
+                end_pos: r.end_pos,
+                seq_off: seq_off as u32,
+                seq_len: r.seq_len,
+                cig_off: cig_off as u32,
+                cig_len: r.n_ops,
+                mapq: r.mapq,
+                flags: r.flags,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -364,247 +382,29 @@ impl<'a> RecordView<'a> {
     }
 }
 
-/// Decode block `i` of `file` into `batch` (cleared first). This is the
-/// core arena decoder both [`crate::BalReader::decode_batch`] and the
-/// [`SharedBlockCache`] run; on a warmed batch it performs no allocation.
-pub fn decode_block_into(
-    file: &BalFile,
-    i: usize,
-    batch: &mut RecordBatch,
-) -> Result<(), BalError> {
-    batch.clear();
-    let meta = *file
-        .index()
-        .get(i)
-        .ok_or(BalError::Corrupt("block index out of range"))?;
-    let payload = file.block_payload(&meta)?;
-    decode_block_v3(&payload, &meta, batch, file.quality_dict())
-}
-
-/// Decode one columnar block: parse the stream framing, bulk-decompress
-/// the four streams into the batch's warmed scratch buffers, then walk
-/// them in lockstep into the arenas. Every record field is validated
-/// (positions, CIGAR codes and lengths, bin indices, arena-offset
-/// overflow), plus the stream-level invariants: lengths must tile the
-/// payload exactly and every stream must be consumed exactly.
-fn decode_block_v3(
-    payload: &[u8],
-    meta: &crate::file::BlockMeta,
-    batch: &mut RecordBatch,
-    dict: &QualityDict,
-) -> Result<(), BalError> {
-    let mut buf = payload;
-    let n = get_varint(&mut buf).ok_or(BalError::Corrupt("truncated block header"))?;
-    if n != meta.n_records as u64 {
-        return Err(BalError::Corrupt("record count mismatch"));
-    }
-    let n = n as usize;
-    let mut lens = [0usize; 4];
-    for len in &mut lens {
-        let v = get_varint(&mut buf).ok_or(BalError::Corrupt("truncated stream lengths"))?;
-        *len = usize::try_from(v).map_err(|_| BalError::Corrupt("stream length overflows"))?;
-    }
-    let total = lens
-        .iter()
-        .try_fold(0usize, |acc, &l| acc.checked_add(l))
-        .ok_or(BalError::Corrupt("stream lengths overflow"))?;
-    if total != buf.len() {
-        return Err(BalError::Corrupt("stream lengths disagree with block size"));
-    }
-    let (meta_c, rest) = buf.split_at(lens[0]);
-    let (cigar_c, rest) = rest.split_at(lens[1]);
-    let (base_c, qual_c) = rest.split_at(lens[2]);
-    // The scratch leaves the batch during the decode so the walk below can
-    // borrow it immutably while filling the arenas mutably.
-    let mut scratch = std::mem::take(&mut batch.scratch);
-    let result = (|| {
-        scratch.meta.clear();
-        scratch.cigar.clear();
-        scratch.base.clear();
-        decompress_stream_into(meta_c, MAX_STREAM_RAW, &mut scratch.meta)
-            .ok_or(BalError::Corrupt("corrupt meta stream"))?;
-        decompress_stream_into(cigar_c, MAX_STREAM_RAW, &mut scratch.cigar)
-            .ok_or(BalError::Corrupt("corrupt cigar stream"))?;
-        decompress_stream_into(base_c, MAX_STREAM_RAW, &mut scratch.base)
-            .ok_or(BalError::Corrupt("corrupt base stream"))?;
-        // The qual stream decompresses straight into the bins arena (its
-        // decoded form is exactly the block's concatenated bin indices —
-        // saves a whole-stream copy on the hot path) and is validated
-        // against the dictionary in one scan.
-        debug_assert!(batch.bins.is_empty(), "decode starts from a cleared batch");
-        decompress_stream_into(qual_c, MAX_STREAM_RAW, &mut batch.bins)
-            .ok_or(BalError::Corrupt("corrupt qual stream"))?;
-        // Reduce with `max` rather than a short-circuiting `any` — no
-        // early exit means the scan vectorizes, and corrupt input is the
-        // cold case anyway.
-        let max_bin = batch.bins.iter().fold(0u8, |m, &b| m.max(b));
-        if !batch.bins.is_empty() && max_bin as usize >= dict.len() {
-            return Err(BalError::Corrupt("quality bin index out of dictionary"));
-        }
-        walk_v3_streams(&scratch, n, meta, batch)
-    })();
-    batch.scratch = scratch;
-    result
-}
-
-fn walk_v3_streams(
-    scratch: &StreamScratch,
-    n: usize,
-    meta: &crate::file::BlockMeta,
-    batch: &mut RecordBatch,
-) -> Result<(), BalError> {
-    // Every record owes the meta stream at least six bytes (delta, id,
-    // op count, read length ≥ 1 byte each; mapq and flags exactly one),
-    // which bounds `reserve` against a corrupt record count.
-    if (n as u64) * 6 > scratch.meta.len() as u64 {
-        return Err(BalError::Corrupt("record count exceeds meta stream"));
-    }
-    batch.recs.reserve(n);
-    let mut mbuf = &scratch.meta[..];
-    let mut cbuf = &scratch.cigar[..];
-    let mut bbuf = &scratch.base[..];
-    // The qual stream was already decompressed into `batch.bins` and
-    // dictionary-validated; the walk only has to check that the records'
-    // sequence lengths tile it exactly.
-    let mut qual_cursor = 0usize;
-    let mut prev = 0u32;
-    for _ in 0..n {
-        let delta = get_varint(&mut mbuf).ok_or(BalError::Corrupt("truncated position"))?;
-        let pos = u32::try_from(delta)
-            .ok()
-            .and_then(|d| prev.checked_add(d))
-            .ok_or(BalError::Corrupt("position overflows coordinate space"))?;
-        prev = pos;
-        let id = get_varint(&mut mbuf).ok_or(BalError::Corrupt("truncated id"))?;
-        let [mapq, flags_byte] = *mbuf
-            .get(..2)
-            .ok_or(BalError::Corrupt("truncated mapq/flags"))?
-        else {
-            unreachable!("slice of length 2")
-        };
-        mbuf = &mbuf[2..];
-        let cig_off = batch.ops.len();
-        if cig_off > (u32::MAX as usize) - MAX_READ_LEN
-            || batch.bases.len() > (u32::MAX as usize) - MAX_READ_LEN
-        {
-            return Err(BalError::Corrupt("block arena exceeds u32 offsets"));
-        }
-        let n_ops = crate::file::checked_len(
-            get_varint(&mut mbuf).ok_or(BalError::Corrupt("truncated cigar count"))?,
-            "absurd cigar op count",
-        )?;
-        let seq_len = crate::file::checked_len(
-            get_varint(&mut mbuf).ok_or(BalError::Corrupt("truncated seq length"))?,
-            "absurd read length",
-        )?;
-
-        // CIGAR ops from the cigar stream.
-        batch.ops.reserve(n_ops);
-        let (mut query_len, mut ref_len) = (0u64, 0u64);
-        for _ in 0..n_ops {
-            let v = get_varint(&mut cbuf).ok_or(BalError::Corrupt("truncated cigar op"))?;
-            let op_len = u32::try_from(v >> 2)
-                .map_err(|_| BalError::Corrupt("cigar op length overflows"))?;
-            let op = CigarOp::from_code((v & 0b11) as u8, op_len)
-                .ok_or(BalError::Corrupt("bad cigar op code"))?;
-            query_len += op.query_len() as u64;
-            ref_len += op.ref_len() as u64;
-            batch.ops.push(op);
-        }
-        let end_pos = u32::try_from(ref_len)
-            .ok()
-            .and_then(|r| pos.checked_add(r))
-            .ok_or(BalError::Corrupt("alignment extends past coordinate space"))?;
-        if query_len != seq_len as u64 {
-            return Err(BalError::Corrupt("cigar/sequence length mismatch"));
-        }
-        // Region queries choose blocks by their index extent, so a record
-        // outside it would be stacked by a whole-file pass and dropped by
-        // a region or chunked one. The writer's extent always covers its
-        // records.
-        if pos < meta.min_pos || end_pos > meta.max_end {
-            return Err(BalError::Corrupt("record outside its block's index extent"));
-        }
-
-        // Packed bases from the base stream (byte-aligned per record).
-        let packed_len = seq_len.div_ceil(4);
-        if bbuf.len() < packed_len {
-            return Err(BalError::Corrupt("truncated base stream"));
-        }
-        let (packed, rest) = bbuf.split_at(packed_len);
-        bbuf = rest;
-        let seq_off = batch.bases.len();
-        unpack_bases(packed, seq_len, &mut batch.bases);
-
-        // Qual-bin indices: already in the bins arena at exactly this
-        // record's offset (both arenas concatenate in record order), so
-        // just account for the slice.
-        qual_cursor = qual_cursor
-            .checked_add(seq_len)
-            .filter(|&end| end <= batch.bins.len())
-            .ok_or(BalError::Corrupt("truncated qual stream"))?;
-
-        batch.recs.push(RecMeta {
-            id,
-            pos,
-            end_pos,
-            seq_off: seq_off as u32,
-            seq_len: seq_len as u32,
-            cig_off: cig_off as u32,
-            cig_len: n_ops as u32,
-            mapq,
-            flags: Flags(flags_byte),
-        });
-    }
-    if !(mbuf.is_empty() && cbuf.is_empty() && bbuf.is_empty()) || qual_cursor != batch.bins.len() {
-        return Err(BalError::Corrupt("v3 stream bytes left over"));
-    }
-    Ok(())
-}
-
-/// Unpack 2-bit base codes into the arena; `packed` must hold exactly
-/// `ceil(seq_len / 4)` bytes (callers check before slicing).
-fn unpack_bases(packed: &[u8], seq_len: usize, bases: &mut Vec<u8>) {
-    let seq_off = bases.len();
-    bases.resize(seq_off + seq_len, 0);
-    let dst = &mut bases[seq_off..];
-    let mut chunks = dst.chunks_exact_mut(4);
-    for (out4, &byte) in (&mut chunks).zip(packed) {
-        out4[0] = byte & 0b11;
-        out4[1] = (byte >> 2) & 0b11;
-        out4[2] = (byte >> 4) & 0b11;
-        out4[3] = (byte >> 6) & 0b11;
-    }
-    let tail = chunks.into_remainder();
-    if !tail.is_empty() {
-        let byte = packed[packed.len() - 1];
-        for (within, out) in tail.iter_mut().enumerate() {
-            *out = (byte >> (within * 2)) & 0b11;
-        }
-    }
-}
-
-/// One cache slot: the decoded arena (or its decode failure) plus the
-/// number of outstanding expected requests before the arena can be
+/// One cache slot: the decompressed streams (or their read failure) plus
+/// the number of outstanding expected requests before they can be
 /// dropped.
 #[derive(Debug)]
 struct Slot {
     state: Mutex<SlotState>,
     /// Requests still expected for this block (`u32::MAX` = unbounded:
-    /// keep the arena for the cache's whole lifetime).
+    /// keep the streams for the cache's whole lifetime).
     remaining: AtomicU32,
 }
 
 #[derive(Debug)]
 enum SlotState {
     Empty,
-    Ready(Arc<RecordBatch>),
+    Ready(Arc<BlockStreams>),
     Failed(String),
-    /// All expected requests served; the arena has been released.
+    /// All expected requests served; the streams have been released.
     Retired,
 }
 
-/// A run-scoped decode-once cache over a file's blocks.
+/// A run-scoped decode-once cache over a file's blocks: each block is read
+/// and decompressed once per run, and every consumer walks the shared
+/// [`BlockStreams`] with its own cursor.
 ///
 /// Parallel workers whose column chunks overlap the same block race to
 /// decode it; exactly one wins (the slot mutex serializes the first
@@ -615,11 +415,11 @@ enum SlotState {
 ///
 /// **Memory.** Built with [`SharedBlockCache::for_plan`], each slot
 /// knows how many region iterators will request it and **releases its
-/// arena after the last one** (requesters keep their own `Arc` while
-/// absorbing), so peak residency is bounded by the blocks of in-flight
-/// chunks, not the whole file. [`SharedBlockCache::new`] keeps every
-/// arena for the cache's lifetime — only appropriate for short runs and
-/// tests.
+/// streams after the last one** (requesters keep their own `Arc` while
+/// absorbing, and the last holder recycles the buffers), so peak
+/// residency is bounded by the blocks of in-flight chunks, not the whole
+/// file. [`SharedBlockCache::new`] keeps every block for the cache's
+/// lifetime — only appropriate for short runs and tests.
 #[derive(Debug)]
 pub struct SharedBlockCache {
     file: BalFile,
@@ -629,13 +429,13 @@ pub struct SharedBlockCache {
 
 impl SharedBlockCache {
     /// A cache with one empty slot per block of `file`, retaining every
-    /// decoded arena until the cache is dropped.
+    /// decompressed block until the cache is dropped.
     pub fn new(file: BalFile) -> SharedBlockCache {
         SharedBlockCache::with_expected(file, None)
     }
 
     /// A cache for a run whose workers will pile up exactly the regions
-    /// of a prepared [`IoPlan`](crate::IoPlan): each block's arena is
+    /// of a prepared [`IoPlan`](crate::IoPlan): each block's streams are
     /// released as soon as every window listing it has requested it once.
     /// (A region iterator requests each of its window's blocks exactly
     /// once; extra requests after retirement fall back to an uncached
@@ -671,10 +471,23 @@ impl SharedBlockCache {
         &self.file
     }
 
-    /// The decoded block `i`, decoding it if this is its first request.
-    /// `Some(stats)` reports the decode this call performed; `None` means
-    /// another request (possibly on another thread) already paid for it.
-    pub fn get(&self, i: usize) -> Result<(Arc<RecordBatch>, Option<DecodeStats>), BalError> {
+    /// Block `i`'s decompressed streams, reading them if this is its first
+    /// request. `Some(stats)` reports the read this call performed; `None`
+    /// means another request (possibly on another thread) already paid
+    /// for it. The streams are only decompressed: walk them with
+    /// [`BlockStreams::cursor`] to get (and check) the records.
+    pub fn get(&self, i: usize) -> Result<(Arc<BlockStreams>, Option<DecodeStats>), BalError> {
+        self.get_with(i, &mut BlockBuffers::new())
+    }
+
+    /// [`SharedBlockCache::get`], reading through `bufs` when this call
+    /// performs the read: its payload buffer, and the stream buffers of a
+    /// block its owner recycled ([`BlockBuffers::recycle`]).
+    pub fn get_with(
+        &self,
+        i: usize,
+        bufs: &mut BlockBuffers,
+    ) -> Result<(Arc<BlockStreams>, Option<DecodeStats>), BalError> {
         let slot = self
             .slots
             .get(i)
@@ -687,8 +500,8 @@ impl SharedBlockCache {
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (batch, performed) = match &*state {
-            SlotState::Ready(batch) => (Arc::clone(batch), None),
+        let (streams, performed) = match &*state {
+            SlotState::Ready(streams) => (Arc::clone(streams), None),
             SlotState::Failed(msg) => {
                 return Err(BalError::BadRecord(format!("cached block decode: {msg}")));
             }
@@ -697,12 +510,12 @@ impl SharedBlockCache {
                 // after retirement (caller declared fewer regions than it
                 // ran): decode here. Retired slots stay retired.
                 let retired = matches!(*state, SlotState::Retired);
-                match self.decode(i) {
-                    Ok((batch, stats)) => {
+                match self.decode(i, bufs) {
+                    Ok((streams, stats)) => {
                         if !retired {
-                            *state = SlotState::Ready(Arc::clone(&batch));
+                            *state = SlotState::Ready(Arc::clone(&streams));
                         }
-                        (batch, Some(stats))
+                        (streams, Some(stats))
                     }
                     Err(e) => {
                         // An interruption is the *run* stopping, not the
@@ -718,27 +531,30 @@ impl SharedBlockCache {
             }
         };
         // Count this request down; after the last expected one, release
-        // the arena (we and any concurrent absorbers still hold Arcs).
+        // the streams (we and any concurrent absorbers still hold Arcs).
         if slot.remaining.load(Ordering::Relaxed) != u32::MAX
             && slot.remaining.fetch_sub(1, Ordering::Relaxed) == 1
         {
             *state = SlotState::Retired;
         }
-        Ok((batch, performed))
+        Ok((streams, performed))
     }
 
-    fn decode(&self, i: usize) -> Result<(Arc<RecordBatch>, DecodeStats), BalError> {
+    fn decode(
+        &self,
+        i: usize,
+        bufs: &mut BlockBuffers,
+    ) -> Result<(Arc<BlockStreams>, DecodeStats), BalError> {
         let t0 = Instant::now();
-        let mut batch = RecordBatch::new();
-        decode_block_into(&self.file, i, &mut batch)?;
+        let streams = bufs.read_block(&self.file, i)?;
         let stats = DecodeStats {
             blocks: 1,
             bytes_in: self.file.index()[i].len as u64,
-            records_out: batch.len() as u64,
+            records_out: streams.len() as u64,
             decode_time: t0.elapsed(),
         };
         self.decoded.fetch_add(1, Ordering::Relaxed);
-        Ok((Arc::new(batch), stats))
+        Ok((streams, stats))
     }
 
     /// How many block decodes the cache has performed so far.
@@ -746,7 +562,7 @@ impl SharedBlockCache {
         self.decoded.load(Ordering::Relaxed) as usize
     }
 
-    /// How many decoded arenas are currently held resident.
+    /// How many decompressed blocks the cache currently holds.
     pub fn resident_blocks(&self) -> usize {
         self.slots
             .iter()
@@ -860,8 +676,9 @@ mod tests {
         let file = BalFile::from_records(records.clone()).unwrap();
         let mut batch = RecordBatch::new();
         let mut got = Vec::new();
+        let mut reader = file.reader();
         for i in 0..file.n_blocks() {
-            decode_block_into(&file, i, &mut batch).unwrap();
+            reader.decode_batch(i, &mut batch).unwrap();
             got.extend(batch.views().map(|v| v.to_record(file.quality_dict())));
         }
         assert_eq!(got, records);
@@ -872,23 +689,19 @@ mod tests {
         let records = sample_records(200);
         let file = BalFile::from_records(records).unwrap();
         let mut batch = RecordBatch::new();
-        decode_block_into(&file, 0, &mut batch).unwrap();
-        let caps = (
-            batch.recs.capacity(),
-            batch.bases.capacity(),
-            batch.bins.capacity(),
-            batch.ops.capacity(),
-        );
-        decode_block_into(&file, 0, &mut batch).unwrap();
-        assert_eq!(
+        let mut reader = file.reader();
+        reader.decode_batch(0, &mut batch).unwrap();
+        let caps = |b: &RecordBatch| {
             (
-                batch.recs.capacity(),
-                batch.bases.capacity(),
-                batch.bins.capacity(),
-                batch.ops.capacity(),
-            ),
-            caps
-        );
+                b.recs.capacity(),
+                b.bases.capacity(),
+                b.ops.capacity(),
+                b.streams.capacity(),
+            )
+        };
+        let warmed = caps(&batch);
+        reader.decode_batch(0, &mut batch).unwrap();
+        assert_eq!(caps(&batch), warmed);
     }
 
     #[test]
@@ -896,7 +709,7 @@ mod tests {
         let rec = mk_record(7, 100, b"ACGT", &[30, 20, 30, 40]);
         let file = BalFile::from_records(vec![rec.clone()]).unwrap();
         let mut batch = RecordBatch::new();
-        decode_block_into(&file, 0, &mut batch).unwrap();
+        file.reader().decode_batch(0, &mut batch).unwrap();
         assert_eq!(batch.len(), 1);
         let v = batch.view(0);
         assert_eq!(v.id(), 7);
@@ -978,7 +791,7 @@ mod tests {
         assert_eq!(
             cache.resident_blocks(),
             0,
-            "all expected requests served: every arena released"
+            "all expected requests served: every block released"
         );
         assert_eq!(cache.decoded_blocks(), n_blocks, "still decoded once each");
         // A straggler request past the declared count still works (fresh
@@ -998,7 +811,7 @@ mod tests {
         assert_eq!(dict.len(), 1);
         assert_eq!(dict.phred(0), Phred(37));
         let mut batch = RecordBatch::new();
-        decode_block_into(&file, 0, &mut batch).unwrap();
+        file.reader().decode_batch(0, &mut batch).unwrap();
         let got: Vec<Record> = batch.views().map(|v| v.to_record(dict)).collect();
         assert_eq!(got, records);
     }

@@ -34,6 +34,7 @@ impl CigarOp {
     }
 
     /// Bases of the query (read) consumed.
+    #[inline]
     pub fn query_len(self) -> u32 {
         match self {
             CigarOp::Match(n) | CigarOp::Ins(n) | CigarOp::SoftClip(n) => n,
@@ -42,6 +43,7 @@ impl CigarOp {
     }
 
     /// Bases of the reference consumed.
+    #[inline]
     pub fn ref_len(self) -> u32 {
         match self {
             CigarOp::Match(n) | CigarOp::Del(n) => n,
@@ -70,6 +72,7 @@ impl CigarOp {
     }
 
     /// Rebuild from a BAL code and length.
+    #[inline]
     pub fn from_code(code: u8, len: u32) -> Option<CigarOp> {
         match code {
             0 => Some(CigarOp::Match(len)),

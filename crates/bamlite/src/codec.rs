@@ -28,21 +28,20 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Read an unsigned LEB128 varint; `None` on truncation or overflow.
-pub fn get_varint(buf: &mut impl Buf) -> Option<u64> {
+/// Read an unsigned LEB128 varint off the front of `buf`, advancing it;
+/// `None` on truncation or overflow (more than ten bytes). Inlined: the
+/// record cursor reads several per record.
+#[inline]
+pub fn get_varint(buf: &mut &[u8]) -> Option<u64> {
     let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() || shift >= 64 {
-            return None;
-        }
-        let byte = buf.get_u8();
-        v |= ((byte & 0x7f) as u64) << shift;
+    for (i, &byte) in buf.iter().enumerate().take(10) {
+        v |= ((byte & 0x7f) as u64) << (7 * i);
         if byte & 0x80 == 0 {
+            *buf = &buf[i + 1..];
             return Some(v);
         }
-        shift += 7;
     }
+    None
 }
 
 /// Zigzag-encode a signed value for varint storage.
@@ -76,13 +75,13 @@ pub fn rle_encode(out: &mut Vec<u8>, data: &[u8]) {
 
 /// Decode an RLE byte string produced by [`rle_encode`], **appending** to
 /// `out` — the zero-alloc form
-/// the arena batch decoder uses (a warmed buffer is never reallocated).
+/// the block decoder uses (a warmed buffer is never reallocated).
 /// `max_len` bounds the decoded length, not the total buffer length.
 ///
 /// Run counts are compared in `u64` before any narrowing, so a corrupt
 /// count can neither wrap a 32-bit `usize` nor size an allocation beyond
 /// `max_len`.
-pub fn rle_decode_into(buf: &mut impl Buf, max_len: usize, out: &mut Vec<u8>) -> Option<()> {
+pub fn rle_decode_into(buf: &mut &[u8], max_len: usize, out: &mut Vec<u8>) -> Option<()> {
     let n_runs = get_varint(buf)?;
     let start = out.len();
     for _ in 0..n_runs {
@@ -257,7 +256,7 @@ pub fn compress_stream(out: &mut Vec<u8>, data: &[u8]) {
 }
 
 /// Decode a [`compress_stream`] container, **appending** to `out` (the
-/// zero-alloc form the arena decoder's warmed scratch buffers use).
+/// zero-alloc form the block decoder's warmed stream buffers use).
 /// `max_raw` bounds the decoded length so a corrupt header cannot size an
 /// absurd allocation; the payload must decode to exactly the declared raw
 /// length and consume the whole container, or the stream is rejected.

@@ -294,6 +294,19 @@ impl ByteSource {
     /// outside the source — including one whose end overflows `usize` —
     /// is [`BalError::Corrupt`], never a panic.
     pub fn slice(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, BalError> {
+        self.slice_into(offset, len, Vec::new())
+    }
+
+    /// [`ByteSource::slice`], reading an open file's bytes into `buf`
+    /// (reusing its allocation) instead of a fresh buffer; the owned
+    /// result is `buf`, handed back for the next read. An in-memory
+    /// source borrows and drops `buf`.
+    pub fn slice_into(
+        &self,
+        offset: usize,
+        len: usize,
+        buf: Vec<u8>,
+    ) -> Result<Cow<'_, [u8]>, BalError> {
         let end = offset
             .checked_add(len)
             .ok_or(BalError::Corrupt("byte range overflows"))?;
@@ -302,8 +315,8 @@ impl ByteSource {
         }
         match self {
             ByteSource::Mem(b) => Ok(Cow::Borrowed(&b[offset..end])),
-            ByteSource::Stream(f) => f.read_range(offset, len).map(Cow::Owned),
-            ByteSource::Fault(f) => f.slice(offset, len),
+            ByteSource::Stream(f) => f.read_range(offset, len, buf).map(Cow::Owned),
+            ByteSource::Fault(f) => f.slice_into(offset, len, buf),
         }
     }
 
@@ -370,8 +383,9 @@ impl StreamFile {
         self.len == 0
     }
 
-    /// Read exactly `[offset, offset + len)` into a fresh buffer. The
-    /// caller (`ByteSource::slice`) has already bounds-checked the range
+    /// Read exactly `[offset, offset + len)` into `buf`, which grows (and
+    /// zero-fills) only past its longest earlier use. The caller
+    /// (`ByteSource::slice_into`) has already bounds-checked the range
     /// against the open-time length.
     ///
     /// Positioned reads are not `read_exact`: the kernel may return fewer
@@ -382,8 +396,8 @@ impl StreamFile {
     /// `open` and this read — the concurrent-writer case the module docs
     /// call out — and is reported as [`BalError::Corrupt`], not an
     /// unchecked I/O error (and certainly not a panic).
-    fn read_range(&self, offset: usize, len: usize) -> Result<Vec<u8>, BalError> {
-        let mut buf = vec![0u8; len];
+    fn read_range(&self, offset: usize, len: usize, mut buf: Vec<u8>) -> Result<Vec<u8>, BalError> {
+        buf.resize(len, 0);
         let mut filled = 0usize;
         while filled < len {
             let r = {

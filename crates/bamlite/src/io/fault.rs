@@ -244,8 +244,14 @@ impl FaultSource {
     /// [`BalError`]; a bit-flip fault serves corrupted payload bytes
     /// silently (that is the point). The one-shot `panic_at` trigger
     /// disarms before panicking, so the read can be retried successfully
-    /// once the panic has been contained.
-    pub fn slice(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, BalError> {
+    /// once the panic has been contained. An open file's bytes are read
+    /// through `buf`, as [`ByteSource::slice_into`] does.
+    pub fn slice_into(
+        &self,
+        offset: usize,
+        len: usize,
+        buf: Vec<u8>,
+    ) -> Result<Cow<'_, [u8]>, BalError> {
         if !self.plan.latency.is_zero() {
             std::thread::sleep(self.plan.latency);
         }
@@ -262,7 +268,7 @@ impl FaultSource {
             }
             Verdict::Fail(e) => Err(e),
             Verdict::Serve { flip_bit } => {
-                let data = self.inner.slice(offset, len)?;
+                let data = self.inner.slice_into(offset, len, buf)?;
                 match flip_bit {
                     None => Ok(data),
                     Some(bit) if len > 0 => {

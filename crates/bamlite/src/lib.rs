@@ -40,9 +40,9 @@
 //! Only the index/dictionary region is read eagerly — parsing
 //! bounds-checks every offset, length and count it reads, so a corrupt
 //! or truncated file fails with [`BalError::Corrupt`] instead of
-//! panicking, whichever backing serves it. Both feed the same
-//! decode-once machinery ([`BalReader::decode_batch`],
-//! [`SharedBlockCache`]) and produce bitwise-identical batches.
+//! panicking, whichever backing serves it. Both feed the same decoder
+//! ([`BlockStreams`], [`RecordCursor`]) and produce bitwise-identical
+//! streams and records.
 //!
 //! # The block plan
 //!
@@ -51,7 +51,7 @@
 //! shared boundary blocks — what a parallel worker's pileup iterator
 //! walks instead of re-deriving the overlap).
 //! [`SharedBlockCache::for_plan`] counts the windows to know when each
-//! block has served its last request and its arena can be released.
+//! block has served its last request and its streams can be released.
 //! Nothing is fetched ahead of need: the first worker to ask the cache
 //! for a block reads and decodes it, everyone else shares the result,
 //! and [`DecodeStats`] summed over workers is the run's true decode work.
@@ -74,17 +74,26 @@
 //! reference, the qual spectrum is a handful of plateaus), so the base and
 //! qual streams crush and a block's one ranged read moves few bytes.
 //!
-//! There is one decoder. [`BalReader::decode_batch`] bulk-decompresses the
-//! four streams into warmed scratch, then one linear walk fills a reusable
-//! [`RecordBatch`] arena (unpacked base codes, bin indices, CIGAR ops;
-//! records as offset+len [`RecordView`]s) with zero per-record
-//! allocations, so the pileup layer stacks bin ids directly instead of
-//! re-deriving them per read. Owned [`Record`]s, for the few consumers
-//! that want whole reads, are materialized from those views
-//! ([`BalReader::records`]). [`SharedBlockCache`] layers run-scoped
-//! decode-once semantics on top for parallel callers whose partitions
-//! straddle block boundaries. See the [`mod@file`] module for the byte
-//! layout.
+//! There is one decoder, in two steps (the [`mod@cursor`] module). A block
+//! is read and its four streams bulk-decompressed into reusable
+//! [`BlockStreams`]; then one validating [`RecordCursor`] walks them in
+//! place, making every per-record check and yielding each record's
+//! position, end, mapq, flags, CIGAR ops and offsets into the packed-base
+//! and bin streams. The pileup engine stacks straight from that cursor and
+//! unpacks 2-bit bases only for the part of each read its region keeps;
+//! no arena is built. [`SharedBlockCache`] shares the decompressed streams
+//! run-wide (decode once) between parallel callers whose partitions
+//! straddle block boundaries, and consumers recycle retired stream and
+//! read buffers through [`BlockBuffers`]. The [`RecordBatch`] arena
+//! (unpacked base codes, bin indices, CIGAR ops; records as offset+len
+//! [`RecordView`]s) is a materialization built on the same cursor, for the
+//! few consumers that want whole reads ([`BalReader::records`]) and the
+//! benchmark's decode pass ([`BalReader::decode_batch`]). See the
+//! [`mod@file`] module for the byte layout.
+//!
+//! In the paper's Figure 2 terms, only reading and decompressing a block
+//! is "decompression" ([`DecodeStats::decode_time`]); the cursor walk is
+//! part of iterating the pileup, as it is in htslib's `bam_plp_auto`.
 //!
 //! # Failure model
 //!
@@ -117,6 +126,7 @@
 pub mod batch;
 pub mod cigar;
 pub mod codec;
+pub mod cursor;
 pub mod file;
 pub mod io;
 pub mod plan;
@@ -124,6 +134,7 @@ pub mod record;
 
 pub use batch::{QualityDict, RecordBatch, RecordView, SharedBlockCache};
 pub use cigar::{Cigar, CigarOp};
+pub use cursor::{unpack_2bit, BlockBuffers, BlockStreams, CigarOps, RecordCursor, StreamRecord};
 pub use file::{BalFile, BalReader, BalWriter, DecodeStats, StreamStats, WriterStats};
 pub use io::fault::{FaultPlan, FaultSource};
 pub use io::{ByteSource, CancelToken, FileFingerprint, Interrupt, IoBudget, StreamFile};

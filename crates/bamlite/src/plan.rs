@@ -8,7 +8,7 @@
 //! re-walking the index per chunk, and what
 //! [`SharedBlockCache::for_plan`](crate::SharedBlockCache::for_plan)
 //! counts to know how many requests each block will receive before its
-//! arena can be released.
+//! streams can be released.
 //!
 //! The plan schedules nothing: a block's payload is read when the first
 //! worker asks the cache for it, by one positioned read under the run's

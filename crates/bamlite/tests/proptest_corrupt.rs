@@ -11,7 +11,9 @@
 //! Mutants that still parse are then drained through the pileup engine:
 //! whatever records a damaged-but-decodable block yields (positions that
 //! jump, blocks out of order), the consumer must see columns or a typed
-//! error, never a panic.
+//! error, never a panic. The pileup validates records lazily, through the
+//! cursor it stacks from, so a block that fails the whole-block decode
+//! must also stop every iterator whose window holds it.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -185,8 +187,11 @@ fn records_outside_their_index_extent_fail_every_decode_path() {
     let err = file.reader().decode_batch(0, &mut batch).unwrap_err();
     assert!(is_extent(&err), "decode_batch: {err}");
     file.reader().decode_batch(1, &mut batch).unwrap();
-    let err = SharedBlockCache::new(file.clone()).get(0).unwrap_err();
-    assert!(is_extent(&err), "shared cache: {err}");
+    // The cache only decompresses; the cursor walk over its streams is
+    // what refuses the record.
+    let (block, _) = SharedBlockCache::new(file.clone()).get(0).unwrap();
+    let err = block.validate().unwrap_err();
+    assert!(is_extent(&err), "shared cache + cursor walk: {err}");
     // The whole file, and a region the forged extent claims block 0 does
     // not reach.
     for (lo, hi) in [(0, 100), (8, 16)] {
@@ -264,16 +269,18 @@ proptest! {
                     plain_ok.push(reader.decode_batch(i, &mut batch).is_ok());
                 }
                 // Cache path: plan the whole extent and consume like a
-                // worker. Nothing may panic, and each block's ok/err
-                // verdict must match the plain path.
+                // worker — decompress through the cache, then walk every
+                // record with a cursor. Nothing may panic, and each
+                // block's ok/err verdict must match the plain path.
                 let plan = IoPlan::for_regions(&disk, std::slice::from_ref(&(0..u32::MAX)));
                 let cache = Arc::new(SharedBlockCache::for_plan(disk.clone(), &plan));
                 for w in plan.windows() {
                     for &b in w.blocks() {
+                        let walked = cache.get(b).and_then(|(block, _)| block.validate());
                         prop_assert_eq!(
-                            cache.get(b).is_ok(),
+                            walked.is_ok(),
                             plain_ok[b],
-                            "block {}: cache verdict diverged",
+                            "block {}: cache + cursor verdict diverged",
                             b
                         );
                     }
@@ -282,6 +289,58 @@ proptest! {
             Err(_) => prop_assert!(!mem_ok, "open rejected a mutant from_bytes parsed"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn mutated_files_stop_the_pileup_on_every_bad_block(
+        raw in prop::collection::vec(record_strategy(), 1..50),
+        block_cap in 1usize..24,
+        kind in 0u8..4,
+        frac in 0.0f64..1.0,
+        value in 0u8..=255,
+        width in 1usize..12,
+        span in (0u32..2_100, 1u32..2_100),
+    ) {
+        // Both pileup sources over a random sub-span of every mutant that
+        // still parses. Nothing may panic, and an iterator whose window
+        // holds a block the whole-block decode refuses must stop with an
+        // error. (It may also stop on cross-block order, which no one
+        // block's decode can see.)
+        let file = build_file(raw, block_cap);
+        let mut bytes = file.as_bytes().expect("writer output is in-memory").to_vec();
+        mutate(&mut bytes, kind, frac, value, width);
+        let Ok(file) = BalFile::from_bytes(Bytes::from(bytes)) else {
+            return Ok(());
+        };
+        let (lo, hi) = (span.0, span.0 + span.1);
+        let mut batch = RecordBatch::new();
+        let mut reader = file.reader();
+        let window = file.blocks_overlapping(lo, hi);
+        let bad_block = window
+            .iter()
+            .any(|&b| reader.decode_batch(b, &mut batch).is_err());
+        let plan = IoPlan::for_regions(&file, std::slice::from_ref(&(lo..hi)));
+        let cache = Arc::new(SharedBlockCache::for_plan(file.clone(), &plan));
+        for (source, mut columns) in [
+            ("pileup_region", pileup_region(&file, lo, hi, PileupParams::default())),
+            (
+                "pileup_region_windowed",
+                pileup_region_windowed(&cache, plan.window(0), PileupParams::default()),
+            ),
+        ] {
+            while let Some(col) = columns.next() {
+                prop_assert!((lo..hi).contains(&col.pos), "{}: column outside the span", source);
+                columns.recycle(col);
+            }
+            let stopped = columns.take_error().is_some();
+            prop_assert!(
+                stopped || !bad_block,
+                "{} over {}..{}: a refused block in the window, no error",
+                source,
+                lo,
+                hi
+            );
+        }
     }
 
     #[test]

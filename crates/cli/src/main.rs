@@ -422,13 +422,14 @@ fn cmd_call(args: &[String]) -> Result<(), String> {
             fs::write(path, vcf).map_err(|e| e.to_string())?;
             println!(
                 "{} records → {path} ({} columns, {:.1}% screened, {} of {} calls certified, \
-                 mean depth {:.0}, {:.1} quality bins/tested column, {} blocks decoded in {:?}, \
-                 source {}, kernel {}, {:?})",
+                 {} window fallbacks, mean depth {:.0}, {:.1} quality bins/tested column, \
+                 {} blocks decoded in {:?}, source {}, kernel {}, {:?})",
                 outcome.records.len(),
                 outcome.stats.columns,
                 outcome.stats.skip_fraction() * 100.0,
                 outcome.stats.certified_calls,
                 outcome.stats.calls,
+                outcome.stats.window_fallbacks,
                 outcome.stats.mean_depth(),
                 outcome.stats.mean_distinct_quals(),
                 outcome.decode.blocks,

@@ -31,6 +31,9 @@ pub struct CallStats {
     /// the certified upper bound: the p-value was proved to be below the
     /// point where QUAL saturates, so the exact kernel did not run.
     pub certified_calls: u64,
+    /// Columns whose exact tail the tilt window could not certify, so the
+    /// kernel re-ran it over the full range (same p-value, more work).
+    pub window_fallbacks: u64,
     /// Columns whose pileup hit the depth cap.
     pub truncated_columns: u64,
     /// Σ depth over examined columns.
@@ -51,6 +54,7 @@ impl CallStats {
         self.exact_completed += other.exact_completed;
         self.calls += other.calls;
         self.certified_calls += other.certified_calls;
+        self.window_fallbacks += other.window_fallbacks;
         self.truncated_columns += other.truncated_columns;
         self.sum_depth += other.sum_depth;
         self.sum_distinct_quals += other.sum_distinct_quals;
@@ -159,7 +163,9 @@ pub(crate) fn examine_column(
     }
     stats.sum_depth += column.depth() as u64;
     let ref_base = reference.base(column.pos as usize);
+    let fallbacks = scratch.window_fallbacks();
     let decision = tester.test(column, ref_base, scratch);
+    stats.window_fallbacks += scratch.window_fallbacks() - fallbacks;
     if !matches!(decision, ColumnDecision::NoMismatch) {
         // `test` filled the bins for every mismatch column; reading their
         // count here avoids a second histogram scan.

@@ -230,12 +230,12 @@ impl CallDriver {
         let alignments = alignments.clone().with_budget(Arc::clone(&budget));
         let chunks = chunk_ranges(region.start, region.end, chunk_columns);
         let recorder = self.trace.then(|| TraceRecorder::new(n_threads));
-        // Decode-once block sharing: every worker pulls decoded arenas
-        // from one run-scoped cache, so chunk boundaries cost nothing
+        // Decode-once block sharing: every worker pulls decompressed
+        // blocks from one run-scoped cache, so chunk boundaries cost nothing
         // extra. The plan gives every chunk its block window (so workers
         // iterate precomputed windows instead of each re-walking the
         // index) and tells the cache how many chunks will request each
-        // block, so it releases an arena once the last one has consumed
+        // block, so it releases a block once the last one has consumed
         // it — residency is bounded by in-flight chunks, not the file.
         let plan = IoPlan::for_regions(&alignments, &chunks);
         let cache = Arc::new(SharedBlockCache::for_plan(alignments.clone(), &plan));
@@ -398,7 +398,10 @@ impl CallOutcome {
 /// **performed** — shared-cache hits cost (and record) nothing — so
 /// summing the decompress spans across threads reconstructs the true
 /// decode total, fixing the double counting that per-worker boundary-block
-/// re-decodes used to inject into the Figure 2 reconstruction.
+/// re-decodes used to inject into the Figure 2 reconstruction. Decode work
+/// is reading a block and decompressing its streams; walking the records
+/// (the cursor's checks, unpacking the kept bases) happens as the pileup
+/// stacks them and lands in [`Category::BamIter`].
 #[allow(clippy::too_many_arguments)]
 fn call_chunk_traced(
     reference: &ReferenceGenome,

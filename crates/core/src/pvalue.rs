@@ -34,6 +34,12 @@ impl Scratch {
     pub fn new() -> Scratch {
         Scratch::default()
     }
+
+    /// Columns tested through this scratch whose exact tail fell back from
+    /// the tilt window to the full range.
+    pub(crate) fn window_fallbacks(&self) -> u64 {
+        self.dp.window_fallbacks()
+    }
 }
 
 /// How a column's test concluded.

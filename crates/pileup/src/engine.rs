@@ -1,6 +1,6 @@
 //! The streaming pileup iterator.
 //!
-//! Records arrive position-sorted from a [`BalReader`] (blocks decoded
+//! Records arrive position-sorted from a block cursor (blocks read
 //! lazily); a ring of in-flight columns receives bases from every read that
 //! overlaps them; a column is emitted as soon as no unread record can still
 //! touch it (i.e. the next record starts past it). Peak memory is
@@ -10,13 +10,15 @@
 //! # The `M`-run kernel
 //!
 //! A record is stacked one CIGAR op at a time, not one base at a time.
-//! Each `M` run is clamped to the region once; its bases, quality-bin
-//! indices and the ring columns it covers are then consecutive, so the
-//! inner loop zips three slices: the ring is split at its wrap point once
-//! per run ([`VecDeque::as_mut_slices`]), and each base is one `min_baseq`
-//! compare and one counter increment at `group * n_bins + bin` — the
-//! column is keyed by the file's quality dictionary, so the bin the
-//! decoder produced is the counter index (see [`crate::column`]).
+//! Each `M` run is clamped to the region once; its packed bases,
+//! quality-bin indices and the ring columns it covers are then
+//! consecutive. The run's bases are unpacked into a stack buffer (up to
+//! 128 at a time), so the inner loop zips three slices: the ring is split
+//! at its wrap point once per run ([`VecDeque::as_mut_slices`]), and each
+//! base is one `min_baseq` compare and one counter increment at
+//! `group * n_bins + bin` — the column is keyed by the file's quality
+//! dictionary, so the bin the decoder produced is the counter index (see
+//! [`crate::column`]).
 //!
 //! **The depth cap is checked once per record.** A record adds at most one
 //! base to any column (its `M` runs cover disjoint reference positions),
@@ -31,19 +33,28 @@
 //!
 //! # Ingest paths
 //!
-//! Two sources feed the one kernel, both producing **bitwise-identical**
-//! columns (same counts, same depth-cap decisions):
+//! The iterator stacks straight from a block's decompressed streams
+//! ([`BlockStreams`]): a [`RecordCursor`] walks them in place, checking
+//! each record as it yields it, and the kernel unpacks 2-bit bases (a
+//! 256-entry table into a stack buffer) only for the part of each `M` run
+//! clamped into the region. No record arena is built. Two sources supply
+//! the streams, and both produce **bitwise-identical** columns (same
+//! counts, same depth-cap decisions):
 //!
-//! * **Batch** ([`pileup_region`]) — blocks decode into a reusable
-//!   [`RecordBatch`] arena via [`BalReader::decode_batch`], and a batch
-//!   freelist mirrors the column freelist so steady state performs zero
-//!   allocations.
-//! * **Shared** ([`pileup_region_windowed`]) — batches come from a
+//! * **Private** ([`pileup_region`]) — the iterator reads and decompresses
+//!   its blocks through its own reader.
+//! * **Shared** ([`pileup_region_windowed`]) — blocks come from a
 //!   run-scoped [`SharedBlockCache`], so parallel workers whose chunks
-//!   straddle a block boundary decode that block exactly once per run.
-//!   The iterator walks a precomputed region-scoped [`BlockWindow`] from
-//!   the run's [`ultravc_bamlite::IoPlan`] instead of re-deriving the
-//!   overlap.
+//!   straddle a block boundary read and decompress that block exactly
+//!   once per run. The iterator walks a precomputed region-scoped
+//!   [`BlockWindow`] from the run's [`ultravc_bamlite::IoPlan`] instead
+//!   of re-deriving the overlap.
+//!
+//! Either way the iterator keeps one [`BlockBuffers`]: the payload read
+//! buffer, and the stream buffers of each block it was the last to hold,
+//! are reused for the next block, so a warmed iterator reads blocks
+//! without allocating. [`PileupIter::decode_stats`] times the read and
+//! the decompression only; the cursor walk is iteration.
 //!
 //! # Hostile input
 //!
@@ -51,14 +62,17 @@
 //! across blocks nothing in the container guarantees it. The iterator
 //! checks each record against its predecessor and stops with a typed
 //! [`BalError::Corrupt`] (see [`PileupIter::take_error`]) rather than
-//! let an out-of-order record reach behind the ring's emission front.
+//! let an out-of-order record reach behind the ring's emission front. A
+//! record that fails the cursor's checks stops it the same way — after
+//! the block's earlier records were stacked, which a caller must treat
+//! as the region failing, as the driver does.
 
 use crate::column::PileupColumn;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use ultravc_bamlite::{
-    BalError, BalFile, BalReader, BlockWindow, CigarOp, DecodeStats, QualityDict, RecordBatch,
-    RecordView, SharedBlockCache,
+    unpack_2bit, BalError, BalFile, BalReader, BlockBuffers, BlockStreams, BlockWindow, CigarOp,
+    DecodeStats, QualityDict, RecordCursor, SharedBlockCache, StreamRecord,
 };
 
 /// Pileup configuration, mirroring LoFreq's relevant defaults.
@@ -92,18 +106,13 @@ impl Default for PileupParams {
 /// file bytes but decode independently. (For decode-once sharing across
 /// workers, see [`pileup_region_windowed`].)
 pub fn pileup_region(file: &BalFile, start: u32, end: u32, params: PileupParams) -> PileupIter {
-    let source = Source::Batch {
-        cur: None,
-        cursor: 0,
-        spare: Vec::new(),
-    };
     let blocks = file.blocks_overlapping(start, end);
-    PileupIter::with_blocks(file, blocks.into(), start, end, params, source)
+    PileupIter::with_blocks(file, blocks.into(), start, end, params, None)
 }
 
 /// Stream pileup columns for one **precomputed block window** of a
-/// run-level [`ultravc_bamlite::IoPlan`], pulling decoded blocks from the
-/// run's shared cache: each block is decoded by exactly one of the
+/// run-level [`ultravc_bamlite::IoPlan`], pulling decompressed blocks from
+/// the run's shared cache: each block is read by exactly one of the
 /// iterators sharing the cache, no matter how many of their regions
 /// overlap it. The iterator touches exactly the window's blocks (its
 /// region's own blocks plus shared boundary blocks) instead of
@@ -121,18 +130,13 @@ pub fn pileup_region_windowed(
         cache.file().blocks_overlapping(region.start, region.end),
         "window was planned against a different file"
     );
-    let source = Source::Shared {
-        cache: Arc::clone(cache),
-        cur: None,
-        cursor: 0,
-    };
     PileupIter::with_blocks(
         cache.file(),
         window.blocks_shared(),
         region.start,
         region.end,
         params,
-        source,
+        Some(Arc::clone(cache)),
     )
 }
 
@@ -142,35 +146,28 @@ pub fn pileup_region_windowed(
 /// thousands of columns.
 const FREELIST_CAP: usize = 256;
 
-/// Upper bound on retained spare record batches. One batch is in flight at
-/// a time, so the freelist cycles a single arena in steady state; the cap
-/// only guards against misuse.
-const BATCH_FREELIST_CAP: usize = 4;
-
-/// Where decoded records come from.
-enum Source {
-    /// Arena batches decoded by this iterator, recycled through a
-    /// freelist.
-    Batch {
-        cur: Option<RecordBatch>,
-        cursor: usize,
-        spare: Vec<RecordBatch>,
-    },
-    /// Arena batches decoded at most once per run by whichever sharing
-    /// iterator gets there first.
-    Shared {
-        cache: Arc<SharedBlockCache>,
-        cur: Option<Arc<RecordBatch>>,
-        cursor: usize,
-    },
-}
+/// Bases unpacked per kernel call: a clamped `M` run longer than this is
+/// stacked in pieces through one stack buffer.
+const RUN_CHUNK: usize = 128;
 
 /// Iterator over non-empty pileup columns of a region, in position order.
 pub struct PileupIter {
+    /// Reads the private source's blocks; its stats are this iterator's
+    /// own decode work on that source.
     reader: BalReader,
+    /// The shared source, when there is one: blocks come from the run's
+    /// decode-once cache instead of `reader`.
+    cache: Option<Arc<SharedBlockCache>>,
     blocks: Arc<[usize]>,
     next_block: usize,
-    source: Source,
+    /// The block being walked, and the cursor walking it.
+    block: Option<Arc<BlockStreams>>,
+    cursor: RecordCursor,
+    /// The next undelivered record of `block`, already read off the
+    /// cursor (the iterator peeks at its position before absorbing it).
+    pending: Option<StreamRecord>,
+    /// Read buffer and retired stream buffers, reused block to block.
+    bufs: BlockBuffers,
     /// The file's quality dictionary.
     dict: Arc<QualityDict>,
     /// Bins `>= bin_cutoff` fail the `min_baseq` filter (the dictionary
@@ -212,15 +209,19 @@ impl PileupIter {
         start: u32,
         end: u32,
         params: PileupParams,
-        source: Source,
+        cache: Option<Arc<SharedBlockCache>>,
     ) -> Self {
         let dict = Arc::clone(file.quality_dict());
         let bin_cutoff = dict.bins_at_least(params.min_baseq);
         PileupIter {
             reader: file.reader(),
+            cache,
             blocks,
             next_block: 0,
-            source,
+            block: None,
+            cursor: RecordCursor::default(),
+            pending: None,
+            bufs: BlockBuffers::new(),
             dict,
             bin_cutoff,
             ring: VecDeque::new(),
@@ -238,7 +239,8 @@ impl PileupIter {
     }
 
     /// The first error, if the iterator stopped on one: a block that failed
-    /// to decode, or records out of position order.
+    /// to read or decompress, a record that failed the cursor's checks, or
+    /// records out of position order.
     pub fn error(&self) -> Option<&BalError> {
         self.error.as_ref()
     }
@@ -261,10 +263,10 @@ impl PileupIter {
         }
     }
 
-    /// Decode accounting: blocks this iterator decoded itself (through its
-    /// reader or as the first requester of a shared-cache slot). Cache
-    /// hits contribute nothing here, which is what lets per-worker stats
-    /// sum to the true whole-run decode work.
+    /// Decode accounting: blocks this iterator read and decompressed
+    /// itself (through its reader or as the first requester of a
+    /// shared-cache slot). Cache hits contribute nothing here, which is
+    /// what lets per-worker stats sum to the true whole-run decode work.
     pub fn decode_stats(&self) -> DecodeStats {
         let mut stats = self.reader.stats();
         stats.merge(&self.shared_stats);
@@ -278,24 +280,22 @@ impl PileupIter {
     }
 
     /// Position of the next undelivered record, pulling in blocks as
-    /// needed. `None` when the region's records are exhausted (or a decode
-    /// error stopped the iterator — see [`PileupIter::error`]).
+    /// needed. `None` when the region's records are exhausted (or an error
+    /// stopped the iterator — see [`PileupIter::error`]).
+    #[inline]
     fn ensure_record(&mut self) -> Option<u32> {
         loop {
-            match &self.source {
-                Source::Batch { cur, cursor, .. } => {
-                    if let Some(batch) = cur {
-                        if *cursor < batch.len() {
-                            return Some(batch.pos(*cursor));
-                        }
+            if let Some(rec) = &self.pending {
+                return Some(rec.pos);
+            }
+            if let Some(block) = &self.block {
+                match self.cursor.next(block) {
+                    Ok(Some(rec)) => {
+                        self.pending = Some(rec);
+                        return Some(rec.pos);
                     }
-                }
-                Source::Shared { cur, cursor, .. } => {
-                    if let Some(batch) = cur {
-                        if *cursor < batch.len() {
-                            return Some(batch.pos(*cursor));
-                        }
-                    }
+                    Ok(None) => {}
+                    Err(e) => return self.stop(e),
                 }
             }
             if self.next_block >= self.blocks.len() {
@@ -304,54 +304,46 @@ impl PileupIter {
             let block_id = self.blocks[self.next_block];
             self.next_block += 1;
             if let Err(e) = self.refill(block_id) {
-                self.error = Some(e);
-                self.done = true;
-                return None;
+                return self.stop(e);
             }
         }
     }
 
-    /// Pull block `block_id` into the source.
+    /// Stop on `error`; the ring still drains.
+    #[cold]
+    fn stop(&mut self, error: BalError) -> Option<u32> {
+        self.error = Some(error);
+        self.done = true;
+        None
+    }
+
+    /// Retire the walked block and pull block `block_id` in its place.
     fn refill(&mut self, block_id: usize) -> Result<(), BalError> {
-        let Self {
-            reader,
-            source,
-            shared_stats,
-            cache_hits,
-            ..
-        } = self;
-        match source {
-            Source::Batch { cur, cursor, spare } => {
-                // Retire the exhausted batch to the freelist, then decode
-                // into a spare arena (or a fresh one on cold start).
-                if let Some(prev) = cur.take() {
-                    if spare.len() < BATCH_FREELIST_CAP {
-                        spare.push(prev);
-                    }
-                }
-                let mut batch = spare.pop().unwrap_or_default();
-                reader.decode_batch(block_id, &mut batch)?;
-                *cur = Some(batch);
-                *cursor = 0;
-            }
-            Source::Shared { cache, cur, cursor } => {
-                let (batch, performed) = cache.get(block_id)?;
-                match performed {
-                    Some(stats) => shared_stats.merge(&stats),
-                    None => *cache_hits += 1,
-                }
-                *cur = Some(batch);
-                *cursor = 0;
-            }
+        if let Some(done) = self.block.take() {
+            self.bufs.recycle(done);
         }
+        let block = match &self.cache {
+            None => self.reader.read_block(block_id, &mut self.bufs)?,
+            Some(cache) => {
+                let (block, performed) = cache.get_with(block_id, &mut self.bufs)?;
+                match performed {
+                    Some(stats) => self.shared_stats.merge(&stats),
+                    None => self.cache_hits += 1,
+                }
+                block
+            }
+        };
+        self.cursor = block.cursor();
+        self.block = Some(block);
         Ok(())
     }
 
-    /// Fold the current record's aligned bases into the ring and advance
-    /// past it. Must follow a successful [`PileupIter::ensure_record`].
-    fn absorb_current(&mut self) {
+    /// Fold the pending record's aligned bases into the ring. Must follow
+    /// a successful [`PileupIter::ensure_record`].
+    fn absorb_pending(&mut self) {
         let Self {
-            source,
+            block,
+            pending,
             ring,
             depth_bound,
             free,
@@ -362,22 +354,16 @@ impl PileupIter {
             bin_cutoff,
             ..
         } = self;
-        let (view, cursor) = match source {
-            Source::Batch { cur, cursor, .. } => {
-                (cur.as_ref().expect("ensured batch").view(*cursor), cursor)
-            }
-            Source::Shared { cur, cursor, .. } => {
-                (cur.as_ref().expect("ensured batch").view(*cursor), cursor)
-            }
-        };
-        *cursor += 1;
-        absorb_view(
+        let rec = pending.take().expect("ensured record");
+        let block = block.as_deref().expect("ensured record's block");
+        absorb_record(
             ring,
             depth_bound,
             free,
             params,
             *start..*end,
-            view,
+            &rec,
+            block,
             dict,
             *bin_cutoff,
         );
@@ -424,24 +410,26 @@ fn ensure_span(
 }
 
 /// Stack one record with the `M`-run kernel (see the module docs): walk
-/// its CIGAR ops, clamp each `M` run to `region`, and stack the run's bin
-/// indices into consecutive ring columns, capped per base only when
-/// `depth_bound` says a column may be at `max_depth`.
+/// its CIGAR ops, clamp each `M` run to `region`, and stack the run's
+/// bases and bin indices into consecutive ring columns, capped per base
+/// only when `depth_bound` says a column may be at `max_depth`.
 #[allow(clippy::too_many_arguments)]
-fn absorb_view(
+#[inline]
+fn absorb_record(
     ring: &mut VecDeque<PileupColumn>,
     depth_bound: &mut usize,
     free: &mut Vec<PileupColumn>,
     params: &PileupParams,
     region: std::ops::Range<u32>,
-    view: RecordView<'_>,
+    rec: &StreamRecord,
+    block: &BlockStreams,
     dict: &Arc<QualityDict>,
     bin_cutoff: u8,
 ) {
-    if params.skip_flagged && view.flags().is_filtered() {
+    if params.skip_flagged && rec.flags.is_filtered() {
         return;
     }
-    if view.mapq() < params.min_mapq {
+    if rec.mapq < params.min_mapq {
         return;
     }
     // The ring covers the record's whole reference span clamped into the
@@ -450,8 +438,8 @@ fn absorb_view(
     // deletion) must not leave the front past a column that the next
     // record, starting at the same position, still stacks into. Columns
     // covered but never filled are skipped on emission.
-    let first = view.pos().max(region.start);
-    let last = view.end_pos().min(region.end);
+    let first = rec.pos.max(region.start);
+    let last = rec.end_pos.min(region.end);
     if first >= last {
         return;
     }
@@ -465,18 +453,18 @@ fn absorb_view(
     // One base per column at most: the bound stays a bound.
     *depth_bound += 1;
     let kernel = RunKernel {
-        strand: usize::from(view.flags().is_reverse()) << 2,
+        strand: usize::from(rec.flags.is_reverse()) << 2,
         n_bins: dict.len(),
         bin_cutoff,
         cap,
     };
     let front_pos = ring.front().expect("span is non-empty").pos;
     let (head, tail) = ring.as_mut_slices();
-    let (bases, bins) = (view.base_codes(), view.bin_indices());
-    // Decode validated `pos + Σ ref_len` and `Σ query_len = read_len`, so
-    // neither cursor overflows and every run slice is in bounds.
-    let (mut ref_pos, mut query) = (view.pos(), 0usize);
-    for &op in view.cigar_ops() {
+    let (packed, bins) = (block.packed_bases(rec), block.bins(rec));
+    // The cursor validated `pos + Σ ref_len` and `Σ query_len = read_len`,
+    // so neither cursor overflows and every run slice is in bounds.
+    let (mut ref_pos, mut query) = (rec.pos, 0usize);
+    for op in block.ops(rec) {
         match op {
             CigarOp::Match(n) => {
                 let lo = ref_pos.max(region.start);
@@ -490,7 +478,8 @@ fn absorb_view(
                     if in_head > 0 {
                         kernel.stack(
                             &mut head[col..col + in_head],
-                            &bases[q..q + in_head],
+                            packed,
+                            q,
                             &bins[q..q + in_head],
                         );
                     }
@@ -498,7 +487,8 @@ fn absorb_view(
                         let t = col + in_head - head.len();
                         kernel.stack(
                             &mut tail[t..t + len - in_head],
-                            &bases[q + in_head..q + len],
+                            packed,
+                            q + in_head,
                             &bins[q + in_head..q + len],
                         );
                     }
@@ -525,12 +515,23 @@ struct RunKernel {
 }
 
 impl RunKernel {
-    /// Stack one clamped `M` run: `bases[i]` / `bins[i]` land on `cols[i]`.
+    /// Stack one clamped `M` run: read base `q + i` of the 2-bit `packed`
+    /// read, with bin `bins[i]`, lands on `cols[i]`. The bases are
+    /// unpacked [`RUN_CHUNK`] at a time into a stack buffer.
     #[inline]
-    fn stack(&self, cols: &mut [PileupColumn], bases: &[u8], bins: &[u8]) {
-        match self.cap {
-            None => self.stack_run::<false>(cols, bases, bins, 0),
-            Some(max_depth) => self.stack_run::<true>(cols, bases, bins, max_depth),
+    fn stack(&self, cols: &mut [PileupColumn], packed: &[u8], q: usize, bins: &[u8]) {
+        let mut buf = [0u8; RUN_CHUNK];
+        for (i, (cols, bins)) in cols
+            .chunks_mut(RUN_CHUNK)
+            .zip(bins.chunks(RUN_CHUNK))
+            .enumerate()
+        {
+            let bases = &mut buf[..cols.len()];
+            unpack_2bit(packed, q + i * RUN_CHUNK, bases);
+            match self.cap {
+                None => self.stack_run::<false>(cols, bases, bins, 0),
+                Some(max_depth) => self.stack_run::<true>(cols, bases, bins, max_depth),
+            }
         }
     }
 
@@ -583,7 +584,7 @@ impl Iterator for PileupIter {
                                 break;
                             }
                             self.last_pos = p;
-                            self.absorb_current();
+                            self.absorb_pending();
                         } else {
                             break;
                         }
@@ -616,7 +617,7 @@ impl Iterator for PileupIter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ultravc_bamlite::{Cigar, Flags, Record};
+    use ultravc_bamlite::{BalWriter, Cigar, Flags, Record};
     use ultravc_genome::alphabet::Base;
     use ultravc_genome::phred::Phred;
     use ultravc_genome::sequence::Seq;
@@ -914,7 +915,7 @@ mod tests {
     #[test]
     fn windowed_pileup_matches_cached_and_plain() {
         // The driver's pairing: a cache scoped to the plan, which releases
-        // each arena after its last planned consumer.
+        // each block after its last planned consumer.
         use ultravc_bamlite::IoPlan;
         let f = file(varied_records());
         let params = PileupParams::default();
@@ -938,7 +939,7 @@ mod tests {
             f.n_blocks() as u64,
             "windowed iterators keep decode-once"
         );
-        assert_eq!(cache.resident_blocks(), 0, "every arena was released");
+        assert_eq!(cache.resident_blocks(), 0, "every block was released");
     }
 
     #[test]
@@ -967,6 +968,154 @@ mod tests {
             assert_eq!(g.quality_bins(), w.quality_bins());
             assert_eq!(g.n_bins(), b.quality_dict().len());
         }
+    }
+
+    /// Naive stacker: every record's aligned bases, one at a time, onto
+    /// per-position columns — no ring, cursor, `M`-run kernel or 2-bit
+    /// unpacking.
+    fn naive_columns(
+        records: &[Record],
+        region: std::ops::Range<u32>,
+        params: PileupParams,
+    ) -> Vec<PileupColumn> {
+        let mut columns = std::collections::BTreeMap::new();
+        for r in records {
+            if (params.skip_flagged && r.flags.is_filtered()) || r.mapq < params.min_mapq {
+                continue;
+            }
+            for (rp, base, qual) in r.aligned_bases() {
+                if region.contains(&rp) && qual.0 >= params.min_baseq {
+                    let entry = crate::column::PileupEntry {
+                        base,
+                        qual,
+                        reverse: r.flags.is_reverse(),
+                    };
+                    columns
+                        .entry(rp)
+                        .or_insert_with(|| PileupColumn::new(rp))
+                        .push_capped(entry, params.max_depth);
+                }
+            }
+        }
+        columns.into_values().filter(|c| !c.is_empty()).collect()
+    }
+
+    #[test]
+    fn regions_at_every_read_phase_match_a_naive_stacker() {
+        // Odd read lengths, and CIGARs that put soft clips, insertions and
+        // deletions ahead of where a region clamps the `M` run, so the
+        // clamp lands on every 2-bit phase of the packed read in both
+        // reference and query coordinates.
+        let shapes = [
+            "13M",
+            "3S10M",
+            "2M2I9M",
+            "4M3D9M",
+            "1S3M1I4M2D4M",
+            "27M",
+            "5S95M1S",
+        ];
+        let mut records = Vec::new();
+        for (i, shape) in shapes.iter().enumerate() {
+            let cigar = Cigar::parse(shape).unwrap();
+            let n = cigar.query_len() as usize;
+            let bases: Vec<u8> = (0..n).map(|j| b"ACGTTGCA"[(i + j * 3) % 8]).collect();
+            let quals: Vec<Phred> = (0..n)
+                .map(|j| Phred::new(2 + ((i * 7 + j * 5) % 39) as u8))
+                .collect();
+            let flags = if i % 2 == 1 {
+                Flags::REVERSE
+            } else {
+                Flags::none()
+            };
+            let seq = Seq::from_ascii(&bases).unwrap();
+            records.push(
+                Record::new(i as u64, 100 + i as u32 % 3, 60, flags, seq, quals, cigar).unwrap(),
+            );
+        }
+        records.sort_by_key(|r| r.pos);
+        for (i, r) in records.iter_mut().enumerate() {
+            r.id = i as u64;
+        }
+        let mut w = BalWriter::with_block_capacity(3);
+        for r in records.iter().cloned() {
+            w.push(r).unwrap();
+        }
+        let f = w.finish();
+        let stored = f.reader().records().unwrap();
+        assert_eq!(stored, records);
+        let params = PileupParams {
+            min_baseq: 0,
+            ..PileupParams::default()
+        };
+        for offset in 0..16u32 {
+            for width in [1u32, 2, 3, 5, 9, 40, 200] {
+                let region = 100 + offset..100 + offset + width;
+                let want = naive_columns(&stored, region.clone(), params);
+                let plain: Vec<_> = pileup_region(&f, region.start, region.end, params).collect();
+                assert_eq!(plain, want, "pileup_region over {region:?}");
+                let cache = Arc::new(SharedBlockCache::new(f.clone()));
+                let shared: Vec<_> = windowed(&cache, std::slice::from_ref(&region), params)
+                    .remove(0)
+                    .collect();
+                assert_eq!(shared, want, "pileup_region_windowed over {region:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn warmed_iterator_reuses_its_buffers() {
+        // The first block holds the longest reads, so every later block
+        // fits the buffers it warmed: a reused buffer keeps the first
+        // block's capacity, a fresh one would shrink to its own block.
+        let mut w = BalWriter::with_block_capacity(8);
+        for i in 0..64u32 {
+            let len = if i < 8 { 90 } else { 30 };
+            let bases: Vec<u8> = (0..len).map(|j| b"ACGT"[((i + j) % 4) as usize]).collect();
+            let seq = Seq::from_ascii(&bases).unwrap();
+            let quals = (0..len).map(|j| Phred::new(10 + (j % 30) as u8)).collect();
+            w.push(Record::full_match(i as u64, i, 60, Flags::none(), seq, quals).unwrap())
+                .unwrap();
+        }
+        let path =
+            std::env::temp_dir().join(format!("ultravc-engine-warmed-{}.bal", std::process::id()));
+        w.finish().write_to(&path).unwrap();
+        let disk = BalFile::open(&path).unwrap();
+        let index = disk.index();
+        assert!(index[1..].iter().all(|m| m.len < index[0].len));
+        let params = PileupParams::default();
+        let plan = ultravc_bamlite::IoPlan::for_regions(&disk, std::slice::from_ref(&(0..200)));
+        let cache = Arc::new(SharedBlockCache::for_plan(disk.clone(), &plan));
+        for (what, mut iter) in [
+            ("pileup_region", pileup_region(&disk, 0, 200, params)),
+            (
+                "pileup_region_windowed",
+                pileup_region_windowed(&cache, plan.window(0), params),
+            ),
+        ] {
+            let mut warmed = None;
+            let mut blocks_seen = 0;
+            while let Some(col) = iter.next() {
+                iter.recycle(col);
+                let streams = iter.block.as_ref().map_or(0, |b| b.capacity());
+                let caps = (streams, iter.bufs.read_capacity());
+                match iter.next_block {
+                    1 => warmed = Some(caps),
+                    n => {
+                        assert_eq!(Some(caps), warmed, "{what}: block {}", n - 1);
+                        blocks_seen = n;
+                    }
+                }
+            }
+            assert!(iter.take_error().is_none());
+            assert_eq!(blocks_seen, disk.n_blocks(), "{what}: every block walked");
+            let (streams, read) = warmed.expect("block 0 was read");
+            assert!(
+                streams > 0 && read >= index[0].len,
+                "{what}: {streams} / {read}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

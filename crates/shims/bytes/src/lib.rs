@@ -129,14 +129,17 @@ pub trait Buf {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         *self = &self[n..];
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }

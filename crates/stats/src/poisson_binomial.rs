@@ -583,6 +583,7 @@ fn tail_windowed(
     };
     match (outcome, tilt) {
         (TailOutcome::Exact(tail), Some(tilt)) if !tilt.certifies(tail, fold.dropped) => {
+            scratch.window_fallbacks += 1;
             let (outcome, _) = fold_column(kernels, bins, k, budget, scratch, None);
             (
                 outcome,
@@ -662,12 +663,23 @@ pub struct BinnedTailScratch {
     /// Per-output rounding-error compensators for the vector convolution
     /// (the scalar backend keeps its compensator in a register instead).
     comp: AlignedF64,
+    /// Columns whose windowed tail the certificate did not accept, so the
+    /// kernel re-ran them over the full range (see [`Self::window_fallbacks`]).
+    window_fallbacks: u64,
 }
 
 impl BinnedTailScratch {
     /// Fresh scratch (buffers allocate lazily on first use).
     pub fn new() -> BinnedTailScratch {
         BinnedTailScratch::default()
+    }
+
+    /// How many columns run through this scratch fell back from the tilt
+    /// window to a full-range fold because the certificate did not hold
+    /// the windowed tail to its gap. The outcome is exact either way; a
+    /// fallback only costs the full-range work the window exists to save.
+    pub fn window_fallbacks(&self) -> u64 {
+        self.window_fallbacks
     }
 
     fn reset(&mut self, k: usize) {

@@ -13,10 +13,11 @@ pub enum Category {
     ProbCompute,
     /// The `O(d)` approximation screen (cheap, but worth seeing).
     ApproxFilter,
-    /// Iterating alignment records into pileup columns (the teal band).
+    /// Iterating alignment records into pileup columns (the teal band),
+    /// including the record cursor's walk over decompressed blocks.
     BamIter,
-    /// Block decoding (the light-blue band at the left of the paper's
-    /// trace).
+    /// Reading and decompressing blocks (the light-blue band at the left
+    /// of the paper's trace).
     Decompress,
     /// End-of-region barrier idleness (the dark-green band at the right).
     Barrier,

@@ -43,7 +43,7 @@ fn sample_file(n: usize, block_cap: usize) -> BalFile {
 }
 
 /// Three consumers race for the same cache slot: the block must decode
-/// exactly once, every consumer must get the same arena, and the
+/// exactly once, every consumer must get the same streams, and the
 /// decoded-block counter must agree.
 #[test]
 fn cache_slot_decodes_exactly_once() {
@@ -56,8 +56,8 @@ fn cache_slot_decodes_exactly_once() {
                 .map(|_| {
                     let cache = Arc::clone(&cache);
                     thread::spawn(move || {
-                        let (batch, performed) = cache.get(0).expect("decode block 0");
-                        (batch.len(), performed.is_some())
+                        let (block, performed) = cache.get(0).expect("decode block 0");
+                        (block.len(), performed.is_some())
                     })
                 })
                 .collect();
@@ -67,7 +67,7 @@ fn cache_slot_decodes_exactly_once() {
                 .collect();
             let decodes = results.iter().filter(|(_, performed)| *performed).count();
             assert_eq!(decodes, 1, "slot 0 decoded {decodes} times, want exactly 1");
-            assert!(results.iter().all(|(len, _)| *len == 2), "torn batch view");
+            assert!(results.iter().all(|(len, _)| *len == 2), "torn block view");
             assert_eq!(cache.decoded_blocks(), 1);
         });
     // The DFS is exhaustive here: three consumers, each taking the slot

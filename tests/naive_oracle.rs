@@ -704,7 +704,17 @@ fn noisy_shape_matches_the_oracle() {
             .with_variants(100, 0.02, 0.20)
     });
     let whole = 0..1_500;
-    let (_, oracle) = pinned("noisy", &noisy, PileupParams::default(), &[whole], false);
+    let (runs, oracle) = pinned("noisy", &noisy, PileupParams::default(), &[whole], false);
+    // The tilt window certifies every exact tail here: a fallback to the
+    // full range keeps the p-value but means a trim or certificate
+    // regressed.
+    for run in &runs {
+        assert_eq!(
+            run.outcome.stats.window_fallbacks, 0,
+            "noisy: {} re-ran columns over the full range",
+            run.name
+        );
+    }
     // A tilt applies at K ≥ SMALL_K_THRESHOLD (16) with K above the mean.
     let windowed = oracle
         .iter()
