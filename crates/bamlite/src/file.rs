@@ -538,10 +538,9 @@ impl BalFile {
         self
     }
 
-    /// The same file with payload reads supervised by `budget`: transient
-    /// failures are retried with capped backoff, cancellation/deadline
-    /// interrupt reads promptly. Shared via `Arc` so every thread's clone
-    /// draws on one retry/interrupt state.
+    /// The same file with payload reads supervised by `budget`: a
+    /// cancellation or an expired deadline stops the next read. Shared via
+    /// `Arc` so every thread's clone sees one interrupt state.
     pub fn with_budget(mut self, budget: Arc<IoBudget>) -> BalFile {
         self.budget = Some(budget);
         self
@@ -639,20 +638,10 @@ impl BalFile {
         meta: &BlockMeta,
         buf: Vec<u8>,
     ) -> Result<Cow<'_, [u8]>, BalError> {
-        match &self.budget {
-            None => self.source.slice_into(meta.offset, meta.len, buf),
-            // Retries happen *below* the block cache: a transient fault
-            // retried away here never reaches a cache slot, so it cannot
-            // be cached as a permanent failure. A failed attempt drops the
-            // buffer; the retry reads into a fresh one.
-            Some(b) => {
-                let mut buf = Some(buf);
-                b.run_io(|| {
-                    self.source
-                        .slice_into(meta.offset, meta.len, buf.take().unwrap_or_default())
-                })
-            }
+        if let Some(b) = &self.budget {
+            b.check()?;
         }
+        self.source.slice_into(meta.offset, meta.len, buf)
     }
 
     /// Largest exclusive end position across all records (0 when empty) —

@@ -12,10 +12,12 @@
 //! descriptor and each block payload is fetched by a single ranged read
 //! when a decoder asks for it, so resident memory is one compressed
 //! block per reader however large the file is, and every fault the
-//! device can produce arrives as an error a `read` returned — which the
-//! run's [`IoBudget`] can retry, time out or cancel, and the driver can
-//! contain per region. A file truncated by a concurrent writer is the
-//! same: a failed read, [`BalError::Corrupt`].
+//! device can produce arrives as an error a `read` returned. That error
+//! is final: it fails the region whose read hit it, and the driver
+//! contains it there. `EINTR` and short transfers are not faults — the
+//! positioned-read loop ([`StreamFile`]) continues through both. A file
+//! truncated by a concurrent writer is a failed read too,
+//! [`BalError::Corrupt`].
 //!
 //! Both backings hand out block payloads through [`ByteSource::slice`],
 //! which bounds-checks every request against the source length — a
@@ -25,20 +27,20 @@
 //! # Supervision and faults
 //!
 //! Two additions serve the run supervisor (see the crate-level "Failure
-//! model" section): [`CancelToken`]/[`IoBudget`] carry deadlines,
-//! cancellation and the retry/backoff policy into every I/O entry point
-//! ([`IoBudget::run_io`]), and the [`fault`] submodule provides
-//! [`ByteSource::Fault`] — a deterministic, seeded fault-injection
-//! wrapper over either real backing, so the retry and containment paths
-//! are testable with replayable failure schedules.
+//! model" section): [`CancelToken`]/[`IoBudget`] carry deadlines and
+//! cancellation into every block payload read ([`IoBudget::check`]), and
+//! the [`fault`] submodule provides [`ByteSource::Fault`] — a
+//! deterministic, seeded fault-injection wrapper over either real
+//! backing, so the containment paths are testable with replayable
+//! failure schedules.
 
 use crate::BalError;
 use bytes::Bytes;
 use std::borrow::Cow;
 use std::fs::File;
 use std::path::Path;
-use std::time::{Duration, Instant};
-use ultravc_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Instant;
+use ultravc_sync::atomic::{AtomicBool, Ordering};
 use ultravc_sync::Arc;
 
 pub mod fault;
@@ -89,65 +91,22 @@ impl CancelToken {
     }
 }
 
-/// An armed supervision budget for one run: absolute deadline, transient
-/// retry policy, cancellation, and a shared retry counter. Attached to a
+/// An armed supervision budget for one run: absolute deadline and
+/// cancellation (the default has neither). Attached to a
 /// [`crate::BalFile`] via [`crate::BalFile::with_budget`], it gates every
-/// block payload read — every worker's demand read passes through
-/// [`IoBudget::run_io`].
-#[derive(Debug)]
+/// block payload read — every worker's demand read checks it first, and
+/// an I/O error is final for the read that hit it.
+#[derive(Debug, Default)]
 pub struct IoBudget {
     deadline: Option<Instant>,
-    max_retries: u32,
-    backoff_base: Duration,
-    backoff_cap: Duration,
     cancel: CancelToken,
-    retries: AtomicU64,
-}
-
-impl Default for IoBudget {
-    fn default() -> IoBudget {
-        IoBudget::unbounded()
-    }
 }
 
 impl IoBudget {
-    /// Default transient-retry attempts before escalation.
-    pub const DEFAULT_MAX_RETRIES: u32 = 4;
-    /// Default first-retry backoff.
-    pub const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(1);
-    /// Default cap on a single backoff sleep.
-    pub const DEFAULT_BACKOFF_CAP: Duration = Duration::from_millis(100);
-
-    /// A budget with no deadline, a fresh cancel token and the default
-    /// retry policy.
-    pub fn unbounded() -> IoBudget {
-        IoBudget {
-            deadline: None,
-            max_retries: Self::DEFAULT_MAX_RETRIES,
-            backoff_base: Self::DEFAULT_BACKOFF_BASE,
-            backoff_cap: Self::DEFAULT_BACKOFF_CAP,
-            cancel: CancelToken::new(),
-            retries: AtomicU64::new(0),
-        }
-    }
-
-    /// A fully specified budget. `deadline` is absolute (arm it at run
-    /// start); `backoff` doubles per attempt from `base`, capped at `cap`.
-    pub fn new(
-        deadline: Option<Instant>,
-        max_retries: u32,
-        backoff_base: Duration,
-        backoff_cap: Duration,
-        cancel: CancelToken,
-    ) -> IoBudget {
-        IoBudget {
-            deadline,
-            max_retries,
-            backoff_base,
-            backoff_cap,
-            cancel,
-            retries: AtomicU64::new(0),
-        }
+    /// A budget with an absolute `deadline` (arm it at run start) and
+    /// `cancel` as its token.
+    pub fn new(deadline: Option<Instant>, cancel: CancelToken) -> IoBudget {
+        IoBudget { deadline, cancel }
     }
 
     /// The budget's cancel token (cloneable; hand it to whoever may need
@@ -156,20 +115,8 @@ impl IoBudget {
         self.cancel.clone()
     }
 
-    /// The cap on a single backoff sleep.
-    pub fn backoff_cap(&self) -> Duration {
-        self.backoff_cap
-    }
-
-    /// Transient retries performed so far across every I/O path sharing
-    /// this budget.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
     /// Why the budget would interrupt right now, if it would. Checked by
-    /// workers before claiming work and by [`IoBudget::run_io`] before
-    /// every attempt.
+    /// workers before claiming work and before every block payload read.
     pub fn interrupt(&self) -> Option<Interrupt> {
         if self.cancel.is_cancelled() {
             return Some(Interrupt::Cancelled);
@@ -186,48 +133,6 @@ impl IoBudget {
         match self.interrupt() {
             Some(why) => Err(BalError::Interrupted(why)),
             None => Ok(()),
-        }
-    }
-
-    /// Run `op` under this budget: transient failures
-    /// ([`BalError::is_transient`]) retry with capped exponential backoff
-    /// up to `max_retries`, then the final error escalates unchanged.
-    /// `EINTR` retries immediately without consuming budget (the kernel
-    /// contract — nothing failed). Cancellation or deadline expiry is
-    /// checked before every attempt and during backoff sleeps, so an
-    /// interrupted run returns within one backoff slice, not one cap.
-    pub fn run_io<T>(&self, mut op: impl FnMut() -> Result<T, BalError>) -> Result<T, BalError> {
-        let mut attempt = 0u32;
-        loop {
-            self.check()?;
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(BalError::Io(e)) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.is_transient() && attempt < self.max_retries => {
-                    attempt += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.backoff_sleep(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Sleep the exponential backoff for `attempt` (1-based), in short
-    /// slices so a cancellation or deadline cuts the sleep short.
-    fn backoff_sleep(&self, attempt: u32) {
-        let exp = self
-            .backoff_base
-            .saturating_mul(1u32 << (attempt - 1).min(16));
-        let mut left = exp.min(self.backoff_cap);
-        const SLICE: Duration = Duration::from_millis(1);
-        while !left.is_zero() {
-            if self.interrupt().is_some() {
-                return;
-            }
-            let nap = left.min(SLICE);
-            std::thread::sleep(nap);
-            left = left.saturating_sub(nap);
         }
     }
 }
@@ -411,15 +316,15 @@ impl StreamFile {
                 {
                     use std::io::{Read, Seek, SeekFrom};
                     // A panic while holding the lock leaves no partial
-                    // state behind (the seek is re-issued every attempt),
-                    // so a poisoned lock is safe to recover.
+                    // state behind (the seek is re-issued every pass), so
+                    // a poisoned lock is safe to recover.
                     let _guard = self
                         .seek_lock
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     let mut f = &self.file;
-                    // Re-seek every attempt: a retried short read must
-                    // continue from where the previous one stopped.
+                    // Re-seek every pass: after a short read the loop
+                    // continues from where the previous one stopped.
                     f.seek(SeekFrom::Start((offset + filled) as u64))
                         .and_then(|_| f.read(&mut buf[filled..]))
                 }

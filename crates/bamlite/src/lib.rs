@@ -34,8 +34,7 @@
 //!   bounds-checked ranged read when a decoder first asks for it, so
 //!   resident memory is one compressed block per reader however deep the
 //!   file, and a device error or a file truncated by a concurrent writer
-//!   is an `Err` from a read — something the run's [`IoBudget`] can retry
-//!   or time out and the driver can contain to one region.
+//!   is an `Err` from a read, which fails the one region that read it.
 //!
 //! Only the index/dictionary region is read eagerly — parsing
 //! bounds-checks every offset, length and count it reads, so a corrupt
@@ -98,22 +97,19 @@
 //! # Failure model
 //!
 //! Every fallible ingest operation returns [`BalError`]; the variants
-//! split into three classes a supervisor treats differently:
+//! split into two classes a supervisor treats differently:
 //!
-//! * **Transient** ([`BalError::is_transient`]) — `Io` errors a retry can
-//!   plausibly clear: `EINTR`, `EIO` from a flaky device, timeouts,
-//!   injected short reads. [`IoBudget::run_io`]
-//!   retries these with capped exponential backoff up to the budget's
-//!   `max_retries`, then escalates the final [`BalError::Io`] unchanged.
-//!   `EINTR` specifically is retried without consuming budget, matching
-//!   the kernel contract the positioned-read loop already honours.
-//! * **Fatal** — `Corrupt`, `UnsupportedVersion`, `Unsorted`, `BadRecord`,
-//!   and non-transient `Io` errors. Retrying cannot help (the bytes
-//!   themselves are wrong), so these surface immediately.
+//! * **Failures** — `Corrupt`, `UnsupportedVersion`, `Unsorted`,
+//!   `BadRecord` and `Io`. Each is final for the region whose read or
+//!   decode hit it: the driver records the region as failed and keeps
+//!   every other region. Nothing is retried. The input is a local file
+//!   read by positioned reads, and the read loop already continues
+//!   through `EINTR` and short transfers (the kernel contract), so what
+//!   reaches a caller is a device or data fault a retry would not clear.
 //! * **Interruptions** ([`BalError::Interrupted`]) — not failures at all:
-//!   the run's [`CancelToken`] fired or its deadline expired. I/O entry
-//!   points checked against an armed [`IoBudget`] return this promptly
-//!   so workers drain instead of finishing doomed work.
+//!   the run's [`CancelToken`] fired or its deadline expired. Every block
+//!   payload read checks an armed [`IoBudget`] first and returns this
+//!   promptly, so workers drain instead of finishing doomed work.
 //!
 //! The [`fault`](io::fault) tier is how all of this is tested: a
 //! deterministic, seeded wrapper over either real backing
@@ -165,27 +161,6 @@ pub enum BalError {
     /// token fired or the deadline expired. Not a data failure: completed
     /// work is still valid, remaining work was abandoned on purpose.
     Interrupted(Interrupt),
-}
-
-impl BalError {
-    /// Whether a retry can plausibly clear this error: `EINTR`, a device
-    /// `EIO`, timeouts, and short-read/partial-transfer conditions are
-    /// transient; corrupt bytes, validation failures and interruptions
-    /// are not. This is the classification
-    /// [`IoBudget::run_io`] retries on.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            BalError::Io(e) => {
-                matches!(
-                    e.kind(),
-                    std::io::ErrorKind::Interrupted
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::WouldBlock
-                ) || e.raw_os_error() == Some(5) // EIO
-            }
-            _ => false,
-        }
-    }
 }
 
 impl std::fmt::Display for BalError {

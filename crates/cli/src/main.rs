@@ -38,18 +38,17 @@ USAGE:
   ultravc simulate --out BASE [--genome-len N] [--depth D] [--seed S] [--variants N]
   ultravc call     --input FILE.bal --ref FILE.fa [--out FILE.vcf] [--threads N]
                    [--mode seq|openmp] [--max-depth N] [--no-shortcut]
-                   [--no-filter] [--deadline-ms N] [--max-retries N]
+                   [--no-filter] [--deadline-ms N]
                    [--region CHROM[:START-END]] [--min-af F]
   ultravc filter   --vcf FILE [--out FILE]
   ultravc upset    FILE.vcf FILE.vcf [FILE.vcf ...]
   ultravc trace    --input FILE.bal --ref FILE.fa [--threads N]
-                   [--deadline-ms N] [--max-retries N]
+                   [--deadline-ms N]
   ultravc serve    (--input FILE.bal --ref FILE.fa [--sample NAME]
                     | --config SAMPLES.toml)
                    [--addr HOST:PORT] [--workers N] [--threads-per-call N]
                    [--max-inflight N] [--cache N] [--timeout-ms N]
                    [--cost-budget N] [--cache-cost-budget N]
-                   [--breaker-threshold N] [--breaker-cooldown-ms N]
                    [--no-filter]
 
 `simulate` writes BASE.bal (alignments), BASE.fa (reference) and
@@ -60,14 +59,14 @@ payload by one positioned read when a worker first needs it, so an
 ultra-deep file is never held whole in memory. `--bal` is accepted as
 an alias for `--input`. A flag a subcommand does not list is an error.
 
-Runs are supervised: transient I/O errors are retried with capped
-exponential backoff (--max-retries, default 4), and --deadline-ms
-bounds the run's wall clock (it must be positive — a zero deadline
-would expire before the run starts) — an expired deadline drains the
-workers and reports the completed regions instead of hanging. In
-every mode a failed or panicked chunk is contained as a partial result
-(its region itemized on stderr; `--mode seq` runs the whole span as one
-chunk) rather than aborting the whole run. `call` still writes the
+Runs are supervised and fail fast: an I/O error fails the chunk whose
+read hit it, with no retry. --deadline-ms bounds the run's wall clock
+(it must be positive — a zero deadline would expire before the run
+starts) — an expired deadline drains the workers and reports the
+completed regions instead of hanging. In every mode a failed or
+panicked chunk is contained as a partial result (its region itemized
+on stderr; `--mode seq` runs the whole span as one chunk) rather than
+aborting the whole run. `call` still writes the
 completed regions' VCF, then exits non-zero whenever the result is
 partial or the run was interrupted.
 
@@ -78,8 +77,8 @@ allele-frequency floor after filtering. `serve` holds the BAL file
 and session open and answers the same calls over HTTP — see the
 ultravc-serve crate docs for the request grammar. `serve --config`
 serves many samples from one process ([[sample]] tables with
-name/bal/fasta keys); overload knobs (--cost-budget, the breaker
-flags) tune load shedding and per-sample quarantine — 0 means auto.";
+name/bal/fasta keys); the overload knobs (--cost-budget,
+--cache-cost-budget) tune load shedding — 0 means auto.";
 
 // The flags each subcommand's synopsis above lists, plus the `--bal`
 // alias and the hidden `--fault`. Anything else is a usage error.
@@ -95,21 +94,12 @@ const CALL_FLAGS: &[&str] = &[
     "no-shortcut",
     "no-filter",
     "deadline-ms",
-    "max-retries",
     "region",
     "min-af",
     "fault",
 ];
 const FILTER_FLAGS: &[&str] = &["vcf", "out"];
-const TRACE_FLAGS: &[&str] = &[
-    "input",
-    "bal",
-    "ref",
-    "threads",
-    "deadline-ms",
-    "max-retries",
-    "fault",
-];
+const TRACE_FLAGS: &[&str] = &["input", "bal", "ref", "threads", "deadline-ms", "fault"];
 const SERVE_FLAGS: &[&str] = &[
     "input",
     "bal",
@@ -124,8 +114,6 @@ const SERVE_FLAGS: &[&str] = &[
     "timeout-ms",
     "cost-budget",
     "cache-cost-budget",
-    "breaker-threshold",
-    "breaker-cooldown-ms",
     "no-filter",
     "fault",
 ];
@@ -319,8 +307,8 @@ fn build_driver(flags: &HashMap<String, String>) -> Result<CallDriver, String> {
     })
 }
 
-/// The run's supervision policy from `--deadline-ms` / `--max-retries`
-/// (defaults: no deadline, [`RunBudget::unbounded`]'s retry parameters).
+/// The run's supervision policy from `--deadline-ms` (default: no
+/// deadline, [`RunBudget::unbounded`]).
 fn run_budget(flags: &HashMap<String, String>) -> Result<RunBudget, String> {
     let mut budget = RunBudget::unbounded();
     if let Some(ms) = flags.get("deadline-ms") {
@@ -329,7 +317,6 @@ fn run_budget(flags: &HashMap<String, String>) -> Result<RunBudget, String> {
             .map_err(|_| format!("--deadline-ms: cannot parse {ms:?}"))?;
         budget.deadline = Some(Duration::from_millis(ms));
     }
-    budget.max_retries = get_parsed(flags, "max-retries", budget.max_retries)?;
     budget
         .validate()
         .map_err(|msg| format!("--deadline-ms: {msg}"))?;
@@ -409,12 +396,6 @@ fn cmd_call(args: &[String]) -> Result<(), String> {
         for region in &outcome.partial {
             eprintln!("  {region}");
         }
-    }
-    if outcome.io_retries > 0 {
-        eprintln!(
-            "transient I/O: {} read(s) retried successfully",
-            outcome.io_retries
-        );
     }
     let vcf = write_vcf(&reference.name, "ultravc-0.1", &outcome.records);
     match flags.get("out") {
@@ -596,13 +577,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.filter = !flags.contains_key("no-filter");
     config.cost_budget = get_parsed(&flags, "cost-budget", config.cost_budget)?;
     config.cache_cost_budget = get_parsed(&flags, "cache-cost-budget", config.cache_cost_budget)?;
-    config.breaker.threshold = get_parsed(&flags, "breaker-threshold", config.breaker.threshold)?;
-    if let Some(ms) = flags.get("breaker-cooldown-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("--breaker-cooldown-ms: cannot parse {ms:?}"))?;
-        config.breaker.cooldown = Duration::from_millis(ms);
-    }
     let server = ultravc_serve::Server::bind(config).map_err(|e| e.to_string())?;
     // Scripted clients (CI's serve-smoke) wait for this exact line.
     println!("serving {banner_detail} on http://{}", server.local_addr());
@@ -611,8 +585,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let report = server.join();
     println!(
         "served {} request(s): {} complete, {} partial, {} rejected, \
-         {} shed, {} quarantined, {} breaker trip(s), {} recovery(ies), \
-         {} client-error, {} not-found, {} server-error, \
+         {} shed, {} client-error, {} not-found, {} server-error, \
          {} disconnect-cancelled, {} session rebuild(s); \
          cache {} hit(s) / {} miss(es) / {} invalidated",
         report.requests,
@@ -620,9 +593,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         report.partial,
         report.rejected,
         report.shed,
-        report.quarantined,
-        report.breaker_trips,
-        report.recoveries,
         report.client_errors,
         report.not_found,
         report.server_errors,

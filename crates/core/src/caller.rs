@@ -141,7 +141,7 @@ pub(crate) fn drain_pileup(
     }
     // Propagate the iterator's stored error *typed*: an interruption must
     // stay `Interrupted` (the supervisor reports it as cancellation, not
-    // data failure) and an exhausted transient must stay `Io`.
+    // data failure) and a failed read must stay `Io`.
     if let Some(e) = iter.take_error() {
         return Err(e);
     }

@@ -93,9 +93,9 @@ pub struct CallDriver {
     pub mode: ParallelMode,
     /// Record a per-thread trace.
     pub trace: bool,
-    /// Supervision policy: deadline, retry/backoff, cancellation. Every
-    /// run is supervised; the default ([`RunBudget::unbounded`]) arms
-    /// retries and containment with nothing that can trip.
+    /// Supervision policy: deadline and cancellation. Every run is
+    /// supervised; the default ([`RunBudget::unbounded`]) arms containment
+    /// with nothing that can trip.
     pub budget: RunBudget,
 }
 
@@ -131,8 +131,8 @@ impl CallDriver {
     ///
     /// Every run is supervised: the [`RunBudget`] is armed at entry
     /// (deadline anchored to now) and attached to this run's [`BalFile`]
-    /// clone, so every worker's payload read retries transients and
-    /// observes cancellation. Failures that survive the retry layer are
+    /// clone, so every worker's payload read observes cancellation and
+    /// the deadline. An I/O error is final for its read, and failures are
     /// contained per chunk, in every mode: the run returns `Ok` with the
     /// failed regions itemized in [`CallOutcome::partial`] (a sequential
     /// run's one chunk is the whole region) and the completed regions'
@@ -321,7 +321,6 @@ impl CallDriver {
             kernel: ultravc_simd::kernels().name,
             partial,
             interrupt: budget.interrupt(),
-            io_retries: budget.retries(),
             source_tier: alignments.source().tier_name(),
         })
     }
@@ -360,9 +359,6 @@ pub struct CallOutcome {
     /// Why the run stopped early, if it did (cancelled / deadline
     /// expired). `None` for runs that ran to completion.
     pub interrupt: Option<Interrupt>,
-    /// Transient I/O operations that were retried away by the armed
-    /// budget over the whole run (all workers).
-    pub io_retries: u64,
     /// Byte source the run actually read from (`"mem"`, `"stream"`,
     /// `"fault"`), reported so failure and perf numbers are attributable
     /// to an I/O path.

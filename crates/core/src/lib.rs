@@ -53,7 +53,7 @@
 //! [`caller`] (column → VCF record), [`driver`] (the one run path: a
 //! supervised parallel-for, sequential being its one-thread case), [`session`] (a reusable driver session for
 //! serving region queries), [`supervisor`] (run budgets: deadlines,
-//! cancellation, retry policy, per-region failure reports), [`analysis`]
+//! cancellation, per-region failure reports), [`analysis`]
 //! (upset intersections, truth grading).
 
 #![forbid(unsafe_code)]

@@ -1,19 +1,18 @@
-//! The run supervisor: deadlines, cancellation, retry policy and
-//! per-region failure reporting for [`crate::CallDriver`] runs.
+//! The run supervisor: deadlines, cancellation and per-region failure
+//! reporting for [`crate::CallDriver`] runs.
 //!
 //! A [`RunBudget`] is the driver-level statement of supervision policy —
-//! *relative* deadline, retry/backoff parameters, and a shareable
-//! [`CancelToken`]. At run start the driver [`arm`](RunBudget::arm)s it
-//! into a [`IoBudget`] (deadline anchored to that instant) and attaches
-//! it to its [`ultravc_bamlite::BalFile`] clone, so every payload read
-//! the run's workers issue retries transients with capped exponential
-//! backoff and observes cancellation/deadline promptly. The default driver budget is
-//! [`RunBudget::unbounded`]: no deadline, never cancelled, retries armed —
-//! supervision as a safety net with nothing to trip it.
+//! a *relative* deadline and a shareable [`CancelToken`]. At run start
+//! the driver [`arm`](RunBudget::arm)s it into an [`IoBudget`] (deadline
+//! anchored to that instant) and attaches it to its
+//! [`ultravc_bamlite::BalFile`] clone, so every payload read the run's
+//! workers issue observes cancellation and the deadline promptly. The
+//! default driver budget is [`RunBudget::unbounded`]: no deadline, never
+//! cancelled — supervision as a safety net with nothing to trip it.
 //!
-//! Failures that survive the retry layer are **contained per region**
-//! rather than aborting the run: the driver runs its chunks (a sequential
-//! run's single one included) under
+//! An I/O error is final for its read, and failures are **contained per
+//! region** rather than aborting the run: the driver runs its chunks (a
+//! sequential run's single one included) under
 //! [`ultravc_parfor::parallel_for_supervised`], converts each failed,
 //! panicked or skipped chunk into a [`RegionError`], and returns a
 //! *partial* [`crate::CallOutcome`] — completed regions' calls (bitwise
@@ -25,36 +24,24 @@ use std::time::{Duration, Instant};
 
 pub use ultravc_bamlite::{CancelToken, Interrupt, IoBudget};
 
-/// Driver-level supervision policy: a *relative* deadline plus the retry
-/// and cancellation parameters a run is armed with. Cloning shares the
-/// cancel token (cancel once, every clone's runs observe it) but nothing
-/// else — each `run` call arms its own deadline and retry counter.
-#[derive(Debug, Clone)]
+/// Driver-level supervision policy: a *relative* deadline plus the
+/// cancellation signal a run is armed with. Cloning shares the cancel
+/// token (cancel once, every clone's runs observe it) but nothing else —
+/// each `run` call arms its own deadline.
+#[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     /// Wall-clock allowance for one run, measured from `run()` entry.
     /// `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Transient-I/O retries per operation before the error escalates.
-    pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// External cancellation signal, shared across clones.
     pub cancel: CancelToken,
 }
 
 impl RunBudget {
-    /// No deadline, never cancelled (unless the token is), default
-    /// retry/backoff parameters. The driver default.
+    /// No deadline, never cancelled (unless the token is). The driver
+    /// default.
     pub fn unbounded() -> RunBudget {
-        RunBudget {
-            deadline: None,
-            max_retries: IoBudget::DEFAULT_MAX_RETRIES,
-            backoff: IoBudget::DEFAULT_BACKOFF_BASE,
-            backoff_cap: IoBudget::DEFAULT_BACKOFF_CAP,
-            cancel: CancelToken::new(),
-        }
+        RunBudget::default()
     }
 
     /// An otherwise-default budget that expires `deadline` after the run
@@ -85,22 +72,13 @@ impl RunBudget {
     }
 
     /// Arm the budget for one run starting now: the relative deadline
-    /// becomes an absolute instant, the retry counter starts at zero, and
-    /// the cancel token is shared with this policy (and every clone).
+    /// becomes an absolute instant, and the cancel token is shared with
+    /// this policy (and every clone).
     pub fn arm(&self) -> IoBudget {
         IoBudget::new(
             self.deadline.map(|d| Instant::now() + d),
-            self.max_retries,
-            self.backoff,
-            self.backoff_cap,
             self.cancel.clone(),
         )
-    }
-}
-
-impl Default for RunBudget {
-    fn default() -> RunBudget {
-        RunBudget::unbounded()
     }
 }
 
@@ -110,8 +88,8 @@ pub enum RegionFailure {
     /// The worker panicked on this region; the payload is the contained
     /// panic message.
     Panic(String),
-    /// The region failed with a real error (rendered) — corrupt bytes, or
-    /// a transient that exhausted its retries.
+    /// The region failed with a real error (rendered) — corrupt bytes or
+    /// a failed read.
     Error(String),
     /// The run was interrupted before (or while) this region ran.
     Cancelled(Interrupt),

@@ -247,8 +247,8 @@ impl PileupIter {
 
     /// Take ownership of the stored error, leaving `None`. The
     /// supervised driver uses this to propagate the *typed* error (an
-    /// interruption must stay an interruption, a transient-exhausted `Io`
-    /// must stay `Io`) instead of flattening everything to `Corrupt`.
+    /// interruption must stay an interruption, a failed read's `Io` must
+    /// stay `Io`) instead of flattening everything to `Corrupt`.
     pub fn take_error(&mut self) -> Option<BalError> {
         self.error.take()
     }

@@ -19,10 +19,9 @@
 //! ```text
 //! GET /call?sample=NAME&region=CHROM[:START-END][&min-af=F][&format=vcf|json]
 //!          [&timeout-ms=N][&cache=on|off]
-//! GET /health          → 200 "ok" + per-sample breaker state
-//!                        (503 "degraded" when any breaker is open)
+//! GET /health          → 200 "ok"
 //! GET /stats           → JSON counters (requests, queue, cache,
-//!                        per-sample breakers, in-flight)
+//!                        in-flight)
 //! GET /shutdown        → graceful stop (cancels in-flight calls)
 //! ```
 //!
@@ -76,12 +75,12 @@
 //! budget is refused admission rather than purging the hot small-span
 //! working set.
 //!
-//! Each sample sits behind its own circuit breaker
-//! ([`health::SampleHealth`]): consecutive sample-attributable failures
-//! (open errors, I/O faults, contained panics) trip it open, requests
-//! for that sample answer `503` instantly (healthy samples are
-//! unaffected), and after a cooldown a half-open probe — which bypasses
-//! the cache — rebuilds the session and closes the breaker on success.
+//! Failures fail fast and stay local. A read error or a contained
+//! worker panic fails only the region it hit — nothing is retried, so a
+//! request against a dead device answers its `206` as quickly as its
+//! reads fail — and other regions and samples are untouched. A file
+//! rewritten or shrunk under the server is rebuilt by the fingerprint
+//! probe on the next request; nothing else drops a session.
 //!
 //! Connections are HTTP/1.1 keep-alive by default (`Connection: close`
 //! honored, 5 s idle timeout, 64 requests per connection). Pipelining
@@ -99,7 +98,6 @@
 pub mod cache;
 pub mod client;
 pub mod config;
-pub mod health;
 pub mod http;
 pub mod query;
 pub mod sched;
@@ -108,7 +106,6 @@ pub mod server;
 pub use cache::{CacheStats, CachedCall, ResultCache};
 pub use client::{http_get, read_response, ClientConn, Response};
 pub use config::parse_samples;
-pub use health::{Admission, BreakerConfig, HealthStats, SampleHealth};
 pub use query::{parse_region, CallQuery, Format, Region};
 pub use sched::{CostQueue, PushError, QueueStats};
 pub use server::{SampleSpec, ServeConfig, Server, ServerReport};

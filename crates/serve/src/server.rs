@@ -13,13 +13,12 @@
 //! the queue's cost budget sheds load with a drain-rate `Retry-After`
 //! before the backlog grows unbounded.
 //!
-//! Per-sample **bulkheads** ([`crate::health::SampleHealth`]) quarantine
-//! a sample whose file has gone bad: after `threshold` consecutive
-//! sample-attributable failures its breaker opens, requests for it get
-//! fast `503`s (healthy samples are untouched), and after a cooldown a
-//! half-open probe rebuilds the session and closes the breaker on
-//! success. `/health` reports per-sample breaker state; a server with
-//! any open breaker reports `503 degraded`.
+//! Every failure is final for the request it hit: a read error or a
+//! contained worker panic fails its region, and the request answers
+//! `206` with the failed regions itemized while other regions and other
+//! samples serve normally. A sample's session is rebuilt only when its
+//! file changes on disk (the fingerprint probe) or its fault plan is
+//! swapped; `/health` answers `200 ok` while the server runs.
 //!
 //! While a handler waits for its worker it polls the client socket;
 //! a closed socket fires the request's [`RunBudget`] cancel token, the
@@ -33,7 +32,6 @@
 //! the job queue, join every worker, report counters.
 
 use crate::cache::{CacheKey, CachedCall, ResultCache};
-use crate::health::{Admission, BreakerConfig, SampleHealth};
 use crate::http::{HttpError, Request, ResponseWriter};
 use crate::query::{CallQuery, Format};
 use crate::sched::{CostQueue, PushError};
@@ -117,14 +115,11 @@ pub struct ServeConfig {
     /// on it) while a parade of whales still can't purge the small-span
     /// working set.
     pub cache_cost_budget: u64,
-    /// Per-sample circuit-breaker tuning.
-    pub breaker: BreakerConfig,
 }
 
 impl ServeConfig {
     /// Defaults: 2 workers, 1 thread per call, 8 in-flight, 64 cache
-    /// entries, no default deadline, auto cost budgets, filter on,
-    /// breaker at 3 failures / 2 s cooldown.
+    /// entries, no default deadline, auto cost budgets, filter on.
     pub fn new(addr: impl Into<String>) -> ServeConfig {
         ServeConfig {
             addr: addr.into(),
@@ -137,7 +132,6 @@ impl ServeConfig {
             filter: true,
             cost_budget: 0,
             cache_cost_budget: 0,
-            breaker: BreakerConfig::default(),
         }
     }
 
@@ -169,13 +163,12 @@ struct SessionState {
 
 struct SampleSlot {
     spec: SampleSpec,
-    /// `None` after a failed rebuild or a breaker trip — the next
-    /// admitted request (or half-open probe) rebuilds from scratch.
+    /// `None` after a failed rebuild or a fault-plan swap — the next
+    /// admitted request rebuilds from scratch.
     state: Mutex<Option<Arc<SessionState>>>,
     /// Live fault plan (starts as `spec.fault`, swappable at runtime
     /// via [`Server::set_fault`] for chaos testing).
     fault: Mutex<Option<FaultPlan>>,
-    health: SampleHealth,
 }
 
 /// One queued call.
@@ -193,9 +186,6 @@ struct Counters {
     partial: AtomicU64,
     rejected: AtomicU64,
     shed: AtomicU64,
-    quarantined: AtomicU64,
-    breaker_trips: AtomicU64,
-    recoveries: AtomicU64,
     client_errors: AtomicU64,
     not_found: AtomicU64,
     server_errors: AtomicU64,
@@ -211,7 +201,6 @@ struct Shared {
     max_inflight: usize,
     default_timeout: Option<Duration>,
     driver: CallDriver,
-    breaker: BreakerConfig,
     shutdown: AtomicBool,
     addr: SocketAddr,
     counters: Counters,
@@ -243,12 +232,6 @@ pub struct ServerReport {
     pub rejected: u64,
     /// Cost-shed rejections (503 + drain-rate `Retry-After`).
     pub shed: u64,
-    /// Fast 503s served while a sample's breaker was open.
-    pub quarantined: u64,
-    /// Circuit-breaker trips (Closed/HalfOpen → Open).
-    pub breaker_trips: u64,
-    /// Breaker recoveries back to Closed.
-    pub recoveries: u64,
     /// Client errors (400/405).
     pub client_errors: u64,
     /// Unknown samples / paths (404).
@@ -329,7 +312,6 @@ impl Server {
                     spec: spec.clone(),
                     state: Mutex::new(Some(Arc::new(state))),
                     fault: Mutex::new(spec.fault),
-                    health: SampleHealth::default(),
                 },
             );
         }
@@ -360,7 +342,6 @@ impl Server {
             max_inflight: config.max_inflight.max(1),
             default_timeout: config.default_timeout,
             driver,
-            breaker: config.breaker,
             shutdown: AtomicBool::new(false),
             addr,
             counters: Counters::default(),
@@ -427,9 +408,6 @@ impl Server {
             partial: c.partial.load(Ordering::SeqCst),
             rejected: c.rejected.load(Ordering::SeqCst),
             shed: c.shed.load(Ordering::SeqCst),
-            quarantined: c.quarantined.load(Ordering::SeqCst),
-            breaker_trips: c.breaker_trips.load(Ordering::SeqCst),
-            recoveries: c.recoveries.load(Ordering::SeqCst),
             client_errors: c.client_errors.load(Ordering::SeqCst),
             not_found: c.not_found.load(Ordering::SeqCst),
             server_errors: c.server_errors.load(Ordering::SeqCst),
@@ -555,8 +533,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             || shared.shutdown.load(Ordering::SeqCst);
         match (request.method.as_str(), request.path.as_str()) {
             (_, "/health") => {
-                let (status, body) = health_view(shared);
-                let _ = respond_text(&mut out, status, &body, close);
+                let _ = respond_text(&mut out, 200, "ok\n", close);
             }
             (_, "/stats") => {
                 let body = stats_json(shared);
@@ -601,17 +578,6 @@ fn retry_after_secs(d: Duration) -> u64 {
     (d.as_secs_f64().ceil() as u64).max(1)
 }
 
-/// Note a sample-attributable failure against `slot`'s breaker; on a
-/// trip, quarantine hard: drop the session (recovery reopens the file
-/// from scratch) and its cache entries.
-fn note_sample_failure(shared: &Shared, slot: &SampleSlot) {
-    if slot.health.record_failure(&shared.breaker) {
-        shared.counters.breaker_trips.fetch_add(1, Ordering::SeqCst);
-        *lock_or_recover(&slot.state) = None;
-        shared.cache.invalidate_sample(&slot.spec.name);
-    }
-}
-
 fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: bool) {
     let c = &shared.counters;
     c.requests.fetch_add(1, Ordering::SeqCst);
@@ -633,29 +599,11 @@ fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: b
         );
         return;
     };
-    // Bulkhead first: a quarantined sample answers instantly without
-    // touching admission, sessions, or the queue — whatever is wrong
-    // with its file cannot consume shared capacity.
-    let probe = match slot.health.admit(&shared.breaker) {
-        Admission::Admit { probe } => probe,
-        Admission::Quarantined { retry_after } => {
-            c.quarantined.fetch_add(1, Ordering::SeqCst);
-            let _ = out.write_response(
-                503,
-                "text/plain",
-                &[("Retry-After", retry_after_secs(retry_after).to_string())],
-                format!("sample {:?} quarantined\n", query.sample).as_bytes(),
-                close,
-            );
-            return;
-        }
-    };
     // Admission before any heavy work: the gauge covers queued +
     // running calls; the guard releases the slot on every exit path.
     if shared.inflight.fetch_add(1, Ordering::SeqCst) >= shared.max_inflight {
         shared.inflight.fetch_sub(1, Ordering::SeqCst);
         c.rejected.fetch_add(1, Ordering::SeqCst);
-        slot.health.record_neutral();
         let _ = out.write_response(
             503,
             "text/plain",
@@ -669,9 +617,8 @@ fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: b
     let state = match resolve_state(shared, slot) {
         Ok(s) => s,
         Err(msg) => {
-            // Could not even open the file — the strongest signal the
-            // sample (not the client) is broken.
-            note_sample_failure(shared, slot);
+            // Could not even open the file: the sample, not the client,
+            // is broken.
             c.server_errors.fetch_add(1, Ordering::SeqCst);
             let _ = respond_text(out, 500, &format!("{msg}\n"), close);
             return;
@@ -680,7 +627,6 @@ fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: b
     let reference = Arc::clone(state.session.reference());
     if query.region.chrom != reference.name {
         c.client_errors.fetch_add(1, Ordering::SeqCst);
-        slot.health.record_neutral();
         let _ = respond_text(
             out,
             400,
@@ -696,7 +642,6 @@ fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: b
     let span = query.region.span.clone().unwrap_or(0..len);
     if span.end > len {
         c.client_errors.fetch_add(1, Ordering::SeqCst);
-        slot.health.record_neutral();
         let _ = respond_text(
             out,
             400,
@@ -716,9 +661,7 @@ fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: b
         start: span.start,
         end: span.end,
     };
-    // A half-open probe must exercise the real payload path — a cache
-    // hit proves nothing about the file.
-    if query.cache && !probe {
+    if query.cache {
         if let Some(hit) = shared.cache.get(&key) {
             c.ok.fetch_add(1, Ordering::SeqCst);
             let _ = render(
@@ -753,13 +696,11 @@ fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: b
         Ok(()) => {}
         Err(PushError::Closed) => {
             c.rejected.fetch_add(1, Ordering::SeqCst);
-            slot.health.record_neutral();
             let _ = respond_text(out, 503, "server shutting down\n", close);
             return;
         }
         Err(PushError::Saturated { retry_after }) => {
             c.shed.fetch_add(1, Ordering::SeqCst);
-            slot.health.record_neutral();
             let _ = out.write_response(
                 503,
                 "text/plain",
@@ -773,7 +714,6 @@ fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: b
     let Some(result) = await_result(out.get_ref(), &reply_rx, &cancel, c) else {
         // Worker pool went away mid-request (shutdown race).
         c.server_errors.fetch_add(1, Ordering::SeqCst);
-        slot.health.record_neutral();
         let _ = respond_text(out, 500, "worker pool unavailable\n", close);
         return;
     };
@@ -785,26 +725,13 @@ fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: b
             );
             if client_fault {
                 c.client_errors.fetch_add(1, Ordering::SeqCst);
-                slot.health.record_neutral();
                 let _ = respond_text(out, 400, &format!("{e}\n"), close);
             } else {
-                note_sample_failure(shared, slot);
                 c.server_errors.fetch_add(1, Ordering::SeqCst);
                 let _ = respond_text(out, 500, &format!("{e}\n"), close);
             }
         }
         Ok(outcome) => {
-            // Contained worker panics and I/O errors indict the sample;
-            // cancellations and deadline expiries indict the request.
-            let sample_fault = outcome
-                .partial
-                .iter()
-                .any(|e| matches!(e.failure, RegionFailure::Panic(_) | RegionFailure::Error(_)));
-            if sample_fault {
-                note_sample_failure(shared, slot);
-            } else if slot.health.record_success() {
-                c.recoveries.fetch_add(1, Ordering::SeqCst);
-            }
             let complete = outcome.partial.is_empty() && outcome.interrupt.is_none();
             if complete {
                 c.ok.fetch_add(1, Ordering::SeqCst);
@@ -839,8 +766,8 @@ fn handle_call(shared: &Shared, out: &mut Responder, request: &Request, close: b
 
 /// Re-probe the sample's on-disk identity and return a session for it,
 /// rebuilding (and invalidating the sample's cache entries) when the
-/// file changed under us, the previous rebuild failed, or a breaker
-/// trip / fault-plan swap dropped the session.
+/// file changed under us, the previous rebuild failed, or a fault-plan
+/// swap dropped the session.
 fn resolve_state(shared: &Shared, slot: &SampleSlot) -> Result<Arc<SessionState>, String> {
     let probed = FileFingerprint::probe(&slot.spec.bal)
         .map_err(|e| format!("{}: {e}", slot.spec.bal.display()))?;
@@ -1105,71 +1032,22 @@ fn json_body(
     body
 }
 
-/// `/health`: `ok` + one line per sample when every breaker is closed
-/// or probing; `503 degraded` when any sample is quarantined (open).
-fn health_view(shared: &Shared) -> (u16, String) {
-    let mut names: Vec<&String> = shared.samples.keys().collect();
-    names.sort();
-    let mut degraded = false;
-    let mut lines = String::new();
-    for name in names {
-        if let Some(slot) = shared.samples.get(name) {
-            let state = slot.health.state_name();
-            if state == "open" {
-                degraded = true;
-            }
-            lines.push_str(&format!("sample {name}: {state}\n"));
-        }
-    }
-    if degraded {
-        (503, format!("degraded\n{lines}"))
-    } else {
-        (200, format!("ok\n{lines}"))
-    }
-}
-
 fn stats_json(shared: &Shared) -> String {
     let c = &shared.counters;
     let cache = shared.cache.stats();
     let queue = shared.queue.stats();
-    let mut names: Vec<&String> = shared.samples.keys().collect();
-    names.sort();
-    let sample_list = names
-        .iter()
-        .filter_map(|name| shared.samples.get(*name).map(|slot| (name, slot)))
-        .map(|(name, slot)| {
-            let h = slot.health.stats();
-            format!(
-                "{{\"name\":\"{}\",\"breaker\":\"{}\",\"consecutive_failures\":{},\
-                 \"trips\":{},\"quarantined\":{},\"probes\":{},\"recoveries\":{}}}",
-                json_escape(name),
-                h.state,
-                h.consecutive_failures,
-                h.trips,
-                h.quarantined,
-                h.probes,
-                h.recoveries,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
     format!(
         "{{\"requests\":{},\"ok\":{},\"partial\":{},\"rejected\":{},\"shed\":{},\
-         \"quarantined\":{},\"breaker_trips\":{},\"recoveries\":{},\"client_errors\":{},\
-         \"not_found\":{},\"server_errors\":{},\"disconnect_cancels\":{},\
+         \"client_errors\":{},\"not_found\":{},\"server_errors\":{},\"disconnect_cancels\":{},\
          \"session_rebuilds\":{},\"inflight\":{},\
          \"queue\":{{\"depth\":{},\"inflight_cost\":{},\"budget\":{},\"shed\":{}}},\
          \"cache\":{{\"hits\":{},\"misses\":{},\"invalidated\":{},\"entries\":{},\
-         \"total_cost\":{},\"oversize\":{},\"evicted\":{}}},\
-         \"samples\":[{sample_list}]}}",
+         \"total_cost\":{},\"oversize\":{},\"evicted\":{}}}}}",
         c.requests.load(Ordering::SeqCst),
         c.ok.load(Ordering::SeqCst),
         c.partial.load(Ordering::SeqCst),
         c.rejected.load(Ordering::SeqCst),
         c.shed.load(Ordering::SeqCst),
-        c.quarantined.load(Ordering::SeqCst),
-        c.breaker_trips.load(Ordering::SeqCst),
-        c.recoveries.load(Ordering::SeqCst),
         c.client_errors.load(Ordering::SeqCst),
         c.not_found.load(Ordering::SeqCst),
         c.server_errors.load(Ordering::SeqCst),

@@ -6,13 +6,11 @@
 //! * Faults on one sample never touch another: with sample A on a dead
 //!   device, sample B's responses stay **bitwise identical** to fresh
 //!   CLI runs.
-//! * A faulted sample trips its circuit breaker within the configured
-//!   threshold, quarantined requests answer fast `503`s, `/health`
-//!   reports `degraded`, and once the fault clears a half-open probe
-//!   rebuilds the session and recovers — automatically.
-//! * Transient faults (EIO) are retried away invisibly; contained
-//!   panics are one-shot; truncation is fatal per-region but spans
-//!   below the truncation point still serve exactly.
+//! * A failure is final for the region it hit: a dead device, an `EIO`
+//!   or a truncated file answers `206` at once with every failed region
+//!   itemized, a contained panic is one-shot, spans that avoid the fault
+//!   keep serving exactly, and once the fault clears the very next
+//!   request is `200` and exact.
 //! * Small requests queued behind a whale complete before a second
 //!   queued whale (cost-aware two-class scheduling), and pushing cost
 //!   past the queue budget sheds with a `Retry-After`.
@@ -105,12 +103,6 @@ fn sample(name: &str, bal: &Path, fa: &Path, fault: Option<FaultPlan>) -> Sample
     }
 }
 
-/// A short-cooldown breaker so quarantine/recovery cycles fit a test.
-fn fast_breaker(config: &mut ServeConfig) {
-    config.breaker.threshold = 3;
-    config.breaker.cooldown = Duration::from_millis(200);
-}
-
 fn get(server: &Server, path: &str) -> ultravc_serve::Response {
     http_get(server.local_addr(), path, Some(Duration::from_secs(60))).unwrap()
 }
@@ -166,12 +158,47 @@ fn assert_no_leaked_threads(baseline: usize) {
     );
 }
 
+/// The failed regions a `206` itemizes in `X-Ultravc-Partial-Regions`,
+/// as `(start, end, kind)`.
+fn itemized(resp: &ultravc_serve::Response) -> Vec<(u32, u32, String)> {
+    let header = resp
+        .header("x-ultravc-partial-regions")
+        .unwrap_or_else(|| panic!("no itemized regions on {}: {}", resp.status, resp.text()));
+    header
+        .split(',')
+        .map(|item| {
+            let (range, kind) = item.split_once(':').unwrap();
+            let (start, end) = range.split_once('-').unwrap();
+            (
+                start.parse().unwrap(),
+                end.parse().unwrap(),
+                kind.to_string(),
+            )
+        })
+        .collect()
+}
+
+/// Assert `resp` is a `206` whose itemized regions are read errors that
+/// tile `span` exactly: every region of the request failed, and each
+/// one is reported.
+fn assert_every_region_failed(resp: &ultravc_serve::Response, span: Range<u32>) {
+    assert_eq!(resp.status, 206, "{}", resp.text());
+    let regions = itemized(resp);
+    let mut next = span.start;
+    for (start, end, kind) in &regions {
+        assert_eq!(*start, next, "regions must tile the span: {regions:?}");
+        assert_eq!(kind, "error", "{regions:?}");
+        next = *end;
+    }
+    assert_eq!(next, span.end, "regions must tile the span: {regions:?}");
+}
+
 /// The acceptance scenario: sample A on a dead device, sample B clean,
-/// concurrent clients on both. B is bitwise identical throughout; A
-/// degrades to fast 503s within the breaker threshold, `/health` goes
-/// degraded, and once the fault clears A recovers automatically.
+/// concurrent clients on both. Every A request fails fast — a `206` with
+/// every region itemized, never a `503` — B is bitwise identical
+/// throughout, and once the fault clears the next A request is exact.
 #[test]
-fn dead_device_quarantines_one_sample_and_spares_the_other() {
+fn dead_device_fails_fast_and_spares_the_other() {
     let dir = scratch("dead");
     let (bal_a, fa_a, chrom_a) = write_fixture(&dir, 41, 500, 250.0, 50);
     let (bal_b, fa_b, chrom_b) = write_fixture(&dir, 43, 500, 250.0, 50);
@@ -186,13 +213,12 @@ fn dead_device_quarantines_one_sample_and_spares_the_other() {
         Some(FaultPlan::parse("fail_after=0").unwrap()),
     ));
     config.samples.push(sample("b", &bal_b, &fa_b, None));
-    fast_breaker(&mut config);
-    // This test is about bulkheads, not shedding: a budget far above
+    // This test is about isolation, not shedding: a budget far above
     // any stack of whole-genome calls keeps the queue out of the way.
     config.cost_budget = 1 << 40;
     let server = Arc::new(Server::bind(config).unwrap());
 
-    // Clients hammer B concurrently while A grinds to quarantine.
+    // Clients hammer B concurrently while A fails.
     let expected_b = fresh_cli_vcf(&bal_b, &fa_b, None);
     let b_clients: Vec<_> = (0..3)
         .map(|_| {
@@ -211,40 +237,21 @@ fn dead_device_quarantines_one_sample_and_spares_the_other() {
         })
         .collect();
 
-    // A: the supervised runs contain the dead device per region (206,
-    // nothing but failures) until the third sample failure trips the
-    // breaker; from then on A answers instantly with 503.
-    for nth in 0..3 {
-        let resp = get(
-            &server,
-            &format!("/call?sample=a&region={chrom_a}&cache=off"),
-        );
-        assert_eq!(resp.status, 206, "pre-trip call {nth}: {}", resp.text());
-        assert!(resp.header("x-ultravc-partial").is_some(), "call {nth}");
-    }
-    let quarantined = get(&server, &format!("/call?sample=a&region={chrom_a}"));
-    assert_eq!(quarantined.status, 503, "{}", quarantined.text());
-    assert!(quarantined.text().contains("quarantined"));
-    assert!(quarantined.header("retry-after").is_some());
-
-    // Quarantined responses are *fast* — no retry grinding.
+    // A: each region fails at its first read, so every request answers
+    // at once.
+    let whole_a = 0..500;
     let t0 = Instant::now();
     for _ in 0..10 {
         let resp = get(&server, &format!("/call?sample=a&region={chrom_a}"));
-        assert_eq!(resp.status, 503);
+        assert_every_region_failed(&resp, whole_a.clone());
     }
     assert!(
         t0.elapsed() < Duration::from_secs(2),
-        "10 quarantined calls took {:?}",
+        "10 dead-device calls took {:?}",
         t0.elapsed()
     );
-
-    // /health: degraded overall, per-sample states itemized.
     let health = get(&server, "/health");
-    assert_eq!(health.status, 503);
-    assert!(health.text().starts_with("degraded\n"), "{}", health.text());
-    assert!(health.text().contains("sample a: open"));
-    assert!(health.text().contains("sample b: closed"));
+    assert_eq!((health.status, health.text()), (200, "ok\n".to_string()));
 
     // B was bitwise perfect the whole time.
     for client in b_clients {
@@ -254,65 +261,60 @@ fn dead_device_quarantines_one_sample_and_spares_the_other() {
         }
     }
 
-    // The device comes back: clear the fault, wait out the cooldown —
-    // the next request is the half-open probe, rebuilds the session,
-    // and serves the exact clean result.
+    // The device comes back: clearing the fault drops the session, and
+    // the next request reopens the file and serves the exact result.
     server.set_fault("a", None).unwrap();
-    std::thread::sleep(Duration::from_millis(250));
     let recovered = get(&server, &format!("/call?sample=a&region={chrom_a}"));
     assert_eq!(recovered.status, 200, "{}", recovered.text());
     assert_eq!(recovered.text(), fresh_cli_vcf(&bal_a, &fa_a, None));
-    let health = get(&server, "/health");
-    assert_eq!(health.status, 200);
-    assert!(health.text().starts_with("ok\n"));
-    assert!(health.text().contains("sample a: closed"));
 
     let report = Arc::try_unwrap(server).ok().unwrap().shutdown();
-    assert!(report.breaker_trips >= 1, "breaker must have tripped");
-    assert!(report.quarantined >= 11);
-    assert!(report.recoveries >= 1, "breaker must have recovered");
-    assert_eq!(report.client_errors, 0);
+    assert_eq!(report.partial, 10);
+    assert_eq!(report.rejected + report.shed, 0, "no request is refused");
+    assert_eq!(report.server_errors + report.client_errors, 0);
     assert_no_leaked_threads(threads_before);
 }
 
-/// Transient EIO under the serving layer: retried away by each
-/// request's budget, responses bitwise identical, breaker untouched.
+/// An `EIO` under the serving layer fails the region whose read it hit:
+/// the request answers `206` with that region itemized. Once the fault
+/// clears, the same span is `200` and exact.
 #[test]
-fn transient_eio_is_invisible_and_never_trips_the_breaker() {
-    let dir = scratch("transient");
+fn an_eio_fails_its_region_with_206_and_clears_to_an_exact_200() {
+    let dir = scratch("eio");
     let (bal, fa, chrom) = write_fixture(&dir, 47, 500, 250.0, 50);
     let mut config = ServeConfig::new("127.0.0.1:0");
     config.samples.push(sample(
         "s",
         &bal,
         &fa,
-        Some(FaultPlan::parse("seed=20210817,eio=0.05").unwrap()),
+        Some(FaultPlan::parse("seed=20210817,eio=1").unwrap()),
     ));
-    fast_breaker(&mut config);
     let server = Server::bind(config).unwrap();
 
-    for span in [(1u32, 200u32), (151, 400), (1, 500)] {
-        let wire = format!("{chrom}:{}-{}", span.0, span.1);
-        let expected = fresh_cli_vcf(&bal, &fa, Some(span.0 - 1..span.1));
+    let spans = [(1u32, 200u32), (151, 400), (1, 500)];
+    for (start, end) in spans {
+        let wire = format!("{chrom}:{start}-{end}");
+        let resp = get(&server, &format!("/call?sample=s&region={wire}&cache=off"));
+        assert_every_region_failed(&resp, start - 1..end);
+    }
+    assert_eq!(get(&server, "/health").status, 200);
+
+    server.set_fault("s", None).unwrap();
+    for (start, end) in spans {
+        let wire = format!("{chrom}:{start}-{end}");
         let resp = get(&server, &format!("/call?sample=s&region={wire}&cache=off"));
         assert_eq!(resp.status, 200, "{wire}: {}", resp.text());
-        assert_eq!(
-            resp.text(),
-            expected,
-            "{wire}: transients must be invisible"
-        );
+        assert_eq!(resp.text(), fresh_cli_vcf(&bal, &fa, Some(start - 1..end)));
     }
-    assert!(get(&server, "/health").text().starts_with("ok\n"));
     let report = server.shutdown();
-    assert_eq!(report.breaker_trips, 0);
-    assert_eq!(report.partial, 0);
+    assert_eq!((report.partial, report.ok), (3, 3));
 }
 
 /// A contained worker panic is one-shot: the first request reports it
-/// as a partial region, the second serves the complete exact result,
-/// and one failure is not enough to trip the breaker.
+/// as a partial region, and the second, on the same session, serves the
+/// complete exact result.
 #[test]
-fn contained_panic_is_one_shot_and_does_not_quarantine() {
+fn contained_panic_is_one_shot() {
     let dir = scratch("panic");
     let (bal, fa, chrom) = write_fixture(&dir, 53, 500, 250.0, 50);
     // Panic on the first read of a mid-file block: one chunk trips it.
@@ -326,7 +328,6 @@ fn contained_panic_is_one_shot_and_does_not_quarantine() {
         &fa,
         Some(FaultPlan::parse(&format!("panic_at={mid}")).unwrap()),
     ));
-    fast_breaker(&mut config);
     let server = Server::bind(config).unwrap();
 
     let first = get(&server, &format!("/call?sample=s&region={chrom}&cache=off"));
@@ -342,15 +343,14 @@ fn contained_panic_is_one_shot_and_does_not_quarantine() {
     assert_eq!(second.text(), fresh_cli_vcf(&bal, &fa, None));
 
     let report = server.shutdown();
-    assert_eq!(report.breaker_trips, 0, "one failure must not trip");
     assert_eq!(report.partial, 1);
 }
 
-/// Truncation: spans under the truncation point keep serving exactly;
-/// whole-genome requests fail per-region until the breaker opens, which
-/// then quarantines the whole sample (bulkheads are per-sample).
+/// Truncation: spans under the truncation point keep serving exactly,
+/// before and after whole-genome requests hit the cut and answer `206`
+/// with the cut's region itemized.
 #[test]
-fn truncation_trips_the_breaker_and_quarantines_the_whole_sample() {
+fn truncation_keeps_early_spans_exact_and_fails_whole_genome_calls_with_206() {
     let dir = scratch("trunc");
     let (bal, fa, chrom) = write_fixture(&dir, 59, 500, 250.0, 50);
     let probe = BalFile::open(&bal).unwrap();
@@ -363,39 +363,39 @@ fn truncation_trips_the_breaker_and_quarantines_the_whole_sample() {
         &fa,
         Some(FaultPlan::parse(&format!("truncate_at={cut}")).unwrap()),
     ));
-    fast_breaker(&mut config);
     let server = Server::bind(config).unwrap();
 
     // An early span never touches the truncated tail: exact result.
     let early_wire = format!("{chrom}:1-100");
+    let expected_early = fresh_cli_vcf(&bal, &fa, Some(0..100));
     let early = get(
         &server,
         &format!("/call?sample=s&region={early_wire}&cache=off"),
     );
     assert_eq!(early.status, 200, "{}", early.text());
-    assert_eq!(early.text(), fresh_cli_vcf(&bal, &fa, Some(0..100)));
+    assert_eq!(early.text(), expected_early);
 
-    // Whole-genome requests hit the cut and fail per-region; the third
-    // trips the breaker — after which even early spans are quarantined.
+    // Whole-genome requests hit the cut and fail per region, each time.
     for _ in 0..3 {
         let resp = get(&server, &format!("/call?sample=s&region={chrom}&cache=off"));
         assert_eq!(resp.status, 206, "{}", resp.text());
+        assert!(itemized(&resp).iter().all(|(_, _, kind)| kind == "error"));
     }
-    assert_eq!(
-        get(&server, &format!("/call?sample=s&region={early_wire}")).status,
-        503,
-        "quarantine is per-sample, not per-span"
+    // The early span is still exact: a failure stays with its region.
+    let early = get(
+        &server,
+        &format!("/call?sample=s&region={early_wire}&cache=off"),
     );
+    assert_eq!(early.status, 200, "{}", early.text());
+    assert_eq!(early.text(), expected_early);
 
-    // Recovery after the writer finishes (fault cleared).
+    // The writer finishes (fault cleared): the whole genome is exact.
     server.set_fault("s", None).unwrap();
-    std::thread::sleep(Duration::from_millis(250));
     let back = get(&server, &format!("/call?sample=s&region={chrom}"));
     assert_eq!(back.status, 200, "{}", back.text());
     assert_eq!(back.text(), fresh_cli_vcf(&bal, &fa, None));
     let report = server.shutdown();
-    assert!(report.breaker_trips >= 1);
-    assert!(report.recoveries >= 1);
+    assert_eq!(report.partial, 3);
 }
 
 /// The scheduling contract: with one worker busy on a whale and a
@@ -569,46 +569,40 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
     (
         any::<u64>(),
         prop::sample::select(vec![0.0, 0.05, 0.15]),
-        prop::sample::select(vec![0.0, 0.05]),
         prop::sample::select(vec![None, Some(0u64), Some(1 << 12)]),
         prop::sample::select(vec![None, Some(1usize << 12)]),
         prop::sample::select(vec![None, Some(1usize << 12)]),
     )
-        .prop_map(
-            |(seed, eio, short, fail_after, truncate_at, panic_at)| FaultPlan {
-                seed,
-                eio,
-                short,
-                fail_after,
-                truncate_at,
-                panic_at,
-                ..FaultPlan::default()
-            },
-        )
+        .prop_map(|(seed, eio, fail_after, truncate_at, panic_at)| FaultPlan {
+            seed,
+            eio,
+            fail_after,
+            truncate_at,
+            panic_at,
+            ..FaultPlan::default()
+        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The wedge hunt: any fault plan, a concurrent burst of mixed
-    /// requests, then the fault clears — the breaker must always come
-    /// back (a half-open probe always fires once faults stop), the
-    /// sample serves exact results again, and `/health` returns to ok.
+    /// Any fault plan, a concurrent burst of mixed requests, then the
+    /// fault clears: the very first request after that serves the exact
+    /// clean result, and `/health` is ok throughout. Nothing the faults
+    /// did can outlive them.
     #[test]
-    fn breaker_always_recovers_once_faults_stop(
+    fn sample_serves_exactly_on_the_first_request_after_faults_clear(
         plan in plan_strategy(),
         whole_mix in prop::collection::vec(any::<bool>(), 4..8),
     ) {
         let (bal, fa, chrom) = sweep_fixture();
         let mut config = ServeConfig::new("127.0.0.1:0");
         config.samples.push(sample("s", bal, fa, Some(plan)));
-        config.breaker.threshold = 2;
-        config.breaker.cooldown = Duration::from_millis(100);
         let server = Arc::new(Server::bind(config).unwrap());
 
-        // Concurrent burst of whole-genome and small requests; statuses
-        // are unconstrained (200/206/500/503 are all legitimate under
-        // random faults) — the invariants are no hang and no wedge.
+        // Concurrent burst of whole-genome and small requests; under
+        // random faults a request is complete (200) or itemizes its
+        // failed regions (206). The queue budget may shed (503).
         let clients: Vec<_> = whole_mix
             .iter()
             .map(|&whole| {
@@ -626,28 +620,17 @@ proptest! {
         for c in clients {
             let status = c.join().unwrap();
             prop_assert!(
-                [200, 206, 500, 503].contains(&status),
+                [200, 206, 503].contains(&status),
                 "unexpected status {status}"
             );
         }
+        prop_assert_eq!(get(&server, "/health").status, 200);
 
-        // Faults stop. Within a bounded number of probe cycles the
-        // breaker must close and serve the exact clean result.
+        // Faults stop: the next request is complete and exact.
         server.set_fault("s", None).unwrap();
-        let expected = fresh_cli_vcf(bal, fa, None);
-        let mut recovered = false;
-        for _ in 0..40 {
-            std::thread::sleep(Duration::from_millis(150));
-            let resp = get(&server, &format!("/call?sample=s&region={chrom}"));
-            if resp.status == 200 {
-                prop_assert_eq!(resp.text(), expected.clone(), "recovered result must be exact");
-                recovered = true;
-                break;
-            }
-        }
-        prop_assert!(recovered, "breaker wedged: no recovery within 6 s of the fault clearing");
-        let health = get(&server, "/health");
-        prop_assert_eq!(health.status, 200, "health must return to ok");
+        let resp = get(&server, &format!("/call?sample=s&region={chrom}"));
+        prop_assert_eq!(resp.status, 200, "{}", resp.text());
+        prop_assert_eq!(resp.text(), fresh_cli_vcf(bal, fa, None));
         Arc::try_unwrap(server).ok().unwrap().shutdown();
     }
 }

@@ -1,10 +1,10 @@
 //! Model-checked concurrency protocols (`--features model`).
 //!
 //! Each test drives a *real* workspace protocol — the shared block
-//! cache, the cost queue, the sample breaker, the worker-pool shutdown
-//! drain — under the `ultravc-sync` model scheduler, exploring thread
-//! interleavings exhaustively (bounded DFS) and asserting the protocol's
-//! safety property in every one. A failure prints a replayable schedule
+//! cache, the cost queue, the worker-pool shutdown drain — under the
+//! `ultravc-sync` model scheduler, exploring thread interleavings
+//! exhaustively (bounded DFS) and asserting the protocol's safety
+//! property in every one. A failure prints a replayable schedule
 //! trace (see README "Correctness tooling").
 //!
 //! The companion test `costqueue_lost_wakeup_detected` (compiled only
@@ -18,7 +18,6 @@ use std::collections::HashSet;
 use ultravc_bamlite::{BalFile, BalWriter, Flags, Record, SharedBlockCache};
 use ultravc_genome::phred::Phred;
 use ultravc_genome::sequence::Seq;
-use ultravc_serve::health::{Admission, BreakerConfig, SampleHealth};
 use ultravc_serve::sched::{CostQueue, BYPASS_CAP};
 use ultravc_sync::model::Explorer;
 use ultravc_sync::{thread, Arc, Mutex, PoisonError};
@@ -139,60 +138,6 @@ fn costqueue_bypass_is_capped_and_whale_is_served() {
         report.distinct
     );
     println!("costqueue_bypass_is_capped_and_whale_is_served: {report:?}");
-}
-
-/// The per-sample breaker under racing admitters: Closed → Open →
-/// HalfOpen never wedges (a request is always admittable once the
-/// cooldown lapses and the probe reports) and never admits two
-/// concurrent probes.
-#[test]
-fn breaker_never_wedges_nor_double_probes() {
-    let report = Explorer::new("breaker_never_wedges_nor_double_probes")
-        .preemption_bound(3)
-        .forbid_leaked(true)
-        .explore(|| {
-            // Threshold 1 trips on the first failure; zero cooldown makes
-            // "cooldown elapsed" true immediately, so the model run never
-            // waits on wall-clock time.
-            let cfg = BreakerConfig {
-                threshold: 1,
-                cooldown: std::time::Duration::ZERO,
-            };
-            let h = Arc::new(SampleHealth::default());
-            assert!(h.record_failure(&cfg), "threshold 1 must trip immediately");
-            let admitters: Vec<_> = (0..2)
-                .map(|_| {
-                    let h = Arc::clone(&h);
-                    thread::spawn(move || match h.admit(&cfg) {
-                        Admission::Admit { probe: true } => {
-                            // The single half-open probe: report success.
-                            assert!(h.record_success(), "probe success must count as recovery");
-                            2u32
-                        }
-                        Admission::Admit { probe: false } => 1,
-                        Admission::Quarantined { .. } => 0,
-                    })
-                })
-                .collect();
-            let outcomes: Vec<u32> = admitters
-                .into_iter()
-                .map(|a| a.join().expect("admitter"))
-                .collect();
-            let probes = outcomes.iter().filter(|&&o| o == 2).count();
-            assert_eq!(probes, 1, "exactly one admitter may probe: {outcomes:?}");
-            let stats = h.stats();
-            assert_eq!(stats.probes, 1, "double probe admitted");
-            assert_eq!(stats.recoveries, 1);
-            // Not wedged: the breaker is Closed again and admits plainly.
-            assert_eq!(h.state_name(), "closed");
-            assert_eq!(h.admit(&cfg), Admission::Admit { probe: false });
-        });
-    assert!(
-        report.distinct >= 400,
-        "only {} distinct schedules",
-        report.distinct
-    );
-    println!("breaker_never_wedges_nor_double_probes: {report:?}");
 }
 
 /// Worker-pool shutdown: close() must wake parked workers, the queue
