@@ -25,12 +25,12 @@ use crate::cursor::{fill_block, unpack_2bit, BlockBuffers, BlockStreams};
 use crate::file::{BalFile, DecodeStats};
 use crate::record::{Flags, Record};
 use crate::BalError;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use ultravc_genome::alphabet::Base;
 use ultravc_genome::phred::{Phred, MAX_PHRED};
 use ultravc_genome::sequence::Seq;
-use ultravc_sync::atomic::{AtomicU32, Ordering};
-use ultravc_sync::{Arc, Mutex};
 
 /// Number of representable Phred scores; a spilled dictionary has one bin
 /// per score.

@@ -29,7 +29,7 @@ use crate::file::{checked_len, BalFile, BlockMeta, MAX_STREAM_RAW};
 use crate::record::Flags;
 use crate::BalError;
 use std::borrow::Cow;
-use ultravc_sync::Arc;
+use std::sync::Arc;
 
 // Stream offsets are stored as `u32`; the decoder refuses any stream
 // longer than `MAX_STREAM_RAW`, so every offset fits.

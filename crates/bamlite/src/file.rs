@@ -56,7 +56,7 @@ use crate::BalError;
 use bytes::{Buf, Bytes};
 use std::borrow::Cow;
 use std::path::Path;
-use ultravc_sync::Arc;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"BAL3";
 /// The format version [`MAGIC`] names, as [`BalFile::version`] reports it.

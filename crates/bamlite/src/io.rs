@@ -39,9 +39,9 @@ use bytes::Bytes;
 use std::borrow::Cow;
 use std::fs::File;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
-use ultravc_sync::atomic::{AtomicBool, Ordering};
-use ultravc_sync::Arc;
 
 pub mod fault;
 

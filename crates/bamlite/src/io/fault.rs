@@ -44,8 +44,8 @@
 use crate::io::ByteSource;
 use crate::BalError;
 use std::borrow::Cow;
+use std::sync::Mutex;
 use std::time::Duration;
-use ultravc_sync::Mutex;
 
 /// A parsed fault schedule: seed, per-class probabilities and offset
 /// triggers. See the module docs for the spec grammar.
@@ -315,10 +315,10 @@ mod tests {
     use crate::io::{CancelToken, Interrupt, IoBudget};
     use crate::{BalFile, BalWriter, Flags, Record};
     use bytes::Bytes;
+    use std::sync::Arc;
     use std::time::Instant;
     use ultravc_genome::phred::Phred;
     use ultravc_genome::sequence::Seq;
-    use ultravc_sync::Arc;
 
     fn mem(n: usize) -> ByteSource {
         ByteSource::Mem(Bytes::from((0..n).map(|i| i as u8).collect::<Vec<u8>>()))

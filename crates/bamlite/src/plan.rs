@@ -16,7 +16,7 @@
 
 use crate::file::BalFile;
 use std::ops::Range;
-use ultravc_sync::Arc;
+use std::sync::Arc;
 
 /// One region's slice of the plan: the blocks whose genomic extent
 /// overlaps it — its own blocks plus the boundary blocks it shares with

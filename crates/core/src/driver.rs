@@ -31,12 +31,12 @@ use crate::caller::{examine_column, CallSet, CallStats};
 use crate::config::CallerConfig;
 use crate::pvalue::{ColumnTest, Scratch};
 use crate::supervisor::{Interrupt, RegionError, RegionFailure, RunBudget};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use ultravc_bamlite::{BalError, BalFile, DecodeStats, IoPlan, SharedBlockCache};
 use ultravc_genome::reference::ReferenceGenome;
 use ultravc_parfor::{parallel_for_supervised, ItemOutcome, Schedule, TeamReport};
 use ultravc_pileup::{chunk_ranges, pileup_region_windowed};
-use ultravc_sync::{Arc, Mutex};
 use ultravc_trace::{Category, Timeline, TraceRecorder};
 use ultravc_vcf::{DynamicFilter, FilterParams, FilterReport, VcfRecord};
 

@@ -27,9 +27,9 @@ use crate::driver::{CallDriver, CallOutcome};
 use crate::pvalue::ColumnTest;
 use crate::supervisor::RunBudget;
 use std::ops::Range;
+use std::sync::Arc;
 use ultravc_bamlite::{BalError, BalFile};
 use ultravc_genome::reference::ReferenceGenome;
-use ultravc_sync::Arc;
 
 /// A long-lived calling session over one reference + alignment file:
 /// open file, quality dictionary and whole-genome [`ColumnTest`] all

@@ -1,6 +1,6 @@
 //! Loop schedules, mirroring OpenMP's `schedule()` clause.
 
-use ultravc_sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How loop iterations are handed to worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -196,10 +196,8 @@ where
     let mut counts = vec![0usize; n_threads];
     let mut finished_at = vec![Duration::ZERO; n_threads];
 
-    // Deliberately std, not the ultravc-sync facade: scoped threads borrow
-    // `items`/`dispenser` from this stack frame, which the model scheduler
-    // cannot express. The claim protocol itself (Dispenser) runs on facade
-    // atomics, so the model suite exercises it with its own plain spawns.
+    // Scoped threads borrow `items`/`dispenser` from this stack frame and
+    // are all joined before the scope returns.
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_threads);
         for thread_id in 0..n_threads {

@@ -28,9 +28,9 @@
 //! never the whole working set of hot small spans.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use ultravc_bamlite::FileFingerprint;
 use ultravc_core::CallStats;
-use ultravc_sync::{Arc, Mutex, MutexGuard, PoisonError};
 use ultravc_vcf::VcfRecord;
 
 /// Cache key: which sample file (by identity, not path) and which

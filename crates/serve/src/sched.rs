@@ -28,8 +28,8 @@
 //! tokens and feed the drain-rate estimator.
 
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use ultravc_sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A large job may be overtaken by at most this many small jobs before
 /// it dequeues regardless — bounded priority, not starvation.
@@ -140,10 +140,6 @@ impl<T> CostQueue<T> {
             state.large.push_back(entry);
         }
         drop(state);
-        // `ultravc_model_lost_wakeup` (model-check CI only) deliberately
-        // drops this notify so the detector can prove it would catch the
-        // regression; see tests/model_check.rs.
-        #[cfg(not(ultravc_model_lost_wakeup))]
         self.ready.notify_one();
         Ok(())
     }
@@ -238,6 +234,7 @@ fn retry_after(drained: &VecDeque<(Instant, u64)>, excess: u64) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{self, RecvTimeoutError};
     use std::sync::Arc;
 
     #[test]
@@ -296,15 +293,144 @@ mod tests {
         assert_eq!(q.push(2, 1), Err(PushError::Closed));
         assert_eq!(q.pop().map(|(v, _)| v), Some(1));
         assert_eq!(q.pop(), None);
-        // A blocked popper is woken by close from another thread.
+        // A blocked popper is woken by close from another thread, within
+        // a deadline rather than by a join that would hang.
         let q2 = Arc::new(CostQueue::<u32>::new(100));
+        let (tx, rx) = mpsc::channel();
         let waiter = {
             let q2 = Arc::clone(&q2);
-            std::thread::spawn(move || q2.pop())
+            std::thread::spawn(move || tx.send(q2.pop()).unwrap())
         };
         std::thread::sleep(Duration::from_millis(30));
         q2.close();
-        assert_eq!(waiter.join().unwrap(), None);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(None));
+        waiter.join().unwrap();
+    }
+
+    /// Two real workers on one queue, the server's pop → work → finish
+    /// loop. Parked workers must serve every job within a deadline (a
+    /// push whose wakeup is lost strands its job), each job exactly
+    /// once; the whale is overtaken by exactly `BYPASS_CAP` smalls; and
+    /// `close()` drains what is queued, refuses later pushes and lets
+    /// both workers exit within the deadline. This samples the schedules
+    /// the host happens to run, not every interleaving.
+    #[test]
+    fn parked_workers_serve_every_job_and_close_joins_them() {
+        const DEADLINE: Duration = Duration::from_secs(10);
+        // Budget 800: cost ≤ 100 is small and the cost-500 whale large;
+        // the most ever in flight here (the whale plus 34 smalls) fits.
+        let q = Arc::new(CostQueue::<u32>::new(800));
+        // A worker takes the gate after reporting each job, so holding it
+        // keeps both workers busy while jobs line up behind them.
+        let gate = Arc::new(Mutex::new(()));
+        let (tx, rx) = mpsc::channel::<(usize, u32)>();
+        let workers: Vec<_> = (0..2)
+            .map(|w| {
+                let (q, gate, tx) = (Arc::clone(&q), Arc::clone(&gate), tx.clone());
+                std::thread::spawn(move || {
+                    while let Some((item, cost)) = q.pop() {
+                        tx.send((w, item)).unwrap();
+                        drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
+                        q.finish(cost);
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let serve = |n: usize| -> Vec<(usize, u32)> {
+            (0..n)
+                .map(|_| {
+                    rx.recv_timeout(DEADLINE)
+                        .expect("a queued job was not served: lost wakeup?")
+                })
+                .collect()
+        };
+        // Hold the gate only once every reported job has finished: a
+        // worker still passing the gate with an old job could not take a
+        // plug.
+        let hold_gate = || {
+            let t0 = Instant::now();
+            while q.stats().inflight_cost > 0 {
+                assert!(t0.elapsed() < DEADLINE, "a served job never finished");
+                std::thread::yield_now();
+            }
+            gate.lock().unwrap()
+        };
+        let mut pushed = Vec::new();
+        let mut served = Vec::new();
+        let mut push = |item: u32, cost: u64| {
+            q.push(item, cost).unwrap();
+            pushed.push(item);
+        };
+
+        // One job at a time: most find both workers parked.
+        for item in 0..32 {
+            push(item, 1);
+            served.extend(serve(1));
+        }
+
+        // A plug per worker holds both at the gate; then the whale and
+        // 2 × BYPASS_CAP smalls queue up behind them.
+        let held = hold_gate();
+        push(100, 1);
+        push(101, 1);
+        let plugs = serve(2);
+        assert_ne!(plugs[0].0, plugs[1].0, "one worker took both plugs");
+        const WHALE: u32 = 999;
+        push(WHALE, 500);
+        let smalls: Vec<u32> = (200..200 + 2 * BYPASS_CAP as u32).collect();
+        for &item in &smalls {
+            push(item, 1);
+        }
+        drop(held);
+        let burst = serve(smalls.len() + 1);
+        // Smalls leave in FIFO order, so the whale's own worker sees where
+        // it went: after exactly the first BYPASS_CAP smalls.
+        let whale_worker = burst.iter().find(|(_, i)| *i == WHALE).unwrap().0;
+        let mine: Vec<u32> = burst
+            .iter()
+            .filter(|(w, _)| *w == whale_worker)
+            .map(|&(_, i)| i)
+            .collect();
+        let at = mine.iter().position(|&i| i == WHALE).unwrap();
+        let cut = smalls[BYPASS_CAP as usize];
+        assert!(
+            mine[..at].iter().all(|&i| i < cut) && mine[at + 1..].iter().all(|&i| i >= cut),
+            "whale not dequeued after exactly {BYPASS_CAP} smalls: its worker took {mine:?}"
+        );
+        served.extend(plugs);
+        served.extend(burst);
+
+        // Close with three jobs queued behind the plugs: they still run,
+        // a later push is refused, and both workers exit.
+        let held = hold_gate();
+        push(300, 1);
+        push(301, 1);
+        served.extend(serve(2));
+        for item in 302..305 {
+            push(item, 1);
+        }
+        q.close();
+        assert_eq!(q.push(999_999, 1), Err(PushError::Closed));
+        drop(held);
+        served.extend(serve(3));
+        assert!(
+            matches!(
+                rx.recv_timeout(DEADLINE),
+                Err(RecvTimeoutError::Disconnected)
+            ),
+            "a worker did not exit after close()"
+        );
+        for w in workers {
+            w.join().unwrap();
+        }
+
+        let mut got: Vec<u32> = served.iter().map(|&(_, i)| i).collect();
+        got.sort_unstable();
+        pushed.sort_unstable();
+        assert_eq!(got, pushed, "a job was lost or served twice");
+        let stats = q.stats();
+        assert_eq!((stats.depth, stats.inflight_cost), (0, 0));
     }
 
     #[test]

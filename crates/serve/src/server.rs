@@ -40,6 +40,10 @@ use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 use ultravc_bamlite::{BalError, BalFile, FaultPlan, FileFingerprint, Interrupt};
 use ultravc_core::driver::CHUNK_COLUMNS;
@@ -49,10 +53,6 @@ use ultravc_core::{CancelToken, RunBudget};
 use ultravc_genome::fasta::read_fasta;
 use ultravc_genome::reference::ReferenceGenome;
 use ultravc_parfor::Schedule;
-use ultravc_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use ultravc_sync::mpsc::{self, RecvTimeoutError};
-use ultravc_sync::thread::JoinHandle;
-use ultravc_sync::{Arc, Mutex, MutexGuard, PoisonError};
 use ultravc_vcf::{FilterParams, FilterStatus, VcfRecord, VcfWriter};
 
 /// How the server writes the VCF `##source=` line — kept equal to the
@@ -351,14 +351,14 @@ impl Server {
         let mut workers = Vec::new();
         for i in 0..config.workers.max(1) {
             let shared2 = Arc::clone(&shared);
-            let handle = ultravc_sync::thread::Builder::new()
+            let handle = std::thread::Builder::new()
                 .name(format!("ultravc-serve-worker-{i}"))
                 .spawn(move || worker_loop(&shared2))
                 .map_err(|e| format!("spawn worker: {e}"))?;
             workers.push(handle);
         }
         let shared_for_acceptor = Arc::clone(&shared);
-        let acceptor = ultravc_sync::thread::Builder::new()
+        let acceptor = std::thread::Builder::new()
             .name("ultravc-serve-acceptor".to_string())
             .spawn(move || acceptor_loop(listener, shared_for_acceptor))
             .map_err(|e| format!("spawn acceptor: {e}"))?;
@@ -445,7 +445,7 @@ fn acceptor_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         let Ok(stream) = conn else { continue };
         let shared2 = Arc::clone(&shared);
-        if let Ok(handle) = ultravc_sync::thread::Builder::new()
+        if let Ok(handle) = std::thread::Builder::new()
             .name("ultravc-serve-conn".to_string())
             .spawn(move || handle_connection(&shared2, stream))
         {

@@ -37,6 +37,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use ultravc_bamlite::{BalFile, BalWriter, Cigar, CigarOp, Flags, Record};
 use ultravc_core::{CallDriver, CallOutcome, CallSession, CallStats, CallerConfig, ParallelMode};
 use ultravc_genome::alphabet::Base;
@@ -50,7 +51,6 @@ use ultravc_readsim::QualityPreset;
 use ultravc_stats::binomial::fisher_exact;
 use ultravc_stats::rng::Rng;
 use ultravc_stats::PoissonBinomial;
-use ultravc_sync::Arc;
 use ultravc_vcf::{write_vcf, FilterStatus, Info, VcfRecord};
 
 /// The significance level `ε`, restated: the paper's 0.05.
