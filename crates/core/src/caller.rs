@@ -19,7 +19,7 @@ pub struct CallStats {
     pub columns: u64,
     /// Columns with at least one mismatch (entered the test).
     pub mismatch_columns: u64,
-    /// Columns the Poisson screen dismissed (the fast path).
+    /// Columns the reject-side screen dismissed (the fast path).
     pub skipped_by_approx: u64,
     /// Columns where the exact DP bailed early.
     pub bailed_early: u64,
@@ -293,6 +293,44 @@ mod tests {
             assert_eq!(rec.alt_base, v.snv.alt_base, "at {}", v.snv);
             assert!((rec.info.af - v.frequency).abs() < 0.05);
         }
+    }
+
+    #[test]
+    fn long_read_fixture_skips_more_and_calls_the_same() {
+        // Q12 long reads at 1,500×, where the Barbour–Hall distance
+        // (≈ 0.06) is above the paper's δ: the certified screen skips more
+        // columns than the paper's `p̂ ≥ ε + δ` at depth ≥ 100 would, and
+        // the run writes the records `original()` writes.
+        use ultravc_pileup::{pileup_region, PileupParams};
+        use ultravc_readsim::QualityPreset;
+        use ultravc_stats::approx::poisson_tail_from_lambda;
+        let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::tiny(), 5);
+        let ds = DatasetSpec::new("lr", 1_500.0, 5)
+            .with_quality(QualityPreset::LongRead)
+            .with_variants(6, 0.03, 0.1)
+            .simulate(&reference);
+        let improved =
+            call_variants(&reference, &ds.alignments, &CallerConfig::improved()).unwrap();
+        let original =
+            call_variants(&reference, &ds.alignments, &CallerConfig::original()).unwrap();
+        assert_eq!(improved.records, original.records);
+        assert!(!improved.records.is_empty());
+
+        let mut paper = 0;
+        let end = reference.len() as u32;
+        let mut columns = pileup_region(&ds.alignments, 0, end, PileupParams::default());
+        while let Some(column) = columns.next() {
+            let k = column.mismatch_count(reference.base(column.pos as usize)) as usize;
+            let p_hat = poisson_tail_from_lambda(column.quality_bins().lambda(), k);
+            paper += (k > 0 && column.depth() >= 100 && p_hat >= 0.05 + 0.01) as u64;
+            columns.recycle(column);
+        }
+        let skipped = improved.stats.skipped_by_approx;
+        assert!(
+            skipped > paper,
+            "{skipped} skipped, the paper's screen {paper}"
+        );
+        assert_eq!(original.stats.skipped_by_approx, 0);
     }
 
     #[test]

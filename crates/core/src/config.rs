@@ -3,15 +3,6 @@
 use serde::{Deserialize, Serialize};
 use ultravc_pileup::PileupParams;
 
-/// The screen's safety margin `δ` (§II.A of the paper): the exact test is
-/// skipped only when `p̂ ≥ ε + δ`. The paper's 0.01, chosen
-/// "intentionally conservative".
-pub(crate) const SCREEN_DELTA: f64 = 0.01;
-
-/// Minimum column depth for the screen. Below this the Poisson error bound
-/// is weak and the exact DP fits in cache anyway; the paper uses 100.
-pub(crate) const SCREEN_MIN_DEPTH: usize = 100;
-
 /// Multiple-testing correction for the per-column significance threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Bonferroni {
@@ -42,9 +33,9 @@ pub struct CallerConfig {
     pub sig_level: f64,
     /// Multiple-testing correction.
     pub bonferroni: Bonferroni,
-    /// The paper's Poisson screen (`δ = 0.01`, columns of depth ≥ 100) and
-    /// its accept-side twin, the certified upper bound; `false` reproduces
-    /// *original* LoFreq.
+    /// The certified screens on both sides and the exact DP's bail at the
+    /// corrected threshold ([`crate::pvalue`] states the skip contract);
+    /// `false` reproduces *original* LoFreq.
     pub shortcut: bool,
     /// Pileup filters and depth cap.
     #[serde(skip, default)]
@@ -127,8 +118,10 @@ mod tests {
 
     #[test]
     fn shortcut_defaults_match_paper() {
-        assert_eq!(SCREEN_DELTA, 0.01);
-        assert_eq!(SCREEN_MIN_DEPTH, 100);
-        assert_eq!(CallerConfig::default().sig_level, 0.05);
+        let cfg = CallerConfig::default();
+        assert!(cfg.shortcut, "the improved caller is the default");
+        assert_eq!((cfg.sig_level, cfg.bonferroni), (0.05, Bonferroni::Auto));
+        // LoFreq's dynamic correction: ε over three alleles per column.
+        assert_eq!(cfg.column_threshold(30_000), 0.05 / 90_000.0);
     }
 }

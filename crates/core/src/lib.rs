@@ -12,32 +12,30 @@
 //! ```text
 //! K ← # non-reference bases            (mismatches)
 //! if K = 0                             → no variant, next column
-//! if shortcut enabled ∧ depth ≥ 100:
-//!     p̂ ← Pr[Pois(Σ pᵢ) ≥ K]           (O(d) screen)
-//!     if p̂ ≥ ε + δ                     → no variant, next column  ← the speedup
 //! if shortcut enabled:
+//!     L ← max(Pr[Pois(λ) ≥ K] − d_BH,  (certified: L ≤ Pr[PoisBin ≥ K],
+//!             tilted Berry–Esseen)       O(#bins))
+//!     if L ≥ ε/B·(1 + 10⁻⁶)            → no variant, next column  ← the speedup
 //!     U ← exp(K − λ − K·ln(K/λ))       (certified: Pr[PoisBin ≥ K] ≤ U)
 //!     if U ≤ 1e-310 ∧ U·B < ε          → call variant, QUAL = 3000 (its cap)
 //! p ← Pr[PoisBin{pᵢ} ≥ K]              (exact DP, with early exit)
 //! if p·B < ε                           → call variant (QUAL = −10·log₁₀ p)
 //! ```
 //!
-//! with `ε = 0.05`, `δ = 0.01`, the depth gate 100 and Bonferroni factor
-//! `B`, per the paper's defaults (the two screen values are constants in
-//! [`config`]); [`CallerConfig::shortcut`] switches both screens off
-//! together ([`CallerConfig::original`]). The Poisson screen can only
-//! *suppress* calls relative to exact LoFreq (never add), and on all
-//! evaluation datasets it suppresses none — the invariant tested
-//! throughout this crate and asserted by the Table I harness. The second
-//! branch is this repo's accept-side twin of it: the p-value is proved to
-//! be ten decades below the point where QUAL saturates, so the record is
-//! the one the exact DP would have produced (see [`pvalue::ColumnTest`]);
-//! it removes the `O(K·Σ min(mᵦ, K))` exact tail from the ultra-deep
-//! true variants, where `K` is in the thousands.
+//! with `ε = 0.05` and Bonferroni factor `B`, per the paper's defaults.
+//! [`CallerConfig::shortcut`] switches both screens off together
+//! ([`CallerConfig::original`]). The screens decide a column only where
+//! a certified bound proves what the exact DP would decide, so the two
+//! presets write byte-identical VCFs; the contract is stated once, in
+//! [`pvalue`]. The reject side is this repo's certified form of the
+//! paper's Poisson screen (`p̂ ≥ ε + δ`), which bounds the tail from above
+//! and so certifies nothing on low-quality reads; the accept side removes
+//! the `O(K·Σ min(mᵦ, K))` exact tail from the ultra-deep true variants,
+//! where `K` is in the thousands.
 //!
 //! Both stages consume the pileup layer's **quality-binned** column
-//! representation: the screen's `λ = Σ pᵢ` is a sum over the quality
-//! histogram (`O(1)` in depth) and the exact stage runs the grouped-trial
+//! representation: the screens' sums run over the quality histogram
+//! (`O(1)` in depth) and the exact stage runs the grouped-trial
 //! DP over `(probability, multiplicity)` bins (`O(K·Σ min(mᵦ, K))` instead
 //! of `O(d·K)` — the same when every bin is thinner than `K` — and, under
 //! the exponential tilt at `K`, only the few tilted standard deviations of

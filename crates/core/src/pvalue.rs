@@ -1,13 +1,47 @@
 //! The per-column decision engine — the paper's Figure 1b as code.
+//!
+//! # The skip contract
+//!
+//! A mismatch column is decided without the exact DP in two cases, and in
+//! both the record is the one the exact DP would have produced
+//! ([`CallerConfig::original`] runs the DP on every column; the VCFs are
+//! byte-identical):
+//!
+//! - **Reject side** ([`ColumnDecision::SkippedByApprox`]). A column is
+//!   called only if its p-value is below the corrected threshold
+//!   `t = ε / B` ([`ColumnTest::threshold`]). The screen proves `p ≥ t`
+//!   with a certified lower bound `L ≤ p`, skipping when
+//!   `L ≥ t·(1 + 10⁻⁶)` ([`certifies_tail_above`]; the margin is far above
+//!   the exact kernel's `1e−12` rounding, so the kernel would not have
+//!   called the column either). `L` is the larger of two `O(#bins)`
+//!   bounds: (i) the Poisson tail minus the Barbour–Hall distance
+//!   ([`poisson_tail_lower_bound`]), and, only when (i) fails and
+//!   `K ≥ 16`, (ii) the exponential tilt at `K` with Berry–Esseen
+//!   ([`Tilt::tail_lower_bound`]), whose tilt the exact kernel then reuses.
+//!   No depth gate. The paper's own screen, `Pr[Pois(λ) ≥ K] ≥ ε + δ`,
+//!   bounds `p` from above, so it certifies nothing on low-quality reads.
+//! - **Accept side** (a certified [`ColumnDecision::Called`]). The
+//!   Chernoff bound `U ≥ p` ([`ln_tail_upper_bound`]) proves, with ten
+//!   decades to spare ([`certifies_tail_below`]), that `p` is below
+//!   [`QUAL_SATURATION_P`], so QUAL is its cap whatever the DP returns; the
+//!   DP sums non-negative terms only, so on the same column it also lands
+//!   below `1e-300`. No depth gate either.
+//!
+//! Under the shortcut the exact DP also bails as soon as its running tail
+//! (a lower bound on `p`) passes `t`; [`CallerConfig::original`] keeps
+//! LoFreq's bail at the uncorrected `ε`. Both exits leave a column
+//! uncalled, so only the decision counts differ.
 
-use crate::config::{CallerConfig, SCREEN_DELTA, SCREEN_MIN_DEPTH};
+use crate::config::CallerConfig;
 use serde::{Deserialize, Serialize};
 use ultravc_genome::alphabet::Base;
 use ultravc_genome::phred::QUAL_SATURATION_P;
 use ultravc_pileup::{PileupColumn, QualityBins};
-use ultravc_stats::approx::{certifies_tail_below, ln_tail_upper_bound, poisson_tail_from_lambda};
+use ultravc_stats::approx::{
+    certifies_tail_above, certifies_tail_below, ln_tail_upper_bound, poisson_tail_lower_bound,
+};
 use ultravc_stats::poisson_binomial::{
-    BinnedTailScratch, PoissonBinomial, TailBudget, TailOutcome,
+    BinnedTailScratch, PoissonBinomial, TailBudget, TailOutcome, Tilt,
 };
 
 /// Reusable per-worker buffers for the binned calling path: the quality-bin
@@ -47,11 +81,12 @@ impl Scratch {
 pub enum ColumnDecision {
     /// No non-reference bases: nothing to test.
     NoMismatch,
-    /// The `O(d)` Poisson screen proved the column uninteresting
-    /// (`p̂ ≥ ε + δ`); the exact computation was skipped. The speedup path.
+    /// The reject-side screen proved the p-value is at or above the
+    /// corrected threshold (see the [module docs](self)); the exact
+    /// computation was skipped. The speedup path.
     SkippedByApprox {
-        /// The approximate p-value.
-        p_hat: f64,
+        /// The certified lower bound on the p-value.
+        lower_bound: f64,
     },
     /// The exact DP bailed early once its running tail crossed the
     /// significance threshold (LoFreq's pre-existing optimization).
@@ -116,20 +151,10 @@ impl ColumnTest {
         self.threshold
     }
 
-    /// The accept-side screen: `Some(U)` when the Chernoff bound
-    /// `U ≥ Pr[X ≥ k]` ([`ln_tail_upper_bound`]) proves, with
-    /// [`ultravc_stats::approx::CERTIFICATE_MARGIN_LN`] to spare, that the
-    /// p-value is below [`QUAL_SATURATION_P`] — the call's QUAL is then
-    /// [`ultravc_genome::phred::QUAL_CAP`] whatever the exact kernel would
-    /// return, so its `O(K·Σ min(mᵦ, K))` run (less under the tilt window)
-    /// is skipped. `U < threshold` holds
-    /// for every real Bonferroni factor; it is checked so that an absurd
-    /// fixed one still decides the call.
-    ///
-    /// Rigorous at every depth (no depth gate). Output identity with
-    /// [`CallerConfig::original`]: the true p is `≤ 1e-310`, and the DP
-    /// sums non-negative terms only, so an exact run of the same column
-    /// also lands below `1e-300` and prints the same QUAL.
+    /// The accept side of the module docs' contract: `Some(U)` when the
+    /// Chernoff bound `U ≥ Pr[X ≥ k]` certifies a saturated QUAL.
+    /// `U < threshold` holds for every real Bonferroni factor; it is
+    /// checked so that an absurd fixed one still decides the call.
     ///
     /// Out of line on purpose: [`Self::test`] is the hot body of every
     /// column, and inlining this branch cost `wide_1k` 3–6 % at two threads
@@ -159,51 +184,40 @@ impl ColumnTest {
         if k == 0 {
             return ColumnDecision::NoMismatch;
         }
-        let depth = column.depth();
-
-        // One histogram aggregation serves both stages: λ for the screen
-        // is a sum over the bins (O(#bins), independent of depth) and the
-        // exact stage consumes the same bins.
+        // One histogram aggregation serves every stage: the screens' sums
+        // run over the bins (O(#bins), independent of depth) and the exact
+        // stage consumes the same bins.
         column.fill_quality_bins(&mut scratch.bins);
-
-        // First-pass screen (the paper's contribution), then its
-        // accept-side twin for the columns it let through.
+        let bins = scratch.bins.as_slice();
         scratch.certified = false;
-        if self.shortcut {
-            let lambda = scratch.bins.lambda();
-            if depth >= SCREEN_MIN_DEPTH {
-                let p_hat = poisson_tail_from_lambda(lambda, k);
-                if p_hat >= self.sig_level + SCREEN_DELTA {
-                    return ColumnDecision::SkippedByApprox { p_hat };
-                }
+        // The module docs' screens, reject side first. Original LoFreq runs
+        // the DP alone, bailing where no tail can survive the correction.
+        let (tilt, bail_above) = if self.shortcut {
+            let mut lower = poisson_tail_lower_bound(bins, k);
+            let mut tilt = None;
+            if !certifies_tail_above(lower, self.threshold) {
+                tilt = Tilt::solve(bins, k);
+                lower = lower.max(tilt.map_or(0.0, |t| t.tail_lower_bound(bins)));
             }
-            if let Some(pvalue) = self.certified_saturated(lambda, k) {
+            if certifies_tail_above(lower, self.threshold) {
+                return ColumnDecision::SkippedByApprox { lower_bound: lower };
+            }
+            if let Some(pvalue) = self.certified_saturated(scratch.bins.lambda(), k) {
                 scratch.certified = true;
                 return ColumnDecision::Called { pvalue };
             }
-        }
-
-        // Exact computation, with LoFreq's early exit: any tail above the
-        // *uncorrected* sig level can never be significant after
-        // correction, so the DP bails there.
-        let budget = TailBudget {
-            bail_above: self.sig_level,
-        };
-        let pvalue = match PoissonBinomial::tail_early_exit_binned(
-            scratch.bins.as_slice(),
-            k,
-            budget,
-            &mut scratch.dp,
-        ) {
-            TailOutcome::Exact(p) => p,
-            TailOutcome::Bailed { lower_bound, .. } => {
-                return ColumnDecision::BailedEarly { lower_bound };
-            }
-        };
-        if pvalue < self.threshold {
-            ColumnDecision::Called { pvalue }
+            (tilt, self.threshold)
         } else {
-            ColumnDecision::NotSignificant { pvalue }
+            (Tilt::solve(bins, k), self.sig_level)
+        };
+        let budget = TailBudget { bail_above };
+        let dp = &mut scratch.dp;
+        match PoissonBinomial::tail_early_exit_binned_tilted(bins, k, budget, dp, tilt.as_ref()) {
+            TailOutcome::Bailed { lower_bound, .. } => ColumnDecision::BailedEarly { lower_bound },
+            TailOutcome::Exact(pvalue) if pvalue < self.threshold => {
+                ColumnDecision::Called { pvalue }
+            }
+            TailOutcome::Exact(pvalue) => ColumnDecision::NotSignificant { pvalue },
         }
     }
 }
@@ -266,14 +280,24 @@ pub(crate) mod tests {
         }
     }
 
+    /// The per-trial tail of `col` at its mismatch count — the referee.
+    fn per_trial_tail(col: &PileupColumn) -> f64 {
+        let k = col.mismatch_count(Base::A) as usize;
+        PoissonBinomial::from_phred_probs(col.error_probs()).tail_pruned(k)
+    }
+
     #[test]
     fn error_level_mismatches_are_skipped_by_approx() {
-        // At Q20 (p=0.01), 1000 reads ⇒ λ=10; seeing 8 mismatches is
-        // thoroughly unremarkable: p̂ ≈ 0.78 ≥ 0.06 ⇒ skip.
+        // At Q20 (p = 0.01), 1000 reads ⇒ λ = 10; seeing 8 mismatches is
+        // thoroughly unremarkable: p ≈ 0.78, and the Poisson tail minus the
+        // Barbour–Hall distance (≈ 0.01) proves it is above the threshold.
         let cfg = CallerConfig::default();
         let col = column(992, 8, 20);
         match test_with(&cfg, &col) {
-            ColumnDecision::SkippedByApprox { p_hat } => assert!(p_hat > 0.5, "{p_hat}"),
+            ColumnDecision::SkippedByApprox { lower_bound } => {
+                assert!(lower_bound > 0.5, "{lower_bound}");
+                assert!(lower_bound <= per_trial_tail(&col), "{lower_bound}");
+            }
             other => panic!("expected approx skip, got {other:?}"),
         }
     }
@@ -290,51 +314,88 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn shallow_columns_bypass_the_shortcut() {
-        // depth 50 < SCREEN_MIN_DEPTH: the screen must not fire even though
-        // p̂ would be large.
+    fn shallow_columns_are_screened() {
+        // Depth 50: the paper gates its screen at depth 100; the certified
+        // bound needs no gate. λ = 0.5 and K = 2 give p ≈ 0.09.
         let cfg = CallerConfig::default();
         let col = column(48, 2, 20);
         let d = test_with(&cfg, &col);
-        assert!(d.ran_exact(), "{d:?}");
+        assert!(matches!(d, ColumnDecision::SkippedByApprox { .. }), "{d:?}");
+        assert!(!test_with(&CallerConfig::original(), &col).is_call());
     }
 
     #[test]
     fn skip_is_safe_near_threshold() {
-        // The safety property of δ: whenever the screen skips, the exact
-        // p-value is indeed above ε. Sweep K to cover the decision
-        // boundary at Q20/Q30 mixes.
-        let cfg = CallerConfig {
-            bonferroni: Bonferroni::None,
-            ..CallerConfig::default()
-        };
+        // Whenever the screen skips, the per-trial p-value is at or above
+        // the corrected threshold and the bound is below it; sweep K across
+        // the decision boundary on Q12 (where the Barbour–Hall distance is
+        // ≈ 0.06), Q20 and Q30 columns, shallow and deep.
+        let tester = ColumnTest::new(&CallerConfig::default(), 1_000);
+        let reference = ColumnTest::new(&CallerConfig::original(), 1_000);
         let mut scratch = Scratch::new();
-        for q in [20u8, 30] {
-            for k in 1..40usize {
-                let col = column(2_000 - k, k, q);
-                let tester = ColumnTest::new(&cfg, 1);
-                if let ColumnDecision::SkippedByApprox { .. } =
-                    tester.test(&col, Base::A, &mut scratch)
-                {
-                    // Exact must agree it's not significant at ε.
-                    let probs = col.error_probs();
-                    let pb = PoissonBinomial::new(probs).unwrap();
-                    let exact = pb.tail_pruned(k);
+        let (mut skipped_uncalled, mut uncalled, mut by_tilt) = (0, 0, 0);
+        for (depth, q) in [
+            (60usize, 12u8),
+            (2_000, 12),
+            (300, 20),
+            (2_000, 20),
+            (2_000, 30),
+        ] {
+            let lambda = depth as f64 * 10f64.powf(-(q as f64) / 10.0);
+            let hi = (lambda + 12.0 * lambda.sqrt()) as usize + 8;
+            for k in 1..hi.min(depth) {
+                let col = column(depth - k, k, q);
+                let decision = tester.test(&col, Base::A, &mut scratch);
+                let exact = per_trial_tail(&col);
+                let called = reference.test(&col, Base::A, &mut Scratch::new()).is_call();
+                assert_eq!(decision.is_call(), called, "Q{q} depth {depth} k {k}");
+                uncalled += !called as usize;
+                if let ColumnDecision::SkippedByApprox { lower_bound } = decision {
+                    skipped_uncalled += 1;
+                    let poisson = poisson_tail_lower_bound(scratch.bins.as_slice(), k);
+                    by_tilt += !certifies_tail_above(poisson, tester.threshold()) as usize;
                     assert!(
-                        exact > cfg.sig_level,
-                        "q={q} k={k}: skipped but exact p = {exact}"
+                        lower_bound <= exact && exact >= tester.threshold(),
+                        "Q{q} depth {depth} k {k}: bound {lower_bound:e}, exact {exact:e}"
                     );
                 }
             }
         }
+        // The bounds are tight enough to settle most uncalled columns, the
+        // tilt where the Poisson bound cannot.
+        assert!(by_tilt > 0, "no skip by the tilted bound");
+        assert!(
+            skipped_uncalled * 10 >= uncalled * 9,
+            "{skipped_uncalled} of {uncalled}"
+        );
+    }
+
+    #[test]
+    fn improved_bails_at_the_corrected_threshold() {
+        // Between the threshold and ε a column the screens cannot settle
+        // runs the DP; under the shortcut it bails once the running tail
+        // passes the threshold, where `original()` runs on to ε.
+        let improved = ColumnTest::new(&CallerConfig::default(), 1_000);
+        let original = ColumnTest::new(&CallerConfig::original(), 1_000);
+        let mut scratch = Scratch::new();
+        let mut bailed_earlier = 0;
+        for k in 1..40 {
+            let col = column(2_000 - k, k, 20);
+            let fast = improved.test(&col, Base::A, &mut scratch);
+            let slow = original.test(&col, Base::A, &mut scratch);
+            assert_eq!(fast.is_call(), slow.is_call(), "k {k}");
+            if let ColumnDecision::BailedEarly { lower_bound } = fast {
+                assert!(lower_bound > improved.threshold() && !slow.is_call());
+                bailed_earlier += matches!(slow, ColumnDecision::NotSignificant { .. }) as usize;
+            }
+        }
+        assert!(bailed_earlier > 0, "no column between the bounds and ε");
     }
 
     #[test]
     fn bonferroni_tightens_threshold() {
         // A marginal variant: significant uncorrected, not after ×3000.
-        let col = column(995, 5, 20); // λ ≈ 10 … K=5 is below the mean; pick stronger
         let col2 = column(1_000, 9, 30); // λ ≈ 1.009, K=9: p ≈ 1e-7
-        let _ = col;
         let loose = CallerConfig {
             bonferroni: Bonferroni::None,
             shortcut: false,
@@ -479,7 +540,7 @@ pub(crate) mod tests {
         assert!(ColumnDecision::Called { pvalue: 0.01 }.is_call());
         assert!(!ColumnDecision::NoMismatch.is_call());
         assert!(!ColumnDecision::NoMismatch.ran_exact());
-        assert!(!ColumnDecision::SkippedByApprox { p_hat: 0.5 }.ran_exact());
+        assert!(!ColumnDecision::SkippedByApprox { lower_bound: 0.5 }.ran_exact());
         assert!(ColumnDecision::BailedEarly { lower_bound: 0.1 }.ran_exact());
         assert!(ColumnDecision::NotSignificant { pvalue: 0.5 }.ran_exact());
     }

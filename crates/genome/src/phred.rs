@@ -146,13 +146,16 @@ pub const QUAL_CAP: f64 = 3_000.0;
 pub const QUAL_SATURATION_P: f64 = 1e-300;
 
 /// Phred-scale a p-value for VCF QUAL columns: `−10·log₁₀(p)`, capped at
-/// [`QUAL_CAP`] (reached at [`QUAL_SATURATION_P`]).
+/// [`QUAL_CAP`] (reached at [`QUAL_SATURATION_P`]). Never `-0.0`: `p = 1`
+/// scales to `+0.0`, which prints as `0`.
 #[inline]
 pub fn phred_scale_pvalue(p: f64) -> f64 {
     if p <= QUAL_SATURATION_P {
         return QUAL_CAP;
     }
-    (-10.0 * p.log10()).clamp(0.0, QUAL_CAP)
+    // `−10·log₁₀ 1` is `-0.0`, which `clamp` keeps; adding `+0.0` drops
+    // the sign.
+    (-10.0 * p.log10()).clamp(0.0, QUAL_CAP) + 0.0
 }
 
 #[cfg(test)]
@@ -211,6 +214,17 @@ mod tests {
         assert!((phred_scale_pvalue(0.05) - 13.0103).abs() < 1e-3);
         assert_eq!(phred_scale_pvalue(1.0), 0.0);
         assert_eq!(phred_scale_pvalue(2.0), 0.0);
+    }
+
+    #[test]
+    fn a_certain_pvalue_scales_to_positive_zero() {
+        // `0.0 == -0.0`, so the sign needs its own check: a `-0.0` prints
+        // as `-0` in the VCF's `{:.0}` fields.
+        for p in [1.0, 2.0, 1.0 - f64::EPSILON / 4.0] {
+            let q = phred_scale_pvalue(p);
+            assert!(q == 0.0 && q.is_sign_positive(), "p = {p}: {q:?}");
+        }
+        assert_eq!(format!("{:.0}", phred_scale_pvalue(1.0)), "0");
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The paper's shortcut is [`poisson_tail`]: the Hodges–Le Cam Poisson
 //! approximation with rate `λ = Σ p_i`, computed in `O(d)` (one pass to sum
 //! the probabilities, one incomplete-gamma evaluation). [`le_cam_bound`]
-//! gives the classic total-variation distance between the two laws — which
-//! certifies the shortcut only on reads better than Q20, see its doc — and
-//! [`ln_tail_upper_bound`] the certified bound behind the caller's
-//! accept-side screen.
+//! gives the classic total-variation distance between the two laws. The
+//! caller's two screens use certified bounds instead:
+//! [`poisson_tail_lower_bound`] (with the tilted bound
+//! [`crate::poisson_binomial::Tilt::tail_lower_bound`]) on the reject side
+//! and [`ln_tail_upper_bound`] on the accept side.
 
 use crate::poisson::Poisson;
 
@@ -14,7 +15,9 @@ use crate::poisson::Poisson;
 ///
 /// This is the `O(d)` first-pass screen of Kille et al.: if this value is
 /// comfortably above the significance level, the exact dynamic program is
-/// skipped and no variant is called.
+/// skipped and no variant is called. It bounds the Poisson-binomial tail
+/// from above, not below, for `k > λ`, so the caller's screen subtracts
+/// the Barbour–Hall distance from it ([`poisson_tail_lower_bound`]).
 pub fn poisson_tail(probs: &[f64], k: usize) -> f64 {
     let lambda: f64 = probs.iter().sum();
     poisson_tail_from_lambda(lambda, k)
@@ -84,21 +87,64 @@ pub fn certifies_tail_below(ln_upper: f64, p: f64) -> bool {
 /// this bound of the other's.
 ///
 /// The bound is at most `Σ p_i² / λ`, a mean of the `p_i`; it does not
-/// shrink with depth. It certifies the paper's shortcut — skip when
-/// `p̂ ≥ α + δ`, `δ = 0.01` — only where it is below `δ`, which every read
-/// better than Q20 (`p_i < 0.01`) guarantees. On low-quality reads it is
-/// not: on Q12 long reads (`p_i ≈ 0.063`) it is ≈ 0.063, so there
-/// `p̂ ≥ α + δ` does not imply `p ≥ α`. Until the screen has a certified
-/// lower bound of its own, the evidence for its skips on such reads is the
-/// naive-oracle property's long-read simulator draws
-/// (`tests/naive_oracle.rs`, held to a per-trial DP with no screen).
+/// shrink with depth. On Q12 long reads (`p_i ≈ 0.063`) it is ≈ 0.063, so
+/// the paper's shortcut — skip when `p̂ ≥ α + δ`, `δ = 0.01` — is not
+/// certified there. The caller's screen subtracts it instead
+/// ([`poisson_tail_lower_bound`]); its skip contract is stated once, in
+/// `ultravc_core::pvalue`.
 pub fn le_cam_bound(probs: &[f64]) -> f64 {
     let lambda: f64 = probs.iter().sum();
     let sum_sq: f64 = probs.iter().map(|p| p * p).sum();
+    barbour_hall(lambda, sum_sq)
+}
+
+/// `(1 − e^{−λ})/λ · Σ p_i²`, capped at 1; `0` for `λ ≤ 0`.
+fn barbour_hall(lambda: f64, sum_sq: f64) -> f64 {
     if lambda <= 0.0 {
         return 0.0;
     }
-    ((1.0 - (-lambda).exp()) / lambda * sum_sq).min(1.0)
+    (-(-lambda).exp_m1() / lambda * sum_sq).min(1.0)
+}
+
+/// Part (i) of the caller's reject-side screen: a certified lower bound on
+/// the Poisson-binomial tail `Pr[X ≥ k]` of the quality `bins`, in
+/// `O(#bins)` — the Poisson tail minus the Barbour–Hall distance
+/// ([`le_cam_bound`]), which bounds the two laws' gap on every event.
+///
+/// Rounding: `λ` and `Σ mᵦpᵦ²` are sums over the bins (relative error
+/// `~1e−14`), and the Poisson tail comes from the incomplete gamma to
+/// `1e−12` relative; a `λ` off by a relative `ε` moves the tail by about
+/// `k·ε`, and `ln Γ(k)` by `1e−13·k·ln k`. The tail is deflated and the
+/// distance inflated by a relative `1e−10·(1 + k·(1 + ln(1 + k)))`, a
+/// hundred times all of that. Non-positive where it proves nothing.
+pub fn poisson_tail_lower_bound(bins: &[(f64, u32)], k: usize) -> f64 {
+    let (lambda, sum_sq) = bins.iter().fold((0.0, 0.0), |(lambda, sum_sq), &(p, m)| {
+        let mean = m as f64 * p;
+        (lambda + mean, sum_sq + mean * p)
+    });
+    let kf = k as f64;
+    let rounding = 1e-10 * (1.0 + kf * (1.0 + kf.ln_1p()));
+    poisson_tail_from_lambda(lambda, k) * (1.0 - rounding)
+        - barbour_hall(lambda, sum_sq) * (1.0 + rounding)
+}
+
+/// Relative room a caller leaves between a certified lower bound on the
+/// tail and the p-value it wants to prove the tail is at or above:
+/// `L ≥ p·(1 + 10⁻⁶)`.
+///
+/// The bounds already absorb their own rounding; the margin is for the
+/// exact kernel's. That kernel agrees with the true tail to `1e−12`
+/// relative (the proptest contract), so a tail certified `10⁻⁶` above
+/// `p` is also above `p` as the kernel computes it: a skipped column is
+/// one the kernel would not have called.
+pub const LOWER_CERTIFICATE_MARGIN: f64 = 1e-6;
+
+/// Whether the lower bound `lower` (from [`poisson_tail_lower_bound`] or
+/// [`crate::poisson_binomial::Tilt::tail_lower_bound`]) proves the tail is
+/// at or above `p` with [`LOWER_CERTIFICATE_MARGIN`] to spare.
+#[inline]
+pub fn certifies_tail_above(lower: f64, p: f64) -> bool {
+    lower >= p * (1.0 + LOWER_CERTIFICATE_MARGIN)
 }
 
 #[cfg(test)]

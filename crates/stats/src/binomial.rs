@@ -121,6 +121,13 @@ pub struct FisherExact {
 ///
 /// For strand bias: `a` = variant reads on forward strand, `b` = variant on
 /// reverse, `c` = reference on forward, `d` = reference on reverse.
+///
+/// The hypergeometric pmf is stepped by its ratio
+/// `w(x+1)/w(x) = (c₁ − x)(r₁ − x) / ((x + 1)(n − c₁ − r₁ + x + 1))`
+/// outwards from the mode, where `w = 1`, so each term costs one division
+/// and no `ln Γ`; every term is then `≤ 1`, and those past the `f64` range
+/// underflow to zero (and end the walk). The tails are the weights over
+/// their sum. Nothing is allocated.
 pub fn fisher_exact(a: u64, b: u64, c: u64, d: u64) -> FisherExact {
     let row1 = a + b;
     let col1 = a + c;
@@ -135,32 +142,61 @@ pub fn fisher_exact(a: u64, b: u64, c: u64, d: u64) -> FisherExact {
     // Support of the hypergeometric: max(0, row1+col1−n) ≤ x ≤ min(row1, col1).
     let lo = row1.saturating_add(col1).saturating_sub(n);
     let hi = row1.min(col1);
-    let ln_pmf =
-        |x: u64| -> f64 { ln_choose(col1, x) + ln_choose(n - col1, row1 - x) - ln_choose(n, row1) };
-    let observed = ln_pmf(a);
-    let mut less = 0.0;
-    let mut greater = 0.0;
-    let mut two = 0.0;
+    let mode = ((row1 as u128 + 1) * (col1 as u128 + 1) / (n as u128 + 2)) as u64;
+    let mode = mode.clamp(lo, hi);
+    // w(x ± 1) from w(x); `n + x + 1 ≥ row1 + col1 + 1` on the support.
+    let up = |x: u64, w: f64| {
+        w * ((col1 - x) as f64 * (row1 - x) as f64)
+            / ((x + 1) as f64 * (n + x + 1 - col1 - row1) as f64)
+    };
+    let down = |x: u64, w: f64| {
+        w * (x as f64 * (n + x - col1 - row1) as f64)
+            / ((col1 - x + 1) as f64 * (row1 - x + 1) as f64)
+    };
+    // The observed weight, stepped exactly as the sums below step it.
+    let mut observed = 1.0;
+    let mut x = mode;
+    while x > a {
+        observed = down(x, observed);
+        x -= 1;
+    }
+    while x < a {
+        observed = up(x, observed);
+        x += 1;
+    }
     // Tolerance guards against ties broken by roundoff, mirroring R's
     // fisher.test behaviour (relative slack 1e−7).
-    let cutoff = observed + 1e-7;
-    for x in lo..=hi {
-        let lp = ln_pmf(x);
-        let p = lp.exp();
+    let cutoff = observed * 1e-7f64.exp();
+    let (mut less, mut greater, mut two, mut total) = (0.0, 0.0, 0.0, 0.0);
+    let mut add = |x: u64, w: f64| {
+        total += w;
         if x <= a {
-            less += p;
+            less += w;
         }
         if x >= a {
-            greater += p;
+            greater += w;
         }
-        if lp <= cutoff {
-            two += p;
+        if w <= cutoff {
+            two += w;
         }
+    };
+    let (mut x, mut w) = (mode, 1.0);
+    add(x, w);
+    while x > lo && w > 0.0 {
+        w = down(x, w);
+        x -= 1;
+        add(x, w);
+    }
+    let (mut x, mut w) = (mode, 1.0);
+    while x < hi && w > 0.0 {
+        w = up(x, w);
+        x += 1;
+        add(x, w);
     }
     FisherExact {
-        two_sided: two.min(1.0),
-        less: less.min(1.0),
-        greater: greater.min(1.0),
+        two_sided: (two / total).min(1.0),
+        less: (less / total).min(1.0),
+        greater: (greater / total).min(1.0),
     }
 }
 
@@ -253,6 +289,77 @@ mod tests {
         let n = a + b + c + d;
         let pa = (ln_choose(col1, a) + ln_choose(n - col1, row1 - a) - ln_choose(n, row1)).exp();
         assert!(close(r.less + r.greater, 1.0 + pa, 1e-9));
+    }
+
+    /// The per-term form: every term's pmf from three `ln C`. The referee
+    /// for the stepped pmf.
+    fn fisher_per_term(a: u64, b: u64, c: u64, d: u64) -> FisherExact {
+        let (row1, col1, n) = (a + b, a + c, a + b + c + d);
+        let lo = (row1 + col1).saturating_sub(n);
+        let ln_pmf =
+            |x: u64| ln_choose(col1, x) + ln_choose(n - col1, row1 - x) - ln_choose(n, row1);
+        let cutoff = ln_pmf(a) + 1e-7;
+        let (mut less, mut greater, mut two) = (0.0, 0.0, 0.0);
+        for x in lo..=row1.min(col1) {
+            let (lp, p) = (ln_pmf(x), ln_pmf(x).exp());
+            less += if x <= a { p } else { 0.0 };
+            greater += if x >= a { p } else { 0.0 };
+            two += if lp <= cutoff { p } else { 0.0 };
+        }
+        FisherExact {
+            two_sided: two.min(1.0),
+            less: less.min(1.0),
+            greater: greater.min(1.0),
+        }
+    }
+
+    #[test]
+    fn fisher_matches_the_per_term_form() {
+        // Strand tables shaped like the caller's: DP4 at depths 10–100,000,
+        // variant fractions from one read to half the column, balanced and
+        // one-sided strands.
+        let mut rng = crate::rng::Rng::new(42);
+        let mut worst: f64 = 0.0;
+        for depth in [10u64, 300, 3_000, 30_000, 100_000] {
+            for _ in 0..40 {
+                let alt = 1 + rng.range_u64(0, depth / 2);
+                let reference = depth - alt;
+                let alt_fwd = rng.range_u64(0, alt);
+                let ref_fwd = rng.range_u64(reference / 3, 2 * reference / 3);
+                let table = (alt_fwd, alt - alt_fwd, ref_fwd, reference - ref_fwd);
+                let got = fisher_exact(table.0, table.1, table.2, table.3);
+                let want = fisher_per_term(table.0, table.1, table.2, table.3);
+                for (g, w) in [
+                    (got.two_sided, want.two_sided),
+                    (got.less, want.less),
+                    (got.greater, want.greater),
+                ] {
+                    // Tails the per-term form underflows are tiny in both.
+                    if w > 1e-290 {
+                        worst = worst.max((g - w).abs() / w);
+                    } else {
+                        assert!(g < 1e-280, "{table:?}: {g:e} vs {w:e}");
+                    }
+                }
+            }
+        }
+        assert!(worst < 1e-9, "worst relative error {worst:e}");
+    }
+
+    #[test]
+    fn fisher_symmetric_tables_keep_their_ties() {
+        // Mirror-image tables have equal pmf terms on both sides; the 1e−7
+        // slack must count both, as the per-term form does.
+        for (a, b, c, d) in [(3, 1, 1, 3), (10, 0, 0, 10), (7, 3, 3, 7), (0, 5, 5, 0)] {
+            let got = fisher_exact(a, b, c, d).two_sided;
+            let want = fisher_per_term(a, b, c, d).two_sided;
+            assert!(
+                close(got, want, 1e-12),
+                "{:?}: {got} vs {want}",
+                (a, b, c, d)
+            );
+        }
+        assert_eq!(fisher_exact(5, 5, 50, 50).two_sided, 1.0);
     }
 
     #[test]

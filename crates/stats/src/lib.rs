@@ -11,7 +11,8 @@
 //! Kille et al. (2021) accelerate LoFreq by *approximating* the right tail of
 //! this distribution with a Poisson tail ([`approx::poisson_tail`]) and only
 //! falling back to the exact `O(d·K)` dynamic program when the approximation
-//! cannot safely exclude significance.
+//! cannot safely exclude significance; the caller here excludes it with a
+//! certified lower bound instead.
 //!
 //! Module map:
 //!
@@ -24,10 +25,12 @@
 //!   against — the tail-pruned `O(d·K)` DP with LoFreq's early exit and the
 //!   full `O(d²)` pmf.
 //! * [`approx`] — the Poisson (Hodges–Le Cam) tail approximation with Le
-//!   Cam's total-variation distance (which certifies the shortcut only on
-//!   reads better than Q20), and the certified Chernoff *upper* bound
-//!   ([`approx::ln_tail_upper_bound`]) behind the caller's accept-side
-//!   screen.
+//!   Cam's total-variation distance, and the certified bounds behind the
+//!   caller's two screens: the *lower* bound
+//!   [`approx::poisson_tail_lower_bound`] (with the tilted one,
+//!   [`poisson_binomial::Tilt::tail_lower_bound`]) on the reject side, and
+//!   the Chernoff *upper* bound [`approx::ln_tail_upper_bound`] on the
+//!   accept side.
 //! * [`rng`] — deterministic SplitMix64/Xoshiro256++ PRNG with the samplers
 //!   the simulator needs (uniform, normal, Poisson, categorical).
 
@@ -42,7 +45,7 @@ pub mod rng;
 pub mod specfun;
 
 pub use approx::{le_cam_bound, ln_tail_upper_bound, poisson_tail};
-pub use poisson_binomial::{BinnedTailScratch, PoissonBinomial, TailBudget, TailOutcome};
+pub use poisson_binomial::{BinnedTailScratch, PoissonBinomial, TailBudget, TailOutcome, Tilt};
 pub use rng::Rng;
 
 /// Errors produced by numerical routines in this crate.

@@ -84,6 +84,7 @@
 //! [`PoissonBinomial::tail_early_exit_binned_with`]) accept an explicit
 //! table for benchmarks and the backend-agreement tests.
 
+use crate::specfun::gamma_p;
 use crate::{Result, StatsError};
 use std::ops::Range;
 use ultravc_simd::{AlignedF64, Kernels};
@@ -386,7 +387,26 @@ impl PoissonBinomial {
         budget: TailBudget,
         scratch: &mut BinnedTailScratch,
     ) -> TailOutcome {
-        tail_windowed(kernels, bins, k, budget, scratch, TRIM_EPS).0
+        let tilt = Tilt::solve(bins, k);
+        tail_windowed(kernels, bins, k, budget, scratch, tilt.as_ref()).0
+    }
+
+    /// [`Self::tail_early_exit_binned`] under the tilt the caller already
+    /// solved for the same `bins` and `k` — `tilt` is
+    /// `Tilt::solve(bins, k).as_ref()`, `None` included — so a column whose
+    /// lower bound ([`Tilt::tail_lower_bound`]) did not settle it does not
+    /// solve the tilt twice. The outcome is bitwise the one
+    /// [`Self::tail_early_exit_binned`] returns.
+    pub fn tail_early_exit_binned_tilted(
+        bins: &[(f64, u32)],
+        k: usize,
+        budget: TailBudget,
+        scratch: &mut BinnedTailScratch,
+        tilt: Option<&Tilt>,
+    ) -> TailOutcome {
+        debug_assert!(tilt.is_none_or(|t| t.k == k), "a tilt solved for another K");
+        let kernels = ultravc_simd::kernels().for_k(k);
+        tail_windowed(kernels, bins, k, budget, scratch, tilt).0
     }
 }
 
@@ -416,8 +436,14 @@ const TILT_MAX_STEPS: usize = 60;
 /// cannot lower the tail by more than its own (untilted) probability, so a
 /// trim charges `min(δ, P/C)` to the tilted budget: near `K`, where states
 /// are about to escape, `P/C` is the smaller of the two.
+///
+/// One solve serves a column twice: the kernel's windows, and the
+/// reject-side lower bound [`Tilt::tail_lower_bound`] the caller tries
+/// first ([`PoissonBinomial::tail_early_exit_binned_tilted`] takes the
+/// solved tilt).
 #[derive(Debug, Clone, Copy)]
-struct Tilt {
+pub struct Tilt {
+    k: usize,
     theta: f64,
     /// `e^θ − 1`, for the per-trial normalizer `ln(q + p·e^θ)`.
     expm1_theta: f64,
@@ -427,12 +453,35 @@ struct Tilt {
     eps: f64,
 }
 
+/// Shevtsova's (2010) Berry–Esseen constant for sums of independent, not
+/// identically distributed summands: `sup |F − Φ| ≤ 0.56·Σρᵢ / s³`.
+const BERRY_ESSEEN: f64 = 0.56;
+
+/// Window offsets `h / s` tried by [`Tilt::tail_lower_bound`], in units of
+/// `min(1, 1/(θs))` past the point where the normal mass clears `2β`.
+const LOWER_BOUND_STEPS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
+
+/// `Φ(z) − ½ = ½·sgn(z)·P(½, z²/2)`: no cancellation near `z = 0`.
+fn normal_cdf_centered(z: f64) -> f64 {
+    let half = 0.5 * gamma_p(0.5, 0.5 * z * z).unwrap_or(1.0);
+    if z < 0.0 {
+        -half
+    } else {
+        half
+    }
+}
+
 impl Tilt {
     /// The tilt at `k`, or `None` where the window is the full range:
     /// `k < SMALL_K_THRESHOLD` (nothing to save), `k` at or below the mean
     /// (`θ ≤ 0`), `k` at or above the number of random trials (`θ = ∞`),
     /// or a solve whose bound `C` is not below 1.
-    fn solve(bins: &[(f64, u32)], k: usize, eps: f64) -> Option<Tilt> {
+    pub fn solve(bins: &[(f64, u32)], k: usize) -> Option<Tilt> {
+        Tilt::solve_trimming(bins, k, TRIM_EPS)
+    }
+
+    /// [`Self::solve`] with the kernel's per-trim tilted mass `eps`.
+    fn solve_trimming(bins: &[(f64, u32)], k: usize, eps: f64) -> Option<Tilt> {
         if k < ultravc_simd::SMALL_K_THRESHOLD {
             return None;
         }
@@ -480,10 +529,68 @@ impl Tilt {
             .sum::<f64>()
             - theta * kf;
         (theta > 0.0 && expm1_theta.is_finite() && ln_c <= 0.0).then_some(Tilt {
+            k,
             theta,
             expm1_theta,
             ln_c,
             eps,
+        })
+    }
+
+    /// A certified lower bound on `Pr[X ≥ K]` from this tilt, in
+    /// `O(#bins)`: part (ii) of the reject-side screen (see
+    /// [`crate::approx::certifies_tail_above`]).
+    ///
+    /// The tilted trials stay independent, so with `μ = Σ mᵦp′ᵦ` (`K` up to
+    /// the Newton tolerance), `s² = Σ mᵦp′ᵦq′ᵦ` and
+    /// `ρ = Σ mᵦp′ᵦq′ᵦ(p′ᵦ² + q′ᵦ²)`, Berry–Esseen puts the tilted law of
+    /// `X` within `β = 0.56·ρ/s³` of `Φ((x − μ)/s)` at every `x`. The change
+    /// of measure above makes `Pr[X ≥ K] = C·E′[e^{−θ(X−K)}; X ≥ K]`, so for
+    /// every integer `h ≥ 0` (`X < K` is `X ≤ K − 1`):
+    ///
+    /// `Pr[X ≥ K] ≥ C·e^{−θh}·(Φ((K + h − μ)/s) − Φ((K − 1 − μ)/s) − 2β)`.
+    ///
+    /// That holds for any `θ > 0`, converged or not, because `μ`, `s` and
+    /// `ρ` are taken at the `θ` in hand. The bound is maximised over a few
+    /// `h` past the offset `≈ 5β·s` where the normal mass clears `2β`, in
+    /// steps of `min(s, 1/θ)`.
+    ///
+    /// Rounding: the Φ difference is deflated by a relative `1e−9` and an
+    /// absolute `1e−12·(1 + K/s)` (`Φ` comes from [`gamma_p`] to `1e−12`, and
+    /// `μ` carries `~1e−14·K`), and `ln C` by `1e−12·(1 + θK)` (its terms
+    /// sum to at most `θK`). `0.0` where the bound proves nothing
+    /// (`2β ≥ 1`, or no `h` leaves a positive mass).
+    pub fn tail_lower_bound(&self, bins: &[(f64, u32)]) -> f64 {
+        let e = self.expm1_theta;
+        let (mut mean, mut var, mut rho) = (0.0, 0.0, 0.0);
+        for &(p, m) in bins.iter().filter(|&&(p, m)| m > 0 && p > 0.0) {
+            let norm = 1.0 + p * e;
+            let (tilted, rest) = (p * (1.0 + e) / norm, (1.0 - p) / norm);
+            let (m, v) = (m as f64, tilted * rest);
+            mean += m * tilted;
+            var += m * v;
+            rho += m * v * (tilted * tilted + rest * rest);
+        }
+        let s = var.sqrt();
+        let two_beta = 2.0 * BERRY_ESSEEN * rho / (var * s);
+        if two_beta.is_nan() || two_beta >= 1.0 {
+            return 0.0;
+        }
+        let kf = self.k as f64;
+        let below = normal_cdf_centered((kf - 1.0 - mean) / s);
+        let slack = two_beta * (1.0 + 1e-9) + 1e-12 * (1.0 + kf / s);
+        let ln_c = self.ln_c - 1e-12 * (1.0 + self.theta * kf);
+        // Φ(u) − ½ ≈ u/√(2π) near 0: the mass clears 2β at u ≈ 2.5·2β.
+        let start = 2.5 * two_beta;
+        let unit = (self.theta * s).recip().min(1.0);
+        LOWER_BOUND_STEPS.iter().fold(0.0, |best: f64, &step| {
+            let h = (s * (start + step * unit)).floor();
+            let mass = (normal_cdf_centered((kf + h - mean) / s) - below) * (1.0 - 1e-9) - slack;
+            if mass > 0.0 {
+                best.max((ln_c - self.theta * h).exp() * mass)
+            } else {
+                best
+            }
         })
     }
 
@@ -556,8 +663,8 @@ struct WindowReport {
     fell_back: bool,
 }
 
-/// The binned kernel: fold under the tilt at `k` (when there is one),
-/// trimming `eps` of tilted mass per end per trim, and re-run over the full
+/// The binned kernel: fold under `tilt` (solved at `k`, when there is one),
+/// trimming its `eps` of tilted mass per end per trim, and re-run over the full
 /// range when the certificate does not hold the windowed tail to
 /// [`CERTIFIED_GAP`].
 fn tail_windowed(
@@ -566,7 +673,7 @@ fn tail_windowed(
     k: usize,
     budget: TailBudget,
     scratch: &mut BinnedTailScratch,
-    eps: f64,
+    tilt: Option<&Tilt>,
 ) -> (TailOutcome, WindowReport) {
     if k == 0 {
         return (TailOutcome::Exact(1.0), WindowReport::default());
@@ -575,8 +682,7 @@ fn tail_windowed(
     if (k as u64) > total {
         return (TailOutcome::Exact(0.0), WindowReport::default());
     }
-    let tilt = Tilt::solve(bins, k, eps);
-    let (outcome, fold) = fold_column(kernels, bins, k, budget, scratch, tilt.as_ref());
+    let (outcome, fold) = fold_column(kernels, bins, k, budget, scratch, tilt);
     let report = WindowReport {
         widest: fold.widest,
         fell_back: false,
@@ -1322,7 +1428,7 @@ mod tests {
                 bail_above: f64::INFINITY,
             },
             &mut BinnedTailScratch::new(),
-            eps,
+            Tilt::solve_trimming(bins, k, eps).as_ref(),
         );
         (outcome.exact().expect("infinite budget"), report)
     }
@@ -1389,10 +1495,10 @@ mod tests {
         let chunked = [(0.05, 200), (0.206, 7_000)];
         check("chunked", &chunked, &[1_500, 1_700, 2_000]);
         // θ = ∞ and θ ≤ 0 solve to no tilt at all.
-        assert!(Tilt::solve(&deep_q40, 2_000, TRIM_EPS).is_none());
-        assert!(Tilt::solve(&deep_q40, 1, TRIM_EPS).is_none());
-        assert!(Tilt::solve(&[(0.01, 300), (1.0, 20)], 22, TRIM_EPS).is_none());
-        assert!(Tilt::solve(&deep_q40, 1_999, TRIM_EPS).is_some());
+        assert!(Tilt::solve(&deep_q40, 2_000).is_none());
+        assert!(Tilt::solve(&deep_q40, 1).is_none());
+        assert!(Tilt::solve(&[(0.01, 300), (1.0, 20)], 22).is_none());
+        assert!(Tilt::solve(&deep_q40, 1_999).is_some());
     }
 
     #[test]

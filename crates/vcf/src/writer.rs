@@ -229,6 +229,20 @@ mod tests {
     }
 
     #[test]
+    fn balanced_strands_print_sb_zero() {
+        // Fisher's test on mirror-image strands is p = 1, which Phred-scales
+        // to zero: the field must read `SB=0`, never `SB=-0`.
+        use ultravc_genome::phred::phred_scale_pvalue;
+        let p = ultravc_stats::binomial::fisher_exact(60, 60, 6_000, 6_000).two_sided;
+        assert_eq!(p, 1.0);
+        let mut r = rec(99);
+        r.info.sb = phred_scale_pvalue(p);
+        let text = write_vcf("ref", "ultravc-0.1", &[r]);
+        let data_line = text.lines().last().unwrap();
+        assert!(data_line.ends_with("\tDP=12345;AF=0.012345;SB=0;DP4=6000,6100,120,125"));
+    }
+
+    #[test]
     fn roundtrip() {
         let records = vec![rec(0), rec(500), {
             let mut r = rec(1000);
